@@ -12,7 +12,6 @@ from .errors import (
     ConfigError,
     PhaseUndefinedError,
     PostSelectionError,
-    QuadratureError,
     SaturationError,
 )
 from .estimation import (
@@ -75,8 +74,6 @@ from .wavepacket import (
     error_fraction,
     evolve_through_magnet,
     free_propagate,
-    full_overlap,
-    half_plane_coherence,
     make_component,
     make_pair,
     phase_settle_time,

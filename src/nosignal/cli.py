@@ -42,7 +42,6 @@ from .errors import (
     ConfigError,
     PhaseUndefinedError,
     PostSelectionError,
-    QuadratureError,
     SaturationError,
 )
 from .estimation import (
@@ -99,7 +98,6 @@ SWEEP_COLUMNS = [
 _NUMERICAL_ERRORS = (
     SaturationError,
     BoundaryLeakError,
-    QuadratureError,
     PostSelectionError,
 )
 

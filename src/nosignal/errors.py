@@ -13,14 +13,6 @@ class SaturationError(RuntimeError):
         self.last_value = last_value
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class BoundaryLeakError(RuntimeError):
     """Wave-packet density reached the edge of the simulation grid."""
 

@@ -26,13 +26,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PhaseUndefinedError, PostSelectionError, QuadratureError
+from .errors import PhaseUndefinedError, PostSelectionError
 from .spin import SpinDensityMatrix, SpinState, make_spin_state
 from .wavepacket import (
     WavePacketPair,
+    closed_form_upper_coherence,
     error_fraction,
     free_propagate,
-    half_plane_coherence,
     upper_fraction,
 )
 
@@ -113,11 +113,9 @@ def _presaturation_drift(pair: WavePacketPair) -> float:
 
 
 def project_upper(
-    pair: WavePacketPair,
-    z_max: Optional[float] = None,
-    warn_presaturation: bool = True,
+    pair: WavePacketPair, warn_presaturation: bool = True
 ) -> PostSelectedSpin:
-    """Project onto z in [0, z_max] (half line by default) and trace out z."""
+    """Project a symmetric kicked pair onto z >= 0 and trace out z."""
     if warn_presaturation and _presaturation_drift(pair) > 1e-3:
         warnings.warn(
             "post-selecting before the error fraction has saturated; "
@@ -126,8 +124,8 @@ def project_upper(
         )
     w_up = pair.plus.weight
     w_down = pair.minus.weight
-    i_up = upper_fraction(pair, "plus", z_max)
-    i_down = upper_fraction(pair, "minus", z_max)
+    i_up = upper_fraction(pair, "plus")
+    i_down = upper_fraction(pair, "minus")
     up_mass = abs(w_up) ** 2 * i_up
     down_mass = abs(w_down) ** 2 * i_down
     select_prob = up_mass + down_mass
@@ -137,18 +135,11 @@ def project_upper(
         )
     if abs(w_up) > 0 and abs(w_down) > 0:
         coherence = complex(
-            w_up * np.conj(w_down) * half_plane_coherence(pair, "upper", z_max)
+            w_up * np.conj(w_down) * closed_form_upper_coherence(pair)
         )
-        # quadrature noise may push |C| past the Cauchy-Schwarz bound when
-        # a narrow window nearly saturates it; clip inside tolerance
+        # rounding alone can put |C| a few 1e-16 relative past sqrt(I+ I-)
         bound = math.sqrt(up_mass * down_mass)
         if abs(coherence) > bound:
-            if abs(coherence) > bound * (1.0 + 1e-9) + 1e-15:
-                raise QuadratureError(
-                    "half-plane coherence exceeds its Cauchy-Schwarz bound "
-                    f"by {abs(coherence) - bound:.2e}",
-                    residual=abs(coherence) - bound,
-                )
             coherence *= bound / abs(coherence)
     else:
         coherence = 0.0 + 0.0j

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nosignal
 from nosignal import bob_total, ProtocolConfig, alice_total
 from nosignal.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
@@ -309,6 +313,20 @@ class TestOracle:
         assert any("impulsive" in note for note in report["notes"])
         assert report["max_abs_E_diff"] > 0
 
+    def test_large_kick_writes_finite_coherence(self, tmp_path):
+        # erfi overflows past x ~ 26.6; this kick reaches x ~ 34 at t = 0.05
+        default = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+        payload = json.loads(default.read_text(encoding="utf-8"))
+        payload["sg"]["gradient"] = 12000.0
+        payload["oracle"]["times"] = [0.05, 0.1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "oracle.json").read_text())
+        for row in report["comparisons"]:
+            assert all(math.isfinite(v) for v in row["coherence_analytic"])
+
     def test_boundary_leak_exits_numerical(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -322,3 +340,29 @@ class TestOracle:
         code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL
         assert "extent" in capsys.readouterr().err
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        oracle={"extent": 384.0, "points": 4096, "dt": 2e-4, "times": [2.0, 10.0]},
+    )
+    script = (
+        "import json, sys\n"
+        "from nosignal.cli import main\n"
+        "codes = [main([cmd, '--config', sys.argv[1], '--out', sys.argv[2] + cmd])\n"
+        "         for cmd in ('verify', 'oracle')]\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    src = str(Path(nosignal.__file__).resolve().parents[1])
+    paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path / "out-")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert loaded == []

@@ -18,9 +18,9 @@ from nosignal import (
     grid_half_plane_coherence,
     grid_mean_momentum,
     grid_norm,
-    half_plane_coherence,
     make_spin_state,
 )
+from nosignal.wavepacket import closed_form_upper_coherence
 
 SMALL_GRID = GridSpec(extent=384.0, points=4096, dt=2e-4)
 
@@ -100,7 +100,7 @@ class TestAgainstAnalyticModel:
     def test_coherence_agreement(self, device, x_state, t):
         result = grid_evolve(device, x_state, SMALL_GRID, t_final=t)
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
-        analytic = half_plane_coherence(pair, "upper")
+        analytic = closed_form_upper_coherence(pair)
         grid = grid_half_plane_coherence(result)
         assert abs(abs(grid) - abs(analytic)) < 1e-3
         assert abs(np.angle(grid) - np.angle(analytic)) < 1e-2
@@ -110,7 +110,7 @@ class TestAgainstAnalyticModel:
         state = make_spin_state(1.0, 1.0j)
         result = grid_evolve(device, state, SMALL_GRID, t_final=10.0)
         pair = free_propagate(evolve_through_magnet(device, state), 10.0)
-        analytic = half_plane_coherence(pair, "upper")
+        analytic = closed_form_upper_coherence(pair)
         grid = grid_half_plane_coherence(result)
         assert abs(grid - analytic) < 1e-3
 

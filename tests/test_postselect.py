@@ -130,15 +130,6 @@ class TestProjectUpper:
             warnings.simplefilter("error")
             project_upper(settled_pair(device, x_state, t=2000.0))
 
-    def test_narrow_window_restores_purity(self, device, x_state):
-        # over a region much smaller than every variation scale the two
-        # channels are proportional, so the projected state is pure
-        pair = settled_pair(device, x_state, t=20.0)
-        post = project_upper(pair, z_max=3e-5, warn_presaturation=False)
-        assert post.visibility == pytest.approx(1.0, abs=1e-9)
-        chi = postselected_pure_state(post.error_fraction, post.phase)
-        assert np.allclose(post.rho.matrix, chi.density().matrix, atol=1e-9)
-
 
 class TestPhaseFlipBetweenOppositeInputs:
     def test_x_inputs_differ_by_pi(self, device):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,15 +13,16 @@ from nosignal import (
     error_fraction,
     evolve_through_magnet,
     free_propagate,
-    full_overlap,
-    half_plane_coherence,
     make_component,
     make_pair,
     phase_settle_time,
     saturated_error_fraction,
     upper_fraction,
 )
-from nosignal.wavepacket import closed_form_upper_coherence
+from nosignal.wavepacket import _dawson, closed_form_upper_coherence
+from conftest import full_overlap, quad_coherence
+
+ORACLE_TIMES = [1, 3, 7, 12, 20, 30, 45, 70, 95, 120]
 
 
 def quad_density(pair, which, lo, hi):
@@ -32,6 +34,40 @@ def quad_density(pair, which, lo, hi):
         limit=200,
     )
     return val
+
+
+def mpmath_upper_coherence(pair, dps: int = 40):
+    """int_0^inf psi_plus psi_minus^* dz at dps digits, for any Gaussian pair.
+
+    Expands the product of the two channels into exp(-A z^2 + B z + D) from
+    their exact parameters at the pair's time (the accumulated phases
+    cancel in the working precision, not in double) and uses
+    int_0^inf exp(-A z^2 + B z) dz = sqrt(pi / A) / 2 exp(B^2 / 4A)
+    erfc(-B / (2 sqrt A)).
+    """
+    with mp.workdps(dps):
+        s0, m, t = mp.mpf(pair.sigma0), mp.mpf(pair.mass), mp.mpf(pair.time)
+        alpha = 1 + 1j * t / (2 * m * s0**2)
+        a_z = 4 * s0**2 * alpha
+        a_c = mp.conj(a_z)
+        p_p, p_m = mp.mpf(pair.plus.momentum), mp.mpf(pair.minus.momentum)
+        c_p = mp.mpf(pair.plus.origin) + p_p * t / m
+        c_m = mp.mpf(pair.minus.origin) + p_m * t / m
+        phi_p = mp.mpf(pair.plus.exit_phase) + p_p**2 * t / (2 * m)
+        phi_m = mp.mpf(pair.minus.exit_phase) + p_m**2 * t / (2 * m)
+        big_a = 1 / a_z + 1 / a_c
+        big_b = 2 * c_p / a_z + 2 * c_m / a_c + 1j * (p_p - p_m)
+        big_d = (
+            -(c_p**2) / a_z - c_m**2 / a_c - 1j * (p_p * c_p - p_m * c_m)
+            + 1j * (phi_p - phi_m)
+        )
+        norm = (2 * mp.pi * s0**2) ** (-0.5) / abs(alpha)
+        value = (
+            mp.sqrt(mp.pi / big_a) / 2
+            * mp.exp(big_b**2 / (4 * big_a) + big_d)
+            * mp.erfc(-big_b / (2 * mp.sqrt(big_a)))
+        )
+        return mp.mpc(norm * value)
 
 
 class TestMagnet:
@@ -191,33 +227,82 @@ class TestSaturation:
         assert values["x"] == values["z"] == values["tilted"]
 
 
+class TestDawson:
+    def test_matches_mpmath(self):
+        with mp.workdps(40):
+            for x in np.concatenate(
+                [np.geomspace(1e-14, 100.0, 400), np.linspace(5.0, 7.0, 81)]
+            ):
+                x = float(x)
+                exact = mp.sqrt(mp.pi) / 2 * mp.exp(-mp.mpf(x) ** 2) * mp.erfi(x)
+                assert abs(_dawson(x) / float(exact) - 1.0) <= 4e-15, x
+
+    def test_odd_and_zero_at_origin(self):
+        assert _dawson(0.0) == 0.0
+        for x in (1e-3, 0.7, 5.9, 6.0, 40.0):
+            assert _dawson(-x) == -_dawson(x)
+
+
 class TestHalfPlaneCoherence:
     def test_identical_components_give_half_total(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
         pair = free_propagate(evolve_through_magnet(cfg, x_state), 3.0)
-        upper = half_plane_coherence(pair, "upper")
+        upper = closed_form_upper_coherence(pair)
         total = full_overlap(pair)
         assert abs(total - 1.0) < 1e-12
         assert abs(upper - 0.5 * total) < 1e-12
         assert abs(upper.imag) < 1e-12
 
-    def test_fully_separated_components_vanish(self):
-        plus = make_component(1e3, 0.0, 1 / math.sqrt(2), 1.0)
-        minus = make_component(-1e3, 0.0, 1 / math.sqrt(2), 1.0)
-        pair = make_pair(plus, minus, mass=1.0, sigma0=1.0)
-        assert abs(half_plane_coherence(pair, "upper")) < 1e-9
-
     @pytest.mark.parametrize("t", [0.7, 6.0, 55.0])
     def test_matches_closed_form(self, device, x_state, t):
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
-        by_quad = half_plane_coherence(pair, "upper")
+        by_quad = quad_coherence(pair)
         closed = closed_form_upper_coherence(pair)
         assert abs(by_quad - closed) < 1e-12
 
+    @pytest.mark.parametrize("when", [0.5, 5.0, 60.0, "settle"])
+    @pytest.mark.parametrize("bias", [0.0, 100.0])
+    @pytest.mark.parametrize("gradient", [5.0, 50.0, 210.4, 400.0])
+    def test_matches_quadrature_across_devices(self, x_state, gradient, bias, when):
+        cfg = SGConfig(
+            mass=1, sigma0=1, moment=1, gradient=gradient, bias=bias, transit=0.002
+        )
+        t = phase_settle_time(cfg) if when == "settle" else when
+        pair = free_propagate(evolve_through_magnet(cfg, x_state), t)
+        closed = closed_form_upper_coherence(pair)
+        assert abs(quad_coherence(pair) - closed) <= 1e-11 * abs(closed)
+
+    @pytest.mark.parametrize("bias", [0.0, 37.0])
+    def test_matches_mpmath(self, x_state, bias):
+        cfg = SGConfig(
+            mass=1, sigma0=1, moment=1, gradient=210.4, bias=bias, transit=0.002
+        )
+        exit_pair = evolve_through_magnet(cfg, x_state)
+        for t in ORACLE_TIMES + [phase_settle_time(cfg, 1e-9)]:
+            pair = free_propagate(exit_pair, t)
+            closed = closed_form_upper_coherence(pair)
+            exact = mpmath_upper_coherence(pair)
+            for got, want in ((closed.real, exact.real), (closed.imag, exact.imag)):
+                assert abs(got - float(want)) <= 4 * math.ulp(float(want)), t
+
+    def test_large_kick_stays_finite(self, x_state):
+        # erfi(x) overflows past x ~ 26.6; its product with exp(-x^2) must not
+        cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=12000, bias=0, transit=0.002)
+        pair = free_propagate(evolve_through_magnet(cfg, x_state), 0.05)
+        closed = closed_form_upper_coherence(pair)
+        assert math.isfinite(closed.real) and math.isfinite(closed.imag)
+        assert abs(quad_coherence(pair) - closed) <= 1e-10 * abs(closed)
+
+    def test_rejects_asymmetric_pair(self):
+        plus = make_component(1.0, 0.3, 1 / math.sqrt(2), 1.0)
+        minus = make_component(-1.0, -0.3, 1 / math.sqrt(2), 1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            closed_form_upper_coherence(make_pair(plus, minus, mass=1.0, sigma0=1.0))
+
     def test_halves_sum_to_full_overlap(self, device, x_state):
         pair = free_propagate(evolve_through_magnet(device, x_state), 9.0)
-        upper = half_plane_coherence(pair, "upper")
-        lower = half_plane_coherence(pair, "lower")
+        upper = closed_form_upper_coherence(pair)
+        lower = quad_coherence(pair, "lower")
         assert abs(upper + lower - full_overlap(pair)) < 1e-9
 
     def test_cauchy_schwarz_bound(self, device, x_state):
@@ -226,21 +311,7 @@ class TestHalfPlaneCoherence:
             bound = math.sqrt(
                 upper_fraction(pair, "plus") * upper_fraction(pair, "minus")
             )
-            assert abs(half_plane_coherence(pair, "upper")) <= bound + 1e-9
-
-    def test_windowed_coherence_matches_direct_quadrature(self, device, x_state):
-        pair = free_propagate(evolve_through_magnet(device, x_state), 5.0)
-        z_max = 2.5
-
-        def product(z):
-            return component_amplitude(pair, z, "plus") * np.conj(
-                component_amplitude(pair, z, "minus")
-            )
-
-        re, _ = quad(lambda z: product(z).real, 0.0, z_max, limit=200)
-        im, _ = quad(lambda z: product(z).imag, 0.0, z_max, limit=200)
-        windowed = half_plane_coherence(pair, "upper", z_max=z_max)
-        assert abs(windowed - (re + 1j * im)) < 1e-10
+            assert abs(closed_form_upper_coherence(pair)) <= bound * (1 + 1e-15)
 
     def test_larmor_bias_rotates_phase(self, x_state):
         biased = SGConfig(
@@ -250,10 +321,10 @@ class TestHalfPlaneCoherence:
             mass=1, sigma0=1, moment=1, gradient=210.4, bias=0.0, transit=0.002
         )
         t = 30.0
-        c_biased = half_plane_coherence(
+        c_biased = closed_form_upper_coherence(
             free_propagate(evolve_through_magnet(biased, x_state), t)
         )
-        c_flat = half_plane_coherence(
+        c_flat = closed_form_upper_coherence(
             free_propagate(evolve_through_magnet(flat, x_state), t)
         )
         # bias adds 2 * moment * bias * transit to the coherence argument
@@ -267,7 +338,7 @@ class TestPhaseSettleTime:
     def test_coherence_phase_below_tolerance(self, device, x_state, tol):
         t = phase_settle_time(device, tol)
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
-        assert abs(np.angle(half_plane_coherence(pair, "upper"))) < 0.5 * tol
+        assert abs(np.angle(closed_form_upper_coherence(pair))) < 0.5 * tol
 
     def test_zero_kick_needs_no_settling(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
