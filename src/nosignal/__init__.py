@@ -27,7 +27,6 @@ from .estimation import (
 from .gridsolver import (
     GridResult,
     GridSpec,
-    export_snapshot_csv,
     grid_density,
     grid_error_fraction,
     grid_evolve,
@@ -43,12 +42,15 @@ from .postselect import (
     project_upper,
 )
 from .protocol import (
+    BranchTable,
     ProtocolConfig,
     ProtocolResult,
     alice_branch_total,
     alice_total,
     bob_branch_totals,
     bob_total,
+    branch_table,
+    cell_result,
     closed_form_result,
     outcome_probability,
     run_pipeline,

@@ -33,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .errors import (
     BoundaryLeakError,
     ConfigError,
     PhaseUndefinedError,
-    PostSelectionError,
     SaturationError,
 )
 from .estimation import (
@@ -53,13 +52,20 @@ from .estimation import (
 )
 from .gridsolver import (
     GridSpec,
+    grid_density,
     grid_error_fraction,
     grid_evolve,
     grid_half_plane_coherence,
 )
-from .postselect import postselected_pure_state, project_upper
-from .protocol import MODELS, closed_form_result, run_pipeline
-from .spin import SpinDensityMatrix, sigma_eigenstate
+from .postselect import model_state, postselected_pure_state
+from .protocol import (
+    MODELS,
+    branch_phase,
+    branch_table,
+    cell_result,
+    closed_form_result,
+)
+from .spin import TWO_PI, SpinDensityMatrix
 from .wavepacket import (
     SGConfig,
     component_amplitude,
@@ -67,7 +73,6 @@ from .wavepacket import (
     error_fraction,
     evolve_through_magnet,
     free_propagate,
-    phase_settle_time,
     saturated_error_fraction,
 )
 
@@ -76,8 +81,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-TWO_PI = 2.0 * math.pi
 
 SWEEP_COLUMNS = [
     "omega",
@@ -95,11 +98,7 @@ SWEEP_COLUMNS = [
     "model",
 ]
 
-_NUMERICAL_ERRORS = (
-    SaturationError,
-    BoundaryLeakError,
-    PostSelectionError,
-)
+_NUMERICAL_ERRORS = (SaturationError, BoundaryLeakError)
 
 DEFAULTS = {
     "sg": {
@@ -150,7 +149,17 @@ def _reject_unknown(section: dict, allowed: Sequence[str], where: str) -> None:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    # json.loads yields nan and inf (NaN, Infinity, 1e400) and unbounded ints
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
+
+
+def _tolerance(value, where: str) -> float:
+    tol = _number(value, where)
+    if tol <= 0:
+        raise ConfigError(f"{where} must be positive, got {tol!r}")
+    return tol
 
 
 def _number_list(value, where: str) -> List[float]:
@@ -251,8 +260,8 @@ def load_config(path: Optional[str]) -> RunConfig:
         samples=samples,
         root_seed=root_seed,
         output_dir=output_dir,
-        residual_tol=_number(tol_raw["residual"], "tolerances.residual"),
-        phase_sum_tol=_number(tol_raw["phase_sum"], "tolerances.phase_sum"),
+        residual_tol=_tolerance(tol_raw["residual"], "tolerances.residual"),
+        phase_sum_tol=_tolerance(tol_raw["phase_sum"], "tolerances.phase_sum"),
         oracle_grid=grid,
         oracle_times=_number_list(oracle_raw["times"], "oracle.times"),
     )
@@ -293,34 +302,37 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
     max_phase_sum = 0.0
     max_cos_sum = 0.0
     any_phase_checked = False
-    for omega in cfg.omega_list:
-        degenerate_logged = False
+    table = branch_table(cfg.sg, cfg.omega_list)
+    for entry in table.rotated:
+        omega, branches = entry
+        phi_plus, phi_minus = branch_phase(branches[+1]), branch_phase(branches[-1])
+        phase_checked = phi_plus is not None and phi_minus is not None
+        if phase_checked:
+            if inject != 0.0:
+                phi_minus = math.acos(min(max(math.cos(phi_minus) + inject, -1.0), 1.0))
+            # the nearer branch of phi_+ +- phi_- = pi; the two branches
+            # together are exactly cos(phi_+) + cos(phi_-) = 0
+            phase_sum_dev = min(
+                abs(_wrap_pi(phi_plus + sign * phi_minus - math.pi)) for sign in (1, -1)
+            )
+            cos_sum = math.cos(phi_plus) + math.cos(phi_minus)
+            any_phase_checked = True
+            max_phase_sum = max(max_phase_sum, phase_sum_dev)
+            max_cos_sum = max(max_cos_sum, abs(cos_sum))
+        else:
+            phase_sum_dev = cos_sum = None
+            warnings.append(
+                f"omega={omega:.6g}: phases unidentifiable on degenerate "
+                "branches (no coherence); phase checks skipped"
+            )
         for theta in cfg.theta_list:
-            result = run_pipeline(cfg.sg, omega, theta, model=cfg.model)
-            phi_plus, phi_minus = result.phi_plus, result.phi_minus
-            if phi_plus is not None and phi_minus is not None and inject != 0.0:
-                target = min(max(math.cos(phi_minus) + inject, -1.0), 1.0)
-                phi_minus = math.acos(target)
+            if phase_checked and inject != 0.0:
                 result = closed_form_result(
-                    result.Es, result.omega, result.theta, phi_plus, phi_minus,
-                    cfg.model,
+                    table.Es, omega, theta, phi_plus, phi_minus, cfg.model
                 )
-            cell = result.to_json_dict()
-            if phi_plus is not None and phi_minus is not None:
-                phase_sum_dev = abs(_wrap_pi(phi_plus + phi_minus - math.pi))
-                cos_sum = math.cos(phi_plus) + math.cos(phi_minus)
-                any_phase_checked = True
-                max_phase_sum = max(max_phase_sum, phase_sum_dev)
-                max_cos_sum = max(max_cos_sum, abs(cos_sum))
             else:
-                phase_sum_dev = None
-                cos_sum = None
-                if not degenerate_logged:
-                    warnings.append(
-                        f"omega={omega:.6g}: phases unidentifiable on degenerate "
-                        "branches (no coherence); phase checks skipped"
-                    )
-                    degenerate_logged = True
+                result = cell_result(table, entry, theta, cfg.model)
+            cell = result.to_json_dict()
             cell["phase_sum_dev"] = phase_sum_dev
             cell["cos_sum"] = cos_sum
             cells.append(cell)
@@ -352,15 +364,16 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
 def workflow_sweep(cfg: RunConfig) -> List[dict]:
     """Closed-form protocol table, one row per (omega, theta).
 
-    Phases are extracted once per omega from the pipeline (they do not
-    depend on theta); rows then evaluate the closed forms.
+    Es and the phases come from the run's branch table (they do not depend
+    on theta); rows then evaluate the closed forms.
     """
+    table = branch_table(cfg.sg, cfg.omega_list)
     rows = []
-    for omega in cfg.omega_list:
-        probe = run_pipeline(cfg.sg, omega, math.pi / 2, model=cfg.model)
+    for omega, branches in table.rotated:
+        phi_plus, phi_minus = branch_phase(branches[+1]), branch_phase(branches[-1])
         for theta in cfg.theta_list:
             result = closed_form_result(
-                probe.Es, omega, theta, probe.phi_plus, probe.phi_minus, cfg.model
+                table.Es, omega, theta, phi_plus, phi_minus, cfg.model
             )
             rows.append(result.to_json_dict())
     return rows
@@ -382,26 +395,6 @@ def write_sweep_csv(path: Path, rows: List[dict]) -> None:
             fh.write(",".join(fields) + "\n")
 
 
-def _beam_truth(
-    cfg: RunConfig, omega: float, polarization: int, t_run: float
-) -> Tuple[object, float, Optional[float]]:
-    """True post-selected state for one beam, per the configured model.
-
-    Returns (state to sample, true error fraction, true phase or None).
-    """
-    beam = sigma_eigenstate(omega, polarization)
-    pair = free_propagate(evolve_through_magnet(cfg.sg, beam), t_run)
-    post = project_upper(pair, warn_presaturation=False)
-    if cfg.model == "pure":
-        if post.phase is None:
-            raise PhaseUndefinedError(
-                f"beam at omega={omega:.6g} carries no coherence"
-            )
-        state = postselected_pure_state(post.error_fraction, post.phase)
-        return state, post.error_fraction, post.phase
-    return post.rho, post.error_fraction, post.phase
-
-
 def _injected_state(truth_state, error_fraction: float, cos_target: float):
     """Replace the coherence so the measurable cosine becomes cos_target."""
     cos_target = min(max(cos_target, -1.0), 1.0)
@@ -416,82 +409,97 @@ def _injected_state(truth_state, error_fraction: float, cos_target: float):
 
 
 def workflow_estimate(cfg: RunConfig, inject: float = 0.0) -> List[dict]:
-    """Two-beam bench run per omega; returns the JSON-line payloads."""
+    """Two-beam bench run per omega on the branch table's spins.
+
+    Returns the JSON-line payloads.  Each omega ends in one "bound" line, or
+    in one "degenerate" line when its phases cannot be identified.
+    """
     if cfg.samples < 1000:
         raise ConfigError("estimate needs samples >= 1000")
     lines: List[dict] = []
-    sat = saturated_error_fraction(cfg.sg, postselected_pure_state(0.5, 0.0))
-    t_run = max(sat.time, phase_settle_time(cfg.sg))
-    for i_omega, omega in enumerate(cfg.omega_list):
+    table = branch_table(cfg.sg, cfg.omega_list)
+    for i_omega, (omega, branches) in enumerate(table.rotated):
+        try:
+            lines += _bench_lines(cfg, i_omega, omega, branches, inject)
+        except PhaseUndefinedError as exc:
+            lines.append({"kind": "degenerate", "omega": omega, "reason": str(exc)})
+    return lines
+
+
+def _bench_lines(
+    cfg: RunConfig, i_omega: int, omega: float, branches: dict, inject: float
+) -> List[dict]:
+    """Records, estimates and the violation bound of one omega's two beams.
+
+    Raises PhaseUndefinedError when a beam's post-selected spin carries no
+    phase, or when its sigma_z sample has no counts of one sign.
+    """
+    if any(branch_phase(branch) is None for branch in branches.values()):
         if abs(math.sin(omega)) < 1e-12:
-            lines.append(
-                {
-                    "kind": "degenerate",
-                    "omega": omega,
-                    "reason": "beam polarization aligned with the device axis; "
-                    "post-selected state carries no phase",
-                }
+            raise PhaseUndefinedError(
+                "beam polarization aligned with the device axis; "
+                "post-selected state carries no phase"
             )
-            continue
-        estimates = {}
-        measurable_cos = {}
-        for beam_idx, polarization in enumerate((+1, -1)):
-            state, true_ef, true_phase = _beam_truth(cfg, omega, polarization, t_run)
-            if isinstance(state, SpinDensityMatrix):
-                denom = math.sqrt(
-                    max(state.up_up.real * state.down_down.real, 1e-300)
-                )
-                measurable_cos[polarization] = state.up_down.real / denom
-            else:
-                measurable_cos[polarization] = math.cos(true_phase)
-            if polarization == -1 and inject != 0.0:
-                cos_target = -measurable_cos[+1] + inject
-                state = _injected_state(state, true_ef, cos_target)
-                measurable_cos[-1] = min(max(cos_target, -1.0), 1.0)
-            beam_name = "plus" if polarization == +1 else "minus"
-            records = {}
-            for axis_idx, (axis_name, axis) in enumerate(
-                (("z", 0.0), ("x", math.pi / 2))
-            ):
-                seed = derive_seed(cfg.root_seed, i_omega, beam_idx, axis_idx)
-                rec = sample(
-                    state,
-                    axis,
-                    cfg.samples,
-                    seed,
-                    true_state_id=f"omega[{i_omega}]/{beam_name}/{axis_name}",
-                )
-                records[axis_name] = rec
-                line = {"kind": "record", "omega": omega, "beam": beam_name}
-                line.update(rec.to_json_dict())
-                lines.append(line)
-            ef_hat, ef_ci = estimate_error_fraction(records["z"])
-            est = estimate_phase(records["x"], ef_hat, ef_ci)
-            estimates[polarization] = est
-            line = {
-                "kind": "estimate",
-                "omega": omega,
-                "beam": beam_name,
-                "truth": {
-                    "error_fraction": true_ef,
-                    "phase_on_0_pi": math.acos(
-                        min(max(measurable_cos[polarization], -1.0), 1.0)
-                    ),
-                },
-            }
-            line.update(est.to_json_dict())
+        raise PhaseUndefinedError("post-selected state carries no coherence")
+    lines: List[dict] = []
+    estimates = {}
+    measurable_cos = {}
+    for beam_idx, polarization in enumerate((+1, -1)):
+        post = branches[polarization][1]
+        state = model_state(post, cfg.model)
+        if isinstance(state, SpinDensityMatrix):
+            denom = math.sqrt(max(state.up_up.real * state.down_down.real, 1e-300))
+            measurable_cos[polarization] = state.up_down.real / denom
+        else:
+            measurable_cos[polarization] = math.cos(post.phase)
+        if polarization == -1 and inject != 0.0:
+            cos_target = -measurable_cos[+1] + inject
+            state = _injected_state(state, post.error_fraction, cos_target)
+            measurable_cos[-1] = min(max(cos_target, -1.0), 1.0)
+        beam_name = "plus" if polarization == +1 else "minus"
+        records = {}
+        for axis_idx, (axis_name, axis) in enumerate(
+            (("z", 0.0), ("x", math.pi / 2))
+        ):
+            seed = derive_seed(cfg.root_seed, i_omega, beam_idx, axis_idx)
+            rec = sample(
+                state,
+                axis,
+                cfg.samples,
+                seed,
+                true_state_id=f"omega[{i_omega}]/{beam_name}/{axis_name}",
+            )
+            records[axis_name] = rec
+            line = {"kind": "record", "omega": omega, "beam": beam_name}
+            line.update(rec.to_json_dict())
             lines.append(line)
-        point, ci = violation_bound(estimates[+1], estimates[-1])
-        lines.append(
-            {
-                "kind": "bound",
-                "omega": omega,
-                "point": point,
-                "ci": list(ci),
-                "consistent_with_zero": ci[0] <= 0.0 <= ci[1],
-                "injected": inject,
-            }
-        )
+        ef_hat, ef_ci = estimate_error_fraction(records["z"])
+        est = estimate_phase(records["x"], ef_hat, ef_ci)
+        estimates[polarization] = est
+        line = {
+            "kind": "estimate",
+            "omega": omega,
+            "beam": beam_name,
+            "truth": {
+                "error_fraction": post.error_fraction,
+                "phase_on_0_pi": math.acos(
+                    min(max(measurable_cos[polarization], -1.0), 1.0)
+                ),
+            },
+        }
+        line.update(est.to_json_dict())
+        lines.append(line)
+    point, ci = violation_bound(estimates[+1], estimates[-1])
+    lines.append(
+        {
+            "kind": "bound",
+            "omega": omega,
+            "point": point,
+            "ci": list(ci),
+            "consistent_with_zero": ci[0] <= 0.0 <= ci[1],
+            "injected": inject,
+        }
+    )
     return lines
 
 
@@ -518,10 +526,7 @@ def workflow_oracle(cfg: RunConfig) -> dict:
             np.abs(component_amplitude(pair, grid_result.z, "plus", True)) ** 2
             + np.abs(component_amplitude(pair, grid_result.z, "minus", True)) ** 2
         )
-        density_grid = (
-            np.abs(grid_result.psi_plus[idx]) ** 2
-            + np.abs(grid_result.psi_minus[idx]) ** 2
-        )
+        density_grid = grid_density(grid_result, idx)
         l1 = float(np.sum(np.abs(density_grid - density_analytic)) * grid_result.dx)
         mod_diff = abs(abs(c_grid) - abs(c_analytic))
         phase_diff = abs(_wrap_pi(np.angle(c_grid) - np.angle(c_analytic)))

@@ -27,7 +27,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import PhaseUndefinedError
-from .spin import MeasurementAxis, SpinDensityMatrix, SpinState, born_probability
+from .spin import SpinDensityMatrix, SpinState, born_probability
 
 __all__ = [
     "MeasurementRecord",
@@ -44,10 +44,6 @@ __all__ = [
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 _Z_AXIS_TOL = 1e-12
-
-
-def _angle(axis: Union[MeasurementAxis, float]) -> float:
-    return axis.angle if isinstance(axis, MeasurementAxis) else float(axis)
 
 
 @dataclass(frozen=True)
@@ -69,13 +65,7 @@ class MeasurementRecord:
         return self.n_plus / self.n
 
     def to_json_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "seed": self.seed,
-            "true_state_id": self.true_state_id,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -112,7 +102,7 @@ def derive_seed(root_seed: int, *key: int) -> int:
 
 def sample(
     state: Union[SpinState, SpinDensityMatrix],
-    axis: Union[MeasurementAxis, float],
+    axis: float,
     n: int,
     seed: int,
     true_state_id: str = "",
@@ -124,7 +114,7 @@ def sample(
     rng = np.random.default_rng(seed)
     n_plus = int(rng.binomial(n, p))
     return MeasurementRecord(
-        axis=_angle(axis),
+        axis=float(axis),
         n_plus=n_plus,
         n_minus=n - n_plus,
         seed=int(seed),

@@ -39,7 +39,6 @@ __all__ = [
     "grid_half_plane_coherence",
     "grid_mean_momentum",
     "grid_density",
-    "export_snapshot_csv",
 ]
 
 _BOUNDARY_TOL = 1e-10
@@ -219,18 +218,3 @@ def grid_density(result: GridResult, index: int = -1) -> np.ndarray:
         np.abs(result.psi_plus[index]) ** 2 + np.abs(result.psi_minus[index]) ** 2
     )
 
-
-def export_snapshot_csv(result: GridResult, index: int, path) -> None:
-    """Write one snapshot as CSV: z, Re/Im of both channels."""
-    fp, fm = result.psi_plus[index], result.psi_minus[index]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("z,re_psi_plus,im_psi_plus,re_psi_minus,im_psi_minus\n")
-        for i in range(len(result.z)):
-            fields = (
-                float(result.z[i]),
-                float(fp[i].real),
-                float(fp[i].imag),
-                float(fm[i].real),
-                float(fm[i].imag),
-            )
-            fh.write(",".join(repr(v) for v in fields) + "\n")

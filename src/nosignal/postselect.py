@@ -22,12 +22,12 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import PhaseUndefinedError, PostSelectionError
-from .spin import SpinDensityMatrix, SpinState, make_spin_state
+from .spin import TWO_PI, SpinDensityMatrix, SpinState, make_spin_state
 from .wavepacket import (
     WavePacketPair,
     closed_form_upper_coherence,
@@ -40,11 +40,10 @@ __all__ = [
     "PostSelectedSpin",
     "project_upper",
     "postselected_pure_state",
+    "model_state",
     "extract_phase",
     "constraint_residual",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -105,6 +104,15 @@ def postselected_pure_state(error_fraction: float, phase: float) -> SpinState:
         math.sqrt(1.0 - error_fraction),
         cmath.exp(1j * phase) * math.sqrt(error_fraction),
     )
+
+
+def model_state(
+    post: PostSelectedSpin, model: str
+) -> Union[SpinDensityMatrix, SpinState]:
+    """The projected density matrix, or for model "pure" the pure ansatz."""
+    if model == "projected":
+        return post.rho
+    return postselected_pure_state(post.error_fraction, post.phase or 0.0)
 
 
 def _presaturation_drift(pair: WavePacketPair) -> float:

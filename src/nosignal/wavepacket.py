@@ -269,23 +269,18 @@ def component_amplitude(
     return val
 
 
-def upper_fraction(
-    pair: WavePacketPair, which: str, z_max: Optional[float] = None
-) -> float:
-    """Weight of one normalized channel in z in [0, z_max] (z_max=None: half line)."""
+def upper_fraction(pair: WavePacketPair, which: str) -> float:
+    """Weight of one normalized channel on the upper half line z >= 0."""
     c = pair.component(which)
-    lo = _norm_cdf((0.0 - c.center) / c.width)
-    hi = 1.0 if z_max is None else _norm_cdf((z_max - c.center) / c.width)
-    return max(hi - lo, 0.0)
+    return 1.0 - _norm_cdf(-c.center / c.width)
 
 
-def error_fraction(pair: WavePacketPair, z_max: Optional[float] = None) -> float:
+def error_fraction(pair: WavePacketPair) -> float:
     """Upper-half weight of the normalized spin-down channel, E(t).
 
-    Closed form through the Gaussian CDF of the minus component.  An
-    optional z_max restricts the selection to the finite strip [0, z_max].
+    Closed form through the Gaussian CDF of the minus component.
     """
-    return upper_fraction(pair, "minus", z_max)
+    return upper_fraction(pair, "minus")
 
 
 def _dawson(x: float) -> float:

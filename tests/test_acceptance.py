@@ -334,10 +334,15 @@ def test_criterion_7_sample_level_no_signalling(device):
 
 
 def test_criterion_8_determinism(tmp_path):
-    """verify / sweep / estimate rewrite byte-identical data files."""
+    """verify / sweep / estimate / oracle rewrite byte-identical data files."""
     start = time.monotonic()
     config = "configs/default.json"
-    outputs = {"verify": "report.json", "sweep": "sweep.csv", "estimate": "estimates.jsonl"}
+    outputs = {
+        "verify": "report.json",
+        "sweep": "sweep.csv",
+        "estimate": "estimates.jsonl",
+        "oracle": "oracle.json",
+    }
     mismatches = []
     for command, filename in outputs.items():
         blobs = []

@@ -54,10 +54,22 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "samples_per_axis" in capsys.readouterr().err
 
-    def test_bad_model_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", model="exact")
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"model": "exact"}, "model"),
+            ({"omega_list": [math.inf]}, "omega_list[0]"),
+            ({"sg": {"transit": math.nan}}, "sg.transit"),
+            ({"tolerances": {"residual": -1}}, "tolerances.residual"),
+        ],
+        ids=["model", "omega-infinity", "transit-nan", "negative-tolerance"],
+    )
+    def test_bad_value_rejected(self, tmp_path, capsys, overrides, where):
+        # json.dumps writes nan and inf as the NaN and Infinity that json.loads reads
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["verify", "--config", cfg]) == EXIT_CONFIG
-        assert "model" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and where in err
 
     def test_wrong_schema_version(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", schema_version=99)
@@ -104,6 +116,19 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is True and report["model"] == "pure"
+
+    @pytest.mark.parametrize("inject, code", [(0.0, EXIT_OK), (0.01, EXIT_CHECK_FAILED)])
+    def test_nonzero_bias(self, tmp_path, inject, code):
+        # the bias turns both phases alike: phi_+ - phi_- = pi still holds,
+        # phi_+ + phi_- = pi does not
+        cfg = write_config(tmp_path / "cfg.json", sg={"bias": 100.0})
+        out = tmp_path / "out"
+        argv = ["verify", "--config", cfg, "--out", str(out)]
+        assert main(argv + ["--inject-violation", str(inject)]) == code
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is (code == EXIT_OK)
+        if inject == 0.0:
+            assert report["max_phase_sum_dev"] < 1e-9
 
     def test_injected_violation_fails(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -234,6 +259,27 @@ class TestEstimate:
         assert (out_a / "estimates.jsonl").read_bytes() != (
             out_b / "estimates.jsonl"
         ).read_bytes()
+
+    @pytest.mark.parametrize("model", ["projected", "pure"])
+    @pytest.mark.parametrize("gradient", [1e6, 1500.0])
+    def test_near_ideal_device_is_reported_degenerate(self, tmp_path, model, gradient):
+        # at 1e6 no post-selected spin keeps a phase; at 1500 (E ~ 1e-9) they
+        # do, but 10^4 samples per axis see no spin-down counts
+        omegas = [math.pi / 6, math.pi / 2, 0.0]
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            sg={"gradient": gradient},
+            model=model,
+            omega_list=omegas,
+        )
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = [
+            json.loads(l)
+            for l in (out / "estimates.jsonl").read_text().splitlines()
+        ]
+        assert [l["kind"] for l in lines] == ["degenerate"] * len(omegas)
+        assert [l["omega"] for l in lines] == omegas
 
     def test_degenerate_omega_is_reported(self, tmp_path):
         cfg = write_config(

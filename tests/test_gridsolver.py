@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from nosignal import (
     component_amplitude,
     error_fraction,
     evolve_through_magnet,
-    export_snapshot_csv,
     free_propagate,
     grid_density,
     grid_error_fraction,
@@ -114,15 +112,3 @@ class TestAgainstAnalyticModel:
         grid = grid_half_plane_coherence(result)
         assert abs(grid - analytic) < 1e-3
 
-
-class TestExport:
-    def test_snapshot_csv(self, device, x_state, tmp_path):
-        result = grid_evolve(device, x_state, GridSpec(64.0, 256, 1e-3), t_final=0.5)
-        path = tmp_path / "snapshot.csv"
-        export_snapshot_csv(result, 0, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "z,re_psi_plus,im_psi_plus,re_psi_minus,im_psi_minus"
-        assert len(lines) == 257
-        row = [float(x) for x in lines[129].split(",")]  # grid index 128 = z = 0
-        assert row[0] == 0.0
-        assert math.isfinite(row[1]) and math.isfinite(row[3])

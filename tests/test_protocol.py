@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import nosignal.protocol
 from nosignal import (
     ProtocolConfig,
     alice_branch_total,
@@ -12,12 +13,16 @@ from nosignal import (
     bob_branch_totals,
     bob_total,
     born_probability,
+    branch_table,
+    cell_result,
     closed_form_result,
     outcome_probability,
     postselected_pure_state,
     run_pipeline,
     signalling_residual,
 )
+from nosignal.cli import EXIT_OK, main
+from nosignal.protocol import MODELS
 from conftest import device_for_error_fraction, wrap_to_pi
 
 
@@ -260,6 +265,49 @@ class TestPipeline:
     def test_rejects_unknown_model(self, device):
         with pytest.raises(ValueError):
             run_pipeline(device, 1.0, 1.0, model="exact")
+
+
+class TestBranchTable:
+    @pytest.mark.parametrize("n_theta", [1, 9])
+    def test_verify_builds_each_branch_once(self, tmp_path, monkeypatch, n_theta):
+        # one saturation search per run; one projection per Alice outcome for
+        # the aligned setting and for each omega, whatever the theta count
+        calls = {"saturated_error_fraction": 0, "project_upper": 0}
+
+        def counted(name):
+            original = getattr(nosignal.protocol, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nosignal.protocol, name, counted(name))
+        omegas = [0.3, 1.1, 2.5]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1,
+            "omega_list": omegas,
+            "theta_list": [math.pi * i / 8 for i in range(n_theta)],
+        }))
+        argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert calls == {
+            "saturated_error_fraction": 1,
+            "project_upper": 2 * len(omegas) + 2,
+        }
+
+    def test_table_cells_match_single_cell_pipeline(self, device):
+        omegas = [0.0, math.pi / 6, math.pi / 2, 2.5]
+        table = branch_table(device, omegas)
+        for entry in table.rotated:
+            for theta in (0.0, 0.7, 2.9):
+                for model in MODELS:
+                    assert cell_result(table, entry, theta, model) == run_pipeline(
+                        device, entry[0], theta, model=model
+                    )
 
 
 class TestSerialization:

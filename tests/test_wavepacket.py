@@ -163,12 +163,6 @@ class TestErrorFraction:
         lower_plus = 1.0 - upper_fraction(pair, "plus")
         assert abs(upper_minus - lower_plus) < 1e-12
 
-    def test_windowed_region_matches_quadrature(self, device, x_state):
-        pair = free_propagate(evolve_through_magnet(device, x_state), 12.0)
-        z_max = 4.0
-        oracle = quad_density(pair, "minus", 0.0, z_max)
-        assert abs(error_fraction(pair, z_max=z_max) - oracle) < 1e-9
-
     def test_monotone_decreasing_after_exit(self, device, x_state):
         pair = evolve_through_magnet(device, x_state)
         values = [
