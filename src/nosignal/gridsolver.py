@@ -13,6 +13,14 @@ magnet the Hamiltonian is purely kinetic, so the remaining flight to each
 snapshot is applied as a single exact momentum-space phase (no step error
 accumulates during free flight).
 
+The magnet loop evolves each channel in place in its own array, so a step
+allocates nothing.  Its operand order is fixed: complex multiplication is
+not bitwise commutative (fused multiply-add), and the order
+``half_v * psi``, ``psi * kinetic``, ``psi * half_v`` is what numpy's
+temporary elision made of the nested expression
+``half_v * ifft(kinetic * fft(half_v * psi))`` on grids of 16384 points or
+more, so those grids give the same bits as that expression.
+
 This solver knows nothing of the impulsive Gaussian model in
 ``wavepacket``; it discretizes the Hamiltonian directly and serves as the
 independent cross-check for it.
@@ -123,7 +131,7 @@ def grid_evolve(
     n = grid.points
     dx = grid.extent / n
     z = (np.arange(n) - n // 2) * dx
-    k = 2.0 * math.pi * np.fft.fftfreq(n, dx)
+    k2 = (2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2
 
     psi0 = (2.0 * math.pi * config.sigma0**2) ** (-0.25) * np.exp(
         -(z**2) / (4.0 * config.sigma0**2)
@@ -138,14 +146,17 @@ def grid_evolve(
     if config.transit > 0:
         n_steps = max(1, math.ceil(config.transit / grid.dt))
         dt = config.transit / n_steps
-        kinetic = np.exp(-1j * k**2 * dt / (2.0 * config.mass))
+        kinetic = np.exp(-1j * k2 * dt / (2.0 * config.mass))
         for s in (+1, -1):
             potential = -s * config.moment * (config.bias + config.gradient * z)
             half_v = np.exp(-1j * potential * dt / 2.0)
-            psi = channels[s]
+            psi = channels[s]  # a private copy, evolved in place
             for _ in range(n_steps):
-                psi = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * psi))
-            channels[s] = psi
+                np.multiply(half_v, psi, out=psi)
+                np.fft.fft(psi, out=psi)
+                np.multiply(psi, kinetic, out=psi)
+                np.fft.ifft(psi, out=psi)
+                np.multiply(psi, half_v, out=psi)
 
     exit_plus = np.fft.fft(channels[+1])
     exit_minus = np.fft.fft(channels[-1])
@@ -160,10 +171,11 @@ def grid_evolve(
         weight_down=complex(input_spin.amp_down),
         config=config,
     )
+    product = np.empty_like(exit_plus)
     for t in times:
-        flight = np.exp(-1j * k**2 * t / (2.0 * config.mass))
-        fp = np.fft.ifft(flight * exit_plus)
-        fm = np.fft.ifft(flight * exit_minus)
+        flight = np.exp(-1j * k2 * t / (2.0 * config.mass))
+        fp = np.fft.ifft(np.multiply(flight, exit_plus, out=product))
+        fm = np.fft.ifft(np.multiply(flight, exit_minus, out=product))
         norm = (float(np.sum(np.abs(fp) ** 2)) + float(np.sum(np.abs(fm) ** 2))) * dx
         if abs(norm - 1.0) > _NORM_TOL:
             raise RuntimeError(f"norm drifted to {norm} at t = {t:g}")

@@ -60,6 +60,7 @@ __all__ = [
     "BranchTable",
     "branch_table",
     "branch_phase",
+    "branch_totals",
     "cell_result",
     "run_pipeline",
 ]
@@ -292,17 +293,12 @@ def branch_phase(branch: Branch) -> Optional[float]:
     return None if post is None else post.phase
 
 
-def cell_result(
-    table: BranchTable, entry: Entry, theta: float, model: str
-) -> ProtocolResult:
-    """Born probabilities of one (omega, theta) cell from a table entry.
-
-    The residual compares the rotated setting against the aligned one;
-    under unitary dynamics plus Born statistics it vanishes to rounding.
-    """
+def branch_totals(
+    branches: Dict[int, Branch], theta: float, model: str
+) -> Dict[int, float]:
+    """Per branch, the probability that Bob's post-selected spin reads +1 at theta."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
-    omega, rotated = entry
     theta = float(theta)
 
     def total(branch: Branch) -> float:
@@ -312,8 +308,26 @@ def cell_result(
         state = model_state(post, model)
         return prob * post.select_prob * born_probability(state, theta, +1)
 
-    pa = {s: total(branch) for s, branch in rotated.items()}
-    pb = {s: total(branch) for s, branch in table.aligned.items()}
+    return {s: total(branch) for s, branch in branches.items()}
+
+
+def cell_result(
+    table: BranchTable,
+    entry: Entry,
+    theta: float,
+    model: str,
+    aligned: Dict[int, float],
+) -> ProtocolResult:
+    """Born probabilities of one (omega, theta) cell from a table entry.
+
+    The residual compares the rotated setting against the aligned one;
+    under unitary dynamics plus Born statistics it vanishes to rounding.
+    ``aligned`` is ``branch_totals(table.aligned, theta, model)``, which
+    depends on theta only, so callers compute it once per theta.
+    """
+    omega, rotated = entry
+    theta = float(theta)
+    pa = branch_totals(rotated, theta, model)
     return ProtocolResult(
         omega=omega,
         theta=theta,
@@ -323,10 +337,10 @@ def cell_result(
         pA_plus=pa[+1],
         pA_minus=pa[-1],
         PA_total=pa[+1] + pa[-1],
-        PB_plus=pb[+1],
-        PB_minus=pb[-1],
-        PB_total=pb[+1] + pb[-1],
-        residual=(pa[+1] + pa[-1]) - (pb[+1] + pb[-1]),
+        PB_plus=aligned[+1],
+        PB_minus=aligned[-1],
+        PB_total=aligned[+1] + aligned[-1],
+        residual=(pa[+1] + pa[-1]) - (aligned[+1] + aligned[-1]),
         model=model,
     )
 
@@ -343,4 +357,5 @@ def run_pipeline(
     Callers that visit many cells build the branch_table once instead.
     """
     table = branch_table(sg, [omega], phase_settle_tol)
-    return cell_result(table, table.rotated[0], theta, model)
+    aligned = branch_totals(table.aligned, theta, model)
+    return cell_result(table, table.rotated[0], theta, model, aligned)

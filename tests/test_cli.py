@@ -8,8 +8,15 @@ from pathlib import Path
 import pytest
 
 import nosignal
-from nosignal import bob_total, ProtocolConfig, alice_total
-from nosignal.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from nosignal import GridSpec, SGConfig, bob_total, ProtocolConfig, alice_total
+from nosignal.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    _grid_resolution,
+    main,
+)
 
 
 def write_config(path: Path, **overrides) -> str:
@@ -33,6 +40,20 @@ def write_config(path: Path, **overrides) -> str:
     cfg.update(overrides)
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
+
+
+def run_default_oracle(tmp_path: Path, times=None, **sg) -> dict:
+    """oracle.json of configs/default.json with some sg values and times replaced."""
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    payload = json.loads(default.read_text(encoding="utf-8"))
+    payload["sg"].update(sg)
+    if times is not None:
+        payload["oracle"]["times"] = times
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    return json.loads((out / "oracle.json").read_text())
 
 
 class TestConfigHandling:
@@ -91,6 +112,24 @@ class TestVerify:
         assert report["max_phase_sum_dev"] < 1e-9
         assert len(report["cells"]) == 3
         assert (out / "run_meta.json").exists()
+
+    @pytest.mark.parametrize(
+        "gradient, expected",
+        [
+            (210.4, "phase-checked cells: 3/3"),
+            # an ideal device: no post-selected spin carries a phase, yet it passes
+            (1e6, "phase-checked cells: 0/3 (phase checks skipped"),
+        ],
+    )
+    def test_summary_line_counts_phase_checked_cells(
+        self, tmp_path, capsys, gradient, expected
+    ):
+        cfg = write_config(tmp_path / "cfg.json", sg={"gradient": gradient})
+        argv = ["verify", "--config", cfg, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("PASS: max |residual| = ")
+        assert expected in line and "None" not in line
 
     def test_degenerate_device_still_passes_with_warning(self, tmp_path):
         cfg = write_config(
@@ -361,17 +400,35 @@ class TestOracle:
 
     def test_large_kick_writes_finite_coherence(self, tmp_path):
         # erfi overflows past x ~ 26.6; this kick reaches x ~ 34 at t = 0.05
-        default = Path(__file__).resolve().parents[1] / "configs" / "default.json"
-        payload = json.loads(default.read_text(encoding="utf-8"))
-        payload["sg"]["gradient"] = 12000.0
-        payload["oracle"]["times"] = [0.05, 0.1]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(payload), encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        report = json.loads((out / "oracle.json").read_text())
+        report = run_default_oracle(tmp_path, gradient=12000.0, times=[0.05, 0.1])
         for row in report["comparisons"]:
             assert all(math.isfinite(v) for v in row["coherence_analytic"])
+
+    def test_under_resolved_grid_is_noted(self, tmp_path):
+        # k = 2 * 12000 * 0.002 = 48 and dx = 0.0625: (k dx/2) cot(k dx/2) = 0.106
+        report = run_default_oracle(tmp_path, gradient=12000.0, times=[0.05, 0.1])
+        notes = [n for n in report["notes"] if "under-resolves" in n]
+        assert len(notes) == 1
+        assert "= 0.106 " in notes[0] and "oracle.points >= 524288" in notes[0]
+
+    @pytest.mark.parametrize(
+        "moment, gradient", [(1.0, 1e305), (1e200, 1e200)], ids=["huge", "overflow"]
+    )
+    def test_unresolvable_kick_needs_no_finite_grid(self, moment, gradient):
+        # k dx/2 = 1e308 / points stays above 0.055 up to 2^1023 points;
+        # 1e200 * 1e200 overflows the kick itself
+        sg = SGConfig(
+            mass=1.0, sigma0=1.0, moment=moment, gradient=gradient, bias=0.0, transit=1.0
+        )
+        _, points = _grid_resolution(sg, GridSpec(extent=1024.0, points=16384, dt=2e-4))
+        assert points == math.inf
+
+    def test_default_grid_resolves_the_kick(self, tmp_path):
+        # the factor there is 1 - 2.3e-4, inside criterion 4's 1e-3
+        report = run_default_oracle(tmp_path)
+        assert report["notes"] == [
+            "largest sampled time 120 is before the detected saturation time 128"
+        ]
 
     def test_boundary_leak_exits_numerical(self, tmp_path, capsys):
         cfg = write_config(

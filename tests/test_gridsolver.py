@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -112,3 +113,94 @@ class TestAgainstAnalyticModel:
         grid = grid_half_plane_coherence(result)
         assert abs(grid - analytic) < 1e-3
 
+
+def nested_step(psi, half_v, kinetic):
+    """One magnet step as the solver once wrote it, with fresh temporaries."""
+    return half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * psi))
+
+
+def elided_step(psi, half_v, kinetic):
+    """``nested_step`` in the operand order numpy's temporary elision gives it.
+
+    Where numpy elides temporaries (CPython builds with backtrace support,
+    arrays of 256 KiB = 16384 complex points or more), it computes
+    ``kinetic * fft(...)`` as ``fft(...) * kinetic`` and ``half_v * ifft(...)``
+    as ``ifft(...) * half_v``; this spells that order out, so it holds on
+    every build.
+    """
+    return np.fft.ifft(np.fft.fft(half_v * psi) * kinetic) * half_v
+
+
+def reference_snapshots(config, spin, grid, times, step):
+    """The solver with a fresh-array magnet step."""
+    n = grid.points
+    dx = grid.extent / n
+    z = (np.arange(n) - n // 2) * dx
+    k = 2.0 * math.pi * np.fft.fftfreq(n, dx)
+    psi0 = (2.0 * math.pi * config.sigma0**2) ** (-0.25) * np.exp(
+        -(z**2) / (4.0 * config.sigma0**2)
+    )
+    psi0 = psi0 / math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
+    amplitudes = {+1: spin.amp_up, -1: spin.amp_down}
+    n_steps = max(1, math.ceil(config.transit / grid.dt))
+    dt = config.transit / n_steps
+    kinetic = np.exp(-1j * k**2 * dt / (2.0 * config.mass))
+    snapshots = {}
+    for s in (+1, -1):
+        potential = -s * config.moment * (config.bias + config.gradient * z)
+        half_v = np.exp(-1j * potential * dt / 2.0)
+        psi = (amplitudes[s] * psi0).astype(complex)
+        for _ in range(n_steps):
+            psi = step(psi, half_v, kinetic)
+        exit_k = np.fft.fft(psi)
+        snapshots[s] = [
+            np.fft.ifft(np.exp(-1j * k**2 * t / (2.0 * config.mass)) * exit_k)
+            for t in times
+        ]
+    return snapshots
+
+
+class TestInPlaceMagnetLoop:
+    TIMES = [0.0, 2.0, 15.0, 40.0]
+
+    @staticmethod
+    def pairs(result, reference):
+        return [
+            (new, old)
+            for s, channel in ((+1, result.psi_plus), (-1, result.psi_minus))
+            for new, old in zip(channel, reference[s])
+        ]
+
+    def test_bitwise_equal_to_elided_nested_expression(self, device, x_state):
+        # at 2^14 points and more, builds that elide temporaries evaluated the
+        # old nested step in exactly this order
+        grid = GridSpec(extent=1024.0, points=2**14, dt=2e-4)
+        result = grid_evolve(device, x_state, grid, snapshots=self.TIMES)
+        reference = reference_snapshots(
+            device, x_state, grid, self.TIMES, elided_step
+        )
+        for new, old in self.pairs(result, reference):
+            assert np.array_equal(new, old)
+
+    def test_rounding_close_to_nested_expression_below_elision(self, device, x_state):
+        # no elision at 4096 points, so the kinetic and second half_v products
+        # swap operands and round differently: a few eps of the peak modulus
+        # (up to 5.8 at t = 40), while near-zero tail components differ by
+        # many of their own ulps
+        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=self.TIMES)
+        reference = reference_snapshots(
+            device, x_state, SMALL_GRID, self.TIMES, nested_step
+        )
+        eps = np.finfo(float).eps
+        for new, old in self.pairs(result, reference):
+            bound = 8 * eps * float(np.max(np.abs(old)))
+            assert float(np.max(np.abs(new.real - old.real))) <= bound
+            assert float(np.max(np.abs(new.imag - old.imag))) <= bound
+
+    def test_repeated_calls_are_identical(self, device, x_state):
+        first = grid_evolve(device, x_state, SMALL_GRID, snapshots=self.TIMES)
+        second = grid_evolve(device, x_state, SMALL_GRID, snapshots=self.TIMES)
+        for a, b in zip(
+            first.psi_plus + first.psi_minus, second.psi_plus + second.psi_minus
+        ):
+            assert np.array_equal(a, b)

@@ -22,7 +22,7 @@ from nosignal import (
     signalling_residual,
 )
 from nosignal.cli import EXIT_OK, main
-from nosignal.protocol import MODELS
+from nosignal.protocol import MODELS, branch_totals
 from conftest import device_for_error_fraction, wrap_to_pi
 
 
@@ -271,8 +271,13 @@ class TestBranchTable:
     @pytest.mark.parametrize("n_theta", [1, 9])
     def test_verify_builds_each_branch_once(self, tmp_path, monkeypatch, n_theta):
         # one saturation search per run; one projection per Alice outcome for
-        # the aligned setting and for each omega, whatever the theta count
-        calls = {"saturated_error_fraction": 0, "project_upper": 0}
+        # the aligned setting and for each omega, whatever the theta count;
+        # the aligned Born probabilities once per theta, not once per cell
+        calls = {
+            "saturated_error_fraction": 0,
+            "project_upper": 0,
+            "born_probability": 0,
+        }
 
         def counted(name):
             original = getattr(nosignal.protocol, name)
@@ -297,6 +302,7 @@ class TestBranchTable:
         assert calls == {
             "saturated_error_fraction": 1,
             "project_upper": 2 * len(omegas) + 2,
+            "born_probability": 2 * len(omegas) * n_theta + 2 * n_theta,
         }
 
     def test_table_cells_match_single_cell_pipeline(self, device):
@@ -305,9 +311,10 @@ class TestBranchTable:
         for entry in table.rotated:
             for theta in (0.0, 0.7, 2.9):
                 for model in MODELS:
-                    assert cell_result(table, entry, theta, model) == run_pipeline(
-                        device, entry[0], theta, model=model
-                    )
+                    aligned = branch_totals(table.aligned, theta, model)
+                    assert cell_result(
+                        table, entry, theta, model, aligned
+                    ) == run_pipeline(device, entry[0], theta, model=model)
 
 
 class TestSerialization:
