@@ -5,82 +5,44 @@ device, post-selects the upper half plane, and verifies - in closed form,
 against an independent grid solver, and with finite-sample statistics -
 that the relative phases of the post-selected states obey the constraint
 imposed by no-signalling between the wings of a singlet pair.
+
+The names below are re-exported lazily (PEP 562): ``from nosignal import X``
+imports only the submodule that defines X, so the command-line tool never
+loads the grid solver's or the sampler's dependencies unless it uses them.
 """
 
-from .errors import (
-    BoundaryLeakError,
-    ConfigError,
-    PhaseUndefinedError,
-    PostSelectionError,
-    SaturationError,
-)
-from .estimation import (
-    MeasurementRecord,
-    PhaseEstimate,
-    derive_seed,
-    estimate_error_fraction,
-    estimate_phase,
-    sample,
-    violation_bound,
-    wilson_interval,
-)
-from .gridsolver import (
-    GridResult,
-    GridSpec,
-    grid_density,
-    grid_error_fraction,
-    grid_evolve,
-    grid_half_plane_coherence,
-    grid_mean_momentum,
-    grid_norm,
-)
-from .postselect import (
-    PostSelectedSpin,
-    constraint_residual,
-    extract_phase,
-    postselected_pure_state,
-    project_upper,
-)
-from .protocol import (
-    BranchTable,
-    ProtocolConfig,
-    ProtocolResult,
-    alice_branch_total,
-    alice_total,
-    bob_branch_totals,
-    bob_total,
-    branch_table,
-    cell_result,
-    closed_form_result,
-    outcome_probability,
-    run_pipeline,
-    signalling_residual,
-)
-from .spin import (
-    MeasurementAxis,
-    SpinDensityMatrix,
-    SpinState,
-    born_probability,
-    make_spin_state,
-    mixture,
-    sigma_eigenstate,
-    singlet_conditional,
-)
-from .wavepacket import (
-    GaussianComponent,
-    SGConfig,
-    WavePacketPair,
-    asymptotic_error_fraction,
-    closed_form_upper_coherence,
-    component_amplitude,
-    error_fraction,
-    evolve_through_magnet,
-    free_propagate,
-    make_component,
-    make_pair,
-    phase_settle_time,
-    saturated_error_fraction,
-    upper_fraction,
-)
+import importlib
 
+_EXPORTS = {
+    "errors": """BoundaryLeakError ConfigError NormDriftError PhaseUndefinedError
+        PostSelectionError SaturationError""",
+    "estimation": """MeasurementRecord PhaseEstimate derive_seed
+        estimate_error_fraction estimate_phase sample violation_bound
+        wilson_interval""",
+    "gridsolver": """GridResult GridSpec grid_density grid_error_fraction
+        grid_evolve grid_half_plane_coherence grid_mean_momentum grid_norm""",
+    "postselect": """PostSelectedSpin constraint_residual extract_phase
+        postselected_pure_state project_upper""",
+    "protocol": """BranchTable ProtocolConfig ProtocolResult alice_branch_total
+        alice_total bob_branch_totals bob_total branch_table cell_result
+        closed_form_result outcome_probability run_pipeline
+        signalling_residual""",
+    "spin": """MeasurementAxis SpinDensityMatrix SpinState born_probability
+        make_spin_state mixture sigma_eigenstate singlet_conditional""",
+    "wavepacket": """GaussianComponent SGConfig WavePacketPair
+        asymptotic_error_fraction closed_form_upper_coherence
+        component_amplitude error_fraction evolve_through_magnet
+        free_propagate make_component make_pair phase_settle_time
+        saturated_error_fraction upper_fraction""",
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_SOURCE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

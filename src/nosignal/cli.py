@@ -35,11 +35,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (
     BoundaryLeakError,
     ConfigError,
+    NormDriftError,
     PhaseUndefinedError,
     SaturationError,
 )
@@ -57,7 +56,7 @@ from .gridsolver import (
     grid_evolve,
     grid_half_plane_coherence,
 )
-from .postselect import model_state, postselected_pure_state
+from .postselect import constraint_residual, model_state, postselected_pure_state
 from .protocol import (
     MODELS,
     branch_phase,
@@ -66,7 +65,7 @@ from .protocol import (
     cell_result,
     closed_form_result,
 )
-from .spin import TWO_PI, SpinDensityMatrix
+from .spin import SpinDensityMatrix, wrap_to_pi
 from .wavepacket import (
     SGConfig,
     component_amplitude,
@@ -99,7 +98,7 @@ SWEEP_COLUMNS = [
     "model",
 ]
 
-_NUMERICAL_ERRORS = (SaturationError, BoundaryLeakError)
+_NUMERICAL_ERRORS = (SaturationError, BoundaryLeakError, NormDriftError)
 # acceptance criterion 4's bound on |C_grid| - |C_analytic|
 _COHERENCE_TOL = 1e-3
 
@@ -220,6 +219,15 @@ def load_config(path: Optional[str]) -> RunConfig:
         sg = SGConfig(**{k: _number(v, f"sg.{k}") for k, v in sg_raw.items()})
     except ValueError as exc:
         raise ConfigError(f"invalid sg section: {exc}") from exc
+    # finite inputs, overflowing products; kick * kick gives inf where ** raises
+    kick = sg.momentum_kick
+    for name, value in (
+        ("momentum_kick = moment * gradient * transit", kick),
+        ("larmor_phase = moment * bias * transit", sg.larmor_phase),
+        ("kick energy momentum_kick**2 / (2 mass)", kick * kick / (2.0 * sg.mass)),
+    ):
+        if not math.isfinite(value):
+            raise ConfigError(f"sg: {name} is not finite")
 
     tol_raw = {**DEFAULTS["tolerances"], **raw.get("tolerances", {})}
     _reject_unknown(tol_raw, DEFAULTS["tolerances"].keys(), "tolerances")
@@ -270,14 +278,6 @@ def load_config(path: Optional[str]) -> RunConfig:
     )
 
 
-def _wrap_pi(x: float) -> float:
-    """Wrap to (-pi, pi]."""
-    y = math.fmod(x + math.pi, TWO_PI)
-    if y <= 0:
-        y += TWO_PI
-    return y - math.pi
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
@@ -320,9 +320,10 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
             # the nearer branch of phi_+ +- phi_- = pi; the two branches
             # together are exactly cos(phi_+) + cos(phi_-) = 0
             phase_sum_dev = min(
-                abs(_wrap_pi(phi_plus + sign * phi_minus - math.pi)) for sign in (1, -1)
+                abs(wrap_to_pi(phi_plus + sign * phi_minus - math.pi))
+                for sign in (1, -1)
             )
-            cos_sum = math.cos(phi_plus) + math.cos(phi_minus)
+            cos_sum = constraint_residual(phi_plus, phi_minus)
             any_phase_checked = True
             max_phase_sum = max(max_phase_sum, phase_sum_dev)
             max_cos_sum = max(max_cos_sum, abs(cos_sum))
@@ -409,9 +410,7 @@ def _injected_state(truth_state, error_fraction: float, cos_target: float):
         rho_uu = truth_state.up_up.real
         rho_dd = truth_state.down_down.real
         coherence = math.sqrt(max(rho_uu * rho_dd, 0.0)) * cos_target
-        return SpinDensityMatrix(
-            np.array([[rho_uu, coherence], [coherence, rho_dd]], dtype=complex)
-        )
+        return SpinDensityMatrix(((rho_uu, coherence), (coherence, rho_dd)))
     return postselected_pure_state(error_fraction, math.acos(cos_target))
 
 
@@ -543,6 +542,7 @@ def _grid_resolution(sg: SGConfig, grid: GridSpec) -> Tuple[float, float]:
 
 def workflow_oracle(cfg: RunConfig) -> dict:
     """Analytic model vs grid solver on the configured device."""
+    import numpy as np
     beam = postselected_pure_state(0.5, 0.0)  # x-polarized input
     times = sorted(cfg.oracle_times)
     grid_result = grid_evolve(cfg.sg, beam, cfg.oracle_grid, snapshots=times)
@@ -567,7 +567,7 @@ def workflow_oracle(cfg: RunConfig) -> dict:
         density_grid = grid_density(grid_result, idx)
         l1 = float(np.sum(np.abs(density_grid - density_analytic)) * grid_result.dx)
         mod_diff = abs(abs(c_grid) - abs(c_analytic))
-        phase_diff = abs(_wrap_pi(np.angle(c_grid) - np.angle(c_analytic)))
+        phase_diff = abs(wrap_to_pi(np.angle(c_grid) - np.angle(c_analytic)))
         comparisons.append(
             {
                 "t": t,

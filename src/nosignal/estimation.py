@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-import numpy as np
-
 from .errors import PhaseUndefinedError
 from .spin import SpinDensityMatrix, SpinState, born_probability
 
@@ -96,6 +94,7 @@ def derive_seed(root_seed: int, *key: int) -> int:
     Independent keys give statistically independent streams, and results
     assembled from per-key streams do not depend on execution order.
     """
+    import numpy as np
     seq = np.random.SeedSequence(entropy=root_seed, spawn_key=tuple(key))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
@@ -108,6 +107,7 @@ def sample(
     true_state_id: str = "",
 ) -> MeasurementRecord:
     """Draw N seeded Born-rule outcomes of sigma_theta on `state`."""
+    import numpy as np
     if n < 1:
         raise ValueError("need at least one sample")
     p = born_probability(state, axis, +1)

@@ -24,8 +24,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from .errors import PhaseUndefinedError, PostSelectionError
 from .spin import TWO_PI, SpinDensityMatrix, SpinState, make_spin_state
 from .wavepacket import (
@@ -76,7 +74,7 @@ def extract_phase(rho: SpinDensityMatrix, tol: Optional[float] = None) -> float:
     the default tol scales with the geometric mean of the populations,
     floored at 1e-14.
     """
-    coherence = rho.matrix[1, 0]
+    coherence = rho.matrix[1][0]
     if tol is None:
         tol = max(1e-10 * math.sqrt(abs(rho.up_up * rho.down_down)), 1e-14)
     if abs(coherence) < tol:
@@ -143,7 +141,7 @@ def project_upper(
         )
     if abs(w_up) > 0 and abs(w_down) > 0:
         coherence = complex(
-            w_up * np.conj(w_down) * closed_form_upper_coherence(pair)
+            w_up * w_down.conjugate() * closed_form_upper_coherence(pair)
         )
         # rounding alone can put |C| a few 1e-16 relative past sqrt(I+ I-)
         bound = math.sqrt(up_mass * down_mass)
@@ -156,12 +154,9 @@ def project_upper(
     # 1 - 1ulp and leak a spurious sqrt(ulp) coherence downstream
     coherence = complex(coherence.real / select_prob, coherence.imag / select_prob)
     rho = SpinDensityMatrix(
-        np.array(
-            [
-                [up_mass / select_prob, coherence],
-                [np.conj(coherence), down_mass / select_prob],
-            ],
-            dtype=complex,
+        (
+            (up_mass / select_prob, coherence),
+            (coherence.conjugate(), down_mass / select_prob),
         )
     )
     try:

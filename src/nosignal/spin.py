@@ -8,7 +8,8 @@ theta from +z is
 
 whose +1 eigenstate is (cos(theta/2), sin(theta/2)).  Pure states are kept
 in a canonical global phase (up amplitude real and non-negative whenever it
-is nonzero) so that equality checks in tests are well defined.
+is nonzero) so that equality checks in tests are well defined.  The algebra
+is plain Python complex arithmetic; a 2x2 matrix is a pair of rows.
 """
 
 from __future__ import annotations
@@ -18,10 +19,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
-import numpy as np
-
 ATOL = 1e-12
 TWO_PI = 2.0 * math.pi
+
+Matrix = Tuple[Tuple[complex, complex], Tuple[complex, complex]]
+
+
+def wrap_to_pi(x: float) -> float:
+    """Wrap an angle to (-pi, pi]."""
+    y = math.fmod(x + math.pi, TWO_PI)
+    if y <= 0:
+        y += TWO_PI
+    return y - math.pi
 
 
 @dataclass(frozen=True)
@@ -54,12 +63,12 @@ class SpinState:
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |psi|^2 = {norm}")
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.amp_up, self.amp_down], dtype=complex)
+    def vector(self) -> Tuple[complex, complex]:
+        return (self.amp_up, self.amp_down)
 
     def density(self) -> "SpinDensityMatrix":
         v = self.vector()
-        return SpinDensityMatrix(np.outer(v, v.conj()))
+        return SpinDensityMatrix(tuple(tuple(a * b.conjugate() for b in v) for a in v))
 
 
 def make_spin_state(amp_up: complex, amp_down: complex) -> SpinState:
@@ -79,35 +88,51 @@ def make_spin_state(amp_up: complex, amp_down: complex) -> SpinState:
     return SpinState(a, b)
 
 
+def smaller_eigenvalue(matrix: Matrix) -> float:
+    """Smaller eigenvalue of the Hermitian part of a 2x2 matrix, in closed form."""
+    (uu, ud), (du, dd) = matrix
+    a, d = uu.real, dd.real
+    return 0.5 * (a + d) - math.hypot(0.5 * (a - d), 0.5 * abs(ud + du.conjugate()))
+
+
 @dataclass(frozen=True)
 class SpinDensityMatrix:
-    """2x2 Hermitian, unit-trace, positive semi-definite matrix."""
+    """2x2 Hermitian, unit-trace, positive semi-definite matrix.
 
-    matrix: np.ndarray
+    Takes any nested 2x2 sequence of numbers; NaN entries fail the checks.
+    """
+
+    matrix: Matrix
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
+        m = tuple(tuple(complex(x) for x in row) for row in self.matrix)
+        if len(m) != 2 or any(len(row) != 2 for row in m):
             raise ValueError("density matrix must be 2x2")
-        if np.max(np.abs(m - m.conj().T)) > ATOL:
+        (uu, ud), (du, dd) = m
+        if not (
+            abs(ud - du.conjugate()) <= ATOL
+            and 2.0 * abs(uu.imag) <= ATOL
+            and 2.0 * abs(dd.imag) <= ATOL
+        ):
             raise ValueError("density matrix not Hermitian")
-        if abs(np.trace(m).real - 1.0) > ATOL or abs(np.trace(m).imag) > ATOL:
+        trace = uu + dd
+        if not (abs(trace.real - 1.0) <= ATOL and abs(trace.imag) <= ATOL):
             raise ValueError("density matrix trace != 1")
-        if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -ATOL:
+        if not smaller_eigenvalue(m) >= -ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", m)
 
     @property
     def up_up(self) -> complex:
-        return self.matrix[0, 0]
+        return self.matrix[0][0]
 
     @property
     def up_down(self) -> complex:
-        return self.matrix[0, 1]
+        return self.matrix[0][1]
 
     @property
     def down_down(self) -> complex:
-        return self.matrix[1, 1]
+        return self.matrix[1][1]
 
 
 def sigma_eigenstate(axis: Union[MeasurementAxis, float], outcome: int) -> SpinState:
@@ -126,16 +151,22 @@ def born_probability(
     outcome: int,
 ) -> float:
     """Probability of `outcome` when measuring sigma_theta on `state`."""
-    eig = sigma_eigenstate(axis, outcome).vector()
+    e_up, e_down = sigma_eigenstate(axis, outcome).vector()
+    bra_up, bra_down = e_up.conjugate(), e_down.conjugate()
     if isinstance(state, SpinState):
-        p = abs(np.vdot(eig, state.vector())) ** 2
+        p = abs(bra_up * state.amp_up + bra_down * state.amp_down) ** 2
     elif isinstance(state, SpinDensityMatrix):
-        p = np.real(eig.conj() @ state.matrix @ eig)
+        # <e| rho |e>, the row vector <e| rho first
+        (uu, ud), (du, dd) = state.matrix
+        p = (
+            (bra_up * uu + bra_down * du) * e_up
+            + (bra_up * ud + bra_down * dd) * e_down
+        ).real
     else:
         raise TypeError(f"unsupported state type: {type(state).__name__}")
-    if p < -ATOL or p > 1.0 + ATOL:
+    if not -ATOL <= p <= 1.0 + ATOL:
         raise AssertionError(f"Born probability out of range: {p}")
-    return min(max(float(p), 0.0), 1.0)
+    return min(max(p, 0.0), 1.0)
 
 
 def mixture(components: Iterable[Tuple[float, SpinState]]) -> SpinDensityMatrix:
@@ -146,10 +177,10 @@ def mixture(components: Iterable[Tuple[float, SpinState]]) -> SpinDensityMatrix:
         raise ValueError("mixture weights must be non-negative")
     if abs(sum(weights) - 1.0) > ATOL:
         raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
-    rho = np.zeros((2, 2), dtype=complex)
+    rho = [[0j, 0j], [0j, 0j]]
     for w, psi in components:
-        v = psi.vector()
-        rho += w * np.outer(v, v.conj())
+        for row, psi_row in zip(rho, psi.density().matrix):
+            row[:] = [x + w * y for x, y in zip(row, psi_row)]
     return SpinDensityMatrix(rho)
 
 

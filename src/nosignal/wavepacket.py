@@ -43,12 +43,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import SaturationError
 from .spin import SpinState
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SGConfig",
@@ -254,6 +255,7 @@ def component_amplitude(
     Intended for densities, debugging exports and moderate-time checks;
     coherence integrals should go through :func:`closed_form_upper_coherence`.
     """
+    import numpy as np
     c = pair.component(which)
     s0 = pair.sigma0
     alpha = 1.0 + 1j * pair.tau

@@ -41,14 +41,6 @@ def up_state():
     return make_spin_state(1.0, 0.0)
 
 
-def wrap_to_pi(x: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    y = math.fmod(x + math.pi, 2.0 * math.pi)
-    if y <= 0:
-        y += 2.0 * math.pi
-    return y - math.pi
-
-
 def reduced_overlap_exponent(pair):
     """psi_plus(z) psi_minus(z)^* = pref * exp(-a z^2 + b z + d) for any pair.
 

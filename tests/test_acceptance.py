@@ -38,7 +38,8 @@ from nosignal import (
     violation_bound,
 )
 from nosignal.cli import main
-from conftest import device_for_error_fraction, wrap_to_pi
+from nosignal.spin import wrap_to_pi
+from conftest import device_for_error_fraction
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -42,8 +42,8 @@ def write_config(path: Path, **overrides) -> str:
     return str(path)
 
 
-def run_default_oracle(tmp_path: Path, times=None, **sg) -> dict:
-    """oracle.json of configs/default.json with some sg values and times replaced."""
+def write_default_config(tmp_path: Path, times=None, **sg) -> str:
+    """configs/default.json with some sg values and oracle times replaced."""
     default = Path(__file__).resolve().parents[1] / "configs" / "default.json"
     payload = json.loads(default.read_text(encoding="utf-8"))
     payload["sg"].update(sg)
@@ -51,9 +51,28 @@ def run_default_oracle(tmp_path: Path, times=None, **sg) -> dict:
         payload["oracle"]["times"] = times
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload), encoding="utf-8")
+    return str(cfg)
+
+
+def run_default_oracle(tmp_path: Path, times=None, **sg) -> dict:
+    """oracle.json of configs/default.json with some sg values and times replaced."""
+    cfg = write_default_config(tmp_path, times, **sg)
     out = tmp_path / "out"
-    assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_OK
     return json.loads((out / "oracle.json").read_text())
+
+
+def run_script(script: str, *args: str):
+    """Run a Python script in a fresh interpreter; its last stdout line as JSON."""
+    src = str(Path(nosignal.__file__).resolve().parents[1])
+    paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestConfigHandling:
@@ -99,6 +118,27 @@ class TestConfigHandling:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    @pytest.mark.parametrize(
+        "sg, times, where",
+        [
+            ({"moment": 1e200, "gradient": 1e200}, None, "momentum_kick ="),
+            ({"gradient": 1e305, "transit": 1.0}, [1e-6], "momentum_kick**2"),
+        ],
+        ids=["kick-overflows", "kick-energy-overflows"],
+    )
+    def test_overflowing_derived_quantity_rejected(
+        self, tmp_path, capsys, command, sg, times, where
+    ):
+        # every sg value is finite, but a product of them is not; unchecked,
+        # these runs ended in an AssertionError, a NaN ValueError or an
+        # OverflowError traceback
+        cfg = write_default_config(tmp_path, times, **sg)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and where in err
 
 
 class TestVerify:
@@ -458,14 +498,25 @@ def test_cli_runs_without_scipy(tmp_path):
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "print(json.dumps([codes, loaded]))\n"
     )
-    src = str(Path(nosignal.__file__).resolve().parents[1])
-    paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, cfg, str(tmp_path / "out-")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    codes, loaded = run_script(script, cfg, str(tmp_path / "out-"))
     assert codes == [EXIT_OK, EXIT_OK]
     assert loaded == []
+
+
+def test_verify_and_sweep_run_without_numpy(tmp_path):
+    # the 2x2 spin algebra is plain Python; only estimate and oracle need numpy
+    cfg = write_config(tmp_path / "cfg.json")
+    script = (
+        "import json, sys\n"
+        "import nosignal.cli as cli\n"
+        "cli.load_config(sys.argv[1])\n"
+        "codes, loaded = [], ['numpy' in sys.modules]\n"
+        "for cmd in ('verify', 'sweep'):\n"
+        "    codes.append(cli.main([cmd, '--config', sys.argv[1],\n"
+        "                           '--out', sys.argv[2] + cmd]))\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    codes, loaded = run_script(script, cfg, str(tmp_path / "out-"))
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert loaded == [False, False, False]

@@ -6,6 +6,7 @@ import pytest
 from nosignal import (
     BoundaryLeakError,
     GridSpec,
+    NormDriftError,
     SGConfig,
     component_amplitude,
     error_fraction,
@@ -37,6 +38,17 @@ class TestValidation:
         tiny = GridSpec(extent=16.0, points=256, dt=1e-3)
         with pytest.raises(BoundaryLeakError):
             grid_evolve(device, x_state, tiny, t_final=40.0)
+
+    def test_overflowing_potential_raises_instead_of_returning_nan(self, x_state):
+        # each value is finite, moment * gradient is not: the potential, and
+        # then every amplitude, becomes NaN, which a "> tol" check lets through
+        sg = SGConfig(
+            mass=1.0, sigma0=1.0, moment=1e200, gradient=1e200, bias=0.0, transit=0.002
+        )
+        grid = GridSpec(extent=64.0, points=256, dt=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NormDriftError, match="nan"):
+                grid_evolve(sg, x_state, grid, t_final=1.0)
 
 
 class TestFreeParticle:

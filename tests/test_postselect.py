@@ -21,7 +21,8 @@ from nosignal import (
     project_upper,
     sigma_eigenstate,
 )
-from conftest import device_for_error_fraction, wrap_to_pi
+from nosignal.spin import wrap_to_pi
+from conftest import device_for_error_fraction
 
 
 def settled_pair(config, state, t=400.0):

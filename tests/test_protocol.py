@@ -23,7 +23,8 @@ from nosignal import (
 )
 from nosignal.cli import EXIT_OK, main
 from nosignal.protocol import MODELS, branch_totals
-from conftest import device_for_error_fraction, wrap_to_pi
+from nosignal.spin import wrap_to_pi
+from conftest import device_for_error_fraction
 
 
 class TestOutcomeProbability:

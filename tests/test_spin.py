@@ -5,12 +5,14 @@ import pytest
 
 from nosignal import (
     MeasurementAxis,
+    SpinDensityMatrix,
     born_probability,
     make_spin_state,
     mixture,
     sigma_eigenstate,
     singlet_conditional,
 )
+from nosignal.spin import smaller_eigenvalue
 
 ATOL = 1e-12
 
@@ -73,7 +75,7 @@ class TestSigmaEigenstate:
         plus = sigma_eigenstate(theta, +1).vector()
         minus = sigma_eigenstate(theta, -1).vector()
         assert np.allclose(m @ plus, plus, atol=ATOL)
-        assert np.allclose(m @ minus, -minus, atol=ATOL)
+        assert np.allclose(m @ minus, -np.asarray(minus), atol=ATOL)
         assert abs(np.vdot(plus, minus)) < ATOL
 
     def test_rejects_bad_outcome(self):
@@ -129,6 +131,59 @@ class TestBornProbability:
     def test_accepts_axis_object(self):
         axis = MeasurementAxis(math.pi / 2)
         assert abs(born_probability(make_spin_state(1, 1), axis, +1) - 1.0) < ATOL
+
+
+class TestAgainstNumpy:
+    """The plain-Python 2x2 algebra against numpy's complex linear algebra."""
+
+    @staticmethod
+    def random_state(rng):
+        up, down = rng.normal(size=2) + 1j * rng.normal(size=2)
+        return make_spin_state(up, down)
+
+    def test_born_probability_matches_vdot_and_matmul(self):
+        rng = np.random.default_rng(20261018)
+        worst = 0.0
+        for _ in range(500):
+            psi = self.random_state(rng)
+            w = rng.uniform()
+            rho = mixture([(w, psi), (1.0 - w, self.random_state(rng))])
+            rho_np = np.asarray(rho.matrix)
+            for theta in rng.uniform(0.0, 2.0 * math.pi, size=2):
+                for outcome in (+1, -1):
+                    e = np.asarray(sigma_eigenstate(theta, outcome).vector())
+                    pure = abs(np.vdot(e, psi.vector())) ** 2
+                    mixed = np.real(e.conj() @ rho_np @ e)
+                    worst = max(
+                        worst,
+                        abs(born_probability(psi, theta, outcome) - pure),
+                        abs(born_probability(rho, theta, outcome) - mixed),
+                    )
+        # numpy's complex products may end in fused multiply-adds
+        assert worst <= 4 * math.ulp(1.0)
+
+    def test_smaller_eigenvalue_matches_eigvalsh(self):
+        rng = np.random.default_rng(20261019)
+        worst = 0.0
+        for i in range(1000):
+            if i % 2:  # Hermitian, often indefinite
+                a, d, x, y = rng.uniform(-1.0, 1.0, size=4)
+                m = ((a, complex(x, y)), (complex(x, -y), d))
+            elif i % 4:  # mixed
+                w = rng.uniform()
+                parts = [(w, self.random_state(rng)), (1.0 - w, self.random_state(rng))]
+                m = mixture(parts).matrix
+            else:  # pure: the smaller eigenvalue is 0, found by cancellation
+                m = self.random_state(rng).density().matrix
+            expected = np.linalg.eigvalsh(np.asarray(m))[0]
+            worst = max(worst, abs(smaller_eigenvalue(m) - expected))
+        assert worst <= 1e-15
+
+    def test_density_checks_reject_nan_and_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            SpinDensityMatrix(((0.5, math.nan), (math.nan, 0.5)))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            SpinDensityMatrix(((0.5, 0.6), (0.6, 0.5)))
 
 
 class TestMixture:
