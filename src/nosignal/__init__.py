@@ -23,10 +23,8 @@ _EXPORTS = {
         grid_evolve grid_half_plane_coherence grid_mean_momentum grid_norm""",
     "postselect": """PostSelectedSpin constraint_residual extract_phase
         postselected_pure_state project_upper""",
-    "protocol": """BranchTable ProtocolConfig ProtocolResult alice_branch_total
-        alice_total bob_branch_totals bob_total branch_table cell_result
-        closed_form_result outcome_probability run_pipeline
-        signalling_residual""",
+    "protocol": """BranchTable ProtocolResult branch_table cell_result
+        closed_form_result run_pipeline""",
     "spin": """MeasurementAxis SpinDensityMatrix SpinState born_probability
         make_spin_state mixture sigma_eigenstate singlet_conditional""",
     "wavepacket": """GaussianComponent SGConfig WavePacketPair

@@ -26,6 +26,7 @@ Exit codes: 0 pass, 1 check failure, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import datetime
 import json
@@ -56,7 +57,12 @@ from .gridsolver import (
     grid_evolve,
     grid_half_plane_coherence,
 )
-from .postselect import constraint_residual, model_state, postselected_pure_state
+from .postselect import (
+    PostSelectedSpin,
+    constraint_residual,
+    model_state,
+    postselected_pure_state,
+)
 from .protocol import (
     MODELS,
     branch_phase,
@@ -228,6 +234,13 @@ def load_config(path: Optional[str]) -> RunConfig:
     ):
         if not math.isfinite(value):
             raise ConfigError(f"sg: {name} is not finite")
+    # positive inputs whose product underflows to 0 or overflows
+    spreading_time = 2.0 * sg.mass * sg.sigma0 * sg.sigma0
+    if not 0.0 < spreading_time < math.inf:
+        raise ConfigError(
+            f"sg: spreading_time = 2 mass sigma0**2 = {spreading_time!r} "
+            "is not finite and positive"
+        )
 
     tol_raw = {**DEFAULTS["tolerances"], **raw.get("tolerances", {})}
     _reject_unknown(tol_raw, DEFAULTS["tolerances"].keys(), "tolerances")
@@ -297,8 +310,20 @@ def _write_meta(out_dir: Path, command: str, config_path: Optional[str]) -> None
     )
 
 
+def _rephased(post: PostSelectedSpin, phase: float) -> PostSelectedSpin:
+    """post with its coherence turned to the relative phase `phase`."""
+    (uu, _), (du, dd) = post.rho.matrix
+    coherence = cmath.rect(abs(du), phase)  # the down-up element
+    rho = SpinDensityMatrix(((uu, coherence.conjugate()), (coherence, dd)))
+    return dataclasses.replace(post, rho=rho, phase=phase)
+
+
 def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
-    """Pipeline the full grid; gate residuals and phase sums on tolerances."""
+    """Pipeline the full grid; gate residuals and phase sums on tolerances.
+
+    A nonzero inject moves each omega's minus-branch phase to
+    acos(cos phi_- + inject) before its cells are evaluated.
+    """
     cells = []
     warnings: List[str] = []
     max_residual = 0.0
@@ -310,13 +335,14 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
     aligned = [
         branch_totals(table.aligned, theta, cfg.model) for theta in cfg.theta_list
     ]
-    for entry in table.rotated:
-        omega, branches = entry
+    for omega, branches in table.rotated:
         phi_plus, phi_minus = branch_phase(branches[+1]), branch_phase(branches[-1])
         phase_checked = phi_plus is not None and phi_minus is not None
         if phase_checked:
             if inject != 0.0:
                 phi_minus = math.acos(min(max(math.cos(phi_minus) + inject, -1.0), 1.0))
+                prob, post = branches[-1]
+                branches = {**branches, -1: (prob, _rephased(post, phi_minus))}
             # the nearer branch of phi_+ +- phi_- = pi; the two branches
             # together are exactly cos(phi_+) + cos(phi_-) = 0
             phase_sum_dev = min(
@@ -334,12 +360,7 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
                 "branches (no coherence); phase checks skipped"
             )
         for theta, pb in zip(cfg.theta_list, aligned):
-            if phase_checked and inject != 0.0:
-                result = closed_form_result(
-                    table.Es, omega, theta, phi_plus, phi_minus, cfg.model
-                )
-            else:
-                result = cell_result(table, entry, theta, cfg.model, pb)
+            result = cell_result(table, (omega, branches), theta, cfg.model, pb)
             cell = result.to_json_dict()
             cell["phase_sum_dev"] = phase_sum_dev
             cell["cos_sum"] = cos_sum

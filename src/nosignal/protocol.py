@@ -8,25 +8,26 @@ recording +1.  No-signalling demands this be independent of Alice's
 setting choice, which pins the post-selected relative phases to
 cos(phi_plus) + cos(phi_minus) = 0.
 
-Closed forms (E the saturated error fraction, s = sqrt(E(1-E))):
+closed_form_result is the one closed form; sweep tabulates it.  With E
+the saturated error fraction and s = sqrt(E(1-E)):
 
-    single branch, +1 given survival:
-        p(E, theta, phi) = 1/2 [1 + (1-2E) cos(theta) + 2 s sin(theta) cos(phi)]
-    Alice-branch total (branch prob 1/2, survival prob 1/2):
-        P_branch = 1/8 [1 + (1-2E) cos(theta) + 2 w s sin(theta) cos(phi)]
+    Alice branch (probability 1/2, survival 1/2), +1 at theta:
+        p_branch = 1/8 [1 + (1-2E) cos(theta) + 2 s sin(omega) sin(theta) cos(phi)]
     rotated-setting total:
         P_A = 1/4 [1 + (1-2E) cos(theta)
                    + s sin(omega) sin(theta) (cos phi_+ + cos phi_-)]
-    aligned-setting total:
-        P_B = 1/4 [1 + (1-2E) cos(theta)]
+    aligned-setting branches and total:
+        P_B = 1/4 (1 + cos theta)(1 - E) + 1/4 (1 - cos theta) E
+            = 1/4 [1 + (1-2E) cos(theta)]
 
 The residual P_A - P_B is the signalling figure of merit.  The pipeline
 reproduces it end to end from the wave-packet dynamics instead of the
-closed forms.  Only four post-selected spins enter it per omega, none of
+closed form.  Only four post-selected spins enter it per omega, none of
 them theta dependent: branch_table conditions the singlet, flies each
 beam through the device once per run and post-selects it, and
 cell_result turns a table entry and theta into Born probabilities.
-run_pipeline does both for a single cell.
+verify runs every cell through cell_result; run_pipeline does both
+steps for a single cell.
 """
 
 from __future__ import annotations
@@ -48,14 +49,7 @@ from .wavepacket import (
 )
 
 __all__ = [
-    "ProtocolConfig",
     "ProtocolResult",
-    "outcome_probability",
-    "alice_branch_total",
-    "alice_total",
-    "bob_branch_totals",
-    "bob_total",
-    "signalling_residual",
     "closed_form_result",
     "BranchTable",
     "branch_table",
@@ -69,34 +63,10 @@ MODELS = ("pure", "projected")
 _PTOL = 1e-12
 
 
-def _check_fraction(value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"error fraction must be in [0, 1], got {value}")
-    return value
-
-
-def _assert_probability(p: float, upper: float = 1.0) -> float:
+def _assert_probability(p: float, upper: float) -> float:
     # out-of-range values are bug signals, not data to clamp
     assert -_PTOL <= p <= upper + _PTOL, f"probability {p} outside [0, {upper}]"
     return p
-
-
-def _base(es: float, theta: float) -> float:
-    return 1.0 + (1.0 - 2.0 * es) * math.cos(theta)
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Angles, error fraction and relative phases entering the closed forms."""
-
-    omega: float
-    theta: float
-    Es: float
-    phi_plus: float
-    phi_minus: float
-
-    def __post_init__(self):
-        _check_fraction(self.Es)
 
 
 @dataclass(frozen=True)
@@ -122,71 +92,6 @@ class ProtocolResult:
         return dict(vars(self))
 
 
-def outcome_probability(es: float, theta: float, phi: float) -> float:
-    """+1 probability for sigma_theta on one post-selected pure branch."""
-    _check_fraction(es)
-    coherence = 2.0 * math.sqrt(es * (1.0 - es)) * math.sin(theta) * math.cos(phi)
-    return _assert_probability(0.5 * (_base(es, theta) + coherence))
-
-
-def alice_branch_total(
-    es: float, theta: float, phi: float, coherence_weight: float = 1.0
-) -> float:
-    """One Alice branch's contribution to Bob's +1 total.
-
-    The branch occurs with probability 1/2 and survives post-selection
-    with probability 1/2; coherence_weight = sin(omega) carries the
-    rotated-setting generalization (1 for the x setting).
-    """
-    _check_fraction(es)
-    coherence = (
-        2.0
-        * coherence_weight
-        * math.sqrt(es * (1.0 - es))
-        * math.sin(theta)
-        * math.cos(phi)
-    )
-    return _assert_probability(0.125 * (_base(es, theta) + coherence), upper=0.25)
-
-
-def alice_total(config: ProtocolConfig) -> float:
-    """Bob's +1 total when Alice measures along omega."""
-    cos_sum = math.cos(config.phi_plus) + math.cos(config.phi_minus)
-    coherence = (
-        math.sqrt(config.Es * (1.0 - config.Es))
-        * math.sin(config.omega)
-        * math.sin(config.theta)
-        * cos_sum
-    )
-    return _assert_probability(
-        0.25 * (_base(config.Es, config.theta) + coherence), upper=0.5
-    )
-
-
-def bob_branch_totals(es: float, theta: float) -> Tuple[float, float]:
-    """Per-branch totals for the aligned (z) setting: (up branch, down branch)."""
-    _check_fraction(es)
-    plus = 0.25 * (1.0 + math.cos(theta)) * (1.0 - es)
-    minus = 0.25 * (1.0 - math.cos(theta)) * es
-    return _assert_probability(plus, 0.5), _assert_probability(minus, 0.5)
-
-
-def bob_total(es: float, theta: float) -> float:
-    """Bob's +1 total when Alice measures along z; phase independent."""
-    _check_fraction(es)
-    return _assert_probability(0.25 * _base(es, theta), upper=0.5)
-
-
-def signalling_residual(config: ProtocolConfig) -> float:
-    """alice_total - bob_total; zero is the no-signalling condition.
-
-    Both totals share the same base term (bitwise), so the residual is
-    exactly the coherence term and vanishes identically for Es in {0, 1},
-    theta = 0, omega in {0, pi}, or cos phi_+ + cos phi_- = 0.
-    """
-    return alice_total(config) - bob_total(config.Es, config.theta)
-
-
 def closed_form_result(
     es: float,
     omega: float,
@@ -195,19 +100,26 @@ def closed_form_result(
     phi_minus: Optional[float],
     model: str,
 ) -> ProtocolResult:
-    """Assemble a ProtocolResult from the closed forms.
+    """Assemble a ProtocolResult from the closed forms in the module docstring.
 
     Phases may be None on degenerate branches (no coherence); the
     coherence terms are then identically zero.
     """
-    pb_plus, pb_minus = bob_branch_totals(es, theta)
-    weight = math.sin(omega)
+    if not 0.0 <= es <= 1.0:
+        raise ValueError(f"error fraction must be in [0, 1], got {es}")
+    cos_theta = math.cos(theta)
+    pb_plus = _assert_probability(0.25 * (1.0 + cos_theta) * (1.0 - es), 0.5)
+    pb_minus = _assert_probability(0.25 * (1.0 - cos_theta) * es, 0.5)
     if phi_plus is None or phi_minus is None:
-        pa_plus = alice_branch_total(es, theta, 0.0, coherence_weight=0.0)
-        pa_minus = pa_plus
+        weight, phases = 0.0, (0.0, 0.0)
     else:
-        pa_plus = alice_branch_total(es, theta, phi_plus, coherence_weight=weight)
-        pa_minus = alice_branch_total(es, theta, phi_minus, coherence_weight=weight)
+        weight, phases = math.sin(omega), (phi_plus, phi_minus)
+    base = 1.0 + (1.0 - 2.0 * es) * cos_theta
+    coherence = 2.0 * weight * math.sqrt(es * (1.0 - es)) * math.sin(theta)
+    pa_plus, pa_minus = (
+        _assert_probability(0.125 * (base + coherence * math.cos(phi)), 0.25)
+        for phi in phases
+    )
     pa_total = pa_plus + pa_minus
     pb_total = pb_plus + pb_minus
     return ProtocolResult(

@@ -13,11 +13,9 @@ import numpy as np
 
 from nosignal import (
     GridSpec,
-    ProtocolConfig,
-    alice_total,
     asymptotic_error_fraction,
-    bob_total,
     born_probability,
+    closed_form_result,
     closed_form_upper_coherence,
     derive_seed,
     error_fraction,
@@ -34,7 +32,6 @@ from nosignal import (
     sample,
     saturated_error_fraction,
     sigma_eigenstate,
-    signalling_residual,
     violation_bound,
 )
 from nosignal.cli import main
@@ -57,17 +54,14 @@ def test_criterion_1_closed_form_identity():
     worst = 0.0
     for es in es_grid:
         for theta in angle_grid:
-            pb = bob_total(es, theta)
+            # the paper's aligned-setting total
+            pb = 0.25 * (1 + (1 - 2 * es) * math.cos(theta))
             for omega in angle_grid:
                 for phi_plus in phi_grid:
-                    cfg = ProtocolConfig(
-                        omega=omega,
-                        theta=theta,
-                        Es=es,
-                        phi_plus=phi_plus,
-                        phi_minus=math.pi - phi_plus,
+                    result = closed_form_result(
+                        es, omega, theta, phi_plus, math.pi - phi_plus, "pure"
                     )
-                    worst = max(worst, abs(alice_total(cfg) - pb))
+                    worst = max(worst, abs(result.PA_total - pb))
     elapsed = time.monotonic() - start
     report(
         "1 closed-form identity",
@@ -112,30 +106,14 @@ def test_criterion_3_degenerate_limits():
     for _ in range(500):
         theta, omega = rng.uniform(0, math.pi, 2)
         p1, p2 = rng.uniform(0, 2 * math.pi, 2)
-        worst = max(
-            worst,
-            abs(
-                signalling_residual(
-                    ProtocolConfig(
-                        omega=omega, theta=theta, Es=0.0, phi_plus=p1, phi_minus=p2
-                    )
-                )
-            ),
-        )
+        result = closed_form_result(0.0, omega, theta, p1, p2, "pure")
+        worst = max(worst, abs(result.residual))
     for _ in range(500):
         omega = rng.uniform(0, math.pi)
         es = rng.uniform(0, 1)
         p1, p2 = rng.uniform(0, 2 * math.pi, 2)
-        worst = max(
-            worst,
-            abs(
-                signalling_residual(
-                    ProtocolConfig(
-                        omega=omega, theta=0.0, Es=es, phi_plus=p1, phi_minus=p2
-                    )
-                )
-            ),
-        )
+        result = closed_form_result(es, omega, 0.0, p1, p2, "pure")
+        worst = max(worst, abs(result.residual))
     elapsed = time.monotonic() - start
     report(
         "3 degenerate limits",

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import nosignal
-from nosignal import GridSpec, SGConfig, bob_total, ProtocolConfig, alice_total
+import nosignal.cli
+import nosignal.protocol
+from nosignal import GridSpec, SGConfig
 from nosignal.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -119,21 +121,29 @@ class TestConfigHandling:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    @pytest.mark.parametrize("command", ["verify", "oracle", "sweep"])
     @pytest.mark.parametrize(
         "sg, times, where",
         [
             ({"moment": 1e200, "gradient": 1e200}, None, "momentum_kick ="),
             ({"gradient": 1e305, "transit": 1.0}, [1e-6], "momentum_kick**2"),
+            ({"sigma0": 1e-200}, None, "spreading_time ="),
+            ({"sigma0": 1e200}, None, "spreading_time ="),
         ],
-        ids=["kick-overflows", "kick-energy-overflows"],
+        ids=[
+            "kick-overflows",
+            "kick-energy-overflows",
+            "spreading-time-underflows",
+            "spreading-time-overflows",
+        ],
     )
     def test_overflowing_derived_quantity_rejected(
         self, tmp_path, capsys, command, sg, times, where
     ):
-        # every sg value is finite, but a product of them is not; unchecked,
-        # these runs ended in an AssertionError, a NaN ValueError or an
-        # OverflowError traceback
+        # every sg value is finite and positive, but a product of them
+        # overflows or underflows to 0; unchecked, these runs ended in an
+        # AssertionError, a NaN ValueError, an OverflowError, a
+        # ZeroDivisionError or a "horizon must be positive" traceback
         cfg = write_default_config(tmp_path, times, **sg)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_CONFIG
@@ -220,6 +230,40 @@ class TestVerify:
         assert report["passed"] is False
         assert report["max_abs_cos_sum"] > 0.05
 
+    @pytest.mark.parametrize("model", ["projected", "pure"])
+    def test_injection_moves_only_the_minus_branch(
+        self, tmp_path, monkeypatch, model
+    ):
+        # injected cells are Born probabilities of the configured model, like
+        # the uninjected ones: no cell comes from the closed form, and the
+        # plus branch and the aligned setting keep their bits
+        calls = []
+        closed_form_result = nosignal.protocol.closed_form_result
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return closed_form_result(*args, **kwargs)
+
+        for module in (nosignal.cli, nosignal.protocol):
+            monkeypatch.setattr(module, "closed_form_result", counted)
+        cfg = write_default_config(tmp_path)
+        payload = json.loads(Path(cfg).read_text())
+        payload["model"] = model
+        Path(cfg).write_text(json.dumps(payload))
+        reports = {}
+        for inject, code in (("0", EXIT_OK), ("0.1", EXIT_CHECK_FAILED)):
+            out = tmp_path / f"out-{inject}"
+            argv = ["verify", "--config", cfg, "--out", str(out)]
+            assert main(argv + ["--inject-violation", inject]) == code
+            reports[inject] = json.loads((out / "report.json").read_text())
+        assert calls == []
+        plain, injected = reports["0"]["cells"], reports["0.1"]["cells"]
+        assert len(plain) == len(injected) == 52
+        for a, b in zip(plain, injected):
+            for key in ("pA_plus", "PB_plus", "PB_minus", "PB_total"):
+                assert a[key] == b[key], key
+        assert reports["0.1"]["passed"] is False
+
 
 class TestSweep:
     def test_rows_match_closed_forms(self, tmp_path):
@@ -237,18 +281,20 @@ class TestSweep:
         for line in lines[1:]:
             row = dict(zip(header, line.split(",")))
             es, theta = float(row["Es"]), float(row["theta"])
-            assert float(row["PB_total"]) == pytest.approx(
-                bob_total(es, theta), abs=1e-12
+            # the paper's aligned- and rotated-setting totals
+            base = 1 + (1 - 2 * es) * math.cos(theta)
+            assert float(row["PB_total"]) == pytest.approx(0.25 * base, abs=1e-12)
+            cos_sum = math.cos(float(row["phi_plus"])) + math.cos(
+                float(row["phi_minus"])
             )
-            cfg_obj = ProtocolConfig(
-                omega=float(row["omega"]),
-                theta=theta,
-                Es=es,
-                phi_plus=float(row["phi_plus"]),
-                phi_minus=float(row["phi_minus"]),
+            coherence = (
+                math.sqrt(es * (1 - es))
+                * math.sin(float(row["omega"]))
+                * math.sin(theta)
+                * cos_sum
             )
             assert float(row["PA_total"]) == pytest.approx(
-                alice_total(cfg_obj), abs=1e-12
+                0.25 * (base + coherence), abs=1e-12
             )
 
     def test_aligned_theta_row_has_zero_residual(self, tmp_path):

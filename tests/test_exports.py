@@ -1,0 +1,20 @@
+import pytest
+
+import nosignal
+
+
+def test_every_exported_name_resolves():
+    # the lazy table names the submodule that defines each export; a stale
+    # entry (a name the submodule no longer has) fails here, not at use
+    missing = []
+    for name in nosignal.__all__:
+        try:
+            getattr(nosignal, name)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        nosignal.no_such_name
