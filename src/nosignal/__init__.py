@@ -25,8 +25,8 @@ _EXPORTS = {
         postselected_pure_state project_upper""",
     "protocol": """BranchTable ProtocolResult branch_table cell_result
         closed_form_result run_pipeline""",
-    "spin": """MeasurementAxis SpinDensityMatrix SpinState born_probability
-        make_spin_state mixture sigma_eigenstate singlet_conditional""",
+    "spin": """SpinDensityMatrix SpinState born_probability make_spin_state
+        mixture sigma_eigenstate singlet_conditional""",
     "wavepacket": """GaussianComponent SGConfig WavePacketPair
         asymptotic_error_fraction closed_form_upper_coherence
         component_amplitude error_fraction evolve_through_magnet

@@ -79,6 +79,7 @@ from .wavepacket import (
     error_fraction,
     evolve_through_magnet,
     free_propagate,
+    phase_settle_time,
     saturated_error_fraction,
 )
 
@@ -107,6 +108,8 @@ SWEEP_COLUMNS = [
 _NUMERICAL_ERRORS = (SaturationError, BoundaryLeakError, NormDriftError)
 # acceptance criterion 4's bound on |C_grid| - |C_analytic|
 _COHERENCE_TOL = 1e-3
+# bound on the oracle's magnet work, ceil(transit / dt) steps x grid points
+_ORACLE_POINT_STEPS = 1e9
 
 DEFAULTS = {
     "sg": {
@@ -225,22 +228,29 @@ def load_config(path: Optional[str]) -> RunConfig:
         sg = SGConfig(**{k: _number(v, f"sg.{k}") for k, v in sg_raw.items()})
     except ValueError as exc:
         raise ConfigError(f"invalid sg section: {exc}") from exc
-    # finite inputs, overflowing products; kick * kick gives inf where ** raises
-    kick = sg.momentum_kick
-    for name, value in (
-        ("momentum_kick = moment * gradient * transit", kick),
-        ("larmor_phase = moment * bias * transit", sg.larmor_phase),
-        ("kick energy momentum_kick**2 / (2 mass)", kick * kick / (2.0 * sg.mass)),
-    ):
-        if not math.isfinite(value):
-            raise ConfigError(f"sg: {name} is not finite")
     # positive inputs whose product underflows to 0 or overflows
-    spreading_time = 2.0 * sg.mass * sg.sigma0 * sg.sigma0
+    spreading_time = sg.spreading_time
     if not 0.0 < spreading_time < math.inf:
         raise ConfigError(
             f"sg: spreading_time = 2 mass sigma0**2 = {spreading_time!r} "
             "is not finite and positive"
         )
+    # finite inputs, overflowing products (kick * kick gives inf where **
+    # raises); the analytic path's one flight time, and the packet's variance
+    # then, which its closed forms divide by (inf / inf would be NaN)
+    kick = sg.momentum_kick
+    flight = phase_settle_time(sg)
+    tau = flight / spreading_time
+    for name, value in (
+        ("momentum_kick = moment * gradient * transit", kick),
+        ("larmor_phase = moment * bias * transit", sg.larmor_phase),
+        ("kick energy momentum_kick**2 / (2 mass)", kick * kick / (2.0 * sg.mass)),
+        ("phase_settle_time", flight),
+        ("variance sigma0**2 (1 + tau**2) at phase_settle_time",
+         sg.sigma0 * sg.sigma0 * (1.0 + tau * tau)),
+    ):
+        if not math.isfinite(value):
+            raise ConfigError(f"sg: {name} is not finite")
 
     tol_raw = {**DEFAULTS["tolerances"], **raw.get("tolerances", {})}
     _reject_unknown(tol_raw, DEFAULTS["tolerances"].keys(), "tolerances")
@@ -563,6 +573,16 @@ def _grid_resolution(sg: SGConfig, grid: GridSpec) -> Tuple[float, float]:
 
 def workflow_oracle(cfg: RunConfig) -> dict:
     """Analytic model vs grid solver on the configured device."""
+    steps = cfg.sg.transit / cfg.oracle_grid.dt
+    if (
+        steps > _ORACLE_POINT_STEPS  # also an inf, which math.ceil rejects
+        or math.ceil(steps) * cfg.oracle_grid.points > _ORACLE_POINT_STEPS
+    ):
+        raise ConfigError(
+            f"oracle: sg.transit / oracle.dt = {steps:.3g} magnet steps x "
+            f"{cfg.oracle_grid.points} points exceeds the work bound "
+            f"{_ORACLE_POINT_STEPS:g} point-steps"
+        )
     import numpy as np
     beam = postselected_pure_state(0.5, 0.0)  # x-polarized input
     times = sorted(cfg.oracle_times)

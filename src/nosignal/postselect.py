@@ -20,19 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import PhaseUndefinedError, PostSelectionError
 from .spin import TWO_PI, SpinDensityMatrix, SpinState, make_spin_state
-from .wavepacket import (
-    WavePacketPair,
-    closed_form_upper_coherence,
-    error_fraction,
-    free_propagate,
-    upper_fraction,
-)
+from .wavepacket import WavePacketPair, closed_form_upper_coherence, upper_fraction
 
 __all__ = [
     "PostSelectedSpin",
@@ -113,21 +106,8 @@ def model_state(
     return postselected_pure_state(post.error_fraction, post.phase or 0.0)
 
 
-def _presaturation_drift(pair: WavePacketPair) -> float:
-    probe = free_propagate(pair, pair.time + pair.mass * pair.sigma0**2 * 2.0)
-    return abs(error_fraction(probe) - error_fraction(pair))
-
-
-def project_upper(
-    pair: WavePacketPair, warn_presaturation: bool = True
-) -> PostSelectedSpin:
+def project_upper(pair: WavePacketPair) -> PostSelectedSpin:
     """Project a symmetric kicked pair onto z >= 0 and trace out z."""
-    if warn_presaturation and _presaturation_drift(pair) > 1e-3:
-        warnings.warn(
-            "post-selecting before the error fraction has saturated; "
-            "derived quantities are still time dependent",
-            stacklevel=2,
-        )
     w_up = pair.plus.weight
     w_down = pair.minus.weight
     i_up = upper_fraction(pair, "plus")

@@ -24,10 +24,10 @@ The residual P_A - P_B is the signalling figure of merit.  The pipeline
 reproduces it end to end from the wave-packet dynamics instead of the
 closed form.  Only four post-selected spins enter it per omega, none of
 them theta dependent: branch_table conditions the singlet, flies each
-beam through the device once per run and post-selects it, and
-cell_result turns a table entry and theta into Born probabilities.
-verify runs every cell through cell_result; run_pipeline does both
-steps for a single cell.
+beam through the device to the one closed-form time phase_settle_time
+and post-selects it, and cell_result turns a table entry and theta into
+Born probabilities.  verify runs every cell through cell_result;
+run_pipeline does both steps for a single cell.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .wavepacket import (
     evolve_through_magnet,
     free_propagate,
     phase_settle_time,
-    saturated_error_fraction,
 )
 
 __all__ = [
@@ -159,19 +158,16 @@ class BranchTable:
     rotated: List[Entry]
 
 
-def branch_table(
-    sg: SGConfig, omegas: Iterable[float], phase_settle_tol: float = 1e-10
-) -> BranchTable:
+def branch_table(sg: SGConfig, omegas: Iterable[float]) -> BranchTable:
     """Condition the singlet, traverse the device and post-select, per branch.
 
-    Every beam flies past saturation (one search per table), and far enough
-    that the chirp-induced coherence phase is below phase_settle_tol.  A
-    branch that selects nothing (exactly ideal device, wrong-polarized
-    input) carries None instead of a spin.
+    Every beam flies for phase_settle_time(sg), the closed-form time when the
+    chirp-induced coherence phase has fallen below a quarter of 1e-10 rad;
+    the error fraction has saturated well before.  A branch that selects
+    nothing (exactly ideal device, wrong-polarized input) carries None.
     """
     x_beam = make_spin_state(1.0, 1.0)
-    sat = saturated_error_fraction(sg, x_beam)
-    t_run = max(sat.time, phase_settle_time(sg, phase_settle_tol))
+    t_run = phase_settle_time(sg)
 
     def branches(alice_axis: float) -> Dict[int, Branch]:
         out = {}
@@ -179,7 +175,7 @@ def branch_table(
             prob, bob_state = singlet_conditional(alice_axis, alice_outcome)
             pair = free_propagate(evolve_through_magnet(sg, bob_state), t_run)
             try:
-                post = project_upper(pair, warn_presaturation=False)
+                post = project_upper(pair)
             except PostSelectionError:
                 post = None
             out[-alice_outcome] = (prob, post)
@@ -258,16 +254,12 @@ def cell_result(
 
 
 def run_pipeline(
-    sg: SGConfig,
-    omega: float,
-    theta: float,
-    model: str = "projected",
-    phase_settle_tol: float = 1e-10,
+    sg: SGConfig, omega: float, theta: float, model: str = "projected"
 ) -> ProtocolResult:
     """One (omega, theta) cell simulated end to end through the wave-packet model.
 
     Callers that visit many cells build the branch_table once instead.
     """
-    table = branch_table(sg, [omega], phase_settle_tol)
+    table = branch_table(sg, [omega])
     aligned = branch_totals(table.aligned, theta, model)
     return cell_result(table, table.rotated[0], theta, model, aligned)

@@ -34,24 +34,6 @@ def wrap_to_pi(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class MeasurementAxis:
-    """Direction in the x-z plane, measured in radians from +z."""
-
-    angle: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError("axis angle must be finite")
-        object.__setattr__(self, "angle", self.angle % TWO_PI)
-
-
-def _angle(axis: Union[MeasurementAxis, float]) -> float:
-    if isinstance(axis, MeasurementAxis):
-        return axis.angle
-    return MeasurementAxis(float(axis)).angle
-
-
-@dataclass(frozen=True)
 class SpinState:
     """Normalized two-level pure state; build via :func:`make_spin_state`."""
 
@@ -135,11 +117,14 @@ class SpinDensityMatrix:
         return self.matrix[1][1]
 
 
-def sigma_eigenstate(axis: Union[MeasurementAxis, float], outcome: int) -> SpinState:
-    """Eigenstate of sigma_theta with eigenvalue +1 or -1."""
+def sigma_eigenstate(axis: float, outcome: int) -> SpinState:
+    """Eigenstate of sigma_theta with eigenvalue +1 or -1; axis in radians from +z."""
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
-    half = 0.5 * _angle(axis)
+    axis = float(axis)
+    if not math.isfinite(axis):
+        raise ValueError("axis angle must be finite")
+    half = 0.5 * (axis % TWO_PI)
     if outcome == +1:
         return make_spin_state(math.cos(half), math.sin(half))
     return make_spin_state(-math.sin(half), math.cos(half))
@@ -147,7 +132,7 @@ def sigma_eigenstate(axis: Union[MeasurementAxis, float], outcome: int) -> SpinS
 
 def born_probability(
     state: Union[SpinState, SpinDensityMatrix],
-    axis: Union[MeasurementAxis, float],
+    axis: float,
     outcome: int,
 ) -> float:
     """Probability of `outcome` when measuring sigma_theta on `state`."""
@@ -185,7 +170,7 @@ def mixture(components: Iterable[Tuple[float, SpinState]]) -> SpinDensityMatrix:
 
 
 def singlet_conditional(
-    alice_axis: Union[MeasurementAxis, float], alice_outcome: int
+    alice_axis: float, alice_outcome: int
 ) -> Tuple[float, SpinState]:
     """Condition the two-particle singlet on Alice's sigma_omega outcome.
 

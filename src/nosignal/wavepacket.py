@@ -18,7 +18,8 @@ Model (natural units, hbar = 1, 1-D along the field axis z):
                   exp(-(z - c)^2 / (4 sigma0^2 a) + i p (z - c) + i phi(t)),
 
   c(t) = origin + p t / m,  phi(t) = phi_exit + p^2 t / (2 m), and width
-  sigma(t) = sigma0 sqrt(1 + (t / (2 m sigma0^2))^2).
+  sigma(t) = sigma0 sqrt(1 + (t / (2 m sigma0^2))^2).  A pair stores the
+  magnet-exit channels and t only; c, phi and sigma are derived from them.
 
 The device's non-idealness measure is the upper-half-plane weight of the
 spin-down channel,
@@ -28,7 +29,7 @@ spin-down channel,
 evaluated in closed form through the Gaussian CDF.  E(t) decreases
 monotonically after the magnet for dp > 0 and saturates at the Gaussian
 tail value Phi(-2 dp sigma0), set by the ratio of drift to spreading
-velocity.
+velocity.  Post-selection happens at phase_settle_time, after saturation.
 
 The upper-half coherence integral int_0^inf psi_plus psi_minus^* dz of the
 symmetric, co-located pairs the magnet produces is also a closed form,
@@ -114,38 +115,33 @@ class SGConfig:
     @property
     def spreading_time(self) -> float:
         """Time scale 2 m sigma0^2 on which quantum spreading sets in."""
-        return 2.0 * self.mass * self.sigma0**2
+        return 2.0 * self.mass * (self.sigma0 * self.sigma0)
 
 
 @dataclass(frozen=True)
 class GaussianComponent:
-    """One Gaussian spatial channel of the two-component packet.
+    """One Gaussian spatial channel of the two-component packet, at the magnet exit.
 
-    center/width/phase describe the packet at the pair's current time;
-    origin and exit_phase are the exact values at the magnet exit and are
-    what the evolution and overlap formulas are computed from (the
-    accumulated phase field is display-only at late times, where it is
-    large and its double rounding would be fatal to coherence phases).
+    origin and exit_phase are the channel's exact center and phase there.
+    The pair derives center, width and phase at its own time from them, and
+    the overlap formulas use them directly: the accumulated phase is large
+    at late times, and its double rounding would be fatal to coherence
+    phases.
     """
 
-    center: float
     momentum: float
-    width: float
-    phase: float
     weight: complex
     origin: float
     exit_phase: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
         if abs(self.weight) > 1.0 + 1e-12:
             raise ValueError("|weight| must not exceed 1")
 
 
 @dataclass(frozen=True)
 class WavePacketPair:
-    """Two Gaussian channels tied to spin up / spin down, plus elapsed time."""
+    """Two Gaussian channels tied to spin up / spin down, plus flight time."""
 
     plus: GaussianComponent
     minus: GaussianComponent
@@ -161,11 +157,13 @@ class WavePacketPair:
     @property
     def tau(self) -> float:
         """Dimensionless time t / (2 m sigma0^2)."""
-        return self.time / (2.0 * self.mass * self.sigma0**2)
+        return self.time / (2.0 * self.mass * (self.sigma0 * self.sigma0))
 
     @property
     def width(self) -> float:
-        return self.sigma0 * math.sqrt(1.0 + self.tau**2)
+        """Position standard deviation sigma(t), shared by both channels."""
+        tau = self.tau
+        return self.sigma0 * math.sqrt(1.0 + tau * tau)
 
     def component(self, which: str) -> GaussianComponent:
         if which == "plus":
@@ -174,23 +172,23 @@ class WavePacketPair:
             return self.minus
         raise ValueError("component must be 'plus' or 'minus'")
 
+    def center(self, which: str) -> float:
+        """Channel center c(t) = origin + p t / m."""
+        c = self.component(which)
+        return c.origin + c.momentum * self.time / self.mass
+
+    def phase(self, which: str) -> float:
+        """Channel phase phi(t) = phi_exit + p^2 t / (2 m)."""
+        c = self.component(which)
+        return c.exit_phase + c.momentum * c.momentum * self.time / (2.0 * self.mass)
+
 
 def make_component(
-    center: float,
-    momentum: float,
-    weight: complex,
-    width: float,
-    phase: float = 0.0,
+    center: float, momentum: float, weight: complex, phase: float = 0.0
 ) -> GaussianComponent:
-    """Component at time zero: origin and exit phase coincide with fields."""
+    """Component at time zero: origin and exit phase are center and phase."""
     return GaussianComponent(
-        center=center,
-        momentum=momentum,
-        width=width,
-        phase=phase,
-        weight=complex(weight),
-        origin=center,
-        exit_phase=phase,
+        momentum=momentum, weight=complex(weight), origin=center, exit_phase=phase
     )
 
 
@@ -214,8 +212,8 @@ def evolve_through_magnet(config: SGConfig, input_spin: SpinState) -> WavePacket
     """
     dp = config.momentum_kick
     lp = config.larmor_phase
-    plus = make_component(0.0, +dp, input_spin.amp_up, config.sigma0, phase=+lp)
-    minus = make_component(0.0, -dp, input_spin.amp_down, config.sigma0, phase=-lp)
+    plus = make_component(0.0, +dp, input_spin.amp_up, phase=+lp)
+    minus = make_component(0.0, -dp, input_spin.amp_down, phase=-lp)
     return make_pair(plus, minus, config.mass, config.sigma0)
 
 
@@ -223,25 +221,7 @@ def free_propagate(pair: WavePacketPair, t: float) -> WavePacketPair:
     """Advance the pair by a free-flight interval t >= 0."""
     if t < 0:
         raise ValueError("free propagation time must be non-negative")
-    new_time = pair.time + t
-    tau = new_time / (2.0 * pair.mass * pair.sigma0**2)
-    width = pair.sigma0 * math.sqrt(1.0 + tau**2)
-
-    def advance(c: GaussianComponent) -> GaussianComponent:
-        return replace(
-            c,
-            center=c.origin + c.momentum * new_time / pair.mass,
-            width=width,
-            phase=c.exit_phase + c.momentum**2 * new_time / (2.0 * pair.mass),
-        )
-
-    return WavePacketPair(
-        plus=advance(pair.plus),
-        minus=advance(pair.minus),
-        time=new_time,
-        mass=pair.mass,
-        sigma0=pair.sigma0,
-    )
+    return replace(pair, time=pair.time + t)
 
 
 def component_amplitude(
@@ -257,14 +237,15 @@ def component_amplitude(
     """
     import numpy as np
     c = pair.component(which)
+    center = pair.center(which)
     s0 = pair.sigma0
     alpha = 1.0 + 1j * pair.tau
     norm = (2.0 * math.pi * s0**2) ** (-0.25) * alpha ** (-0.5)
     zz = np.asarray(z, dtype=float)
     val = norm * np.exp(
-        -((zz - c.center) ** 2) / (4.0 * s0**2 * alpha)
-        + 1j * c.momentum * (zz - c.center)
-        + 1j * c.phase
+        -((zz - center) ** 2) / (4.0 * s0**2 * alpha)
+        + 1j * c.momentum * (zz - center)
+        + 1j * pair.phase(which)
     )
     if include_weight:
         val = c.weight * val
@@ -273,8 +254,7 @@ def component_amplitude(
 
 def upper_fraction(pair: WavePacketPair, which: str) -> float:
     """Weight of one normalized channel on the upper half line z >= 0."""
-    c = pair.component(which)
-    return 1.0 - _norm_cdf(-c.center / c.width)
+    return 1.0 - _norm_cdf(-pair.center(which) / pair.width)
 
 
 def error_fraction(pair: WavePacketPair) -> float:
@@ -339,12 +319,13 @@ def closed_form_upper_coherence(pair: WavePacketPair) -> complex:
     if p.origin != m_.origin or p.momentum != -m_.momentum:
         raise ValueError("closed form requires symmetric, co-located kicks")
     dp = p.momentum
-    tau2 = pair.tau**2
-    sig2 = pair.sigma0**2 * (1.0 + tau2)
+    tau = pair.tau
+    tau2 = tau * tau  # squares by multiplication: inf where ** would raise
+    sig2 = pair.sigma0 * pair.sigma0 * (1.0 + tau2)
     c = dp * pair.time / pair.mass
     x = 2.0 * dp / (1.0 + tau2) * math.sqrt(sig2 / 2.0)
-    envelope = 0.5 * math.exp(-(c**2) / (2.0 * sig2))
-    erfi_part = complex(math.exp(-(x**2)), 2.0 / math.sqrt(math.pi) * _dawson(x))
+    envelope = 0.5 * math.exp(-(c * c) / (2.0 * sig2))
+    erfi_part = complex(math.exp(-(x * x)), 2.0 / math.sqrt(math.pi) * _dawson(x))
     return envelope * erfi_part * cmath.exp(1j * (p.exit_phase - m_.exit_phase))
 
 

@@ -84,7 +84,7 @@ def quad_coherence(pair, half: str = "upper") -> complex:
     """
     a, b, d, pref = reduced_overlap_exponent(pair)
     sig = pair.width
-    centers = [pair.plus.center / sig, pair.minus.center / sig]
+    centers = [pair.center("plus") / sig, pair.center("minus") / sig]
     reach = max(abs(c) for c in centers) + 12.0
     lo, hi = (0.0, reach) if half == "upper" else (-reach, 0.0)
 

@@ -193,7 +193,7 @@ def _bench_truths(config, omega):
     for polarization in (+1, -1):
         beam = sigma_eigenstate(omega, polarization)
         pair = free_propagate(evolve_through_magnet(config, beam), t_run)
-        post = project_upper(pair, warn_presaturation=False)
+        post = project_upper(pair)
         truths[polarization] = (post.error_fraction, post.phase)
     return truths
 
@@ -283,9 +283,7 @@ def test_criterion_7_sample_level_no_signalling(device):
         for outcome in (+1, -1):
             _, bob = singlet_conditional(alice_axis, outcome)
             pair = free_propagate(evolve_through_magnet(device, bob), t_run)
-            posts[(setting_idx, outcome)] = project_upper(
-                pair, warn_presaturation=False
-            )
+            posts[(setting_idx, outcome)] = project_upper(pair)
 
     worst_z = 0.0
     for theta_idx, theta in enumerate(theta_grid):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -121,7 +122,7 @@ class TestConfigHandling:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command", ["verify", "oracle", "sweep"])
+    @pytest.mark.parametrize("command", ["verify", "oracle", "sweep", "estimate"])
     @pytest.mark.parametrize(
         "sg, times, where",
         [
@@ -129,12 +130,22 @@ class TestConfigHandling:
             ({"gradient": 1e305, "transit": 1.0}, [1e-6], "momentum_kick**2"),
             ({"sigma0": 1e-200}, None, "spreading_time ="),
             ({"sigma0": 1e200}, None, "spreading_time ="),
+            ({"sigma0": 1e100}, None, "phase_settle_time is"),
+            ({"mass": 1e300}, None, "phase_settle_time is"),
+            ({"sigma0": 1e80}, None, "variance"),
+            ({"moment": 1e150}, None, "variance"),
+            ({"transit": 1e150}, None, "variance"),
         ],
         ids=[
             "kick-overflows",
             "kick-energy-overflows",
             "spreading-time-underflows",
             "spreading-time-overflows",
+            "settle-time-overflows-sigma0-1e100",
+            "settle-time-overflows-mass-1e300",
+            "variance-overflows-sigma0-1e80",
+            "variance-overflows-moment-1e150",
+            "variance-overflows-transit-1e150",
         ],
     )
     def test_overflowing_derived_quantity_rejected(
@@ -142,13 +153,21 @@ class TestConfigHandling:
     ):
         # every sg value is finite and positive, but a product of them
         # overflows or underflows to 0; unchecked, these runs ended in an
-        # AssertionError, a NaN ValueError, an OverflowError, a
-        # ZeroDivisionError or a "horizon must be positive" traceback
+        # AssertionError, a NaN ValueError ("density matrix not Hermitian"
+        # too), an OverflowError, a ZeroDivisionError or a "horizon must be
+        # positive" traceback
         cfg = write_default_config(tmp_path, times, **sg)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error") and where in err
+
+    @pytest.mark.parametrize("command", ["verify", "sweep", "estimate"])
+    def test_huge_width_runs_as_ideal_device(self, tmp_path, command):
+        # sigma0 = 1e50: the drift at phase_settle_time squares to inf (** raised
+        # OverflowError), so the coherence envelope is exp(-inf) = 0
+        cfg = write_default_config(tmp_path, sigma0=1e50)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 class TestVerify:
@@ -515,6 +534,22 @@ class TestOracle:
         assert report["notes"] == [
             "largest sampled time 120 is before the detected saturation time 128"
         ]
+
+    def test_work_bound_refuses_long_transit(self, tmp_path, capsys, monkeypatch):
+        # ceil(1000 / 2e-4) = 5e6 magnet steps x 16384 points: refused before
+        # any grid work, while the analytic subcommands still run the config
+        def no_grid_work(*args, **kwargs):
+            raise AssertionError("grid_evolve started")
+
+        monkeypatch.setattr(nosignal.cli, "grid_evolve", no_grid_work)
+        cfg = write_default_config(tmp_path, transit=1000.0)
+        start = time.perf_counter()
+        code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG and time.perf_counter() - start < 0.5
+        assert "work bound" in capsys.readouterr().err
+        for command in ("verify", "sweep", "estimate"):
+            argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
+            assert main(argv) == EXIT_OK
 
     def test_boundary_leak_exits_numerical(self, tmp_path, capsys):
         cfg = write_config(

@@ -86,7 +86,7 @@ class TestConstraintResidual:
 class TestProjectUpper:
     def test_up_input_case(self, device, up_state):
         # survival probability 1 - E_s, pure up state afterwards
-        post = project_upper(settled_pair(device, up_state), warn_presaturation=False)
+        post = project_upper(settled_pair(device, up_state))
         es = asymptotic_error_fraction(device)
         assert abs(post.select_prob - (1 - es)) < 1e-4
         assert np.allclose(post.rho.matrix, [[1, 0], [0, 0]], atol=1e-12)
@@ -95,49 +95,37 @@ class TestProjectUpper:
 
     def test_x_input_ideal_limit(self, x_state):
         ideal = SGConfig(mass=1, sigma0=1, moment=1, gradient=2500, bias=0, transit=0.002)
-        post = project_upper(settled_pair(ideal, x_state), warn_presaturation=False)
+        post = project_upper(settled_pair(ideal, x_state))
         assert abs(post.select_prob - 0.5) < 1e-6
         assert np.allclose(post.rho.matrix, [[1, 0], [0, 0]], atol=1e-6)
 
     def test_x_input_generic(self, device, x_state):
         pair = settled_pair(device, x_state)
-        post = project_upper(pair, warn_presaturation=False)
+        post = project_upper(pair)
         assert abs(post.select_prob - 0.5) < 1e-9
         assert abs(post.error_fraction - error_fraction(pair)) < 1e-12
         assert post.visibility is not None and post.visibility <= 1.0 + 1e-9
 
     def test_consistency_with_z_measurement(self, device, x_state):
-        post = project_upper(settled_pair(device, x_state), warn_presaturation=False)
+        post = project_upper(settled_pair(device, x_state))
         p_up = born_probability(post.rho, 0.0, +1)
         assert abs(p_up - post.rho.up_up.real) < 1e-12
         assert abs(post.error_fraction - (1 - p_up)) < 1e-12
 
     def test_nothing_selected_raises(self):
-        plus = make_component(-1e8, 0.0, 1 / math.sqrt(2), 1.0)
-        minus = make_component(-1e8, 0.0, 1 / math.sqrt(2), 1.0)
+        plus = make_component(-1e8, 0.0, 1 / math.sqrt(2))
+        minus = make_component(-1e8, 0.0, 1 / math.sqrt(2))
         pair = make_pair(plus, minus, mass=1.0, sigma0=1.0)
         with pytest.raises(PostSelectionError):
-            project_upper(pair, warn_presaturation=False)
-
-    def test_warns_before_saturation(self, device, x_state):
-        pair = free_propagate(evolve_through_magnet(device, x_state), 0.5)
-        with pytest.warns(UserWarning, match="saturated"):
             project_upper(pair)
-
-    def test_no_warning_after_saturation(self, device, x_state):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            project_upper(settled_pair(device, x_state, t=2000.0))
 
 
 class TestPhaseFlipBetweenOppositeInputs:
     def test_x_inputs_differ_by_pi(self, device):
         plus_x = make_spin_state(1.0, 1.0)
         minus_x = make_spin_state(1.0, -1.0)
-        post_a = project_upper(settled_pair(device, plus_x), warn_presaturation=False)
-        post_b = project_upper(settled_pair(device, minus_x), warn_presaturation=False)
+        post_a = project_upper(settled_pair(device, plus_x))
+        post_b = project_upper(settled_pair(device, minus_x))
         delta = wrap_to_pi(post_a.phase - post_b.phase + math.pi)
         assert abs(delta) < 1e-9
 
@@ -148,9 +136,7 @@ class TestPhaseFlipBetweenOppositeInputs:
         post = {}
         for outcome in (+1, -1):
             beam = sigma_eigenstate(omega, outcome)
-            post[outcome] = project_upper(
-                settled_pair(config, beam), warn_presaturation=False
-            )
+            post[outcome] = project_upper(settled_pair(config, beam))
         delta = wrap_to_pi(post[+1].phase - post[-1].phase + math.pi)
         assert abs(delta) < 1e-9
         # and the cosine-sum form of the constraint holds

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nosignal import (
-    MeasurementAxis,
     SpinDensityMatrix,
     born_probability,
     make_spin_state,
@@ -128,9 +127,10 @@ class TestBornProbability:
             )
             assert abs(direct - averaged) < ATOL
 
-    def test_accepts_axis_object(self):
-        axis = MeasurementAxis(math.pi / 2)
-        assert abs(born_probability(make_spin_state(1, 1), axis, +1) - 1.0) < ATOL
+    @pytest.mark.parametrize("axis", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_axis(self, axis):
+        with pytest.raises(ValueError, match="finite"):
+            born_probability(make_spin_state(1, 1), axis, +1)
 
 
 class TestAgainstNumpy:
