@@ -27,10 +27,9 @@ _EXPORTS = {
         closed_form_result run_pipeline""",
     "spin": """SpinDensityMatrix SpinState born_probability make_spin_state
         mixture sigma_eigenstate singlet_conditional""",
-    "wavepacket": """GaussianComponent SGConfig WavePacketPair
-        asymptotic_error_fraction closed_form_upper_coherence
-        component_amplitude error_fraction evolve_through_magnet
-        free_propagate make_component make_pair phase_settle_time
+    "wavepacket": """SGConfig WavePacketPair asymptotic_error_fraction
+        closed_form_upper_coherence component_amplitude error_fraction
+        evolve_through_magnet free_propagate phase_settle_time
         saturated_error_fraction upper_fraction""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -179,6 +179,21 @@ def _number_list(value, where: str) -> List[float]:
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+def _check_flight(sg: SGConfig, t: float, when: str, *named_values) -> None:
+    """Reject non-finite named values, then a non-finite tau or packet
+    variance at flight time t: the closed forms divide by the variance
+    (inf / inf would be NaN)."""
+    tau = t / sg.spreading_time
+    for name, value in (
+        *named_values,
+        (f"tau = t / spreading_time at {when}", tau),
+        (f"variance sigma0**2 (1 + tau**2) at {when}",
+         sg.sigma0 * sg.sigma0 * (1.0 + tau * tau)),
+    ):
+        if not math.isfinite(value):
+            raise ConfigError(f"sg: {name} is not finite")
+
+
 def load_config(path: Optional[str]) -> RunConfig:
     """Parse and validate a JSON run configuration (defaults when path is None).
 
@@ -236,21 +251,16 @@ def load_config(path: Optional[str]) -> RunConfig:
             "is not finite and positive"
         )
     # finite inputs, overflowing products (kick * kick gives inf where **
-    # raises); the analytic path's one flight time, and the packet's variance
-    # then, which its closed forms divide by (inf / inf would be NaN)
+    # raises); the analytic path's one flight time, and the packet there
     kick = sg.momentum_kick
     flight = phase_settle_time(sg)
-    tau = flight / spreading_time
-    for name, value in (
+    _check_flight(
+        sg, flight, "phase_settle_time",
         ("momentum_kick = moment * gradient * transit", kick),
         ("larmor_phase = moment * bias * transit", sg.larmor_phase),
         ("kick energy momentum_kick**2 / (2 mass)", kick * kick / (2.0 * sg.mass)),
         ("phase_settle_time", flight),
-        ("variance sigma0**2 (1 + tau**2) at phase_settle_time",
-         sg.sigma0 * sg.sigma0 * (1.0 + tau * tau)),
-    ):
-        if not math.isfinite(value):
-            raise ConfigError(f"sg: {name} is not finite")
+    )
 
     tol_raw = {**DEFAULTS["tolerances"], **raw.get("tolerances", {})}
     _reject_unknown(tol_raw, DEFAULTS["tolerances"].keys(), "tolerances")
@@ -583,9 +593,11 @@ def workflow_oracle(cfg: RunConfig) -> dict:
             f"{cfg.oracle_grid.points} points exceeds the work bound "
             f"{_ORACLE_POINT_STEPS:g} point-steps"
         )
+    times = sorted(cfg.oracle_times)
+    for t in times:
+        _check_flight(cfg.sg, t, f"oracle time {t:g}")
     import numpy as np
     beam = postselected_pure_state(0.5, 0.0)  # x-polarized input
-    times = sorted(cfg.oracle_times)
     grid_result = grid_evolve(cfg.sg, beam, cfg.oracle_grid, snapshots=times)
     exit_pair = evolve_through_magnet(cfg.sg, beam)
     sat = saturated_error_fraction(cfg.sg, beam, tol=1e-4)
@@ -627,9 +639,7 @@ def workflow_oracle(cfg: RunConfig) -> dict:
         max_phase_diff = max(max_phase_diff, phase_diff)
         max_l1 = max(max_l1, l1)
 
-    impulsive_ratio = (
-        cfg.sg.transit / cfg.sg.spreading_time if cfg.sg.spreading_time > 0 else 0.0
-    )
+    impulsive_ratio = cfg.sg.transit / cfg.sg.spreading_time
     notes = []
     if impulsive_ratio > 0.01:
         notes.append(

@@ -10,8 +10,7 @@ over the retained region leaves a 2x2 spin density matrix
 where I_up/I_down are the upper-half weights of the normalized channels
 and C is their upper-half coherence integral.  Its diagonal gives the
 effective error fraction, the off-diagonal argument defines the relative
-phase; the visibility |rho_ud| / sqrt(rho_uu rho_dd) measures how close
-the projected state is to the pure superposition
+phase; the model "pure" replaces rho by the pure superposition with them,
 
     sqrt(1 - E) |up>  +  e^{i phi} sqrt(E) |down>.
 """
@@ -47,15 +46,12 @@ class PostSelectedSpin:
     phase: relative phase of the down component (see extract_phase) in
         [0, 2 pi), or None when the coherence is too small to define one
         (single-channel inputs).
-    visibility: |rho_ud| / sqrt(rho_uu rho_dd) in [0, 1], or None when a
-        diagonal entry vanishes.
     """
 
     select_prob: float
     rho: SpinDensityMatrix
     error_fraction: float
     phase: Optional[float]
-    visibility: Optional[float]
 
 
 def extract_phase(rho: SpinDensityMatrix, tol: Optional[float] = None) -> float:
@@ -107,9 +103,9 @@ def model_state(
 
 
 def project_upper(pair: WavePacketPair) -> PostSelectedSpin:
-    """Project a symmetric kicked pair onto z >= 0 and trace out z."""
-    w_up = pair.plus.weight
-    w_down = pair.minus.weight
+    """Project the pair onto z >= 0 and trace out z."""
+    w_up = pair.spin.amp_up
+    w_down = pair.spin.amp_down
     i_up = upper_fraction(pair, "plus")
     i_down = upper_fraction(pair, "minus")
     up_mass = abs(w_up) ** 2 * i_up
@@ -143,14 +139,9 @@ def project_upper(pair: WavePacketPair) -> PostSelectedSpin:
         phase = extract_phase(rho)
     except PhaseUndefinedError:
         phase = None
-    populations = abs(rho.up_up * rho.down_down)
-    visibility = (
-        abs(rho.up_down) / math.sqrt(populations) if populations > 1e-30 else None
-    )
     return PostSelectedSpin(
         select_prob=float(select_prob),
         rho=rho,
         error_fraction=float(rho.down_down.real),
         phase=phase,
-        visibility=visibility,
     )

@@ -9,7 +9,8 @@ Model (natural units, hbar = 1, 1-D along the field axis z):
 
 * Magnet transit is impulsive: the position is frozen while the two spin
   channels acquire opposite momentum kicks +-dp, dp = moment * gradient *
-  transit, and opposite Larmor phases +-moment * bias * transit.
+  transit, and opposite Larmor phases +-phi_L, phi_L = moment * bias *
+  transit.
 
 * Free propagation of each Gaussian channel is exact.  With
   a(t) = 1 + i t / (2 m sigma0^2) the channel evolves as
@@ -17,9 +18,10 @@ Model (natural units, hbar = 1, 1-D along the field axis z):
       psi(z, t) = (2 pi sigma0^2)^(-1/4) a^(-1/2)
                   exp(-(z - c)^2 / (4 sigma0^2 a) + i p (z - c) + i phi(t)),
 
-  c(t) = origin + p t / m,  phi(t) = phi_exit + p^2 t / (2 m), and width
+  p = +-dp,  c(t) = p t / m,  phi(t) = +-phi_L + p^2 t / (2 m), and width
   sigma(t) = sigma0 sqrt(1 + (t / (2 m sigma0^2))^2).  A pair stores the
-  magnet-exit channels and t only; c, phi and sigma are derived from them.
+  device, the input spin and t only; the channels' weights (the spin's
+  amplitudes), p, c, phi and sigma are derived from them.
 
 The device's non-idealness measure is the upper-half-plane weight of the
 spin-down channel,
@@ -32,7 +34,7 @@ tail value Phi(-2 dp sigma0), set by the ratio of drift to spreading
 velocity.  Post-selection happens at phase_settle_time, after saturation.
 
 The upper-half coherence integral int_0^inf psi_plus psi_minus^* dz of the
-symmetric, co-located pairs the magnet produces is also a closed form,
+symmetric, co-located channels the magnet produces is also a closed form,
 through exp(-x^2) (1 + i erfi x) = exp(-x^2) + i (2/sqrt(pi)) F(x) with F
 Dawson's integral.  It is assembled from exit-time quantities: multiplying
 independently evaluated wave functions would lose the relative phase to
@@ -44,7 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SaturationError
 from .spin import SpinState
@@ -54,10 +56,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SGConfig",
-    "GaussianComponent",
     "WavePacketPair",
-    "make_component",
-    "make_pair",
     "evolve_through_magnet",
     "free_propagate",
     "component_amplitude",
@@ -118,88 +117,63 @@ class SGConfig:
         return 2.0 * self.mass * (self.sigma0 * self.sigma0)
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One Gaussian spatial channel of the two-component packet, at the magnet exit.
-
-    origin and exit_phase are the channel's exact center and phase there.
-    The pair derives center, width and phase at its own time from them, and
-    the overlap formulas use them directly: the accumulated phase is large
-    at late times, and its double rounding would be fatal to coherence
-    phases.
-    """
-
-    momentum: float
-    weight: complex
-    origin: float
-    exit_phase: float
-
-    def __post_init__(self):
-        if abs(self.weight) > 1.0 + 1e-12:
-            raise ValueError("|weight| must not exceed 1")
+def _sign(which: str) -> float:
+    """+1 for the spin-up channel "plus", -1 for the spin-down channel "minus"."""
+    if which not in ("plus", "minus"):
+        raise ValueError("channel must be 'plus' or 'minus'")
+    return 1.0 if which == "plus" else -1.0
 
 
 @dataclass(frozen=True)
 class WavePacketPair:
-    """Two Gaussian channels tied to spin up / spin down, plus flight time."""
+    """A spin state sent through the device, then flown freely for `time`.
 
-    plus: GaussianComponent
-    minus: GaussianComponent
+    The magnet leaves the spin-up ("plus") and spin-down ("minus") channels
+    at the common origin z = 0 with momenta +-momentum_kick, Larmor phases
+    +-larmor_phase and the spin's amplitudes as weights.  Center, phase and
+    width at `time` are derived from these exit values; the overlap formulas
+    use the exit phases directly, because the accumulated phase is large at
+    late times and its double rounding would be fatal to coherence phases.
+    """
+
+    device: SGConfig
+    spin: SpinState
     time: float
-    mass: float
-    sigma0: float
-
-    def __post_init__(self):
-        total = abs(self.plus.weight) ** 2 + abs(self.minus.weight) ** 2
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"channel weights not normalized: {total}")
 
     @property
     def tau(self) -> float:
         """Dimensionless time t / (2 m sigma0^2)."""
-        return self.time / (2.0 * self.mass * (self.sigma0 * self.sigma0))
+        return self.time / self.device.spreading_time
 
     @property
     def width(self) -> float:
         """Position standard deviation sigma(t), shared by both channels."""
         tau = self.tau
-        return self.sigma0 * math.sqrt(1.0 + tau * tau)
+        return self.device.sigma0 * math.sqrt(1.0 + tau * tau)
 
-    def component(self, which: str) -> GaussianComponent:
-        if which == "plus":
-            return self.plus
-        if which == "minus":
-            return self.minus
-        raise ValueError("component must be 'plus' or 'minus'")
+    def weight(self, which: str) -> complex:
+        """Channel amplitude: the spin's up or down amplitude."""
+        return self.spin.amp_up if _sign(which) > 0 else self.spin.amp_down
+
+    def momentum(self, which: str) -> float:
+        """Channel momentum +-momentum_kick."""
+        return _sign(which) * self.device.momentum_kick
 
     def center(self, which: str) -> float:
-        """Channel center c(t) = origin + p t / m."""
-        c = self.component(which)
-        return c.origin + c.momentum * self.time / self.mass
+        """Channel center c(t) = p t / m.
+
+        p t can overflow where c does not (a heavy particle); the division
+        then comes first.
+        """
+        p, m = self.momentum(which), self.device.mass
+        c = p * self.time / m
+        return p * (self.time / m) if math.isinf(c) else c
 
     def phase(self, which: str) -> float:
-        """Channel phase phi(t) = phi_exit + p^2 t / (2 m)."""
-        c = self.component(which)
-        return c.exit_phase + c.momentum * c.momentum * self.time / (2.0 * self.mass)
-
-
-def make_component(
-    center: float, momentum: float, weight: complex, phase: float = 0.0
-) -> GaussianComponent:
-    """Component at time zero: origin and exit phase are center and phase."""
-    return GaussianComponent(
-        momentum=momentum, weight=complex(weight), origin=center, exit_phase=phase
-    )
-
-
-def make_pair(
-    plus: GaussianComponent,
-    minus: GaussianComponent,
-    mass: float,
-    sigma0: float,
-) -> WavePacketPair:
-    """Assemble a pair at time zero from hand-built components."""
-    return WavePacketPair(plus=plus, minus=minus, time=0.0, mass=mass, sigma0=sigma0)
+        """Channel phase phi(t) = +-larmor_phase + p^2 t / (2 m)."""
+        p = self.momentum(which)
+        exit_phase = _sign(which) * self.device.larmor_phase
+        return exit_phase + p * p * self.time / (2.0 * self.device.mass)
 
 
 def evolve_through_magnet(config: SGConfig, input_spin: SpinState) -> WavePacketPair:
@@ -210,11 +184,7 @@ def evolve_through_magnet(config: SGConfig, input_spin: SpinState) -> WavePacket
     the input spin amplitudes.  The returned pair sits at time 0 (magnet
     exit).
     """
-    dp = config.momentum_kick
-    lp = config.larmor_phase
-    plus = make_component(0.0, +dp, input_spin.amp_up, phase=+lp)
-    minus = make_component(0.0, -dp, input_spin.amp_down, phase=-lp)
-    return make_pair(plus, minus, config.mass, config.sigma0)
+    return WavePacketPair(config, input_spin, 0.0)
 
 
 def free_propagate(pair: WavePacketPair, t: float) -> WavePacketPair:
@@ -236,19 +206,18 @@ def component_amplitude(
     coherence integrals should go through :func:`closed_form_upper_coherence`.
     """
     import numpy as np
-    c = pair.component(which)
     center = pair.center(which)
-    s0 = pair.sigma0
+    s0 = pair.device.sigma0
     alpha = 1.0 + 1j * pair.tau
     norm = (2.0 * math.pi * s0**2) ** (-0.25) * alpha ** (-0.5)
     zz = np.asarray(z, dtype=float)
     val = norm * np.exp(
         -((zz - center) ** 2) / (4.0 * s0**2 * alpha)
-        + 1j * c.momentum * (zz - center)
+        + 1j * pair.momentum(which) * (zz - center)
         + 1j * pair.phase(which)
     )
     if include_weight:
-        val = c.weight * val
+        val = pair.weight(which) * val
     return val
 
 
@@ -260,7 +229,7 @@ def upper_fraction(pair: WavePacketPair, which: str) -> float:
 def error_fraction(pair: WavePacketPair) -> float:
     """Upper-half weight of the normalized spin-down channel, E(t).
 
-    Closed form through the Gaussian CDF of the minus component.
+    Closed form through the Gaussian CDF of the minus channel.
     """
     return upper_fraction(pair, "minus")
 
@@ -303,30 +272,28 @@ def _dawson(x: float) -> float:
 
 
 def closed_form_upper_coherence(pair: WavePacketPair) -> complex:
-    """Upper-half coherence int_0^inf psi_plus psi_minus^* dz of a symmetric pair.
+    """Upper-half coherence int_0^inf psi_plus psi_minus^* dz of the pair.
 
-    Valid when both channels share the magnet-exit origin and carry
-    opposite momenta +-dp, which is what :func:`evolve_through_magnet`
-    builds.  With c = dp t / m, sigma^2 = sigma0^2 (1 + tau^2),
+    Both channels leave the magnet from z = 0 with opposite momenta +-dp
+    and exit phases +-phi_L (the Larmor phase).  With c = dp t / m the
+    plus channel's center, sigma^2 = sigma0^2 (1 + tau^2),
     keff = 2 dp / (1 + tau^2) and x = keff sigma / sqrt(2),
 
         C(t) = (1/2) exp(-c^2 / (2 sigma^2)) exp(-x^2) (1 + i erfi x)
-               exp(i (phi_exit_plus - phi_exit_minus)),
+               exp(2 i phi_L),
 
     where exp(-x^2) erfi x = (2/sqrt(pi)) F(x) stays finite for any x.
     """
-    p, m_ = pair.plus, pair.minus
-    if p.origin != m_.origin or p.momentum != -m_.momentum:
-        raise ValueError("closed form requires symmetric, co-located kicks")
-    dp = p.momentum
+    sg = pair.device
+    dp = sg.momentum_kick
     tau = pair.tau
     tau2 = tau * tau  # squares by multiplication: inf where ** would raise
-    sig2 = pair.sigma0 * pair.sigma0 * (1.0 + tau2)
-    c = dp * pair.time / pair.mass
+    sig2 = sg.sigma0 * sg.sigma0 * (1.0 + tau2)
+    c = pair.center("plus")
     x = 2.0 * dp / (1.0 + tau2) * math.sqrt(sig2 / 2.0)
     envelope = 0.5 * math.exp(-(c * c) / (2.0 * sig2))
     erfi_part = complex(math.exp(-(x * x)), 2.0 / math.sqrt(math.pi) * _dawson(x))
-    return envelope * erfi_part * cmath.exp(1j * (p.exit_phase - m_.exit_phase))
+    return envelope * erfi_part * cmath.exp(1j * (sg.larmor_phase + sg.larmor_phase))
 
 
 def asymptotic_error_fraction(config: SGConfig) -> float:
@@ -344,25 +311,20 @@ class SaturationResult(NamedTuple):
 
 
 def saturated_error_fraction(
-    config: SGConfig,
-    input_spin: SpinState,
-    tol: float = 1e-6,
-    horizon: Optional[float] = None,
+    config: SGConfig, input_spin: SpinState, tol: float = 1e-6
 ) -> SaturationResult:
     """Detect the time-saturated error fraction by doubling-window sampling.
 
     Doubles the probe time until |E(2t) - E(t)| < tol, then reports E at
     the doubled time (one window deeper than the detection point, so the
     reported value sits within tol of the asymptotic tail).  Raises
-    SaturationError carrying the last sample if the horizon is exceeded.
+    SaturationError carrying the last sample if the horizon of 1e9
+    spreading times is exceeded.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     base = config.spreading_time
-    if horizon is None:
-        horizon = 1e9 * base
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    horizon = 1e9 * base
     exit_pair = evolve_through_magnet(config, input_spin)
     t = base / 8.0
     last = error_fraction(free_propagate(exit_pair, t))

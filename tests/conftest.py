@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ def up_state():
     return make_spin_state(1.0, 0.0)
 
 
+def exit_channels(pair):
+    """(momentum, origin, exit phase) of the plus and minus channels.
+
+    The pair's derived momentum and its phase at the magnet exit, with
+    origin 0, as inputs for the general Gaussian-pair references below.
+    """
+    at_exit = replace(pair, time=0.0)
+    return [(pair.momentum(w), 0.0, at_exit.phase(w)) for w in ("plus", "minus")]
+
+
 def reduced_overlap_exponent(pair):
     """psi_plus(z) psi_minus(z)^* = pref * exp(-a z^2 + b z + d) for any pair.
 
@@ -49,23 +60,24 @@ def reduced_overlap_exponent(pair):
     cancellations that subtracting accumulated per-channel phases would
     suffer, and d's imaginary part is reduced mod 2 pi.
     """
-    p, m_ = pair.plus, pair.minus
+    (p_p, o_p, f_p), (p_m, o_m, f_m) = exit_channels(pair)
+    sigma0, mass = pair.device.sigma0, pair.device.mass
     tau = pair.tau
-    sig2 = pair.sigma0**2 * (1.0 + tau**2)
-    t_over_m = pair.time / pair.mass
-    cp = p.origin + p.momentum * t_over_m
-    cm = m_.origin + m_.momentum * t_over_m
-    dp_rel = p.momentum - m_.momentum
-    im_b = dp_rel / (1.0 + tau**2) - tau * (p.origin - m_.origin) / (2.0 * sig2)
+    sig2 = sigma0**2 * (1.0 + tau**2)
+    t_over_m = pair.time / mass
+    cp = o_p + p_p * t_over_m
+    cm = o_m + p_m * t_over_m
+    dp_rel = p_p - p_m
+    im_b = dp_rel / (1.0 + tau**2) - tau * (o_p - o_m) / (2.0 * sig2)
     im_d = (
         tau * (cp + cm) * (cp - cm) / (4.0 * sig2)
-        - (p.momentum * p.origin - m_.momentum * m_.origin)
-        - dp_rel * (p.momentum + m_.momentum) * pair.time / (2.0 * pair.mass)
-        + (p.exit_phase - m_.exit_phase)
+        - (p_p * o_p - p_m * o_m)
+        - dp_rel * (p_p + p_m) * pair.time / (2.0 * mass)
+        + (f_p - f_m)
     )
     b = complex((cp + cm) / (2.0 * sig2), im_b)
     d = complex(-(cp**2 + cm**2) / (4.0 * sig2), math.fmod(im_d, 2.0 * math.pi))
-    pref = (2.0 * math.pi * pair.sigma0**2) ** (-0.5) / math.sqrt(1.0 + tau**2)
+    pref = (2.0 * math.pi * sigma0**2) ** (-0.5) / math.sqrt(1.0 + tau**2)
     return 1.0 / (2.0 * sig2), b, d, pref
 
 

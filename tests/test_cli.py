@@ -200,6 +200,21 @@ class TestVerify:
         assert line.startswith("PASS: max |residual| = ")
         assert expected in line and "None" not in line
 
+    def test_heavy_particle_drift_does_not_overflow(self, tmp_path, capsys):
+        # at mass 1.5e302 the drift dp t / m at phase_settle_time is finite
+        # but dp t overflows; computed in that order it gave Es = 0 and no
+        # phase, a PASS with no phase checked.  Es depends on 2 dp sigma0 only,
+        # so mass 1e300 (no overflow) must give the same Es.
+        reports = {}
+        for mass in (1e300, 1.5e302):
+            cfg = write_default_config(tmp_path, mass=mass, sigma0=1e-5, gradient=5e7)
+            out = tmp_path / f"mass{mass:g}"
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            assert "phase-checked cells: 52/52" in capsys.readouterr().out
+            reports[mass] = json.loads((out / "report.json").read_text())["cells"]
+        for light, heavy in zip(reports[1e300], reports[1.5e302]):
+            assert abs(heavy["Es"] - light["Es"]) <= 1e-12
+
     def test_degenerate_device_still_passes_with_warning(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -550,6 +565,22 @@ class TestOracle:
         for command in ("verify", "sweep", "estimate"):
             argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
             assert main(argv) == EXIT_OK
+
+    def test_overflowing_oracle_time_rejected(self, tmp_path, capsys):
+        # spreading_time = 4e-197: tau squares to inf at every oracle time, so
+        # the analytic coherence there was NaN and writing oracle.json raised;
+        # the analytic subcommands fly only to phase_settle_time and still run
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            sg={"mass": 9.57e22, "sigma0": 1.45e-110, "moment": -1.02e-6,
+                "gradient": -4.98e6},
+            oracle={"points": 256},
+        )
+        code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "at oracle time 1 " in err
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
 
     def test_boundary_leak_exits_numerical(self, tmp_path, capsys):
         cfg = write_config(
