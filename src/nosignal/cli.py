@@ -71,6 +71,7 @@ from .protocol import (
     cell_result,
     closed_form_result,
 )
+from .rng import INT64_MAX
 from .spin import SpinDensityMatrix, wrap_to_pi
 from .wavepacket import (
     SGConfig,
@@ -285,6 +286,9 @@ def load_config(path: Optional[str]) -> RunConfig:
     samples = raw.get("samples", DEFAULTS["samples"])
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
         raise ConfigError(f"samples must be a non-negative integer, got {samples!r}")
+    if samples > INT64_MAX:
+        # numpy's binomial takes an int64 count, and the stream reproduces it
+        raise ConfigError(f"samples must be at most 2**63 - 1, got {samples}")
     root_seed = raw.get("root_seed", DEFAULTS["root_seed"])
     if isinstance(root_seed, bool) or not isinstance(root_seed, int) or root_seed < 0:
         raise ConfigError(f"root_seed must be a non-negative integer, got {root_seed!r}")

@@ -1,8 +1,9 @@
 """Finite-sample recovery of the post-selected state parameters.
 
 The bench procedure measures two representative samples of post-selected
-particles: sigma_z counts give the error fraction E (the spin-down
-population), and sigma_x counts give
+particles (seeded counts: numpy's SeedSequence -> PCG64 -> binomial stream,
+computed bit for bit in plain Python by `rng`): sigma_z counts give the
+error fraction E (the spin-down population), and sigma_x counts give
 
     p_x = 1/2 + sqrt(E (1 - E)) cos(phi),
 
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
+from . import rng
 from .errors import PhaseUndefinedError
 from .spin import SpinDensityMatrix, SpinState, born_probability
 
@@ -89,14 +91,12 @@ class PhaseEstimate:
 def derive_seed(root_seed: int, *key: int) -> int:
     """Deterministic 64-bit stream seed for (root_seed, key...).
 
-    Splitting rule: the first state word of
-    numpy.random.SeedSequence(entropy=root_seed, spawn_key=key).
+    Splitting rule: the first uint64 state word of numpy's
+    SeedSequence(entropy=root_seed, spawn_key=key), computed by `rng`.
     Independent keys give statistically independent streams, and results
     assembled from per-key streams do not depend on execution order.
     """
-    import numpy as np
-    seq = np.random.SeedSequence(entropy=root_seed, spawn_key=tuple(key))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return rng.derive_seed(root_seed, *key)
 
 
 def sample(
@@ -106,13 +106,12 @@ def sample(
     seed: int,
     true_state_id: str = "",
 ) -> MeasurementRecord:
-    """Draw N seeded Born-rule outcomes of sigma_theta on `state`."""
-    import numpy as np
+    """Draw N seeded Born-rule outcomes of sigma_theta on `state`: n_plus is
+    numpy.random.default_rng(seed).binomial(n, p), computed by `rng`."""
     if n < 1:
         raise ValueError("need at least one sample")
     p = born_probability(state, axis, +1)
-    rng = np.random.default_rng(seed)
-    n_plus = int(rng.binomial(n, p))
+    n_plus = rng.binomial(seed, n, p)
     return MeasurementRecord(
         axis=float(axis),
         n_plus=n_plus,

@@ -170,10 +170,14 @@ class WavePacketPair:
         return p * (self.time / m) if math.isinf(c) else c
 
     def phase(self, which: str) -> float:
-        """Channel phase phi(t) = +-larmor_phase + p^2 t / (2 m)."""
-        p = self.momentum(which)
-        exit_phase = _sign(which) * self.device.larmor_phase
-        return exit_phase + p * p * self.time / (2.0 * self.device.mass)
+        """Channel phase phi(t) = +-larmor_phase + p^2 t / (2 m).
+
+        Where p^2 t overflows, the division comes first, as in `center`.
+        """
+        p, two_m = self.momentum(which), 2.0 * self.device.mass
+        chirp = p * p * self.time / two_m
+        chirp = p * (p * (self.time / two_m)) if math.isinf(chirp) else chirp
+        return _sign(which) * self.device.larmor_phase + chirp
 
 
 def evolve_through_magnet(config: SGConfig, input_spin: SpinState) -> WavePacketPair:

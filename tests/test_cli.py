@@ -162,6 +162,18 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error") and where in err
 
+    @pytest.mark.parametrize("command", ["verify", "estimate"])
+    def test_samples_beyond_int64_rejected(self, tmp_path, capsys, command):
+        # numpy's binomial takes an int64 count: 1e19 samples ended in an
+        # OverflowError traceback from estimate
+        cfg = write_config(tmp_path / "cfg.json", samples=10**19)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "samples" in err
+        cfg = write_config(tmp_path / "cfg.json", samples=2**63 - 1)
+        assert nosignal.cli.load_config(cfg).samples == 2**63 - 1
+
     @pytest.mark.parametrize("command", ["verify", "sweep", "estimate"])
     def test_huge_width_runs_as_ideal_device(self, tmp_path, command):
         # sigma0 = 1e50: the drift at phase_settle_time squares to inf (** raised
@@ -582,6 +594,24 @@ class TestOracle:
         assert err.startswith("config error") and "at oracle time 1 " in err
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
 
+    def test_overflowing_chirp_phase_stays_finite(self, tmp_path):
+        # p * p * t overflows from t = 3 on, while the chirp p^2 t / 2m is
+        # 1.5e8 there; the analytic densities took exp(1j * inf) = NaN and
+        # writing oracle.json raised
+        payload = json.loads(Path(write_default_config(
+            tmp_path, mass=1e300, sigma0=1e-160, gradient=1e154, transit=1.0
+        )).read_text())
+        payload["oracle"].update(points=256, extent=64.0, dt=1e-3)
+        cfg = tmp_path / "chirp.json"
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "oracle.json").read_text())
+        assert len(report["comparisons"]) == len(payload["oracle"]["times"])
+        for row in report["comparisons"]:
+            assert all(math.isfinite(v) for v in row["coherence_analytic"])
+            assert math.isfinite(row["l1_density_diff"])
+
     def test_boundary_leak_exits_numerical(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -615,20 +645,22 @@ def test_cli_runs_without_scipy(tmp_path):
     assert loaded == []
 
 
-def test_verify_and_sweep_run_without_numpy(tmp_path):
-    # the 2x2 spin algebra is plain Python; only estimate and oracle need numpy
+def test_verify_sweep_and_estimate_run_without_numpy(tmp_path):
+    # the 2x2 spin algebra and the seeded binomial stream are plain Python;
+    # only oracle needs numpy
     cfg = write_config(tmp_path / "cfg.json")
     script = (
         "import json, sys\n"
         "import nosignal.cli as cli\n"
         "cli.load_config(sys.argv[1])\n"
         "codes, loaded = [], ['numpy' in sys.modules]\n"
-        "for cmd in ('verify', 'sweep'):\n"
-        "    codes.append(cli.main([cmd, '--config', sys.argv[1],\n"
-        "                           '--out', sys.argv[2] + cmd]))\n"
+        "for i, argv in enumerate([['verify'], ['sweep'], ['estimate'],\n"
+        "                          ['estimate', '--inject-violation', '0.1']]):\n"
+        "    codes.append(cli.main(argv + ['--config', sys.argv[1],\n"
+        "                                  '--out', sys.argv[2] + str(i)]))\n"
         "    loaded.append('numpy' in sys.modules)\n"
         "print(json.dumps([codes, loaded]))\n"
     )
     codes, loaded = run_script(script, cfg, str(tmp_path / "out-"))
-    assert codes == [EXIT_OK, EXIT_OK]
-    assert loaded == [False, False, False]
+    assert codes == [EXIT_OK] * 4
+    assert loaded == [False] * 5

@@ -7,6 +7,7 @@ from nosignal import (
     MeasurementRecord,
     PhaseEstimate,
     PhaseUndefinedError,
+    born_probability,
     derive_seed,
     estimate_error_fraction,
     estimate_phase,
@@ -56,6 +57,24 @@ class TestSampling:
     def test_requires_positive_count(self):
         with pytest.raises(ValueError):
             sample(make_spin_state(1, 0), 0.0, 0, seed=1)
+
+    def test_counts_follow_numpys_stream(self):
+        # numpy's SeedSequence -> PCG64 -> binomial, computed without numpy
+        state = postselected_pure_state(0.3, 1.0)
+        p = born_probability(state, math.pi / 2, +1)
+        for seed in (0, 987, derive_seed(20260808, 0, 1, 1)):
+            rec = sample(state, math.pi / 2, 1_000_000, seed)
+            assert rec.n_plus == np.random.default_rng(seed).binomial(1_000_000, p)
+        seq = np.random.SeedSequence(20260808, spawn_key=(0, 1, 1))
+        assert derive_seed(20260808, 0, 1, 1) == seq.generate_state(1, np.uint64)[0]
+
+    def test_rejects_negative_seeds(self):
+        with pytest.raises(ValueError):
+            sample(make_spin_state(1, 0), 0.0, 10, seed=-1)
+        with pytest.raises(ValueError):
+            derive_seed(-1, 0)
+        with pytest.raises(ValueError):
+            derive_seed(1, -1)
 
     def test_seed_derivation_is_stable_and_keyed(self):
         assert derive_seed(123, 0, 1) == derive_seed(123, 0, 1)
