@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
     BoundaryLeakError,
@@ -49,13 +49,6 @@ from .estimation import (
     estimate_phase,
     sample,
     violation_bound,
-)
-from .gridsolver import (
-    GridSpec,
-    grid_density,
-    grid_error_fraction,
-    grid_evolve,
-    grid_half_plane_coherence,
 )
 from .postselect import (
     PostSelectedSpin,
@@ -83,6 +76,9 @@ from .wavepacket import (
     phase_settle_time,
     saturated_error_fraction,
 )
+
+if TYPE_CHECKING:
+    from .gridsolver import GridSpec
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -148,7 +144,7 @@ class RunConfig:
     output_dir: str
     residual_tol: float
     phase_sum_tol: float
-    oracle_grid: GridSpec
+    oracle_grid: dict  # GridSpec's extent, points and dt
     oracle_times: List[float]
 
 
@@ -167,11 +163,11 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _tolerance(value, where: str) -> float:
-    tol = _number(value, where)
-    if tol <= 0:
-        raise ConfigError(f"{where} must be positive, got {tol!r}")
-    return tol
+def _positive(value, where: str) -> float:
+    number = _number(value, where)
+    if number <= 0:
+        raise ConfigError(f"{where} must be positive, got {number!r}")
+    return number
 
 
 def _number_list(value, where: str) -> List[float]:
@@ -268,17 +264,20 @@ def load_config(path: Optional[str]) -> RunConfig:
 
     oracle_raw = {**DEFAULTS["oracle"], **raw.get("oracle", {})}
     _reject_unknown(oracle_raw, DEFAULTS["oracle"].keys(), "oracle")
+    # GridSpec's checks, made here so that only oracle imports the grid solver
     points = oracle_raw["points"]
-    if isinstance(points, bool) or not isinstance(points, int):
-        raise ConfigError("oracle.points must be an integer")
-    try:
-        grid = GridSpec(
-            extent=_number(oracle_raw["extent"], "oracle.extent"),
-            points=points,
-            dt=_number(oracle_raw["dt"], "oracle.dt"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid oracle grid: {exc}") from exc
+    if (
+        isinstance(points, bool)
+        or not isinstance(points, int)
+        or points < 2
+        or points & (points - 1)
+    ):
+        raise ConfigError(f"oracle.points must be a power of two, got {points!r}")
+    grid = {
+        "extent": _positive(oracle_raw["extent"], "oracle.extent"),
+        "points": points,
+        "dt": _positive(oracle_raw["dt"], "oracle.dt"),
+    }
 
     model = raw.get("model", DEFAULTS["model"])
     if model not in MODELS:
@@ -308,8 +307,8 @@ def load_config(path: Optional[str]) -> RunConfig:
         samples=samples,
         root_seed=root_seed,
         output_dir=output_dir,
-        residual_tol=_tolerance(tol_raw["residual"], "tolerances.residual"),
-        phase_sum_tol=_tolerance(tol_raw["phase_sum"], "tolerances.phase_sum"),
+        residual_tol=_positive(tol_raw["residual"], "tolerances.residual"),
+        phase_sum_tol=_positive(tol_raw["phase_sum"], "tolerances.phase_sum"),
         oracle_grid=grid,
         oracle_times=_number_list(oracle_raw["times"], "oracle.times"),
     )
@@ -579,22 +578,43 @@ def _grid_resolution(sg: SGConfig, grid: GridSpec) -> Tuple[float, float]:
             and abs(factor(points) - 1.0) <= _COHERENCE_TOL
         )
 
-    points = float(grid.points)
-    while math.isfinite(points) and not resolved(points):
-        points *= 2
-    return factor(grid.points), points
+    return factor(grid.points), _enough_points(grid.points, resolved)
+
+
+def _enough_points(points: int, resolved: Callable[[float], bool]) -> float:
+    """The smallest power-of-two multiple of points that resolved accepts,
+    as a float: inf when no finite float count is enough."""
+    count = float(points)
+    while math.isfinite(count) and not resolved(count):
+        count *= 2
+    return count
+
+
+def _points_needed(points: float) -> str:
+    if math.isfinite(points):
+        return f"oracle.points >= {points:.0f}"
+    return "no finite oracle.points"
 
 
 def workflow_oracle(cfg: RunConfig) -> dict:
     """Analytic model vs grid solver on the configured device."""
-    steps = cfg.sg.transit / cfg.oracle_grid.dt
+    from .gridsolver import (
+        GridSpec,
+        grid_density,
+        grid_error_fraction,
+        grid_evolve,
+        grid_half_plane_coherence,
+    )
+
+    grid = GridSpec(**cfg.oracle_grid)
+    steps = cfg.sg.transit / grid.dt
     if (
         steps > _ORACLE_POINT_STEPS  # also an inf, which math.ceil rejects
-        or math.ceil(steps) * cfg.oracle_grid.points > _ORACLE_POINT_STEPS
+        or math.ceil(steps) * grid.points > _ORACLE_POINT_STEPS
     ):
         raise ConfigError(
             f"oracle: sg.transit / oracle.dt = {steps:.3g} magnet steps x "
-            f"{cfg.oracle_grid.points} points exceeds the work bound "
+            f"{grid.points} points exceeds the work bound "
             f"{_ORACLE_POINT_STEPS:g} point-steps"
         )
     times = sorted(cfg.oracle_times)
@@ -602,7 +622,7 @@ def workflow_oracle(cfg: RunConfig) -> dict:
         _check_flight(cfg.sg, t, f"oracle time {t:g}")
     import numpy as np
     beam = postselected_pure_state(0.5, 0.0)  # x-polarized input
-    grid_result = grid_evolve(cfg.sg, beam, cfg.oracle_grid, snapshots=times)
+    grid_result = grid_evolve(cfg.sg, beam, grid, snapshots=times)
     exit_pair = evolve_through_magnet(cfg.sg, beam)
     sat = saturated_error_fraction(cfg.sg, beam, tol=1e-4)
 
@@ -656,27 +676,25 @@ def workflow_oracle(cfg: RunConfig) -> dict:
             f"largest sampled time {times[-1]:g} is before the detected "
             f"saturation time {sat.time:g}"
         )
-    factor, points = _grid_resolution(cfg.sg, cfg.oracle_grid)
-    if points != cfg.oracle_grid.points:
-        need = (
-            f"oracle.points >= {points:.0f} keeps"
-            if math.isfinite(points)
-            else "no finite oracle.points keeps"
-        )
+    factor, points = _grid_resolution(cfg.sg, grid)
+    if points != grid.points:
         notes.append(
             f"the grid under-resolves the kick: the half-plane sum scales the "
             f"coherence by (k dx/2) cot(k dx/2) = {factor:.3g} for the relative "
-            f"wavenumber k = 2 moment gradient transit; {need} it within "
-            f"{_COHERENCE_TOL:g} of 1"
+            f"wavenumber k = 2 moment gradient transit; {_points_needed(points)} "
+            f"keeps it within {_COHERENCE_TOL:g} of 1"
+        )
+    if grid_result.dx > cfg.sg.sigma0:
+        points = _enough_points(grid.points, lambda p: grid.extent / p <= cfg.sg.sigma0)
+        notes.append(
+            f"the grid under-resolves the packet: dx = extent / points = "
+            f"{grid_result.dx:.3g} exceeds sigma0 = {cfg.sg.sigma0:.3g}; "
+            f"{_points_needed(points)} keeps dx <= sigma0"
         )
     return {
         "schema_version": SCHEMA_VERSION,
         "sg": dataclasses.asdict(cfg.sg),
-        "grid": {
-            "extent": cfg.oracle_grid.extent,
-            "points": cfg.oracle_grid.points,
-            "dt": cfg.oracle_grid.dt,
-        },
+        "grid": cfg.oracle_grid,
         "impulsive_ratio": impulsive_ratio,
         "saturation": {"value": sat.value, "time": sat.time, "tol": 1e-4},
         "comparisons": comparisons,

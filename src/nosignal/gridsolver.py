@@ -21,6 +21,18 @@ temporary elision made of the nested expression
 ``half_v * ifft(kinetic * fft(half_v * psi))`` on grids of 16384 points or
 more, so those grids give the same bits as that expression.
 
+The two channels run through the magnet on two threads: spin down on a
+worker thread, spin up on the calling thread.  numpy's FFTs and ufuncs
+release the interpreter lock, so the two overlap: on two cores, 100 steps
+on 65536 points take about half the time of one thread, while on 16384
+points the hand-offs of the lock cost about what the overlap saves.  Each
+thread evolves its own array with the same operands in the same order as
+one thread would, so the bits do not depend on the threads.  numpy's
+``errstate`` is a context variable, so the worker runs in a copy of the
+caller's context and warns, raises or ignores as the caller asked; an
+exception in the worker is raised again by ``grid_evolve`` after the join.
+The worker calls numpy only.
+
 This solver knows nothing of the impulsive Gaussian model in
 ``wavepacket``; it discretizes the Hamiltonian directly and serves as the
 independent cross-check for it.
@@ -119,6 +131,9 @@ def grid_evolve(
     BoundaryLeakError when density reaches the grid edge, and NormDriftError
     if the total norm drifts beyond 1e-10 or is not a number.
     """
+    import contextvars
+    import threading
+
     import numpy as np
     if snapshots is None:
         if t_final is None:
@@ -133,9 +148,12 @@ def grid_evolve(
     z = (np.arange(n) - n // 2) * dx
     k2 = (2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2
 
-    psi0 = (2.0 * math.pi * config.sigma0**2) ** (-0.25) * np.exp(
-        -(z**2) / (4.0 * config.sigma0**2)
-    )
+    # for a packet far narrower than dx, z**2 / (4 sigma0**2) overflows off
+    # z = 0, and exp(-inf) = 0 is the exact limit there
+    with np.errstate(over="ignore"):
+        psi0 = (2.0 * math.pi * config.sigma0**2) ** (-0.25) * np.exp(
+            -(z**2) / (4.0 * config.sigma0**2)
+        )
     psi0 = psi0 / math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
     channels = {
         +1: (input_spin.amp_up * psi0).astype(complex),
@@ -147,19 +165,42 @@ def grid_evolve(
         n_steps = max(1, math.ceil(config.transit / grid.dt))
         dt = config.transit / n_steps
         kinetic = np.exp(-1j * k2 * dt / (2.0 * config.mass))
-        for s in (+1, -1):
+
+    def exit_spectrum(s: int) -> np.ndarray:
+        """Channel s through the magnet, in place, and its FFT at the exit.
+
+        Calls numpy only, so it may run off the calling thread.
+        """
+        psi = channels[s]  # a private copy, evolved in place
+        if config.transit > 0:
             potential = -s * config.moment * (config.bias + config.gradient * z)
             half_v = np.exp(-1j * potential * dt / 2.0)
-            psi = channels[s]  # a private copy, evolved in place
             for _ in range(n_steps):
                 np.multiply(half_v, psi, out=psi)
                 np.fft.fft(psi, out=psi)
                 np.multiply(psi, kinetic, out=psi)
                 np.fft.ifft(psi, out=psi)
                 np.multiply(psi, half_v, out=psi)
+        return np.fft.fft(psi)
 
-    exit_plus = np.fft.fft(channels[+1])
-    exit_minus = np.fft.fft(channels[-1])
+    down = {}
+
+    def evolve_down() -> None:
+        try:
+            down["exit"] = exit_spectrum(-1)
+        except BaseException as exc:  # re-raised below, after the join
+            down["error"] = exc
+
+    # numpy's errstate is a context variable: the caller's must hold in the worker
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(evolve_down,))
+    worker.start()
+    try:
+        exit_plus = exit_spectrum(+1)
+    finally:
+        worker.join()
+    if "error" in down:
+        raise down["error"]
+    exit_minus = down["exit"]
 
     result = GridResult(
         z=z,

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 import nosignal
 import nosignal.cli
+import nosignal.gridsolver
 import nosignal.protocol
 from nosignal import GridSpec, SGConfig
 from nosignal.cli import (
@@ -104,11 +106,16 @@ class TestConfigHandling:
             ({"omega_list": [math.inf]}, "omega_list[0]"),
             ({"sg": {"transit": math.nan}}, "sg.transit"),
             ({"tolerances": {"residual": -1}}, "tolerances.residual"),
+            ({"oracle": {"points": 1000}}, "oracle.points"),
+            ({"oracle": {"extent": 0}}, "oracle.extent"),
+            ({"oracle": {"dt": -1e-3}}, "oracle.dt"),
         ],
-        ids=["model", "omega-infinity", "transit-nan", "negative-tolerance"],
+        ids=["model", "omega-infinity", "transit-nan", "negative-tolerance",
+             "oracle-points", "oracle-extent", "oracle-dt"],
     )
     def test_bad_value_rejected(self, tmp_path, capsys, overrides, where):
-        # json.dumps writes nan and inf as the NaN and Infinity that json.loads reads
+        # json.dumps writes nan and inf as the NaN and Infinity that json.loads reads;
+        # verify never runs the oracle grid but still rejects a bad one
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["verify", "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -568,7 +575,7 @@ class TestOracle:
         def no_grid_work(*args, **kwargs):
             raise AssertionError("grid_evolve started")
 
-        monkeypatch.setattr(nosignal.cli, "grid_evolve", no_grid_work)
+        monkeypatch.setattr(nosignal.gridsolver, "grid_evolve", no_grid_work)
         cfg = write_default_config(tmp_path, transit=1000.0)
         start = time.perf_counter()
         code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -594,10 +601,9 @@ class TestOracle:
         assert err.startswith("config error") and "at oracle time 1 " in err
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
 
-    def test_overflowing_chirp_phase_stays_finite(self, tmp_path):
-        # p * p * t overflows from t = 3 on, while the chirp p^2 t / 2m is
-        # 1.5e8 there; the analytic densities took exp(1j * inf) = NaN and
-        # writing oracle.json raised
+    @staticmethod
+    def run_chirp_oracle(tmp_path: Path):
+        """oracle.json of a heavy, narrow packet (sigma0 1e-160) on a 256-point grid."""
         payload = json.loads(Path(write_default_config(
             tmp_path, mass=1e300, sigma0=1e-160, gradient=1e154, transit=1.0
         )).read_text())
@@ -606,11 +612,31 @@ class TestOracle:
         cfg.write_text(json.dumps(payload), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        report = json.loads((out / "oracle.json").read_text())
+        return payload, json.loads((out / "oracle.json").read_text())
+
+    def test_overflowing_chirp_phase_stays_finite(self, tmp_path):
+        # p * p * t overflows from t = 3 on, while the chirp p^2 t / 2m is
+        # 1.5e8 there; the analytic densities took exp(1j * inf) = NaN and
+        # writing oracle.json raised
+        payload, report = self.run_chirp_oracle(tmp_path)
         assert len(report["comparisons"]) == len(payload["oracle"]["times"])
         for row in report["comparisons"]:
             assert all(math.isfinite(v) for v in row["coherence_analytic"])
             assert math.isfinite(row["l1_density_diff"])
+
+    def test_under_resolved_packet_is_noted(self, tmp_path):
+        # dx = 0.25 against sigma0 = 1e-160: z**2 / (4 sigma0**2) overflows off
+        # z = 0 without a warning, and 64 / 2^538 = 7.1e-163 is the first
+        # power-of-two spacing below sigma0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = self.run_chirp_oracle(tmp_path)
+        notes = [n for n in report["notes"] if "under-resolves the packet" in n]
+        assert notes == [
+            "the grid under-resolves the packet: dx = extent / points = 0.25 "
+            f"exceeds sigma0 = 1e-160; oracle.points >= {2.0**538:.0f} keeps "
+            "dx <= sigma0"
+        ]
 
     def test_boundary_leak_exits_numerical(self, tmp_path, capsys):
         cfg = write_config(
@@ -647,20 +673,22 @@ def test_cli_runs_without_scipy(tmp_path):
 
 def test_verify_sweep_and_estimate_run_without_numpy(tmp_path):
     # the 2x2 spin algebra and the seeded binomial stream are plain Python;
-    # only oracle needs numpy
+    # only oracle needs numpy and the grid solver
     cfg = write_config(tmp_path / "cfg.json")
     script = (
         "import json, sys\n"
         "import nosignal.cli as cli\n"
+        "def loaded():\n"
+        "    return sorted({'numpy', 'nosignal.gridsolver'} & set(sys.modules))\n"
         "cli.load_config(sys.argv[1])\n"
-        "codes, loaded = [], ['numpy' in sys.modules]\n"
+        "codes, seen = [], [loaded()]\n"
         "for i, argv in enumerate([['verify'], ['sweep'], ['estimate'],\n"
         "                          ['estimate', '--inject-violation', '0.1']]):\n"
         "    codes.append(cli.main(argv + ['--config', sys.argv[1],\n"
         "                                  '--out', sys.argv[2] + str(i)]))\n"
-        "    loaded.append('numpy' in sys.modules)\n"
-        "print(json.dumps([codes, loaded]))\n"
+        "    seen.append(loaded())\n"
+        "print(json.dumps([codes, seen]))\n"
     )
-    codes, loaded = run_script(script, cfg, str(tmp_path / "out-"))
+    codes, seen = run_script(script, cfg, str(tmp_path / "out-"))
     assert codes == [EXIT_OK] * 4
-    assert loaded == [False] * 5
+    assert seen == [[]] * 5

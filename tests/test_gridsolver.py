@@ -1,4 +1,6 @@
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from nosignal import (
     GridSpec,
     NormDriftError,
     SGConfig,
+    SpinState,
     component_amplitude,
     error_fraction,
     evolve_through_magnet,
@@ -216,3 +219,80 @@ class TestInPlaceMagnetLoop:
             first.psi_plus + first.psi_minus, second.psi_plus + second.psi_minus
         ):
             assert np.array_equal(a, b)
+
+
+class TestTwoThreads:
+    """The spin-down channel evolves on a worker thread, the spin-up channel on
+    the calling thread."""
+
+    def test_bitwise_equal_to_serial_loop(self, device):
+        # both weights complex and unequal: |0.48+0.64i|^2 = 0.64, |0.36-0.48i|^2 = 0.36
+        spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
+        times = [0.0, 2.0, 15.0, 40.0]
+        result = grid_evolve(device, spin, SMALL_GRID, snapshots=times)
+
+        # the solver as it ran on one thread, one channel after the other
+        n = SMALL_GRID.points
+        dx = SMALL_GRID.extent / n
+        z = (np.arange(n) - n // 2) * dx
+        k2 = (2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2
+        psi0 = (2.0 * math.pi * device.sigma0**2) ** (-0.25) * np.exp(
+            -(z**2) / (4.0 * device.sigma0**2)
+        )
+        psi0 = psi0 / math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
+        channels = {
+            +1: (spin.amp_up * psi0).astype(complex),
+            -1: (spin.amp_down * psi0).astype(complex),
+        }
+        n_steps = max(1, math.ceil(device.transit / SMALL_GRID.dt))
+        dt = device.transit / n_steps
+        kinetic = np.exp(-1j * k2 * dt / (2.0 * device.mass))
+        for s in (+1, -1):
+            potential = -s * device.moment * (device.bias + device.gradient * z)
+            half_v = np.exp(-1j * potential * dt / 2.0)
+            psi = channels[s]
+            for _ in range(n_steps):
+                np.multiply(half_v, psi, out=psi)
+                np.fft.fft(psi, out=psi)
+                np.multiply(psi, kinetic, out=psi)
+                np.fft.ifft(psi, out=psi)
+                np.multiply(psi, half_v, out=psi)
+        exits = {s: np.fft.fft(channels[s]) for s in (+1, -1)}
+
+        assert n_steps == 10 and result.times == times
+        for s, snapshots in ((+1, result.psi_plus), (-1, result.psi_minus)):
+            for t, snapshot in zip(times, snapshots):
+                flight = np.exp(-1j * k2 * t / (2.0 * device.mass))
+                assert np.array_equal(snapshot, np.fft.ifft(flight * exits[s]))
+
+    def test_worker_follows_the_callers_errstate(self, x_state):
+        # the overflowing potential of both channels is ignored under the
+        # caller's errstate; a worker in a fresh context would warn, and the
+        # "error" filter would raise that warning in place of NormDriftError
+        sg = SGConfig(
+            mass=1.0, sigma0=1.0, moment=1e200, gradient=1e200, bias=0.0, transit=0.002
+        )
+        grid = GridSpec(extent=64.0, points=256, dt=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NormDriftError, match="nan"):
+                    grid_evolve(sg, x_state, grid, t_final=1.0)
+
+    def test_worker_error_is_raised_to_the_caller(self, device, x_state, monkeypatch):
+        class WorkerFailure(Exception):
+            pass
+
+        caller = threading.get_ident()
+        fft = np.fft.fft
+
+        def fft_failing_off_the_caller(*args, **kwargs):
+            if threading.get_ident() != caller:
+                raise WorkerFailure
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", fft_failing_off_the_caller)
+        threads = threading.active_count()
+        with pytest.raises(WorkerFailure):
+            grid_evolve(device, x_state, SMALL_GRID, t_final=1.0)
+        assert threading.active_count() == threads
