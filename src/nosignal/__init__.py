@@ -22,7 +22,7 @@ _EXPORTS = {
     "gridsolver": """GridResult GridSpec grid_density grid_error_fraction
         grid_evolve grid_half_plane_coherence grid_mean_momentum grid_norm""",
     "postselect": """PostSelectedSpin constraint_residual extract_phase
-        postselected_pure_state project_upper""",
+        postselected_pure_state project_upper shift_cosine""",
     "protocol": """BranchTable ProtocolResult branch_table cell_result
         closed_form_result run_pipeline""",
     "spin": """SpinDensityMatrix SpinState born_probability make_spin_state

@@ -26,7 +26,6 @@ Exit codes: 0 pass, 1 check failure, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import datetime
 import json
@@ -51,10 +50,10 @@ from .estimation import (
     violation_bound,
 )
 from .postselect import (
-    PostSelectedSpin,
     constraint_residual,
     model_state,
     postselected_pure_state,
+    shift_cosine,
 )
 from .protocol import (
     MODELS,
@@ -333,19 +332,11 @@ def _write_meta(out_dir: Path, command: str, config_path: Optional[str]) -> None
     )
 
 
-def _rephased(post: PostSelectedSpin, phase: float) -> PostSelectedSpin:
-    """post with its coherence turned to the relative phase `phase`."""
-    (uu, _), (du, dd) = post.rho.matrix
-    coherence = cmath.rect(abs(du), phase)  # the down-up element
-    rho = SpinDensityMatrix(((uu, coherence.conjugate()), (coherence, dd)))
-    return dataclasses.replace(post, rho=rho, phase=phase)
-
-
 def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
     """Pipeline the full grid; gate residuals and phase sums on tolerances.
 
-    A nonzero inject moves each omega's minus-branch phase to
-    acos(cos phi_- + inject) before its cells are evaluated.
+    A nonzero inject moves each omega's minus-branch spin through
+    shift_cosine before its cells are evaluated.
     """
     cells = []
     warnings: List[str] = []
@@ -363,9 +354,9 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
         phase_checked = phi_plus is not None and phi_minus is not None
         if phase_checked:
             if inject != 0.0:
-                phi_minus = math.acos(min(max(math.cos(phi_minus) + inject, -1.0), 1.0))
                 prob, post = branches[-1]
-                branches = {**branches, -1: (prob, _rephased(post, phi_minus))}
+                post = shift_cosine(post, inject)
+                branches, phi_minus = {**branches, -1: (prob, post)}, post.phase
             # the nearer branch of phi_+ +- phi_- = pi; the two branches
             # together are exactly cos(phi_+) + cos(phi_-) = 0
             phase_sum_dev = min(
@@ -447,17 +438,6 @@ def write_sweep_csv(path: Path, rows: List[dict]) -> None:
             fh.write(",".join(fields) + "\n")
 
 
-def _injected_state(truth_state, error_fraction: float, cos_target: float):
-    """Replace the coherence so the measurable cosine becomes cos_target."""
-    cos_target = min(max(cos_target, -1.0), 1.0)
-    if isinstance(truth_state, SpinDensityMatrix):
-        rho_uu = truth_state.up_up.real
-        rho_dd = truth_state.down_down.real
-        coherence = math.sqrt(max(rho_uu * rho_dd, 0.0)) * cos_target
-        return SpinDensityMatrix(((rho_uu, coherence), (coherence, rho_dd)))
-    return postselected_pure_state(error_fraction, math.acos(cos_target))
-
-
 def workflow_estimate(cfg: RunConfig, inject: float = 0.0) -> List[dict]:
     """Two-beam bench run per omega on the branch table's spins.
 
@@ -491,21 +471,19 @@ def _bench_lines(
                 "post-selected state carries no phase"
             )
         raise PhaseUndefinedError("post-selected state carries no coherence")
+    if inject != 0.0:
+        prob, post = branches[-1]
+        branches = {**branches, -1: (prob, shift_cosine(post, inject))}
     lines: List[dict] = []
     estimates = {}
-    measurable_cos = {}
     for beam_idx, polarization in enumerate((+1, -1)):
         post = branches[polarization][1]
         state = model_state(post, cfg.model)
         if isinstance(state, SpinDensityMatrix):
             denom = math.sqrt(max(state.up_up.real * state.down_down.real, 1e-300))
-            measurable_cos[polarization] = state.up_down.real / denom
+            measurable_cos = state.up_down.real / denom
         else:
-            measurable_cos[polarization] = math.cos(post.phase)
-        if polarization == -1 and inject != 0.0:
-            cos_target = -measurable_cos[+1] + inject
-            state = _injected_state(state, post.error_fraction, cos_target)
-            measurable_cos[-1] = min(max(cos_target, -1.0), 1.0)
+            measurable_cos = math.cos(post.phase)
         beam_name = "plus" if polarization == +1 else "minus"
         records = {}
         for axis_idx, (axis_name, axis) in enumerate(
@@ -532,9 +510,7 @@ def _bench_lines(
             "beam": beam_name,
             "truth": {
                 "error_fraction": post.error_fraction,
-                "phase_on_0_pi": math.acos(
-                    min(max(measurable_cos[polarization], -1.0), 1.0)
-                ),
+                "phase_on_0_pi": math.acos(min(max(measurable_cos, -1.0), 1.0)),
             },
         }
         line.update(est.to_json_dict())
@@ -638,8 +614,8 @@ def workflow_oracle(cfg: RunConfig) -> dict:
         c_analytic = closed_form_upper_coherence(pair)
         c_grid = grid_half_plane_coherence(grid_result, idx)
         density_analytic = (
-            np.abs(component_amplitude(pair, grid_result.z, "plus", True)) ** 2
-            + np.abs(component_amplitude(pair, grid_result.z, "minus", True)) ** 2
+            np.abs(component_amplitude(pair, grid_result.z, "plus")) ** 2
+            + np.abs(component_amplitude(pair, grid_result.z, "minus")) ** 2
         )
         density_grid = grid_density(grid_result, idx)
         l1 = float(np.sum(np.abs(density_grid - density_analytic)) * grid_result.dx)
@@ -729,7 +705,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--inject-violation",
                 type=float,
                 default=0.0,
-                help="debug: shift the minus-branch cosine by this amount",
+                metavar="X",
+                help="negative control: move the minus branch's phase to "
+                "acos(cos phi_- + X); estimate's bound moves by V X under "
+                "model projected (V = visibility)",
             )
     return parser
 
@@ -742,6 +721,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be non-negative")
             cfg.root_seed = args.seed
+        inject = getattr(args, "inject_violation", 0.0)
+        if not math.isfinite(inject):
+            raise ConfigError(f"--inject-violation must be finite, got {inject!r}")
         if args.out is not None:
             cfg.output_dir = args.out
     except ConfigError as exc:
@@ -750,7 +732,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    inject = getattr(args, "inject_violation", 0.0)
 
     try:
         if args.command == "verify":

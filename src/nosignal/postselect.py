@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .errors import PhaseUndefinedError, PostSelectionError
@@ -33,6 +33,7 @@ __all__ = [
     "model_state",
     "extract_phase",
     "constraint_residual",
+    "shift_cosine",
 ]
 
 
@@ -81,6 +82,20 @@ def constraint_residual(phi_plus: float, phi_minus: float) -> float:
     both sign branches of the phase constraint.
     """
     return math.cos(phi_plus) + math.cos(phi_minus)
+
+
+def shift_cosine(post: PostSelectedSpin, x: float) -> PostSelectedSpin:
+    """post with its phase moved to acos(cos phi + x), clamped to [0, pi].
+
+    The down-up coherence turns to the new phase and keeps its modulus; the
+    diagonal is untouched.  This is the negative control of verify and
+    estimate: x != 0 breaks cos(phi_+) + cos(phi_-) = 0 by x on one branch.
+    """
+    phase = math.acos(min(max(math.cos(post.phase) + x, -1.0), 1.0))
+    (uu, _), (du, dd) = post.rho.matrix
+    coherence = cmath.rect(abs(du), phase)
+    rho = SpinDensityMatrix(((uu, coherence.conjugate()), (coherence, dd)))
+    return replace(post, rho=rho, phase=phase)
 
 
 def postselected_pure_state(error_fraction: float, phase: float) -> SpinState:

@@ -198,13 +198,8 @@ def free_propagate(pair: WavePacketPair, t: float) -> WavePacketPair:
     return replace(pair, time=pair.time + t)
 
 
-def component_amplitude(
-    pair: WavePacketPair,
-    z: np.ndarray,
-    which: str,
-    include_weight: bool = False,
-) -> np.ndarray:
-    """Evaluate one channel's wave function on an array of positions.
+def component_amplitude(pair: WavePacketPair, z: np.ndarray, which: str) -> np.ndarray:
+    """One channel's wave function, its spin weight included, at positions z.
 
     Intended for densities, debugging exports and moderate-time checks;
     coherence integrals should go through :func:`closed_form_upper_coherence`.
@@ -220,9 +215,7 @@ def component_amplitude(
         + 1j * pair.momentum(which) * (zz - center)
         + 1j * pair.phase(which)
     )
-    if include_weight:
-        val = pair.weight(which) * val
-    return val
+    return pair.weight(which) * val
 
 
 def upper_fraction(pair: WavePacketPair, which: str) -> float:

@@ -13,7 +13,7 @@ import nosignal
 import nosignal.cli
 import nosignal.gridsolver
 import nosignal.protocol
-from nosignal import GridSpec, SGConfig
+from nosignal import GridSpec, SGConfig, branch_table
 from nosignal.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -180,6 +180,17 @@ class TestConfigHandling:
         assert err.startswith("config error") and "samples" in err
         cfg = write_config(tmp_path / "cfg.json", samples=2**63 - 1)
         assert nosignal.cli.load_config(cfg).samples == 2**63 - 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["verify", "estimate"])
+    def test_non_finite_injection_rejected(self, tmp_path, capsys, command, value):
+        # nan ended in a "density matrix not Hermitian" traceback, inf in
+        # json.dumps's "Out of range float values" one
+        cfg = write_config(tmp_path / "cfg.json")
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        assert main(argv + ["--inject-violation", value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "--inject-violation" in err
 
     @pytest.mark.parametrize("command", ["verify", "sweep", "estimate"])
     def test_huge_width_runs_as_ideal_device(self, tmp_path, command):
@@ -412,7 +423,13 @@ class TestEstimate:
         assert widths[1000] > widths[100_000]
 
     def test_injected_violation_excluded(self, tmp_path):
+        # under "projected" the bound moves by the minus branch's visibility
+        # |rho_ud| / sqrt(rho_uu rho_dd) times the injection
         cfg = write_config(tmp_path / "cfg.json", samples=1_000_000)
+        run = nosignal.cli.load_config(cfg)
+        ((_, branches),) = branch_table(run.sg, run.omega_list).rotated
+        (uu, _), (du, dd) = branches[-1][1].rho.matrix
+        visibility = abs(du) / math.sqrt(uu.real * dd.real)
         out = tmp_path / "out"
         code = main(
             [
@@ -427,7 +444,35 @@ class TestEstimate:
             if json.loads(l)["kind"] == "bound"
         ][0]
         assert not bound["consistent_with_zero"]
-        assert bound["point"] == pytest.approx(0.3, abs=0.01)
+        assert bound["point"] == pytest.approx(visibility * 0.3, abs=0.01)
+
+    def test_injection_matches_verify(self, tmp_path):
+        # one negative control: under "pure" estimate's minus-beam truth is
+        # the phase verify moved the minus branch to
+        cfg = write_default_config(tmp_path)
+        payload = json.loads(Path(cfg).read_text())
+        payload["model"] = "pure"
+        Path(cfg).write_text(json.dumps(payload))
+        inject = ["--inject-violation", "0.1"]
+        out_v, out_e = tmp_path / "verify", tmp_path / "estimate"
+        argv = ["--config", cfg, "--out"]
+        assert main(["verify", *argv, str(out_v), *inject]) == EXIT_CHECK_FAILED
+        assert main(["estimate", *argv, str(out_e), *inject]) == EXIT_OK
+        phi_minus = {
+            cell["omega"]: cell["phi_minus"]
+            for cell in json.loads((out_v / "report.json").read_text())["cells"]
+        }
+        lines = (out_e / "estimates.jsonl").read_text().splitlines()
+        truths = [
+            line
+            for line in map(json.loads, lines)
+            if line["kind"] == "estimate" and line["beam"] == "minus"
+        ]
+        assert len(truths) == len(phi_minus) == 4
+        for line in truths:
+            assert line["truth"]["phase_on_0_pi"] == pytest.approx(
+                phi_minus[line["omega"]], abs=1e-12
+            )
 
     def test_seed_changes_output(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", samples=10_000)

@@ -61,8 +61,8 @@ class TestFreeParticle:
         result = grid_evolve(cfg, x_state, SMALL_GRID, t_final=t)
         pair = free_propagate(evolve_through_magnet(cfg, x_state), t)
         analytic = (
-            np.abs(component_amplitude(pair, result.z, "plus", True)) ** 2
-            + np.abs(component_amplitude(pair, result.z, "minus", True)) ** 2
+            np.abs(component_amplitude(pair, result.z, "plus")) ** 2
+            + np.abs(component_amplitude(pair, result.z, "minus")) ** 2
         )
         l1 = float(np.sum(np.abs(grid_density(result) - analytic)) * result.dx)
         assert l1 < 1e-6
@@ -104,8 +104,8 @@ class TestAgainstAnalyticModel:
         result = grid_evolve(device, x_state, SMALL_GRID, t_final=t)
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
         analytic = (
-            np.abs(component_amplitude(pair, result.z, "plus", True)) ** 2
-            + np.abs(component_amplitude(pair, result.z, "minus", True)) ** 2
+            np.abs(component_amplitude(pair, result.z, "plus")) ** 2
+            + np.abs(component_amplitude(pair, result.z, "minus")) ** 2
         )
         l1 = float(np.sum(np.abs(grid_density(result) - analytic)) * result.dx)
         assert l1 < 1e-3

@@ -17,9 +17,10 @@ from nosignal import (
     make_spin_state,
     postselected_pure_state,
     project_upper,
+    shift_cosine,
     sigma_eigenstate,
 )
-from nosignal.spin import wrap_to_pi
+from nosignal.spin import smaller_eigenvalue, wrap_to_pi
 from conftest import device_for_error_fraction
 
 
@@ -116,6 +117,38 @@ class TestProjectUpper:
         pair = settled_pair(ideal, make_spin_state(0.0, 1.0))
         with pytest.raises(PostSelectionError):
             project_upper(pair)
+
+
+class TestShiftCosine:
+    @pytest.fixture
+    def post(self):
+        # the bias turns the plus-x beam's phase from 2 pi to about 2 pi - 2,
+        # in (pi, 2 pi), which acos maps to [0, pi]
+        biased = SGConfig(
+            mass=1.0, sigma0=1.0, moment=1.0, gradient=210.4, bias=500.0, transit=0.002
+        )
+        return project_upper(settled_pair(biased, make_spin_state(1.0, 1.0)))
+
+    @pytest.mark.parametrize("x", [0.1, -0.25, 0.6])
+    def test_moves_only_the_phase(self, post, x):
+        shifted = shift_cosine(post, x)
+        (uu, ud), (du, dd) = shifted.rho.matrix
+        assert shifted.phase == math.acos(math.cos(post.phase) + x)
+        assert uu == post.rho.up_up and dd == post.rho.down_down
+        assert shifted.error_fraction == post.error_fraction
+        assert shifted.select_prob == post.select_prob
+        # cmath.rect(r, phase) rounds its two parts, so |rect| may be r +- 1 ulp
+        modulus = abs(post.rho.matrix[1][0])
+        assert abs(abs(du) - modulus) <= math.ulp(modulus)
+        assert ud == du.conjugate()
+        assert abs(extract_phase(shifted.rho) - shifted.phase) < 1e-12
+
+    @pytest.mark.parametrize("x, phase", [(3.0, 0.0), (-3.0, math.pi)])
+    def test_clamps_to_a_valid_density_matrix(self, post, x, phase):
+        shifted = shift_cosine(post, x)
+        assert shifted.phase == phase
+        assert smaller_eigenvalue(shifted.rho.matrix) >= 0.0
+        assert abs(shifted.rho.matrix[1][0].imag) < 1e-15
 
 
 class TestPhaseFlipBetweenOppositeInputs:

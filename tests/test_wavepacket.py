@@ -25,14 +25,15 @@ ORACLE_TIMES = [1, 3, 7, 12, 20, 30, 45, 70, 95, 120]
 
 
 def quad_density(pair, which, lo, hi):
-    """Independent oracle: integrate the sampled |psi|^2 by quadrature."""
+    """Independent oracle: integrate the sampled |psi|^2 of the normalized
+    channel by quadrature."""
     val, _ = quad(
         lambda z: abs(component_amplitude(pair, z, which)) ** 2,
         lo,
         hi,
         limit=200,
     )
-    return val
+    return val / abs(pair.weight(which)) ** 2
 
 
 def mpmath_upper_coherence(pair, dps: int = 40):
