@@ -24,7 +24,7 @@ _EXPORTS = {
     "postselect": """PostSelectedSpin constraint_residual extract_phase
         postselected_pure_state project_upper shift_cosine""",
     "protocol": """BranchTable ProtocolResult branch_table cell_result
-        closed_form_result run_pipeline""",
+        closed_form_result""",
     "spin": """SpinDensityMatrix SpinState born_probability make_spin_state
         mixture sigma_eigenstate singlet_conditional""",
     "wavepacket": """SGConfig WavePacketPair asymptotic_error_fraction

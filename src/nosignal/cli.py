@@ -33,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BoundaryLeakError,
@@ -57,6 +57,7 @@ from .postselect import (
 )
 from .protocol import (
     MODELS,
+    BranchTable,
     branch_phase,
     branch_table,
     branch_totals,
@@ -216,22 +217,7 @@ def load_config(path: Optional[str]) -> RunConfig:
                 f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
             )
 
-    _reject_unknown(
-        raw,
-        [
-            "schema_version",
-            "sg",
-            "omega_list",
-            "theta_list",
-            "model",
-            "samples",
-            "root_seed",
-            "output_dir",
-            "tolerances",
-            "oracle",
-        ],
-        "top level",
-    )
+    _reject_unknown(raw, ["schema_version", *DEFAULTS], "top level")
 
     sg_raw = {**DEFAULTS["sg"], **raw.get("sg", {})}
     _reject_unknown(sg_raw, DEFAULTS["sg"].keys(), "sg")
@@ -320,43 +306,70 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def _write_meta(out_dir: Path, command: str, config_path: Optional[str]) -> None:
-    # timestamps live here, away from the deterministic data files
-    _write_json(
-        out_dir / "run_meta.json",
-        {
-            "command": command,
-            "config": config_path,
-            "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        },
+def _write_jsonl(path: Path, lines: List[dict]) -> None:
+    text = "".join(
+        json.dumps(line, sort_keys=True, allow_nan=False) + "\n" for line in lines
     )
+    path.write_text(text, encoding="utf-8")
 
 
-def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
-    """Pipeline the full grid; gate residuals and phase sums on tolerances.
+class RunRecord(NamedTuple):
+    """One workflow run as main acts on it: the data file's name, its payload
+    and writer, the stdout summary line, stderr warnings and the verdict.
+    (Immutable like a frozen dataclass, and about a tenth as costly to build
+    at import.)"""
 
-    A nonzero inject moves each omega's minus-branch spin through
-    shift_cosine before its cells are evaluated.
+    data_file: str
+    payload: object
+    write: Callable[..., None]
+    summary: str
+    warnings: Tuple[str, ...] = ()
+    passed: bool = True
+
+
+def _rotated(
+    cfg: RunConfig, inject: float
+) -> Tuple[BranchTable, List[tuple], Tuple[str, ...]]:
+    """The run's branch table, (omega, branches, phi_plus, phi_minus) per
+    omega, and a warning when a nonzero inject finds no phase to move.
+
+    A nonzero inject moves the minus branch's spin through shift_cosine
+    wherever both branches carry a phase.
     """
-    cells = []
-    warnings: List[str] = []
-    max_residual = 0.0
-    max_phase_sum = 0.0
-    max_cos_sum = 0.0
-    any_phase_checked = False
     table = branch_table(cfg.sg, cfg.omega_list)
-    # the aligned setting's totals depend on theta only
-    aligned = [
-        branch_totals(table.aligned, theta, cfg.model) for theta in cfg.theta_list
-    ]
+    rotated = []
+    phased = False
     for omega, branches in table.rotated:
         phi_plus, phi_minus = branch_phase(branches[+1]), branch_phase(branches[-1])
-        phase_checked = phi_plus is not None and phi_minus is not None
-        if phase_checked:
+        if phi_plus is not None and phi_minus is not None:
+            phased = True
             if inject != 0.0:
                 prob, post = branches[-1]
                 post = shift_cosine(post, inject)
                 branches, phi_minus = {**branches, -1: (prob, post)}, post.phase
+        rotated.append((omega, branches, phi_plus, phi_minus))
+    if inject != 0.0 and not phased:
+        return table, rotated, (
+            f"--inject-violation {inject!r} not applied: no omega carries a phase",
+        )
+    return table, rotated, ()
+
+
+def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> RunRecord:
+    """Pipeline the full grid; gate residuals and phase sums on tolerances."""
+    cells = []
+    max_residual = 0.0
+    max_phase_sum = 0.0
+    max_cos_sum = 0.0
+    checked = 0
+    table, rotated, unapplied = _rotated(cfg, inject)
+    warnings: List[str] = []
+    # the aligned setting's totals depend on theta only
+    aligned = [
+        branch_totals(table.aligned, theta, cfg.model) for theta in cfg.theta_list
+    ]
+    for omega, branches, phi_plus, phi_minus in rotated:
+        if phi_plus is not None and phi_minus is not None:
             # the nearer branch of phi_+ +- phi_- = pi; the two branches
             # together are exactly cos(phi_+) + cos(phi_-) = 0
             phase_sum_dev = min(
@@ -364,7 +377,7 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
                 for sign in (1, -1)
             )
             cos_sum = constraint_residual(phi_plus, phi_minus)
-            any_phase_checked = True
+            checked += len(cfg.theta_list)
             max_phase_sum = max(max_phase_sum, phase_sum_dev)
             max_cos_sum = max(max_cos_sum, abs(cos_sum))
         else:
@@ -382,11 +395,17 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
             max_residual = max(max_residual, abs(result.residual))
     if cfg.sg.gradient == 0.0:
         warnings.append("zero field gradient: device never splits the packet")
+    warnings += unapplied
     passed = max_residual <= cfg.residual_tol and (
-        not any_phase_checked
+        not checked
         or (max_phase_sum <= cfg.phase_sum_tol and max_cos_sum <= cfg.phase_sum_tol)
     )
-    return {
+    phases = f"phase-checked cells: {checked}/{len(cells)}"
+    if checked:
+        phases = f"max phase-sum deviation = {max_phase_sum:.3e}, {phases}"
+    else:
+        phases += " (phase checks skipped: no branch carries a phase)"
+    report = {
         "schema_version": SCHEMA_VERSION,
         "model": cfg.model,
         "sg": dataclasses.asdict(cfg.sg),
@@ -397,29 +416,34 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> dict:
         },
         "cells": cells,
         "max_abs_residual": max_residual,
-        "max_phase_sum_dev": max_phase_sum if any_phase_checked else None,
-        "max_abs_cos_sum": max_cos_sum if any_phase_checked else None,
+        "max_phase_sum_dev": max_phase_sum if checked else None,
+        "max_abs_cos_sum": max_cos_sum if checked else None,
         "warnings": warnings,
         "passed": passed,
     }
+    status = "PASS" if passed else "FAIL"
+    summary = f"{status}: max |residual| = {max_residual:.3e}, {phases}"
+    return RunRecord("report.json", report, _write_json, summary, unapplied, passed)
 
 
-def workflow_sweep(cfg: RunConfig) -> List[dict]:
+def workflow_sweep(cfg: RunConfig) -> RunRecord:
     """Closed-form protocol table, one row per (omega, theta).
 
     Es and the phases come from the run's branch table (they do not depend
     on theta); rows then evaluate the closed forms.
     """
-    table = branch_table(cfg.sg, cfg.omega_list)
-    rows = []
-    for omega, branches in table.rotated:
-        phi_plus, phi_minus = branch_phase(branches[+1]), branch_phase(branches[-1])
-        for theta in cfg.theta_list:
-            result = closed_form_result(
-                table.Es, omega, theta, phi_plus, phi_minus, cfg.model
-            )
-            rows.append(result.to_json_dict())
-    return rows
+    table, rotated, _ = _rotated(cfg, 0.0)
+    rows = [
+        closed_form_result(
+            table.Es, omega, theta, phi_plus, phi_minus, cfg.model
+        ).to_json_dict()
+        for omega, _, phi_plus, phi_minus in rotated
+        for theta in cfg.theta_list
+    ]
+    path = Path(cfg.output_dir) / "sweep.csv"
+    return RunRecord(
+        path.name, rows, write_sweep_csv, f"wrote {len(rows)} rows to {path}"
+    )
 
 
 def write_sweep_csv(path: Path, rows: List[dict]) -> None:
@@ -438,42 +462,42 @@ def write_sweep_csv(path: Path, rows: List[dict]) -> None:
             fh.write(",".join(fields) + "\n")
 
 
-def workflow_estimate(cfg: RunConfig, inject: float = 0.0) -> List[dict]:
+def workflow_estimate(cfg: RunConfig, inject: float = 0.0) -> RunRecord:
     """Two-beam bench run per omega on the branch table's spins.
 
-    Returns the JSON-line payloads.  Each omega ends in one "bound" line, or
-    in one "degenerate" line when its phases cannot be identified.
+    The record's payload is the JSON lines.  Each omega ends in one "bound"
+    line, or in one "degenerate" line when its phases cannot be identified.
     """
     if cfg.samples < 1000:
         raise ConfigError("estimate needs samples >= 1000")
     lines: List[dict] = []
-    table = branch_table(cfg.sg, cfg.omega_list)
-    for i_omega, (omega, branches) in enumerate(table.rotated):
+    _, rotated, unapplied = _rotated(cfg, inject)
+    for i_omega, (omega, branches, phi_plus, phi_minus) in enumerate(rotated):
         try:
+            if phi_plus is None or phi_minus is None:
+                if abs(math.sin(omega)) < 1e-12:
+                    raise PhaseUndefinedError(
+                        "beam polarization aligned with the device axis; "
+                        "post-selected state carries no phase"
+                    )
+                raise PhaseUndefinedError("post-selected state carries no coherence")
             lines += _bench_lines(cfg, i_omega, omega, branches, inject)
         except PhaseUndefinedError as exc:
             lines.append({"kind": "degenerate", "omega": omega, "reason": str(exc)})
-    return lines
+    bounds = [line["consistent_with_zero"] for line in lines if line["kind"] == "bound"]
+    summary = f"{sum(bounds)}/{len(bounds)} bounds consistent with zero"
+    return RunRecord("estimates.jsonl", lines, _write_jsonl, summary, unapplied)
 
 
 def _bench_lines(
     cfg: RunConfig, i_omega: int, omega: float, branches: dict, inject: float
 ) -> List[dict]:
-    """Records, estimates and the violation bound of one omega's two beams.
+    """Records, estimates and the violation bound of one omega's two beams,
+    whose post-selected spins both carry a phase.
 
-    Raises PhaseUndefinedError when a beam's post-selected spin carries no
-    phase, or when its sigma_z sample has no counts of one sign.
+    Raises PhaseUndefinedError when a beam's sigma_z sample has no counts of
+    one sign.
     """
-    if any(branch_phase(branch) is None for branch in branches.values()):
-        if abs(math.sin(omega)) < 1e-12:
-            raise PhaseUndefinedError(
-                "beam polarization aligned with the device axis; "
-                "post-selected state carries no phase"
-            )
-        raise PhaseUndefinedError("post-selected state carries no coherence")
-    if inject != 0.0:
-        prob, post = branches[-1]
-        branches = {**branches, -1: (prob, shift_cosine(post, inject))}
     lines: List[dict] = []
     estimates = {}
     for beam_idx, polarization in enumerate((+1, -1)):
@@ -572,7 +596,7 @@ def _points_needed(points: float) -> str:
     return "no finite oracle.points"
 
 
-def workflow_oracle(cfg: RunConfig) -> dict:
+def workflow_oracle(cfg: RunConfig) -> RunRecord:
     """Analytic model vs grid solver on the configured device."""
     from .gridsolver import (
         GridSpec,
@@ -667,7 +691,7 @@ def workflow_oracle(cfg: RunConfig) -> dict:
             f"{grid_result.dx:.3g} exceeds sigma0 = {cfg.sg.sigma0:.3g}; "
             f"{_points_needed(points)} keeps dx <= sigma0"
         )
-    return {
+    report = {
         "schema_version": SCHEMA_VERSION,
         "sg": dataclasses.asdict(cfg.sg),
         "grid": cfg.oracle_grid,
@@ -680,6 +704,11 @@ def workflow_oracle(cfg: RunConfig) -> dict:
         "max_l1_density_diff": max_l1,
         "notes": notes,
     }
+    summary = (
+        f"max |E difference| = {max_abs_e_diff:.3e}, "
+        f"max coherence phase difference = {max_phase_diff:.3e}"
+    )
+    return RunRecord("oracle.json", report, _write_json, summary)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -735,60 +764,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "verify":
-            report = workflow_verify(cfg, inject=inject)
-            _write_json(out_dir / "report.json", report)
-            _write_meta(out_dir, "verify", args.config)
-            status = "PASS" if report["passed"] else "FAIL"
-            cells = report["cells"]
-            checked = sum(1 for cell in cells if cell["phase_sum_dev"] is not None)
-            if checked:
-                phases = (
-                    f"max phase-sum deviation = {report['max_phase_sum_dev']:.3e}, "
-                    f"phase-checked cells: {checked}/{len(cells)}"
-                )
-            else:
-                phases = (
-                    f"phase-checked cells: 0/{len(cells)} "
-                    "(phase checks skipped: no branch carries a phase)"
-                )
-            residual = report["max_abs_residual"]
-            print(f"{status}: max |residual| = {residual:.3e}, {phases}")
-            return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
-        if args.command == "sweep":
-            rows = workflow_sweep(cfg)
-            write_sweep_csv(out_dir / "sweep.csv", rows)
-            _write_meta(out_dir, "sweep", args.config)
-            print(f"wrote {len(rows)} rows to {out_dir / 'sweep.csv'}")
-            return EXIT_OK
-        if args.command == "estimate":
-            lines = workflow_estimate(cfg, inject=inject)
-            payload = "".join(
-                json.dumps(line, sort_keys=True, allow_nan=False) + "\n"
-                for line in lines
-            )
-            (out_dir / "estimates.jsonl").write_text(payload, encoding="utf-8")
-            _write_meta(out_dir, "estimate", args.config)
-            bounds = [l for l in lines if l["kind"] == "bound"]
-            consistent = sum(1 for b in bounds if b["consistent_with_zero"])
-            print(f"{consistent}/{len(bounds)} bounds consistent with zero")
-            return EXIT_OK
-        if args.command == "oracle":
-            report = workflow_oracle(cfg)
-            _write_json(out_dir / "oracle.json", report)
-            _write_meta(out_dir, "oracle", args.config)
-            print(
-                f"max |E difference| = {report['max_abs_E_diff']:.3e}, "
-                f"max coherence phase difference = "
-                f"{report['max_coherence_phase_diff']:.3e}"
-            )
-            return EXIT_OK
+            record = workflow_verify(cfg, inject)
+        elif args.command == "sweep":
+            record = workflow_sweep(cfg)
+        elif args.command == "estimate":
+            record = workflow_estimate(cfg, inject)
+        else:
+            record = workflow_oracle(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    raise AssertionError(f"unhandled command {args.command}")
+    record.write(out_dir / record.data_file, record.payload)
+    # timestamps live here, away from the deterministic data files
+    _write_json(
+        out_dir / "run_meta.json",
+        {
+            "command": args.command,
+            "config": args.config,
+            "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        },
+    )
+    for warning in record.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    print(record.summary)
+    return EXIT_OK if record.passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

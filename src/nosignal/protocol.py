@@ -26,8 +26,8 @@ closed form.  Only four post-selected spins enter it per omega, none of
 them theta dependent: branch_table conditions the singlet, flies each
 beam through the device to the one closed-form time phase_settle_time
 and post-selects it, and cell_result turns a table entry and theta into
-Born probabilities.  verify runs every cell through cell_result;
-run_pipeline does both steps for a single cell.
+Born probabilities.  verify runs every cell through cell_result, and
+sweep tabulates closed_form_result from the same table's phases.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "branch_phase",
     "branch_totals",
     "cell_result",
-    "run_pipeline",
 ]
 
 MODELS = ("pure", "projected")
@@ -252,14 +251,3 @@ def cell_result(
         model=model,
     )
 
-
-def run_pipeline(
-    sg: SGConfig, omega: float, theta: float, model: str = "projected"
-) -> ProtocolResult:
-    """One (omega, theta) cell simulated end to end through the wave-packet model.
-
-    Callers that visit many cells build the branch_table once instead.
-    """
-    table = branch_table(sg, [omega])
-    aligned = branch_totals(table.aligned, theta, model)
-    return cell_result(table, table.rotated[0], theta, model, aligned)

@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from nosignal import SGConfig, make_spin_state
+from nosignal import SGConfig, branch_table, cell_result, make_spin_state
+from nosignal.protocol import branch_totals
 
 
 def device_for_error_fraction(target: float, transit: float = 0.002) -> SGConfig:
@@ -23,6 +24,13 @@ def device_for_error_fraction(target: float, transit: float = 0.002) -> SGConfig
         bias=0.0,
         transit=transit,
     )
+
+
+def run_pipeline(sg: SGConfig, omega: float, theta: float, model: str = "projected"):
+    """One (omega, theta) cell end to end through the wave-packet model."""
+    table = branch_table(sg, [omega])
+    aligned = branch_totals(table.aligned, theta, model)
+    return cell_result(table, table.rotated[0], theta, model, aligned)
 
 
 @pytest.fixture

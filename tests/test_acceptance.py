@@ -28,7 +28,6 @@ from nosignal import (
     grid_half_plane_coherence,
     postselected_pure_state,
     project_upper,
-    run_pipeline,
     sample,
     saturated_error_fraction,
     sigma_eigenstate,
@@ -36,7 +35,7 @@ from nosignal import (
 )
 from nosignal.cli import main
 from nosignal.spin import wrap_to_pi
-from conftest import device_for_error_fraction
+from conftest import device_for_error_fraction, run_pipeline
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -8,6 +8,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nosignal
 import nosignal.cli
@@ -22,6 +24,9 @@ from nosignal.cli import (
     _grid_resolution,
     main,
 )
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 def write_config(path: Path, **overrides) -> str:
@@ -49,8 +54,7 @@ def write_config(path: Path, **overrides) -> str:
 
 def write_default_config(tmp_path: Path, times=None, **sg) -> str:
     """configs/default.json with some sg values and oracle times replaced."""
-    default = Path(__file__).resolve().parents[1] / "configs" / "default.json"
-    payload = json.loads(default.read_text(encoding="utf-8"))
+    payload = json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
     payload["sg"].update(sg)
     if times is not None:
         payload["oracle"]["times"] = times
@@ -696,6 +700,92 @@ class TestOracle:
         code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL
         assert "extent" in capsys.readouterr().err
+
+
+class TestRunRecord:
+    # configs/default.json's data file and stdout line per command; {path}
+    # is the data file's path
+    SUMMARIES = {
+        "verify": ("report.json", "PASS: max |residual| = 1.110e-16, max phase-sum "
+                   "deviation = 0.000e+00, phase-checked cells: 52/52"),
+        "sweep": ("sweep.csv", "wrote 52 rows to {path}"),
+        "estimate": ("estimates.jsonl", "4/4 bounds consistent with zero"),
+        "oracle": ("oracle.json", "max |E difference| = 4.990e-05, max coherence "
+                   "phase difference = 3.355e-04"),
+    }
+
+    @pytest.mark.parametrize("command", list(SUMMARIES))
+    def test_summary_data_file_and_run_meta(self, tmp_path, capsys, command):
+        data_file, summary = self.SUMMARIES[command]
+        out = tmp_path / "out"
+        argv = [command, "--config", str(DEFAULT_CONFIG), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == summary.format(path=out / data_file) + "\n"
+        assert captured.err == ""
+        assert (out / data_file).stat().st_size > 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert set(meta) == {"command", "config", "timestamp_utc"}
+        assert meta["command"] == command and meta["config"] == str(DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("command", ["verify", "estimate"])
+    def test_injection_without_phase_warns(self, tmp_path, capsys, command):
+        # on an ideal device no omega carries a phase to move: the negative
+        # control does nothing, and the run says so rather than pass silently
+        cfg = write_default_config(tmp_path, gradient=1e6)
+        warning = "--inject-violation 0.1 not applied: no omega carries a phase"
+        for inject, err in (("0", ""), ("0.1", f"warning: {warning}\n")):
+            out = tmp_path / f"out-{inject}"
+            argv = [command, "--config", cfg, "--out", str(out)]
+            assert main(argv + ["--inject-violation", inject]) == EXIT_OK
+            assert capsys.readouterr().err == err
+        if command == "verify":
+            report = json.loads((out / "report.json").read_text())
+            assert report["warnings"][-1] == warning and report["passed"] is True
+
+
+def log_magnitude(signed: bool):
+    """10**e for e in [-300, 300], of either sign when signed."""
+    magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+    if not signed:
+        return magnitude
+    return st.tuples(st.sampled_from((1.0, -1.0)), magnitude).map(
+        lambda pair: pair[0] * pair[1]
+    )
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    sg=st.fixed_dictionaries(
+        {
+            "mass": log_magnitude(False),
+            "sigma0": log_magnitude(False),
+            "moment": log_magnitude(True),
+            "gradient": log_magnitude(True),
+            "bias": log_magnitude(True),
+            "transit": log_magnitude(False),
+        }
+    )
+)
+def test_exit_code_contract(tmp_path_factory, sg):
+    # every config ends in exit 0 (pass), 1 (verify's gate), 2 (config) or
+    # 3 (numerical), never in a traceback; 16 magnet steps bound the oracle
+    payload = json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
+    payload["sg"] = sg
+    payload["oracle"].update(points=256, dt=sg["transit"] / 16)
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "cfg.json"
+    cfg.write_text(json.dumps(payload), encoding="utf-8")
+    for i, (command, *extra) in enumerate(
+        (["verify"], ["verify", "--inject-violation", "0.1"], ["sweep"],
+         ["estimate"], ["oracle"])
+    ):
+        out = work / str(i)
+        code = main([command, "--config", str(cfg), "--out", str(out), *extra])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert code != EXIT_CHECK_FAILED or command == "verify"
+        wrote = (out / "run_meta.json").is_file()
+        assert wrote is (code in (EXIT_OK, EXIT_CHECK_FAILED))
 
 
 def test_cli_runs_without_scipy(tmp_path):

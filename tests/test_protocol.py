@@ -14,12 +14,11 @@ from nosignal import (
     cell_result,
     closed_form_result,
     postselected_pure_state,
-    run_pipeline,
 )
 from nosignal.cli import EXIT_OK, main
 from nosignal.protocol import MODELS, branch_totals
 from nosignal.spin import wrap_to_pi
-from conftest import device_for_error_fraction
+from conftest import device_for_error_fraction, run_pipeline
 
 
 def closed_form(es, omega, theta, phi_plus, phi_minus):
