@@ -26,12 +26,10 @@ Exit codes: 0 pass, 1 check failure, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -133,8 +131,7 @@ DEFAULTS = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     sg: SGConfig
     omega_list: List[float]
     theta_list: List[float]
@@ -315,9 +312,7 @@ def _write_jsonl(path: Path, lines: List[dict]) -> None:
 
 class RunRecord(NamedTuple):
     """One workflow run as main acts on it: the data file's name, its payload
-    and writer, the stdout summary line, stderr warnings and the verdict.
-    (Immutable like a frozen dataclass, and about a tenth as costly to build
-    at import.)"""
+    and writer, the stdout summary line, stderr warnings and the verdict."""
 
     data_file: str
     payload: object
@@ -408,7 +403,7 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> RunRecord:
     report = {
         "schema_version": SCHEMA_VERSION,
         "model": cfg.model,
-        "sg": dataclasses.asdict(cfg.sg),
+        "sg": cfg.sg._asdict(),
         "injected_violation": inject,
         "tolerances": {
             "residual": cfg.residual_tol,
@@ -693,7 +688,7 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
         )
     report = {
         "schema_version": SCHEMA_VERSION,
-        "sg": dataclasses.asdict(cfg.sg),
+        "sg": cfg.sg._asdict(),
         "grid": cfg.oracle_grid,
         "impulsive_ratio": impulsive_ratio,
         "saturation": {"value": sat.value, "time": sat.time, "tol": 1e-4},
@@ -742,6 +737,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable(out_dir: Path, exc: OSError) -> int:
+    print(f"config error: cannot write output to {out_dir}: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -749,18 +749,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be non-negative")
-            cfg.root_seed = args.seed
+            cfg = cfg._replace(root_seed=args.seed)
         inject = getattr(args, "inject_violation", 0.0)
         if not math.isfinite(inject):
             raise ConfigError(f"--inject-violation must be finite, got {inject!r}")
         if args.out is not None:
-            cfg.output_dir = args.out
+            cfg = cfg._replace(output_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _unwritable(out_dir, exc)
 
     try:
         if args.command == "verify":
@@ -777,16 +780,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    record.write(out_dir / record.data_file, record.payload)
     # timestamps live here, away from the deterministic data files
-    _write_json(
-        out_dir / "run_meta.json",
-        {
-            "command": args.command,
-            "config": args.config,
-            "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        },
-    )
+    meta = {
+        "command": args.command,
+        "config": args.config,
+        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+    try:
+        record.write(out_dir / record.data_file, record.payload)
+        _write_json(out_dir / "run_meta.json", meta)
+    except OSError as exc:
+        return _unwritable(out_dir, exc)
     for warning in record.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(record.summary)

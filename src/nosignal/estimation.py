@@ -22,8 +22,7 @@ conservative, never empty, and always contains the point estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from . import rng
 from .errors import PhaseUndefinedError
@@ -46,8 +45,7 @@ Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _Z_AXIS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """Counts from N sigma_theta measurements on identically prepared spins."""
 
     axis: float
@@ -65,11 +63,10 @@ class MeasurementRecord:
         return self.n_plus / self.n
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class PhaseEstimate:
+class PhaseEstimate(NamedTuple):
     """Point estimates and 95% intervals for (error fraction, phase)."""
 
     error_fraction: float

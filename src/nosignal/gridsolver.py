@@ -41,8 +41,7 @@ independent cross-check for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 from .errors import BoundaryLeakError, NormDriftError
 from .spin import SpinState
@@ -66,25 +65,29 @@ _BOUNDARY_TOL = 1e-10
 _NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Spatial extent (full length), number of points, and magnet time step."""
-
+# the fields; GridSpec checks them in __new__, which _replace skips
+class _GridSpecFields(NamedTuple):
     extent: float
     points: int
     dt: float
 
-    def __post_init__(self):
-        if self.extent <= 0:
+
+class GridSpec(_GridSpecFields):
+    """Spatial extent (full length), number of points, and magnet time step."""
+
+    __slots__ = ()
+
+    def __new__(cls, extent, points, dt) -> GridSpec:
+        if extent <= 0:
             raise ValueError("extent must be positive")
-        if self.points < 2 or (self.points & (self.points - 1)) != 0:
+        if points < 2 or (points & (points - 1)) != 0:
             raise ValueError("points must be a power of two")
-        if self.dt <= 0:
+        if dt <= 0:
             raise ValueError("dt must be positive")
+        return super().__new__(cls, extent, points, dt)
 
 
-@dataclass
-class GridResult:
+class GridResult(NamedTuple):
     """Snapshots of both channels, times measured from magnet exit."""
 
     z: np.ndarray
@@ -94,7 +97,7 @@ class GridResult:
     psi_minus: List[np.ndarray]
     weight_up: complex
     weight_down: complex
-    config: SGConfig = field(repr=False)
+    config: SGConfig
 
 
 def _upper_half_weights(n: int) -> np.ndarray:
@@ -202,16 +205,7 @@ def grid_evolve(
         raise down["error"]
     exit_minus = down["exit"]
 
-    result = GridResult(
-        z=z,
-        dx=dx,
-        times=[],
-        psi_plus=[],
-        psi_minus=[],
-        weight_up=complex(input_spin.amp_up),
-        weight_down=complex(input_spin.amp_down),
-        config=config,
-    )
+    psi_plus, psi_minus = [], []
     product = np.empty_like(exit_plus)
     for t in times:
         flight = np.exp(-1j * k2 * t / (2.0 * config.mass))
@@ -222,10 +216,18 @@ def grid_evolve(
             raise NormDriftError(f"norm drifted to {norm} at t = {t:g}")
         _check_boundary(fp, dx, t)
         _check_boundary(fm, dx, t)
-        result.times.append(t)
-        result.psi_plus.append(fp)
-        result.psi_minus.append(fm)
-    return result
+        psi_plus.append(fp)
+        psi_minus.append(fm)
+    return GridResult(
+        z=z,
+        dx=dx,
+        times=times,
+        psi_plus=psi_plus,
+        psi_minus=psi_minus,
+        weight_up=complex(input_spin.amp_up),
+        weight_down=complex(input_spin.amp_down),
+        config=config,
+    )
 
 
 def grid_norm(result: GridResult, index: int = -1) -> float:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import PhaseUndefinedError, PostSelectionError
 from .spin import TWO_PI, SpinDensityMatrix, SpinState, make_spin_state
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PostSelectedSpin:
+class PostSelectedSpin(NamedTuple):
     """Result of the upper-half projection.
 
     select_prob: probability that a particle lands in the retained region.
@@ -95,7 +93,7 @@ def shift_cosine(post: PostSelectedSpin, x: float) -> PostSelectedSpin:
     (uu, _), (du, dd) = post.rho.matrix
     coherence = cmath.rect(abs(du), phase)
     rho = SpinDensityMatrix(((uu, coherence.conjugate()), (coherence, dd)))
-    return replace(post, rho=rho, phase=phase)
+    return post._replace(rho=rho, phase=phase)
 
 
 def postselected_pure_state(error_fraction: float, phase: float) -> SpinState:

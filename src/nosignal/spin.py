@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 ATOL = 1e-12
 TWO_PI = 2.0 * math.pi
@@ -33,17 +32,24 @@ def wrap_to_pi(x: float) -> float:
     return y - math.pi
 
 
-@dataclass(frozen=True)
-class SpinState:
-    """Normalized two-level pure state; build via :func:`make_spin_state`."""
-
+# A NamedTuple body may not define __new__, so each checked value type is a
+# NamedTuple of its fields and a subclass that checks them in __new__.
+# _replace and _make build through tuple.__new__ and skip the checks.
+class _SpinStateFields(NamedTuple):
     amp_up: complex
     amp_down: complex
 
-    def __post_init__(self):
-        norm = abs(self.amp_up) ** 2 + abs(self.amp_down) ** 2
+
+class SpinState(_SpinStateFields):
+    """Normalized two-level pure state; build via :func:`make_spin_state`."""
+
+    __slots__ = ()
+
+    def __new__(cls, amp_up, amp_down) -> SpinState:
+        norm = abs(amp_up) ** 2 + abs(amp_down) ** 2
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |psi|^2 = {norm}")
+        return super().__new__(cls, amp_up, amp_down)
 
     def vector(self) -> Tuple[complex, complex]:
         return (self.amp_up, self.amp_down)
@@ -77,17 +83,22 @@ def smaller_eigenvalue(matrix: Matrix) -> float:
     return 0.5 * (a + d) - math.hypot(0.5 * (a - d), 0.5 * abs(ud + du.conjugate()))
 
 
-@dataclass(frozen=True)
-class SpinDensityMatrix:
-    """2x2 Hermitian, unit-trace, positive semi-definite matrix.
-
-    Takes any nested 2x2 sequence of numbers; NaN entries fail the checks.
-    """
-
+# the fields; SpinDensityMatrix coerces and checks them in __new__
+class _SpinDensityMatrixFields(NamedTuple):
     matrix: Matrix
 
-    def __post_init__(self):
-        m = tuple(tuple(complex(x) for x in row) for row in self.matrix)
+
+class SpinDensityMatrix(_SpinDensityMatrixFields):
+    """2x2 Hermitian, unit-trace, positive semi-definite matrix.
+
+    Takes any nested 2x2 sequence of numbers, stored as a pair of rows of
+    complex; NaN entries fail the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, matrix) -> SpinDensityMatrix:
+        m = tuple(tuple(complex(x) for x in row) for row in matrix)
         if len(m) != 2 or any(len(row) != 2 for row in m):
             raise ValueError("density matrix must be 2x2")
         (uu, ud), (du, dd) = m
@@ -102,7 +113,7 @@ class SpinDensityMatrix:
             raise ValueError("density matrix trace != 1")
         if not smaller_eigenvalue(m) >= -ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
 
     @property
     def up_up(self) -> complex:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SaturationError
@@ -76,15 +75,8 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-@dataclass(frozen=True)
-class SGConfig:
-    """Physical parameters of the non-ideal Stern-Gerlach device.
-
-    All quantities are in natural units (hbar = 1): mass, initial packet
-    width sigma0, magnetic moment, field gradient, uniform bias field, and
-    transit time through the magnet.
-    """
-
+# the fields; SGConfig checks them in __new__, which _replace skips
+class _SGConfigFields(NamedTuple):
     mass: float
     sigma0: float
     moment: float
@@ -92,14 +84,26 @@ class SGConfig:
     bias: float
     transit: float
 
-    def __post_init__(self):
-        if not (self.mass > 0 and self.sigma0 > 0):
+
+class SGConfig(_SGConfigFields):
+    """Physical parameters of the non-ideal Stern-Gerlach device.
+
+    All quantities are in natural units (hbar = 1): mass, initial packet
+    width sigma0, magnetic moment, field gradient, uniform bias field, and
+    transit time through the magnet.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, mass, sigma0, moment, gradient, bias, transit) -> SGConfig:
+        if not (mass > 0 and sigma0 > 0):
             raise ValueError("mass and sigma0 must be positive")
-        if self.transit < 0:
+        if transit < 0:
             raise ValueError("transit time must be non-negative")
-        for name in ("moment", "gradient", "bias"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in (("moment", moment), ("gradient", gradient), ("bias", bias)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        return super().__new__(cls, mass, sigma0, moment, gradient, bias, transit)
 
     @property
     def momentum_kick(self) -> float:
@@ -124,8 +128,7 @@ def _sign(which: str) -> float:
     return 1.0 if which == "plus" else -1.0
 
 
-@dataclass(frozen=True)
-class WavePacketPair:
+class WavePacketPair(NamedTuple):
     """A spin state sent through the device, then flown freely for `time`.
 
     The magnet leaves the spin-up ("plus") and spin-down ("minus") channels
@@ -195,7 +198,7 @@ def free_propagate(pair: WavePacketPair, t: float) -> WavePacketPair:
     """Advance the pair by a free-flight interval t >= 0."""
     if t < 0:
         raise ValueError("free propagation time must be non-negative")
-    return replace(pair, time=pair.time + t)
+    return pair._replace(time=pair.time + t)
 
 
 def component_amplitude(pair: WavePacketPair, z: np.ndarray, which: str) -> np.ndarray:

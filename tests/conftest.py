@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +55,7 @@ def exit_channels(pair):
     The pair's derived momentum and its phase at the magnet exit, with
     origin 0, as inputs for the general Gaussian-pair references below.
     """
-    at_exit = replace(pair, time=0.0)
+    at_exit = pair._replace(time=0.0)
     return [(pair.momentum(w), 0.0, at_exit.phase(w)) for w in ("plus", "minus")]
 
 

@@ -21,8 +21,12 @@ from nosignal.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    RunConfig,
     _grid_resolution,
+    load_config,
     main,
+    workflow_sweep,
+    workflow_verify,
 )
 
 
@@ -195,6 +199,21 @@ class TestConfigHandling:
         assert main(argv + ["--inject-violation", value]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error") and "--inject-violation" in err
+
+    @pytest.mark.parametrize(
+        "out",
+        ["a-file", "a-file/sub", "out"],
+        ids=["file", "under-a-file", "data-file-is-a-directory"],
+    )
+    def test_unwritable_output_rejected(self, tmp_path, capsys, out):
+        # a file named by --out ended in a FileExistsError or
+        # NotADirectoryError traceback with exit 1
+        (tmp_path / "a-file").write_text("", encoding="utf-8")
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output to {tmp_path / out}: ")
 
     @pytest.mark.parametrize("command", ["verify", "sweep", "estimate"])
     def test_huge_width_runs_as_ideal_device(self, tmp_path, command):
@@ -788,6 +807,26 @@ def test_exit_code_contract(tmp_path_factory, sg):
         assert wrote is (code in (EXIT_OK, EXIT_CHECK_FAILED))
 
 
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(bias=st.floats(allow_nan=False, allow_infinity=False))
+def test_bias_moves_no_aligned_total_and_no_residual(bias):
+    # a uniform bias field turns both spin channels' phases (the Larmor
+    # phase) and nothing else: the error fraction and the aligned setting's
+    # totals keep their bits, and no-signalling holds at every bias
+    cfg = load_config(str(DEFAULT_CONFIG))
+    biased = cfg._replace(sg=SGConfig(**{**cfg.sg._asdict(), "bias": bias}))
+    columns = ("Es", "PB_plus", "PB_minus", "PB_total")
+
+    def aligned(run: RunConfig) -> list:
+        # repr, as sweep.csv writes them: equal strings are equal bits
+        return [[repr(row[c]) for c in columns] for row in workflow_sweep(run).payload]
+
+    assert aligned(biased) == aligned(cfg)
+    record = workflow_verify(biased)
+    assert record.passed
+    assert record.payload["max_abs_residual"] <= cfg.residual_tol
+
+
 def test_cli_runs_without_scipy(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -808,13 +847,15 @@ def test_cli_runs_without_scipy(tmp_path):
 
 def test_verify_sweep_and_estimate_run_without_numpy(tmp_path):
     # the 2x2 spin algebra and the seeded binomial stream are plain Python;
-    # only oracle needs numpy and the grid solver
+    # only oracle needs numpy and the grid solver.  The value types are
+    # NamedTuples: dataclasses would import inspect, ast, dis and tokenize
     cfg = write_config(tmp_path / "cfg.json")
     script = (
         "import json, sys\n"
         "import nosignal.cli as cli\n"
         "def loaded():\n"
-        "    return sorted({'numpy', 'nosignal.gridsolver'} & set(sys.modules))\n"
+        "    unwanted = {'dataclasses', 'numpy', 'nosignal.gridsolver'}\n"
+        "    return sorted(unwanted & set(sys.modules))\n"
         "cli.load_config(sys.argv[1])\n"
         "codes, seen = [], [loaded()]\n"
         "for i, argv in enumerate([['verify'], ['sweep'], ['estimate'],\n"
