@@ -30,6 +30,8 @@ import datetime
 import json
 import math
 import sys
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -595,6 +597,7 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
     """Analytic model vs grid solver on the configured device."""
     from .gridsolver import (
         GridSpec,
+        fork_join,
         grid_density,
         grid_error_fraction,
         grid_evolve,
@@ -621,12 +624,8 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
     exit_pair = evolve_through_magnet(cfg.sg, beam)
     sat = saturated_error_fraction(cfg.sg, beam, tol=1e-4)
 
-    comparisons = []
-    max_abs_e_diff = 0.0
-    max_mod_diff = 0.0
-    max_phase_diff = 0.0
-    max_l1 = 0.0
-    for idx, t in enumerate(times):
+    def compare(idx: int) -> dict:
+        t = times[idx]
         pair = free_propagate(exit_pair, t)
         e_analytic = error_fraction(pair)
         e_grid = grid_error_fraction(grid_result, idx)
@@ -640,23 +639,28 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
         l1 = float(np.sum(np.abs(density_grid - density_analytic)) * grid_result.dx)
         mod_diff = abs(abs(c_grid) - abs(c_analytic))
         phase_diff = abs(wrap_to_pi(np.angle(c_grid) - np.angle(c_analytic)))
-        comparisons.append(
-            {
-                "t": t,
-                "E_analytic": e_analytic,
-                "E_grid": e_grid,
-                "abs_E_diff": abs(e_grid - e_analytic),
-                "l1_density_diff": l1,
-                "coherence_analytic": [c_analytic.real, c_analytic.imag],
-                "coherence_grid": [c_grid.real, c_grid.imag],
-                "coherence_mod_diff": mod_diff,
-                "coherence_phase_diff": phase_diff,
-            }
-        )
-        max_abs_e_diff = max(max_abs_e_diff, abs(e_grid - e_analytic))
-        max_mod_diff = max(max_mod_diff, mod_diff)
-        max_phase_diff = max(max_phase_diff, phase_diff)
-        max_l1 = max(max_l1, l1)
+        return {
+            "t": t,
+            "E_analytic": e_analytic,
+            "E_grid": e_grid,
+            "abs_E_diff": abs(e_grid - e_analytic),
+            "l1_density_diff": l1,
+            "coherence_analytic": [c_analytic.real, c_analytic.imag],
+            "coherence_grid": [c_grid.real, c_grid.imag],
+            "coherence_mod_diff": mod_diff,
+            "coherence_phase_diff": phase_diff,
+        }
+
+    # odd times on a worker thread, even times on this one
+    comparisons = [None] * len(times)
+    comparisons[1::2], comparisons[::2] = fork_join(
+        lambda: [compare(idx) for idx in range(1, len(times), 2)],
+        lambda: [compare(idx) for idx in range(0, len(times), 2)],
+    )
+
+    # max folds left to right, so each maximum is max(max(0.0, x0), x1) ...
+    keys = "abs_E_diff", "coherence_mod_diff", "coherence_phase_diff", "l1_density_diff"
+    maxima = {f"max_{k}": max([0.0] + [c[k] for c in comparisons]) for k in keys}
 
     impulsive_ratio = cfg.sg.transit / cfg.sg.spreading_time
     notes = []
@@ -693,15 +697,12 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
         "impulsive_ratio": impulsive_ratio,
         "saturation": {"value": sat.value, "time": sat.time, "tol": 1e-4},
         "comparisons": comparisons,
-        "max_abs_E_diff": max_abs_e_diff,
-        "max_coherence_mod_diff": max_mod_diff,
-        "max_coherence_phase_diff": max_phase_diff,
-        "max_l1_density_diff": max_l1,
+        **maxima,
         "notes": notes,
     }
     summary = (
-        f"max |E difference| = {max_abs_e_diff:.3e}, "
-        f"max coherence phase difference = {max_phase_diff:.3e}"
+        f"max |E difference| = {maxima['max_abs_E_diff']:.3e}, "
+        f"max coherence phase difference = {maxima['max_coherence_phase_diff']:.3e}"
     )
     return RunRecord("oracle.json", report, _write_json, summary)
 
@@ -742,6 +743,15 @@ def _unwritable(out_dir: Path, exc: OSError) -> int:
     return EXIT_CONFIG
 
 
+def _failed(message: str, created: List[Path], code: int) -> int:
+    """Report a failed workflow and remove the directories the run created."""
+    print(message, file=sys.stderr)
+    with suppress(OSError):  # a directory that something else wrote into stays
+        for directory in created:  # deepest first
+            directory.rmdir()
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -760,7 +770,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(cfg.output_dir)
-    try:
+    try:  # the directories that this run creates, deepest first
+        created = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _unwritable(out_dir, exc)
@@ -775,11 +786,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             record = workflow_oracle(cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _failed(f"config error: {exc}", created, EXIT_CONFIG)
     except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _failed(f"numerical failure: {exc}", created, EXIT_NUMERICAL)
     # timestamps live here, away from the deterministic data files
     meta = {
         "command": args.command,

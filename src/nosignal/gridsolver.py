@@ -21,17 +21,19 @@ temporary elision made of the nested expression
 ``half_v * ifft(kinetic * fft(half_v * psi))`` on grids of 16384 points or
 more, so those grids give the same bits as that expression.
 
-The two channels run through the magnet on two threads: spin down on a
-worker thread, spin up on the calling thread.  numpy's FFTs and ufuncs
+The two channels run on two threads, spin down on a worker thread and spin
+up on the calling thread, each through the magnet and on to every snapshot
+(flight phase, inverse FFT, sum of |psi|^2).  numpy's FFTs and ufuncs
 release the interpreter lock, so the two overlap: on two cores, 100 steps
 on 65536 points take about half the time of one thread, while on 16384
 points the hand-offs of the lock cost about what the overlap saves.  Each
 thread evolves its own array with the same operands in the same order as
-one thread would, so the bits do not depend on the threads.  numpy's
-``errstate`` is a context variable, so the worker runs in a copy of the
-caller's context and warns, raises or ignores as the caller asked; an
-exception in the worker is raised again by ``grid_evolve`` after the join.
-The worker calls numpy only.
+one thread would, so the bits do not depend on the threads.  After the join
+the calling thread runs the norm and boundary checks in time order, so the
+same check at the same time raises as on one thread.  ``fork_join`` runs
+the worker in a copy of the caller's context, so numpy's ``errstate`` (a
+context variable) holds there too, and raises the worker's exception again
+after the join; the oracle workflow compares the snapshots with it too.
 
 This solver knows nothing of the impulsive Gaussian model in
 ``wavepacket``; it discretizes the Hamiltonian directly and serves as the
@@ -41,7 +43,7 @@ independent cross-check for it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BoundaryLeakError, NormDriftError
 from .spin import SpinState
@@ -110,6 +112,30 @@ def _upper_half_weights(n: int) -> np.ndarray:
     return w
 
 
+def fork_join(on_worker: Callable, on_caller: Callable) -> tuple:
+    """Run on_worker on a worker thread, in a copy of this context, and
+    on_caller on this thread; after the join, return or raise what each did."""
+    import contextvars
+    import threading
+    worker_out = {}
+
+    def run() -> None:
+        try:
+            worker_out["result"] = on_worker()
+        except BaseException as exc:  # raised again below, after the join
+            worker_out["error"] = exc
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    worker.start()
+    try:
+        caller_result = on_caller()
+    finally:
+        worker.join()
+    if "error" in worker_out:
+        raise worker_out["error"]
+    return worker_out["result"], caller_result
+
+
 def _check_boundary(psi: np.ndarray, dx: float, t: float) -> None:
     import numpy as np
     # np.max passes a NaN on, and a NaN edge fails the check
@@ -134,9 +160,6 @@ def grid_evolve(
     BoundaryLeakError when density reaches the grid edge, and NormDriftError
     if the total norm drifts beyond 1e-10 or is not a number.
     """
-    import contextvars
-    import threading
-
     import numpy as np
     if snapshots is None:
         if t_final is None:
@@ -169,8 +192,8 @@ def grid_evolve(
         dt = config.transit / n_steps
         kinetic = np.exp(-1j * k2 * dt / (2.0 * config.mass))
 
-    def exit_spectrum(s: int) -> np.ndarray:
-        """Channel s through the magnet, in place, and its FFT at the exit.
+    def channel_snapshots(s: int) -> Tuple[List[np.ndarray], List[float]]:
+        """Channel s at each snapshot time, and each snapshot's sum of |psi|^2.
 
         Calls numpy only, so it may run off the calling thread.
         """
@@ -184,40 +207,24 @@ def grid_evolve(
                 np.multiply(psi, kinetic, out=psi)
                 np.fft.ifft(psi, out=psi)
                 np.multiply(psi, half_v, out=psi)
-        return np.fft.fft(psi)
+        exit_spectrum = np.fft.fft(psi)
+        psis, sums = [], []
+        for t in times:
+            flight = np.exp(-1j * k2 * t / (2.0 * config.mass))
+            # psi, spent, holds the product
+            psis.append(np.fft.ifft(np.multiply(flight, exit_spectrum, out=psi)))
+            sums.append(float(np.sum(np.abs(psis[-1]) ** 2)))
+        return psis, sums
 
-    down = {}
-
-    def evolve_down() -> None:
-        try:
-            down["exit"] = exit_spectrum(-1)
-        except BaseException as exc:  # re-raised below, after the join
-            down["error"] = exc
-
-    # numpy's errstate is a context variable: the caller's must hold in the worker
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(evolve_down,))
-    worker.start()
-    try:
-        exit_plus = exit_spectrum(+1)
-    finally:
-        worker.join()
-    if "error" in down:
-        raise down["error"]
-    exit_minus = down["exit"]
-
-    psi_plus, psi_minus = [], []
-    product = np.empty_like(exit_plus)
-    for t in times:
-        flight = np.exp(-1j * k2 * t / (2.0 * config.mass))
-        fp = np.fft.ifft(np.multiply(flight, exit_plus, out=product))
-        fm = np.fft.ifft(np.multiply(flight, exit_minus, out=product))
-        norm = (float(np.sum(np.abs(fp) ** 2)) + float(np.sum(np.abs(fm) ** 2))) * dx
+    (psi_minus, sums_minus), (psi_plus, sums_plus) = fork_join(
+        lambda: channel_snapshots(-1), lambda: channel_snapshots(+1)
+    )
+    for t, fp, fm, sp, sm in zip(times, psi_plus, psi_minus, sums_plus, sums_minus):
+        norm = (sp + sm) * dx
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise NormDriftError(f"norm drifted to {norm} at t = {t:g}")
         _check_boundary(fp, dx, t)
         _check_boundary(fm, dx, t)
-        psi_plus.append(fp)
-        psi_minus.append(fm)
     return GridResult(
         z=z,
         dx=dx,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -25,6 +26,7 @@ from nosignal.cli import (
     _grid_resolution,
     load_config,
     main,
+    workflow_oracle,
     workflow_sweep,
     workflow_verify,
 )
@@ -719,6 +721,60 @@ class TestOracle:
         code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL
         assert "extent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sg, code",
+        [({"gradient": 1e6}, EXIT_NUMERICAL), ({"transit": 1000.0}, EXIT_CONFIG)],
+        ids=["boundary-leak", "work-bound"],
+    )
+    def test_failed_run_leaves_no_directory(self, tmp_path, sg, code):
+        # main makes --out before the workflow runs, so that an unwritable one
+        # is reported before any compute; a failed run removes what it made,
+        # and a directory that was there before stays
+        cfg = write_default_config(tmp_path, **sg)
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "a" / "b")]) == code
+        assert not (tmp_path / "a").exists()
+        (tmp_path / "empty").mkdir()
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "empty")]) == code
+        assert (tmp_path / "empty").is_dir()
+
+
+class TestOracleThreads:
+    """workflow_oracle compares the odd snapshot times on a worker thread and
+    the even ones on the calling thread."""
+
+    def test_payload_equals_one_thread(self, monkeypatch):
+        cfg = load_config(str(DEFAULT_CONFIG))
+        threaded = workflow_oracle(cfg).payload
+
+        # the same comparisons, the worker's share first, all on this thread
+        def one_thread(on_worker, on_caller):
+            return on_worker(), on_caller()
+
+        monkeypatch.setattr(nosignal.gridsolver, "fork_join", one_thread)
+        serial = workflow_oracle(cfg).payload
+        assert [row["t"] for row in threaded["comparisons"]] == cfg.oracle_times
+        assert json.dumps(threaded) == json.dumps(serial)
+
+    def test_worker_error_is_raised_to_the_caller(self, monkeypatch):
+        class WorkerFailure(Exception):
+            pass
+
+        caller = threading.get_ident()
+        free_propagate = nosignal.cli.free_propagate
+
+        def free_propagate_failing_off_the_caller(*args, **kwargs):
+            if threading.get_ident() != caller:
+                raise WorkerFailure
+            return free_propagate(*args, **kwargs)
+
+        monkeypatch.setattr(
+            nosignal.cli, "free_propagate", free_propagate_failing_off_the_caller
+        )
+        threads = threading.active_count()
+        with pytest.raises(WorkerFailure):
+            workflow_oracle(load_config(str(DEFAULT_CONFIG)))
+        assert threading.active_count() == threads
 
 
 class TestRunRecord:

@@ -296,3 +296,23 @@ class TestTwoThreads:
         with pytest.raises(WorkerFailure):
             grid_evolve(device, x_state, SMALL_GRID, t_final=1.0)
         assert threading.active_count() == threads
+
+    def test_earliest_failing_boundary_check_is_reported(self, device):
+        # the spin-down channel carries almost all the weight and reaches the
+        # edge by t = 2; the spin-up channel reaches it only by t = 4
+        spin = SpinState(1e-3, math.sqrt(1.0 - 1e-6))
+        tiny = GridSpec(extent=16.0, points=256, dt=1e-3)
+        message = r"^boundary density 5.78e-08 at t = 2 "  # the spin-down edge
+        with pytest.raises(BoundaryLeakError, match=message):
+            grid_evolve(device, spin, tiny, snapshots=[2.0, 4.0])
+
+    def test_earliest_failing_norm_check_is_reported(self, x_state):
+        # NaN from t = 1 on: each time fails the norm check, and the boundary
+        # checks too, and the norm check at the first time decides
+        sg = SGConfig(
+            mass=1.0, sigma0=1.0, moment=1e200, gradient=1e200, bias=0.0, transit=0.002
+        )
+        grid = GridSpec(extent=64.0, points=256, dt=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NormDriftError, match=r"^norm drifted to nan at t = 1$"):
+                grid_evolve(sg, x_state, grid, snapshots=[1.0, 2.0, 3.0])
