@@ -23,7 +23,7 @@ _EXPORTS = {
         grid_evolve grid_half_plane_coherence grid_mean_momentum grid_norm""",
     "postselect": """PostSelectedSpin constraint_residual extract_phase
         postselected_pure_state project_upper shift_cosine""",
-    "protocol": """BranchTable ProtocolResult branch_table cell_result
+    "protocol": """BranchTable ProtocolResult branch_table cell_results
         closed_form_result""",
     "spin": """SpinDensityMatrix SpinState born_probability make_spin_state
         mixture sigma_eigenstate singlet_conditional""",

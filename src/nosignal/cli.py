@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -61,7 +62,7 @@ from .protocol import (
     branch_phase,
     branch_table,
     branch_totals,
-    cell_result,
+    cell_results,
     closed_form_result,
 )
 from .rng import INT64_MAX
@@ -298,11 +299,66 @@ def load_config(path: Optional[str]) -> RunConfig:
     )
 
 
+# the types that indent=2 writes on one line; their subclasses and empty
+# containers take the general path, which is exact too
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _scalars(values) -> bool:
+    return _SCALAR_TYPES.issuperset(map(type, values))
+
+
+@functools.lru_cache(maxsize=16)  # one per nesting depth
+def _encoder(separator: str) -> Callable[[object], str]:
+    """json's C encoder: the data files' options, one line per item."""
+    return json.JSONEncoder(
+        sort_keys=True, allow_nan=False, separators=(separator, ": ")
+    ).encode
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), byte for byte.
+
+    json's C encoder runs only without indent, so each container of scalars
+    goes to it whole, with ",\\n" and the items' indent as its item
+    separator; so do the scalar items of a dict, and a list of dicts of
+    scalars one level deeper.  An encoded string holds no raw newline, so
+    every newline the encoder writes is a separator's.  Only the nesting
+    above those containers is indented here.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    encode = _encoder(sep)
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))) or not value:
+        return encode(value)  # a scalar, an empty container or a TypeError
+    opening, closing = "{}" if is_dict else "[]"
+    if _scalars(value.values() if is_dict else value):
+        text = encode(value)[1:-1]
+    elif is_dict:
+        scalars, lines = {}, {}
+        for k, v in value.items():
+            if type(v) in _SCALAR_TYPES:
+                scalars[k] = v
+            elif isinstance(k, str):
+                lines[k] = f"{encode(k)}: {_json_text(v, inner)}"
+            else:
+                raise TypeError(f"JSON object keys must be str, not {k!r}")
+        lines.update(zip(sorted(scalars), encode(scalars)[1:-1].split(sep)))
+        text = sep.join(lines[k] for k in sorted(value))
+    elif all(type(item) is dict and item and _scalars(item.values()) for item in value):
+        deeper = inner + "  "
+        text = _encoder(",\n" + deeper)(value)[2:-2]
+        # a separator followed by "{" starts the next dict; a key starts with '"'
+        text = text.replace("},\n" + deeper + "{", f"\n{inner}}}{sep}{{\n{deeper}")
+        text = f"{{\n{deeper}{text}\n{inner}}}"
+    else:
+        text = sep.join(_json_text(item, inner) for item in value)
+    return f"{opening}\n{inner}{text}\n{indent}{closing}"
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def _write_jsonl(path: Path, lines: List[dict]) -> None:
@@ -362,9 +418,7 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> RunRecord:
     table, rotated, unapplied = _rotated(cfg, inject)
     warnings: List[str] = []
     # the aligned setting's totals depend on theta only
-    aligned = [
-        branch_totals(table.aligned, theta, cfg.model) for theta in cfg.theta_list
-    ]
+    aligned = branch_totals(table.aligned, cfg.theta_list, cfg.model)
     for omega, branches, phi_plus, phi_minus in rotated:
         if phi_plus is not None and phi_minus is not None:
             # the nearer branch of phi_+ +- phi_- = pi; the two branches
@@ -383,8 +437,8 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> RunRecord:
                 f"omega={omega:.6g}: phases unidentifiable on degenerate "
                 "branches (no coherence); phase checks skipped"
             )
-        for theta, pb in zip(cfg.theta_list, aligned):
-            result = cell_result(table, (omega, branches), theta, cfg.model, pb)
+        entry = (omega, branches)
+        for result in cell_results(table, entry, cfg.theta_list, cfg.model, aligned):
             cell = result.to_json_dict()
             cell["phase_sum_dev"] = phase_sum_dev
             cell["cos_sum"] = cos_sum

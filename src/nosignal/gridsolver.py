@@ -174,12 +174,17 @@ def grid_evolve(
     z = (np.arange(n) - n // 2) * dx
     k2 = (2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2
 
+    # 2 pi sigma0**2 overflows for a packet far wider than any grid, and its
+    # -1/4 power would be 0 (then psi0 / 0); the factored form is finite
+    two_pi_var = 2.0 * math.pi * config.sigma0**2
+    if math.isfinite(two_pi_var):
+        prefactor = two_pi_var ** (-0.25)
+    else:
+        prefactor = (2.0 * math.pi) ** (-0.25) * config.sigma0 ** (-0.5)
     # for a packet far narrower than dx, z**2 / (4 sigma0**2) overflows off
     # z = 0, and exp(-inf) = 0 is the exact limit there
     with np.errstate(over="ignore"):
-        psi0 = (2.0 * math.pi * config.sigma0**2) ** (-0.25) * np.exp(
-            -(z**2) / (4.0 * config.sigma0**2)
-        )
+        psi0 = prefactor * np.exp(-(z**2) / (4.0 * config.sigma0**2))
     psi0 = psi0 / math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
     channels = {
         +1: (input_spin.amp_up * psi0).astype(complex),

@@ -25,15 +25,15 @@ reproduces it end to end from the wave-packet dynamics instead of the
 closed form.  Only four post-selected spins enter it per omega, none of
 them theta dependent: branch_table conditions the singlet, flies each
 beam through the device to the one closed-form time phase_settle_time
-and post-selects it, and cell_result turns a table entry and theta into
-Born probabilities.  verify runs every cell through cell_result, and
+and post-selects it, and cell_results turns a table entry and the thetas
+into Born probabilities.  verify runs every cell through cell_results, and
 sweep tabulates closed_form_result from the same table's phases.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PostSelectionError
 from .postselect import PostSelectedSpin, model_state, project_upper
@@ -53,7 +53,7 @@ __all__ = [
     "branch_table",
     "branch_phase",
     "branch_totals",
-    "cell_result",
+    "cell_results",
 ]
 
 MODELS = ("pure", "projected")
@@ -198,53 +198,58 @@ def branch_phase(branch: Branch) -> Optional[float]:
 
 
 def branch_totals(
-    branches: Dict[int, Branch], theta: float, model: str
-) -> Dict[int, float]:
-    """Per branch, the probability that Bob's post-selected spin reads +1 at theta."""
+    branches: Dict[int, Branch], thetas: Sequence[float], model: str
+) -> List[Dict[int, float]]:
+    """Per theta, per branch, the probability that Bob's post-selected spin
+    reads +1 at theta.
+
+    Each branch's model state and weight prob * select_prob are built once,
+    whatever the theta count.
+    """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
-    theta = float(theta)
-
-    def total(branch: Branch) -> float:
-        prob, post = branch
+    # a branch that selects nothing reads +1 with probability 0
+    totals = [dict.fromkeys(branches, 0.0) for _ in thetas]
+    for s, (prob, post) in branches.items():
         if post is None:
-            return 0.0
-        state = model_state(post, model)
-        return prob * post.select_prob * born_probability(state, theta, +1)
+            continue
+        weight, state = prob * post.select_prob, model_state(post, model)
+        for row, theta in zip(totals, thetas):
+            row[s] = weight * born_probability(state, float(theta), +1)
+    return totals
 
-    return {s: total(branch) for s, branch in branches.items()}
 
-
-def cell_result(
+def cell_results(
     table: BranchTable,
     entry: Entry,
-    theta: float,
+    thetas: Sequence[float],
     model: str,
-    aligned: Dict[int, float],
-) -> ProtocolResult:
-    """Born probabilities of one (omega, theta) cell from a table entry.
+    aligned: Sequence[Dict[int, float]],
+) -> List[ProtocolResult]:
+    """Born probabilities of one omega's cells from a table entry, per theta.
 
     The residual compares the rotated setting against the aligned one;
     under unitary dynamics plus Born statistics it vanishes to rounding.
-    ``aligned`` is ``branch_totals(table.aligned, theta, model)``, which
-    depends on theta only, so callers compute it once per theta.
+    ``aligned`` is ``branch_totals(table.aligned, thetas, model)``, which
+    does not depend on omega, so callers compute it once per run.
     """
     omega, rotated = entry
-    theta = float(theta)
-    pa = branch_totals(rotated, theta, model)
-    return ProtocolResult(
-        omega=omega,
-        theta=theta,
-        Es=table.Es,
-        phi_plus=branch_phase(rotated[+1]),
-        phi_minus=branch_phase(rotated[-1]),
-        pA_plus=pa[+1],
-        pA_minus=pa[-1],
-        PA_total=pa[+1] + pa[-1],
-        PB_plus=aligned[+1],
-        PB_minus=aligned[-1],
-        PB_total=aligned[+1] + aligned[-1],
-        residual=(pa[+1] + pa[-1]) - (aligned[+1] + aligned[-1]),
-        model=model,
-    )
-
+    phi_plus, phi_minus = branch_phase(rotated[+1]), branch_phase(rotated[-1])
+    return [
+        ProtocolResult(
+            omega=omega,
+            theta=float(theta),
+            Es=table.Es,
+            phi_plus=phi_plus,
+            phi_minus=phi_minus,
+            pA_plus=pa[+1],
+            pA_minus=pa[-1],
+            PA_total=pa[+1] + pa[-1],
+            PB_plus=pb[+1],
+            PB_minus=pb[-1],
+            PB_total=pb[+1] + pb[-1],
+            residual=(pa[+1] + pa[-1]) - (pb[+1] + pb[-1]),
+            model=model,
+        )
+        for theta, pa, pb in zip(thetas, branch_totals(rotated, thetas, model), aligned)
+    ]

@@ -15,6 +15,7 @@ is plain Python complex arithmetic; a 2x2 matrix is a pair of rows.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Iterable, NamedTuple, Tuple, Union
 
@@ -128,8 +129,15 @@ class SpinDensityMatrix(_SpinDensityMatrixFields):
         return self.matrix[1][1]
 
 
+# verify measures every omega's branches at the same thetas.  Keys that
+# compare equal build equal bits: float() of equal numbers is equal, and
+# -0.0 % TWO_PI is 0.0.  The bound holds far more thetas than a grid has.
+@functools.lru_cache(maxsize=4096)
 def sigma_eigenstate(axis: float, outcome: int) -> SpinState:
-    """Eigenstate of sigma_theta with eigenvalue +1 or -1; axis in radians from +z."""
+    """Eigenstate of sigma_theta with eigenvalue +1 or -1; axis in radians from +z.
+
+    Memoized: a repeated (axis, outcome) returns the same immutable state.
+    """
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
     axis = float(axis)

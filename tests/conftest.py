@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from nosignal import SGConfig, branch_table, cell_result, make_spin_state
+from nosignal import SGConfig, branch_table, cell_results, make_spin_state
 from nosignal.protocol import branch_totals
 
 
@@ -28,8 +28,8 @@ def device_for_error_fraction(target: float, transit: float = 0.002) -> SGConfig
 def run_pipeline(sg: SGConfig, omega: float, theta: float, model: str = "projected"):
     """One (omega, theta) cell end to end through the wave-packet model."""
     table = branch_table(sg, [omega])
-    aligned = branch_totals(table.aligned, theta, model)
-    return cell_result(table, table.rotated[0], theta, model, aligned)
+    aligned = branch_totals(table.aligned, [theta], model)
+    return cell_results(table, table.rotated[0], [theta], model, aligned)[0]
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from nosignal.cli import (
     EXIT_OK,
     RunConfig,
     _grid_resolution,
+    _json_text,
     load_config,
     main,
     workflow_oracle,
@@ -817,6 +818,79 @@ class TestRunRecord:
         if command == "verify":
             report = json.loads((out / "report.json").read_text())
             assert report["warnings"][-1] == warning and report["passed"] is True
+
+
+def stdlib_json(value) -> str:
+    """The data files' format: json.dumps(indent=2, sort_keys=True) and a newline."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# text of any kind, and strings that JSON escapes or that look like the
+# separators and brackets the writer places
+json_strings = st.one_of(
+    st.text(),
+    st.sampled_from(["", "é", " ", "\x00\x1f\x7f", "\ud800", '"\\/',
+                     "},\n  {", "},\n      {", "[\n]", ": "]),
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, -1, -1.0, True, False]),
+    json_strings,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+        # lists of dicts of scalars, the shape of report.json's cells
+        st.lists(st.dictionaries(json_strings, json_scalars, max_size=4), max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(value=json_values)
+    def test_equals_stdlib_indented_json(self, value):
+        assert _json_text(value) + "\n" == stdlib_json(value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises_value_error(self, bad):
+        for value in (bad, [bad], {"a": bad}, [{"a": 1, "b": bad}], {"a": [{"b": [bad]}]}):
+            with pytest.raises(ValueError):
+                stdlib_json(value)
+            with pytest.raises(ValueError):
+                _json_text(value)
+
+    @pytest.mark.parametrize("model", ["projected", "pure"])
+    @pytest.mark.parametrize("inject", ["0", "0.1"])
+    def test_verify_files(self, tmp_path, model, inject):
+        payload = json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
+        payload["model"] = model
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["verify", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--inject-violation", inject]) in (EXIT_OK, EXIT_CHECK_FAILED)
+        for name in ("report.json", "run_meta.json"):
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == stdlib_json(json.loads(text))
+
+    def test_oracle_files(self, tmp_path):
+        payload = json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
+        payload["oracle"].update(points=256, extent=64.0, times=[1, 3, 7])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        for name in ("oracle.json", "run_meta.json"):
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == stdlib_json(json.loads(text))
 
 
 def log_magnitude(signed: bool):

@@ -53,6 +53,18 @@ class TestValidation:
             with pytest.raises(NormDriftError, match="nan"):
                 grid_evolve(sg, x_state, grid, t_final=1.0)
 
+    def test_wide_packet_is_normalized_without_a_warning(self, x_state):
+        # 2 pi sigma0**2 overflows: the prefactor is not 0 and psi0 not 0/0;
+        # the packet is flat on the grid, so each point holds 1 / points
+        sg = SGConfig(
+            mass=1.0, sigma0=6e153, moment=1.0, gradient=0.0, bias=0.0, transit=0.002
+        )
+        grid = GridSpec(extent=64.0, points=256, dt=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundaryLeakError, match=r"3\.91e-03 at t = -0\.002"):
+                grid_evolve(sg, x_state, grid, t_final=1.0)
+
 
 class TestFreeParticle:
     def test_matches_analytic_gaussian(self, x_state):

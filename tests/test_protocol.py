@@ -11,13 +11,13 @@ from nosignal import (
     asymptotic_error_fraction,
     born_probability,
     branch_table,
-    cell_result,
+    cell_results,
     closed_form_result,
     postselected_pure_state,
 )
 from nosignal.cli import EXIT_OK, main
 from nosignal.protocol import MODELS, branch_totals
-from nosignal.spin import wrap_to_pi
+from nosignal.spin import sigma_eigenstate, wrap_to_pi
 from conftest import device_for_error_fraction, run_pipeline
 
 
@@ -302,16 +302,38 @@ class TestBranchTable:
             "born_probability": 2 * len(omegas) * n_theta + 2 * n_theta,
         }
 
+    def test_verify_builds_each_measurement_basis_once(self, tmp_path):
+        # sigma_theta's +1 eigenstate is built once per theta, not once per
+        # cell: apart from conditioning the singlet on each omega's two
+        # outcomes, 1 and 3 omegas cost the same eigenstate evaluations
+        # not 0: conditioning on the aligned setting builds axis 0 already
+        thetas = [math.pi * i / 8 for i in range(1, 10)]
+
+        def evaluations(omegas):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "schema_version": 1, "omega_list": omegas, "theta_list": thetas,
+            }))
+            out = tmp_path / f"out{len(omegas)}"
+            sigma_eigenstate.cache_clear()
+            assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            return sigma_eigenstate.cache_info().misses - 2 * len(omegas)
+
+        # the aligned setting's two conditionings, and one basis per theta
+        assert evaluations([0.3]) == evaluations([0.3, 1.1, 2.5]) == 2 + len(thetas)
+
     def test_table_cells_match_single_cell_pipeline(self, device):
         omegas = [0.0, math.pi / 6, math.pi / 2, 2.5]
         table = branch_table(device, omegas)
-        for entry in table.rotated:
-            for theta in (0.0, 0.7, 2.9):
-                for model in MODELS:
-                    aligned = branch_totals(table.aligned, theta, model)
-                    assert cell_result(
-                        table, entry, theta, model, aligned
-                    ) == run_pipeline(device, entry[0], theta, model=model)
+        thetas = (0.0, 0.7, 2.9)
+        for model in MODELS:
+            aligned = branch_totals(table.aligned, thetas, model)
+            for entry in table.rotated:
+                row = cell_results(table, entry, thetas, model, aligned)
+                assert row == [
+                    run_pipeline(device, entry[0], theta, model=model)
+                    for theta in thetas
+                ]
 
 
 class TestSerialization:
