@@ -15,22 +15,21 @@ import importlib
 
 _EXPORTS = {
     "errors": """BoundaryLeakError ConfigError NormDriftError PhaseUndefinedError
-        PostSelectionError SaturationError""",
+        PostSelectionError""",
     "estimation": """MeasurementRecord PhaseEstimate derive_seed
         estimate_error_fraction estimate_phase sample violation_bound
         wilson_interval""",
     "gridsolver": """GridResult GridSpec grid_density grid_error_fraction
-        grid_evolve grid_half_plane_coherence grid_mean_momentum grid_norm""",
+        grid_evolve grid_half_plane_coherence""",
     "postselect": """PostSelectedSpin constraint_residual extract_phase
         postselected_pure_state project_upper shift_cosine""",
     "protocol": """BranchTable ProtocolResult branch_table cell_results
         closed_form_result""",
     "spin": """SpinDensityMatrix SpinState born_probability make_spin_state
-        mixture sigma_eigenstate singlet_conditional""",
+        sigma_eigenstate singlet_conditional""",
     "wavepacket": """SGConfig WavePacketPair asymptotic_error_fraction
         closed_form_upper_coherence component_amplitude error_fraction
-        evolve_through_magnet free_propagate phase_settle_time
-        saturated_error_fraction upper_fraction""",
+        evolve_through_magnet free_propagate phase_settle_time upper_fraction""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -1,18 +1,6 @@
 """Exception types shared across the package."""
 
 
-class SaturationError(RuntimeError):
-    """The error fraction did not settle before the time horizon.
-
-    Carries the last sampled value so callers can inspect how far the
-    detection got.
-    """
-
-    def __init__(self, message: str, last_value: float):
-        super().__init__(message)
-        self.last_value = last_value
-
-
 class BoundaryLeakError(RuntimeError):
     """Wave-packet density reached the edge of the simulation grid."""
 

@@ -43,7 +43,7 @@ independent cross-check for it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import BoundaryLeakError, NormDriftError
 from .spin import SpinState
@@ -56,10 +56,8 @@ __all__ = [
     "GridSpec",
     "GridResult",
     "grid_evolve",
-    "grid_norm",
     "grid_error_fraction",
     "grid_half_plane_coherence",
-    "grid_mean_momentum",
     "grid_density",
 ]
 
@@ -143,7 +141,7 @@ def _check_boundary(psi: np.ndarray, dx: float, t: float) -> None:
     if not edge * dx <= _BOUNDARY_TOL:
         raise BoundaryLeakError(
             f"boundary density {edge * dx:.2e} at t = {t:g} exceeds "
-            f"{_BOUNDARY_TOL:g}; increase the grid extent"
+            f"{_BOUNDARY_TOL:g}"
         )
 
 
@@ -151,8 +149,7 @@ def grid_evolve(
     config: SGConfig,
     input_spin: SpinState,
     grid: GridSpec,
-    t_final: Optional[float] = None,
-    snapshots: Optional[Sequence[float]] = None,
+    snapshots: Sequence[float],
 ) -> GridResult:
     """Evolve through the magnet and free flight; sample at snapshot times.
 
@@ -161,10 +158,6 @@ def grid_evolve(
     if the total norm drifts beyond 1e-10 or is not a number.
     """
     import numpy as np
-    if snapshots is None:
-        if t_final is None:
-            raise ValueError("provide t_final or an explicit snapshot list")
-        snapshots = [t_final]
     times = [float(t) for t in snapshots]
     if any(t < 0 for t in times):
         raise ValueError("snapshot times must be non-negative")
@@ -242,12 +235,6 @@ def grid_evolve(
     )
 
 
-def grid_norm(result: GridResult, index: int = -1) -> float:
-    import numpy as np
-    fp, fm = result.psi_plus[index], result.psi_minus[index]
-    return (float(np.sum(np.abs(fp) ** 2)) + float(np.sum(np.abs(fm) ** 2))) * result.dx
-
-
 def grid_error_fraction(result: GridResult, index: int = -1) -> float:
     """Upper-half weight of the normalized spin-down channel."""
     import numpy as np
@@ -269,18 +256,6 @@ def grid_half_plane_coherence(result: GridResult, index: int = -1) -> complex:
     w = _upper_half_weights(len(fp))
     raw = complex(np.sum(w * fp * np.conj(fm))) * result.dx
     return raw / (wp * np.conj(wm))
-
-
-def grid_mean_momentum(result: GridResult, index: int, which: str) -> float:
-    import numpy as np
-    psi = result.psi_plus[index] if which == "plus" else result.psi_minus[index]
-    ft = np.fft.fft(psi)
-    weight = np.abs(ft) ** 2
-    total = float(np.sum(weight))
-    if total < 1e-300:
-        raise ValueError(f"{which} channel is empty")
-    k = 2.0 * math.pi * np.fft.fftfreq(len(psi), result.dx)
-    return float(np.sum(k * weight)) / total
 
 
 def grid_density(result: GridResult, index: int = -1) -> np.ndarray:

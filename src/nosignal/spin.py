@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Iterable, NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 ATOL = 1e-12
 TWO_PI = 2.0 * math.pi
@@ -171,21 +171,6 @@ def born_probability(
     if not -ATOL <= p <= 1.0 + ATOL:
         raise AssertionError(f"Born probability out of range: {p}")
     return min(max(p, 0.0), 1.0)
-
-
-def mixture(components: Iterable[Tuple[float, SpinState]]) -> SpinDensityMatrix:
-    """Convex combination sum_i w_i |psi_i><psi_i|."""
-    components = list(components)
-    weights = [w for w, _ in components]
-    if any(w < -ATOL for w in weights):
-        raise ValueError("mixture weights must be non-negative")
-    if abs(sum(weights) - 1.0) > ATOL:
-        raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
-    rho = [[0j, 0j], [0j, 0j]]
-    for w, psi in components:
-        for row, psi_row in zip(rho, psi.density().matrix):
-            row[:] = [x + w * y for x, y in zip(row, psi_row)]
-    return SpinDensityMatrix(rho)
 
 
 def singlet_conditional(

@@ -28,10 +28,15 @@ spin-down channel,
 
     E(t) = integral_0^inf |psi_minus(z, t)|^2 dz,
 
-evaluated in closed form through the Gaussian CDF.  E(t) decreases
-monotonically after the magnet for dp > 0 and saturates at the Gaussian
-tail value Phi(-2 dp sigma0), set by the ratio of drift to spreading
-velocity.  Post-selection happens at phase_settle_time, after saturation.
+evaluated in closed form through the Gaussian CDF: with a = 2 dp sigma0
+and tau = t / (2 m sigma0^2),
+
+    E(t) = Phi(-a tau / sqrt(1 + tau^2)).
+
+E(t) decreases monotonically after the magnet for dp > 0 and saturates at
+the Gaussian tail value Phi(-a) (asymptotic_error_fraction), set by the
+ratio of drift to spreading velocity, so no search for a saturation time is
+needed.  Post-selection happens at phase_settle_time, after saturation.
 
 The upper-half coherence integral int_0^inf psi_plus psi_minus^* dz of the
 symmetric, co-located channels the magnet produces is also a closed form,
@@ -47,7 +52,6 @@ import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import SaturationError
 from .spin import SpinState
 
 if TYPE_CHECKING:
@@ -63,9 +67,7 @@ __all__ = [
     "error_fraction",
     "closed_form_upper_coherence",
     "asymptotic_error_fraction",
-    "saturated_error_fraction",
     "phase_settle_time",
-    "SaturationResult",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -303,42 +305,6 @@ def asymptotic_error_fraction(config: SGConfig) -> float:
     channel; a large kick gives the ideal device, zero kick gives 1/2.
     """
     return _norm_cdf(-2.0 * config.momentum_kick * config.sigma0)
-
-
-class SaturationResult(NamedTuple):
-    value: float
-    time: float
-
-
-def saturated_error_fraction(
-    config: SGConfig, input_spin: SpinState, tol: float = 1e-6
-) -> SaturationResult:
-    """Detect the time-saturated error fraction by doubling-window sampling.
-
-    Doubles the probe time until |E(2t) - E(t)| < tol, then reports E at
-    the doubled time (one window deeper than the detection point, so the
-    reported value sits within tol of the asymptotic tail).  Raises
-    SaturationError carrying the last sample if the horizon of 1e9
-    spreading times is exceeded.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    base = config.spreading_time
-    horizon = 1e9 * base
-    exit_pair = evolve_through_magnet(config, input_spin)
-    t = base / 8.0
-    last = error_fraction(free_propagate(exit_pair, t))
-    while True:
-        if 2.0 * t > horizon:
-            raise SaturationError(
-                f"error fraction not saturated to {tol:g} before t = {horizon:g}",
-                last_value=last,
-            )
-        nxt = error_fraction(free_propagate(exit_pair, 2.0 * t))
-        if abs(nxt - last) < tol:
-            return SaturationResult(value=nxt, time=2.0 * t)
-        t *= 2.0
-        last = nxt
 
 
 def phase_settle_time(config: SGConfig, phase_sum_tol: float = 1e-10) -> float:

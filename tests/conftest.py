@@ -1,12 +1,72 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from nosignal import SGConfig, branch_table, cell_results, make_spin_state
+import nosignal.wavepacket
+from nosignal import (
+    SGConfig,
+    SpinDensityMatrix,
+    branch_table,
+    cell_results,
+    evolve_through_magnet,
+    free_propagate,
+    make_spin_state,
+)
 from nosignal.protocol import branch_totals
+from nosignal.spin import ATOL
+
+
+class SaturationResult(NamedTuple):
+    value: float
+    time: float
+
+
+def saturated_error_fraction(config, input_spin, tol: float = 1e-6) -> SaturationResult:
+    """Time-saturated error fraction by doubling-window sampling.
+
+    The test-side reference for the closed-form tail Phi(-2 dp sigma0):
+    doubles the probe time until |E(2t) - E(t)| < tol, then reports E at
+    the doubled time (one window deeper than the detection point).  Fails
+    with the last sample past a horizon of 1e9 spreading times.  E is looked
+    up on its module at each call, so a test can replace it.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    base = config.spreading_time
+    horizon = 1e9 * base
+    exit_pair = evolve_through_magnet(config, input_spin)
+    t = base / 8.0
+    last = nosignal.wavepacket.error_fraction(free_propagate(exit_pair, t))
+    while True:
+        if 2.0 * t > horizon:
+            raise AssertionError(
+                f"error fraction not saturated to {tol:g} before t = {horizon:g}; "
+                f"last sample {last!r}"
+            )
+        nxt = nosignal.wavepacket.error_fraction(free_propagate(exit_pair, 2.0 * t))
+        if abs(nxt - last) < tol:
+            return SaturationResult(value=nxt, time=2.0 * t)
+        t *= 2.0
+        last = nxt
+
+
+def mixture(components) -> SpinDensityMatrix:
+    """Convex combination sum_i w_i |psi_i><psi_i| of (weight, SpinState) pairs."""
+    components = list(components)
+    weights = [w for w, _ in components]
+    if any(w < -ATOL for w in weights):
+        raise ValueError("mixture weights must be non-negative")
+    if abs(sum(weights) - 1.0) > ATOL:
+        raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
+    rho = [[0j, 0j], [0j, 0j]]
+    for w, psi in components:
+        for row, psi_row in zip(rho, psi.density().matrix):
+            row[:] = [x + w * y for x, y in zip(row, psi_row)]
+    return SpinDensityMatrix(rho)
 
 
 def device_for_error_fraction(target: float, transit: float = 0.002) -> SGConfig:

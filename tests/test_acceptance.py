@@ -29,13 +29,12 @@ from nosignal import (
     postselected_pure_state,
     project_upper,
     sample,
-    saturated_error_fraction,
     sigma_eigenstate,
     violation_bound,
 )
 from nosignal.cli import main
 from nosignal.spin import wrap_to_pi
-from conftest import device_for_error_fraction, run_pipeline
+from conftest import device_for_error_fraction, run_pipeline, saturated_error_fraction
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -16,7 +16,7 @@ import nosignal
 import nosignal.cli
 import nosignal.gridsolver
 import nosignal.protocol
-from nosignal import GridSpec, SGConfig, branch_table
+from nosignal import GridSpec, SGConfig, asymptotic_error_fraction, branch_table
 from nosignal.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -634,11 +634,30 @@ class TestOracle:
         assert points == math.inf
 
     def test_default_grid_resolves_the_kick(self, tmp_path):
-        # the factor there is 1 - 2.3e-4, inside criterion 4's 1e-3
+        # the factor there is 1 - 2.3e-4, inside criterion 4's 1e-3; and
+        # E(120) is 3.3e-5 from the saturated value, inside its tol 1e-4
         report = run_default_oracle(tmp_path)
+        assert report["notes"] == []
+        sg = SGConfig(**json.loads(DEFAULT_CONFIG.read_text())["sg"])
+        assert report["saturation"] == {
+            "tol": 1e-4, "value": asymptotic_error_fraction(sg)
+        }
+
+    def test_unsaturated_last_time_is_noted(self, tmp_path):
+        report = run_default_oracle(tmp_path, times=[1, 3])
+        gap = report["comparisons"][-1]["E_analytic"] - report["saturation"]["value"]
+        assert 0.04 < gap < 0.045
         assert report["notes"] == [
-            "largest sampled time 120 is before the detected saturation time 128"
+            f"largest sampled time 3 is before saturation: E_analytic there is "
+            f"{gap:.3g} from the saturated value, beyond tol = 0.0001"
         ]
+
+    def test_zero_kick_is_saturated_from_the_start(self, tmp_path):
+        # E(t) is 1/2 at every t, and so is its saturated value
+        report = run_default_oracle(tmp_path, gradient=0.0)
+        assert report["saturation"]["value"] == 0.5
+        assert {row["E_analytic"] for row in report["comparisons"]} == {0.5}
+        assert report["notes"] == []
 
     def test_work_bound_refuses_long_transit(self, tmp_path, capsys, monkeypatch):
         # ceil(1000 / 2e-4) = 5e6 magnet steps x 16384 points: refused before
@@ -721,7 +740,24 @@ class TestOracle:
         )
         code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL
-        assert "extent" in capsys.readouterr().err
+        assert "increase the grid extent" in capsys.readouterr().err
+
+    def test_leak_from_an_under_resolved_packet_names_the_points(
+        self, tmp_path, capsys
+    ):
+        # dx = 1024 / 256 = 4 exceeds sigma0 = 1, and the packet leaks at the
+        # edge; a wider extent only widens dx, 1024 points keep dx <= sigma0
+        payload = json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
+        payload["oracle"]["points"] = 256
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: boundary density 4.02e-10 at t = 3 exceeds "
+            "1e-10; the grid under-resolves the packet: dx = extent / points = "
+            "4 exceeds sigma0 = 1; oracle.points >= 1024 keeps dx <= sigma0\n"
+        )
 
     @pytest.mark.parametrize(
         "sg, code",

@@ -12,13 +12,13 @@ from nosignal import (
     estimate_error_fraction,
     estimate_phase,
     make_spin_state,
-    mixture,
     postselected_pure_state,
     sample,
     violation_bound,
     wilson_interval,
 )
 from nosignal.estimation import Z_95
+from conftest import mixture
 
 
 class TestSampling:

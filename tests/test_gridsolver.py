@@ -19,8 +19,6 @@ from nosignal import (
     grid_error_fraction,
     grid_evolve,
     grid_half_plane_coherence,
-    grid_mean_momentum,
-    grid_norm,
     make_spin_state,
 )
 from nosignal.wavepacket import closed_form_upper_coherence
@@ -28,19 +26,31 @@ from nosignal.wavepacket import closed_form_upper_coherence
 SMALL_GRID = GridSpec(extent=384.0, points=4096, dt=2e-4)
 
 
+def grid_norm(result, index: int = -1) -> float:
+    fp, fm = result.psi_plus[index], result.psi_minus[index]
+    return (float(np.sum(np.abs(fp) ** 2)) + float(np.sum(np.abs(fm) ** 2))) * result.dx
+
+
+def grid_mean_momentum(result, index: int, which: str) -> float:
+    psi = result.psi_plus[index] if which == "plus" else result.psi_minus[index]
+    weight = np.abs(np.fft.fft(psi)) ** 2
+    k = 2.0 * math.pi * np.fft.fftfreq(len(psi), result.dx)
+    return float(np.sum(k * weight)) / float(np.sum(weight))
+
+
 class TestValidation:
     def test_points_must_be_power_of_two(self):
         with pytest.raises(ValueError):
             GridSpec(extent=100.0, points=1000, dt=1e-3)
 
-    def test_needs_time_or_snapshots(self, device, x_state):
-        with pytest.raises(ValueError):
+    def test_needs_snapshots(self, device, x_state):
+        with pytest.raises(TypeError):
             grid_evolve(device, x_state, SMALL_GRID)
 
     def test_boundary_leak_detected(self, device, x_state):
         tiny = GridSpec(extent=16.0, points=256, dt=1e-3)
         with pytest.raises(BoundaryLeakError):
-            grid_evolve(device, x_state, tiny, t_final=40.0)
+            grid_evolve(device, x_state, tiny, snapshots=[40.0])
 
     def test_overflowing_potential_raises_instead_of_returning_nan(self, x_state):
         # each value is finite, moment * gradient is not: the potential, and
@@ -51,7 +61,7 @@ class TestValidation:
         grid = GridSpec(extent=64.0, points=256, dt=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NormDriftError, match="nan"):
-                grid_evolve(sg, x_state, grid, t_final=1.0)
+                grid_evolve(sg, x_state, grid, snapshots=[1.0])
 
     def test_wide_packet_is_normalized_without_a_warning(self, x_state):
         # 2 pi sigma0**2 overflows: the prefactor is not 0 and psi0 not 0/0;
@@ -63,14 +73,14 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BoundaryLeakError, match=r"3\.91e-03 at t = -0\.002"):
-                grid_evolve(sg, x_state, grid, t_final=1.0)
+                grid_evolve(sg, x_state, grid, snapshots=[1.0])
 
 
 class TestFreeParticle:
     def test_matches_analytic_gaussian(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.0)
         t = 9.0
-        result = grid_evolve(cfg, x_state, SMALL_GRID, t_final=t)
+        result = grid_evolve(cfg, x_state, SMALL_GRID, snapshots=[t])
         pair = free_propagate(evolve_through_magnet(cfg, x_state), t)
         analytic = (
             np.abs(component_amplitude(pair, result.z, "plus")) ** 2
@@ -88,17 +98,17 @@ class TestFreeParticle:
         # 10^4 split-operator steps inside the magnet
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=1.0, bias=0.5, transit=1.0)
         grid = GridSpec(extent=128.0, points=1024, dt=1e-4)
-        result = grid_evolve(cfg, x_state, grid, t_final=0.0)
+        result = grid_evolve(cfg, x_state, grid, snapshots=[0.0])
         assert abs(grid_norm(result) - 1.0) < 1e-10
 
 
 class TestChannels:
     def test_up_eigenstate_leaves_down_channel_empty(self, device, up_state):
-        result = grid_evolve(device, up_state, SMALL_GRID, t_final=10.0)
+        result = grid_evolve(device, up_state, SMALL_GRID, snapshots=[10.0])
         assert float(np.max(np.abs(result.psi_minus[0]))) == 0.0
 
     def test_impulsive_momentum_kicks(self, device, x_state):
-        result = grid_evolve(device, x_state, SMALL_GRID, t_final=0.0)
+        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=[0.0])
         kick = device.momentum_kick
         assert abs(grid_mean_momentum(result, 0, "plus") - kick) / kick < 0.01
         assert abs(grid_mean_momentum(result, 0, "minus") + kick) / kick < 0.01
@@ -107,13 +117,13 @@ class TestChannels:
 class TestAgainstAnalyticModel:
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_error_fraction_agreement(self, device, x_state, t):
-        result = grid_evolve(device, x_state, SMALL_GRID, t_final=t)
+        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=[t])
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
         assert abs(grid_error_fraction(result) - error_fraction(pair)) < 1e-3
 
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_position_density_agreement(self, device, x_state, t):
-        result = grid_evolve(device, x_state, SMALL_GRID, t_final=t)
+        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=[t])
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
         analytic = (
             np.abs(component_amplitude(pair, result.z, "plus")) ** 2
@@ -124,7 +134,7 @@ class TestAgainstAnalyticModel:
 
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_coherence_agreement(self, device, x_state, t):
-        result = grid_evolve(device, x_state, SMALL_GRID, t_final=t)
+        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=[t])
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
         analytic = closed_form_upper_coherence(pair)
         grid = grid_half_plane_coherence(result)
@@ -134,7 +144,7 @@ class TestAgainstAnalyticModel:
     def test_complex_weight_input(self, device):
         # relative phase of the input spin must survive the weight division
         state = make_spin_state(1.0, 1.0j)
-        result = grid_evolve(device, state, SMALL_GRID, t_final=10.0)
+        result = grid_evolve(device, state, SMALL_GRID, snapshots=[10.0])
         pair = free_propagate(evolve_through_magnet(device, state), 10.0)
         analytic = closed_form_upper_coherence(pair)
         grid = grid_half_plane_coherence(result)
@@ -289,7 +299,7 @@ class TestTwoThreads:
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NormDriftError, match="nan"):
-                    grid_evolve(sg, x_state, grid, t_final=1.0)
+                    grid_evolve(sg, x_state, grid, snapshots=[1.0])
 
     def test_worker_error_is_raised_to_the_caller(self, device, x_state, monkeypatch):
         class WorkerFailure(Exception):
@@ -306,7 +316,7 @@ class TestTwoThreads:
         monkeypatch.setattr(np.fft, "fft", fft_failing_off_the_caller)
         threads = threading.active_count()
         with pytest.raises(WorkerFailure):
-            grid_evolve(device, x_state, SMALL_GRID, t_final=1.0)
+            grid_evolve(device, x_state, SMALL_GRID, snapshots=[1.0])
         assert threading.active_count() == threads
 
     def test_earliest_failing_boundary_check_is_reported(self, device):

@@ -1,12 +1,10 @@
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
 
 import nosignal.protocol
-import nosignal.wavepacket
 from nosignal import (
     asymptotic_error_fraction,
     born_probability,
@@ -255,15 +253,10 @@ class TestPipeline:
 class TestBranchTable:
     @pytest.mark.parametrize("n_theta", [1, 9])
     def test_verify_builds_each_branch_once(self, tmp_path, monkeypatch, n_theta):
-        # no saturation search (the flight time is closed-form); one
-        # projection per Alice outcome for the aligned setting and for each
-        # omega, whatever the theta count; the aligned Born probabilities
-        # once per theta, not once per cell
-        calls = {
-            "saturated_error_fraction": 0,
-            "project_upper": 0,
-            "born_probability": 0,
-        }
+        # one projection per Alice outcome for the aligned setting and for
+        # each omega, whatever the theta count; the aligned Born
+        # probabilities once per theta, not once per cell
+        calls = {"project_upper": 0, "born_probability": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -275,18 +268,6 @@ class TestBranchTable:
         for name in ("project_upper", "born_probability"):
             original = getattr(nosignal.protocol, name)
             monkeypatch.setattr(nosignal.protocol, name, counted(name, original))
-        # every binding of the search, in whichever package module holds one
-        search = nosignal.wavepacket.saturated_error_fraction
-        for module in list(sys.modules.values()):
-            if (
-                getattr(module, "__name__", "").startswith("nosignal.")
-                and getattr(module, "saturated_error_fraction", None) is search
-            ):
-                monkeypatch.setattr(
-                    module,
-                    "saturated_error_fraction",
-                    counted("saturated_error_fraction", search),
-                )
         omegas = [0.3, 1.1, 2.5]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -297,7 +278,6 @@ class TestBranchTable:
         argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_OK
         assert calls == {
-            "saturated_error_fraction": 0,
             "project_upper": 2 * len(omegas) + 2,
             "born_probability": 2 * len(omegas) * n_theta + 2 * n_theta,
         }

@@ -7,11 +7,11 @@ from nosignal import (
     SpinDensityMatrix,
     born_probability,
     make_spin_state,
-    mixture,
     sigma_eigenstate,
     singlet_conditional,
 )
 from nosignal.spin import smaller_eigenvalue
+from conftest import mixture
 
 ATOL = 1e-12
 

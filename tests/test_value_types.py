@@ -74,7 +74,7 @@ def _values() -> dict:
         record,
         estimate_phase(record, 0.5),
         load_config(None),
-        grid_evolve(sg, spin, GridSpec(**GRID), t_final=1.0),
+        grid_evolve(sg, spin, GridSpec(**GRID), snapshots=[1.0]),
     ]
     return {type(value).__name__: value for value in values}
 

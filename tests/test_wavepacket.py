@@ -8,18 +8,21 @@ from scipy.integrate import quad
 import nosignal.wavepacket
 from nosignal import (
     SGConfig,
-    SaturationError,
     asymptotic_error_fraction,
     component_amplitude,
     error_fraction,
     evolve_through_magnet,
     free_propagate,
     phase_settle_time,
-    saturated_error_fraction,
     upper_fraction,
 )
-from nosignal.wavepacket import _dawson, closed_form_upper_coherence
-from conftest import exit_channels, full_overlap, quad_coherence
+from nosignal.wavepacket import _dawson, _norm_cdf, closed_form_upper_coherence
+from conftest import (
+    exit_channels,
+    full_overlap,
+    quad_coherence,
+    saturated_error_fraction,
+)
 
 ORACLE_TIMES = [1, 3, 7, 12, 20, 30, 45, 70, 95, 120]
 
@@ -178,10 +181,27 @@ class TestErrorFraction:
 
 
 class TestSaturation:
+    """The closed-form tail against the test-side doubling search."""
+
+    @pytest.mark.parametrize("gradient", [0.0, 210.4, 1250.0, 2500.0])
+    def test_error_fraction_is_the_closed_form_in_tau(self, x_state, gradient):
+        # E(t) = Phi(-a tau / sqrt(1 + tau^2)) with a = 2 dp sigma0
+        cfg = SGConfig(
+            mass=1, sigma0=1, moment=1, gradient=gradient, bias=0, transit=0.002
+        )
+        a = 2.0 * cfg.momentum_kick * cfg.sigma0
+        exit_pair = evolve_through_magnet(cfg, x_state)
+        for t in [0.0, 0.01, 1.0, 37.0, 120.0, 1e4]:
+            tau = t / cfg.spreading_time
+            expected = _norm_cdf(-a * tau / math.sqrt(1.0 + tau * tau))
+            assert error_fraction(free_propagate(exit_pair, t)) == pytest.approx(
+                expected, rel=1e-14, abs=1e-15
+            )
+
     def test_zero_kick_saturates_at_half(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
         result = saturated_error_fraction(cfg, x_state)
-        assert result.value == 0.5
+        assert result.value == asymptotic_error_fraction(cfg) == 0.5
 
     def test_ideal_limit(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=2500, bias=0, transit=0.002)
@@ -208,9 +228,9 @@ class TestSaturation:
             return 0.25 if round(math.log2(pair.tau)) % 2 else 0.125
 
         monkeypatch.setattr(nosignal.wavepacket, "error_fraction", unsettled)
-        with pytest.raises(SaturationError) as err:
+        message = r"before t = 2e\+09; last sample 0\.25$"
+        with pytest.raises(AssertionError, match=message):
             saturated_error_fraction(device, x_state, tol=1e-13)
-        assert 0.0 < err.value.last_value <= 0.5
 
     def test_rejects_bad_tolerance(self, device, x_state):
         with pytest.raises(ValueError):
