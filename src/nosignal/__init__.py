@@ -19,8 +19,8 @@ _EXPORTS = {
     "estimation": """MeasurementRecord PhaseEstimate derive_seed
         estimate_error_fraction estimate_phase sample violation_bound
         wilson_interval""",
-    "gridsolver": """GridResult GridSpec grid_density grid_error_fraction
-        grid_evolve grid_half_plane_coherence""",
+    "gridsolver": """GridExit GridResult GridSpec grid_density
+        grid_error_fraction grid_evolve grid_half_plane_coherence grid_snapshot""",
     "postselect": """PostSelectedSpin constraint_residual extract_phase
         postselected_pure_state project_upper shift_cosine""",
     "protocol": """BranchTable ProtocolResult branch_table cell_results

@@ -105,7 +105,8 @@ SWEEP_COLUMNS = [
 _NUMERICAL_ERRORS = (BoundaryLeakError, NormDriftError)
 # acceptance criterion 4's bound on |C_grid| - |C_analytic|
 _COHERENCE_TOL = 1e-3
-# bound on the oracle's magnet work, ceil(transit / dt) steps x grid points
+# bound on the oracle's grid work: points x (ceil(transit / dt) magnet steps,
+# at least 1, plus one inverse FFT per snapshot time)
 _ORACLE_POINT_STEPS = 1e9
 
 DEFAULTS = {
@@ -655,20 +656,22 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
         grid_error_fraction,
         grid_evolve,
         grid_half_plane_coherence,
+        grid_snapshot,
     )
 
     grid = GridSpec(**cfg.oracle_grid)
+    times = sorted(cfg.oracle_times)
     steps = cfg.sg.transit / grid.dt
     if (
         steps > _ORACLE_POINT_STEPS  # also an inf, which math.ceil rejects
-        or math.ceil(steps) * grid.points > _ORACLE_POINT_STEPS
+        or (max(1, math.ceil(steps)) + len(times)) * grid.points
+        > _ORACLE_POINT_STEPS
     ):
         raise ConfigError(
-            f"oracle: sg.transit / oracle.dt = {steps:.3g} magnet steps x "
-            f"{grid.points} points exceeds the work bound "
-            f"{_ORACLE_POINT_STEPS:g} point-steps"
+            f"oracle: max(1, sg.transit / oracle.dt = {steps:.3g}) magnet steps "
+            f"plus {len(times)} snapshot times on {grid.points} points exceed "
+            f"the work bound {_ORACLE_POINT_STEPS:g} point-steps"
         )
-    times = sorted(cfg.oracle_times)
     for t in times:
         _check_flight(cfg.sg, t, f"oracle time {t:g}")
     dx = grid.extent / grid.points
@@ -682,29 +685,23 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
         )
     import numpy as np
     beam = postselected_pure_state(0.5, 0.0)  # x-polarized input
-    try:
-        grid_result = grid_evolve(cfg.sg, beam, grid, snapshots=times)
-    except BoundaryLeakError as exc:
-        # more extent makes an under-resolving dx worse: name the points then
-        raise BoundaryLeakError(
-            f"{exc}; {packet_note or 'increase the grid extent'}"
-        ) from None
     exit_pair = evolve_through_magnet(cfg.sg, beam)
     saturation = {"tol": 1e-4, "value": asymptotic_error_fraction(cfg.sg)}
 
-    def compare(idx: int) -> dict:
+    def compare(source, idx: int) -> dict:
         t = times[idx]
+        snapshot = grid_snapshot(source, t)
         pair = free_propagate(exit_pair, t)
         e_analytic = error_fraction(pair)
-        e_grid = grid_error_fraction(grid_result, idx)
+        e_grid = grid_error_fraction(snapshot)
         c_analytic = closed_form_upper_coherence(pair)
-        c_grid = grid_half_plane_coherence(grid_result, idx)
+        c_grid = grid_half_plane_coherence(snapshot)
         density_analytic = (
-            np.abs(component_amplitude(pair, grid_result.z, "plus")) ** 2
-            + np.abs(component_amplitude(pair, grid_result.z, "minus")) ** 2
+            np.abs(component_amplitude(pair, source.z, "plus")) ** 2
+            + np.abs(component_amplitude(pair, source.z, "minus")) ** 2
         )
-        density_grid = grid_density(grid_result, idx)
-        l1 = float(np.sum(np.abs(density_grid - density_analytic)) * grid_result.dx)
+        density_grid = grid_density(snapshot)
+        l1 = float(np.sum(np.abs(density_grid - density_analytic)) * source.dx)
         mod_diff = abs(abs(c_grid) - abs(c_analytic))
         phase_diff = abs(wrap_to_pi(np.angle(c_grid) - np.angle(c_analytic)))
         return {
@@ -719,12 +716,38 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
             "coherence_phase_diff": phase_diff,
         }
 
-    # odd times on a worker thread, even times on this one
-    comparisons = [None] * len(times)
-    comparisons[1::2], comparisons[::2] = fork_join(
-        lambda: [compare(idx) for idx in range(1, len(times), 2)],
-        lambda: [compare(idx) for idx in range(0, len(times), 2)],
-    )
+    def compare_each(source, indices: range) -> list:
+        """The rows of these times, up to and including the first failed check."""
+        rows = []
+        for idx in indices:
+            try:
+                rows.append(compare(source, idx))
+            except _NUMERICAL_ERRORS as exc:
+                rows.append(exc)
+                break
+        return rows
+
+    try:
+        source = grid_evolve(cfg.sg, beam, grid)
+        # odd times on a worker thread, even times on this one; a snapshot
+        # lives only while its time is compared
+        odd, even = fork_join(
+            lambda: compare_each(source, range(1, len(times), 2)),
+            lambda: compare_each(source, range(0, len(times), 2)),
+        )
+        comparisons = [None] * len(times)
+        comparisons[1 : 1 + 2 * len(odd) : 2] = odd
+        comparisons[: 2 * len(even) : 2] = even
+        # a thread stops at its first failure, so the first row that is not
+        # a comparison is the earliest failing time's error
+        for row in comparisons:
+            if not isinstance(row, dict):
+                raise row
+    except BoundaryLeakError as exc:
+        # more extent makes an under-resolving dx worse: name the points then
+        raise BoundaryLeakError(
+            f"{exc}; {packet_note or 'increase the grid extent'}"
+        ) from None
 
     # max folds left to right, so each maximum is max(max(0.0, x0), x1) ...
     keys = "abs_E_diff", "coherence_mod_diff", "coherence_phase_diff", "l1_density_diff"
@@ -854,6 +877,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _failed(f"config error: {exc}", created, EXIT_CONFIG)
     except _NUMERICAL_ERRORS as exc:
         return _failed(f"numerical failure: {exc}", created, EXIT_NUMERICAL)
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        return _failed(f"config error: out of memory: {exc}", created, EXIT_CONFIG)
     # timestamps live here, away from the deterministic data files
     meta = {
         "command": args.command,

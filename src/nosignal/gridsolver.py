@@ -21,19 +21,26 @@ temporary elision made of the nested expression
 ``half_v * ifft(kinetic * fft(half_v * psi))`` on grids of 16384 points or
 more, so those grids give the same bits as that expression.
 
-The two channels run on two threads, spin down on a worker thread and spin
-up on the calling thread, each through the magnet and on to every snapshot
-(flight phase, inverse FFT, sum of |psi|^2).  numpy's FFTs and ufuncs
+The run has two steps.  ``grid_evolve`` takes the two channels through the
+magnet on two threads, spin down on a worker thread and spin up on the
+calling thread, and keeps only their exit spectra.  numpy's FFTs and ufuncs
 release the interpreter lock, so the two overlap: on two cores, 100 steps
 on 65536 points take about half the time of one thread, while on 16384
 points the hand-offs of the lock cost about what the overlap saves.  Each
 thread evolves its own array with the same operands in the same order as
-one thread would, so the bits do not depend on the threads.  After the join
-the calling thread runs the norm and boundary checks in time order, so the
-same check at the same time raises as on one thread.  ``fork_join`` runs
-the worker in a copy of the caller's context, so numpy's ``errstate`` (a
-context variable) holds there too, and raises the worker's exception again
-after the join; the oracle workflow compares the snapshots with it too.
+one thread would, so the bits do not depend on the threads.  ``fork_join``
+runs the worker in a copy of the caller's context, so numpy's ``errstate``
+(a context variable) holds there too, and raises the worker's exception
+again after the join.
+
+``grid_snapshot`` then makes one time at a time: it builds the flight phase
+once for both channels, applies it and the inverse FFT to each channel, sums
+|psi|^2, and runs the norm check and then the spin-up and spin-down boundary
+checks.  A caller keeps a snapshot only while it uses it, so the memory of a
+run does not grow with the number of snapshot times.  The oracle workflow
+makes and compares its even times on the calling thread and its odd times
+on a worker (``fork_join`` again); each thread stops at its first failed
+check, and the earliest failing time is the one reported.
 
 This solver knows nothing of the impulsive Gaussian model in
 ``wavepacket``; it discretizes the Hamiltonian directly and serves as the
@@ -43,7 +50,7 @@ independent cross-check for it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple
 
 from .errors import BoundaryLeakError, NormDriftError
 from .spin import SpinState
@@ -54,8 +61,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "GridSpec",
+    "GridExit",
     "GridResult",
     "grid_evolve",
+    "grid_snapshot",
     "grid_error_fraction",
     "grid_half_plane_coherence",
     "grid_density",
@@ -87,27 +96,28 @@ class GridSpec(_GridSpecFields):
         return super().__new__(cls, extent, points, dt)
 
 
-class GridResult(NamedTuple):
-    """Snapshots of both channels, times measured from magnet exit."""
+class GridExit(NamedTuple):
+    """Both channels' spectra at the magnet exit, and the grid they live on."""
 
     z: np.ndarray
     dx: float
-    times: List[float]
-    psi_plus: List[np.ndarray]
-    psi_minus: List[np.ndarray]
+    k2: np.ndarray  # squared wavenumbers of the FFT grid
+    upper: np.ndarray  # upper-half weights of the coherence and error sums
+    spectrum_plus: np.ndarray
+    spectrum_minus: np.ndarray
     weight_up: complex
     weight_down: complex
     config: SGConfig
 
 
-def _upper_half_weights(n: int) -> np.ndarray:
-    import numpy as np
-    # z[n//2] == 0 exactly; trapezoidal half-weight there keeps
-    # upper + lower == total and kills the half-cell bias at z = 0.
-    w = np.zeros(n)
-    w[n // 2] = 0.5
-    w[n // 2 + 1 :] = 1.0
-    return w
+class GridResult(NamedTuple):
+    """Both channels at one time t after the magnet exit, norm and edges checked."""
+
+    t: float
+    psi_plus: np.ndarray
+    psi_minus: np.ndarray
+    sum_minus: float  # sum of |psi_minus|^2, as the norm check summed it
+    source: GridExit
 
 
 def fork_join(on_worker: Callable, on_caller: Callable) -> tuple:
@@ -145,23 +155,13 @@ def _check_boundary(psi: np.ndarray, dx: float, t: float) -> None:
         )
 
 
-def grid_evolve(
-    config: SGConfig,
-    input_spin: SpinState,
-    grid: GridSpec,
-    snapshots: Sequence[float],
-) -> GridResult:
-    """Evolve through the magnet and free flight; sample at snapshot times.
+def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> GridExit:
+    """Evolve both channels through the magnet; return their exit spectra.
 
-    Snapshot times are measured from the magnet exit.  Raises
-    BoundaryLeakError when density reaches the grid edge, and NormDriftError
-    if the total norm drifts beyond 1e-10 or is not a number.
+    Raises BoundaryLeakError when the initial packet already reaches the
+    grid edge.
     """
     import numpy as np
-    times = [float(t) for t in snapshots]
-    if any(t < 0 for t in times):
-        raise ValueError("snapshot times must be non-negative")
-
     n = grid.points
     dx = grid.extent / n
     z = (np.arange(n) - n // 2) * dx
@@ -190,8 +190,8 @@ def grid_evolve(
         dt = config.transit / n_steps
         kinetic = np.exp(-1j * k2 * dt / (2.0 * config.mass))
 
-    def channel_snapshots(s: int) -> Tuple[List[np.ndarray], List[float]]:
-        """Channel s at each snapshot time, and each snapshot's sum of |psi|^2.
+    def exit_spectrum(s: int) -> np.ndarray:
+        """Channel s through the magnet, in momentum space at its exit.
 
         Calls numpy only, so it may run off the calling thread.
         """
@@ -205,60 +205,78 @@ def grid_evolve(
                 np.multiply(psi, kinetic, out=psi)
                 np.fft.ifft(psi, out=psi)
                 np.multiply(psi, half_v, out=psi)
-        exit_spectrum = np.fft.fft(psi)
-        psis, sums = [], []
-        for t in times:
-            flight = np.exp(-1j * k2 * t / (2.0 * config.mass))
-            # psi, spent, holds the product
-            psis.append(np.fft.ifft(np.multiply(flight, exit_spectrum, out=psi)))
-            sums.append(float(np.sum(np.abs(psis[-1]) ** 2)))
-        return psis, sums
+        return np.fft.fft(psi, out=psi)
 
-    (psi_minus, sums_minus), (psi_plus, sums_plus) = fork_join(
-        lambda: channel_snapshots(-1), lambda: channel_snapshots(+1)
+    spectrum_minus, spectrum_plus = fork_join(
+        lambda: exit_spectrum(-1), lambda: exit_spectrum(+1)
     )
-    for t, fp, fm, sp, sm in zip(times, psi_plus, psi_minus, sums_plus, sums_minus):
-        norm = (sp + sm) * dx
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise NormDriftError(f"norm drifted to {norm} at t = {t:g}")
-        _check_boundary(fp, dx, t)
-        _check_boundary(fm, dx, t)
-    return GridResult(
+    # z[n//2] == 0 exactly; trapezoidal half-weight there keeps
+    # upper + lower == total and kills the half-cell bias at z = 0.
+    upper = np.zeros(n)
+    upper[n // 2] = 0.5
+    upper[n // 2 + 1 :] = 1.0
+    return GridExit(
         z=z,
         dx=dx,
-        times=times,
-        psi_plus=psi_plus,
-        psi_minus=psi_minus,
+        k2=k2,
+        upper=upper,
+        spectrum_plus=spectrum_plus,
+        spectrum_minus=spectrum_minus,
         weight_up=complex(input_spin.amp_up),
         weight_down=complex(input_spin.amp_down),
         config=config,
     )
 
 
-def grid_error_fraction(result: GridResult, index: int = -1) -> float:
+def grid_snapshot(source: GridExit, t: float) -> GridResult:
+    """Both channels at time t after the magnet exit, by exact free flight.
+
+    Raises NormDriftError if the total norm drifts beyond 1e-10 or is not a
+    number, then BoundaryLeakError when density reaches the grid edge (the
+    spin-up channel checked first).
+    """
+    import numpy as np
+    t = float(t)
+    if t < 0:
+        raise ValueError("snapshot times must be non-negative")
+    flight = np.exp(-1j * source.k2 * t / (2.0 * source.config.mass))
+
+    def flown(spectrum: np.ndarray) -> Tuple[np.ndarray, float]:
+        psi = np.multiply(flight, spectrum)
+        np.fft.ifft(psi, out=psi)
+        return psi, float(np.sum(np.abs(psi) ** 2))
+
+    psi_plus, sum_plus = flown(source.spectrum_plus)
+    psi_minus, sum_minus = flown(source.spectrum_minus)
+    norm = (sum_plus + sum_minus) * source.dx
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise NormDriftError(f"norm drifted to {norm} at t = {t:g}")
+    _check_boundary(psi_plus, source.dx, t)
+    _check_boundary(psi_minus, source.dx, t)
+    return GridResult(t, psi_plus, psi_minus, sum_minus, source)
+
+
+def grid_error_fraction(result: GridResult) -> float:
     """Upper-half weight of the normalized spin-down channel."""
     import numpy as np
-    fm = result.psi_minus[index]
-    total = float(np.sum(np.abs(fm) ** 2))
-    if total * result.dx < 1e-300:
+    total = result.sum_minus
+    if total * result.source.dx < 1e-300:
         raise ValueError("spin-down channel is empty; error fraction undefined")
-    w = _upper_half_weights(len(fm))
-    return float(np.sum(w * np.abs(fm) ** 2)) / total
+    return float(np.sum(result.source.upper * np.abs(result.psi_minus) ** 2)) / total
 
 
-def grid_half_plane_coherence(result: GridResult, index: int = -1) -> complex:
+def grid_half_plane_coherence(result: GridResult) -> complex:
     """Upper-half overlap of the normalized channels (weights divided out)."""
     import numpy as np
-    wp, wm = result.weight_up, result.weight_down
+    source = result.source
+    wp, wm = source.weight_up, source.weight_down
     if abs(wp) < 1e-15 or abs(wm) < 1e-15:
         raise ValueError("coherence undefined for a one-channel input")
-    fp, fm = result.psi_plus[index], result.psi_minus[index]
-    w = _upper_half_weights(len(fp))
-    raw = complex(np.sum(w * fp * np.conj(fm))) * result.dx
+    fp, fm = result.psi_plus, result.psi_minus
+    raw = complex(np.sum(source.upper * fp * np.conj(fm))) * source.dx
     return raw / (wp * np.conj(wm))
 
 
-def grid_density(result: GridResult, index: int = -1) -> np.ndarray:
+def grid_density(result: GridResult) -> np.ndarray:
     """Total position density |psi_plus|^2 + |psi_minus|^2."""
-    return abs(result.psi_plus[index]) ** 2 + abs(result.psi_minus[index]) ** 2
-
+    return abs(result.psi_plus) ** 2 + abs(result.psi_minus) ** 2

@@ -14,6 +14,8 @@ from nosignal import (
     cell_results,
     evolve_through_magnet,
     free_propagate,
+    grid_evolve,
+    grid_snapshot,
     make_spin_state,
 )
 from nosignal.protocol import branch_totals
@@ -52,6 +54,16 @@ def saturated_error_fraction(config, input_spin, tol: float = 1e-6) -> Saturatio
             return SaturationResult(value=nxt, time=2.0 * t)
         t *= 2.0
         last = nxt
+
+
+def grid_snapshots(config, input_spin, grid, times) -> list:
+    """The grid solver's checked snapshots at these times, in order.
+
+    One magnet run, then one snapshot per time; the first failed check
+    raises, so the earliest failing time is the one reported.
+    """
+    source = grid_evolve(config, input_spin, grid)
+    return [grid_snapshot(source, t) for t in times]
 
 
 def mixture(components) -> SpinDensityMatrix:

@@ -24,7 +24,6 @@ from nosignal import (
     evolve_through_magnet,
     free_propagate,
     grid_error_fraction,
-    grid_evolve,
     grid_half_plane_coherence,
     postselected_pure_state,
     project_upper,
@@ -34,7 +33,12 @@ from nosignal import (
 )
 from nosignal.cli import main
 from nosignal.spin import wrap_to_pi
-from conftest import device_for_error_fraction, run_pipeline, saturated_error_fraction
+from conftest import (
+    device_for_error_fraction,
+    grid_snapshots,
+    run_pipeline,
+    saturated_error_fraction,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -126,7 +130,7 @@ def test_criterion_4_oracle_equivalence(device, x_state):
     start = time.monotonic()
     times = [1.0, 3.0, 7.0, 12.0, 20.0, 30.0, 45.0, 70.0, 95.0, 120.0]
     grid = GridSpec(extent=1024.0, points=2**14, dt=2e-4)
-    result = grid_evolve(device, x_state, grid, snapshots=times)
+    results = grid_snapshots(device, x_state, grid, times)
     exit_pair = evolve_through_magnet(device, x_state)
     sat = saturated_error_fraction(device, x_state, tol=1e-4)
     assert times[-1] > 0.5 * sat.time  # sampling reaches the saturated regime
@@ -137,9 +141,9 @@ def test_criterion_4_oracle_equivalence(device, x_state):
     for idx, t in enumerate(times):
         pair = free_propagate(exit_pair, t)
         worst_e = max(
-            worst_e, abs(grid_error_fraction(result, idx) - error_fraction(pair))
+            worst_e, abs(grid_error_fraction(results[idx]) - error_fraction(pair))
         )
-        c_grid = grid_half_plane_coherence(result, idx)
+        c_grid = grid_half_plane_coherence(results[idx])
         c_analytic = closed_form_upper_coherence(pair)
         worst_mod = max(worst_mod, abs(abs(c_grid) - abs(c_analytic)))
         worst_phase = max(

@@ -16,7 +16,14 @@ import nosignal
 import nosignal.cli
 import nosignal.gridsolver
 import nosignal.protocol
-from nosignal import GridSpec, SGConfig, asymptotic_error_fraction, branch_table
+from nosignal import (
+    BoundaryLeakError,
+    GridSpec,
+    NormDriftError,
+    SGConfig,
+    asymptotic_error_fraction,
+    branch_table,
+)
 from nosignal.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -659,13 +666,19 @@ class TestOracle:
         assert {row["E_analytic"] for row in report["comparisons"]} == {0.5}
         assert report["notes"] == []
 
+    @staticmethod
+    def forbid_grid_work(monkeypatch):
+        """Make the grid solver's entry points fail the test if called."""
+        def no_grid_work(*args, **kwargs):
+            raise AssertionError("grid work started")
+
+        for entry in ("grid_evolve", "grid_snapshot"):
+            monkeypatch.setattr(nosignal.gridsolver, entry, no_grid_work)
+
     def test_work_bound_refuses_long_transit(self, tmp_path, capsys, monkeypatch):
         # ceil(1000 / 2e-4) = 5e6 magnet steps x 16384 points: refused before
         # any grid work, while the analytic subcommands still run the config
-        def no_grid_work(*args, **kwargs):
-            raise AssertionError("grid_evolve started")
-
-        monkeypatch.setattr(nosignal.gridsolver, "grid_evolve", no_grid_work)
+        self.forbid_grid_work(monkeypatch)
         cfg = write_default_config(tmp_path, transit=1000.0)
         start = time.perf_counter()
         code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -674,6 +687,37 @@ class TestOracle:
         for command in ("verify", "sweep", "estimate"):
             argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
             assert main(argv) == EXIT_OK
+
+    def test_work_bound_counts_a_zero_transit(self, tmp_path, capsys, monkeypatch):
+        # no magnet step, but 2^40 points: (1 + 10 times) x 2^40 point-steps
+        # are refused before any grid work, and the run leaves no directory
+        self.forbid_grid_work(monkeypatch)
+        payload = json.loads(Path(write_default_config(tmp_path, transit=0.0)).read_text())
+        payload["oracle"]["points"] = 2**40
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "a" / "b"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: oracle: ") and "work bound" in err
+        assert not (tmp_path / "a").exists()
+
+    def test_memory_error_exits_config(self, tmp_path, capsys, monkeypatch):
+        # an allocation that fails is bad input, reported without a traceback
+        message = (
+            "Unable to allocate 8.00 TiB for an array with shape "
+            "(1099511627776,) and data type int64"
+        )
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(nosignal.gridsolver, "grid_evolve", out_of_memory)
+        out = tmp_path / "a" / "b"
+        argv = ["oracle", "--config", str(DEFAULT_CONFIG), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: out of memory: {message}\n"
+        assert not (tmp_path / "a").exists()
 
     def test_overflowing_oracle_time_rejected(self, tmp_path, capsys):
         # spreading_time = 4e-197: tau squares to inf at every oracle time, so
@@ -812,6 +856,70 @@ class TestOracleThreads:
         with pytest.raises(WorkerFailure):
             workflow_oracle(load_config(str(DEFAULT_CONFIG)))
         assert threading.active_count() == threads
+
+    def test_earliest_leak_is_reported_when_it_is_the_workers(self, monkeypatch):
+        # gradient 1e6 leaks at the grid edge at t = 45 and 50: t = 45 (index 1)
+        # fails on the worker, t = 50 (index 2) on the caller, and the earlier
+        # time is the one reported, with its advice
+        caller = threading.get_ident()
+        grid_snapshot = nosignal.gridsolver.grid_snapshot
+        failed = []
+
+        def recorded(source, t):
+            try:
+                return grid_snapshot(source, t)
+            except BoundaryLeakError:
+                failed.append((t, threading.get_ident() == caller))
+                raise
+
+        monkeypatch.setattr(nosignal.gridsolver, "grid_snapshot", recorded)
+        cfg = load_config(str(DEFAULT_CONFIG))
+        cfg = cfg._replace(
+            sg=cfg.sg._replace(gradient=1e6), oracle_times=[1.0, 45.0, 50.0]
+        )
+        message = (
+            r"^boundary density 1.76e-04 at t = 45 exceeds 1e-10; "
+            r"increase the grid extent$"
+        )
+        with pytest.raises(BoundaryLeakError, match=message):
+            workflow_oracle(cfg)
+        assert sorted(failed) == [(45.0, False), (50.0, True)]
+
+    def test_earliest_norm_check_decides(self):
+        # NaN from t = 1 on: every time fails the norm check, on both threads,
+        # and the norm check at the first time decides
+        import numpy as np
+
+        cfg = load_config(str(DEFAULT_CONFIG))
+        cfg = cfg._replace(
+            sg=cfg.sg._replace(moment=1e200, gradient=1e200),
+            oracle_grid={"extent": 64.0, "points": 256, "dt": 1e-3},
+            oracle_times=[1.0, 2.0, 3.0],
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NormDriftError, match=r"^norm drifted to nan at t = 1$"):
+                workflow_oracle(cfg)
+
+    def test_memory_does_not_grow_with_the_times(self):
+        # each time's snapshot is dropped once compared: at 16384 points the
+        # two channels' snapshots of one time hold 0.5 MiB, and 40 times
+        # peak within 1 MiB of 2 times
+        import tracemalloc
+
+        cfg = load_config(str(DEFAULT_CONFIG))
+
+        def peak(times) -> int:
+            tracemalloc.start()
+            try:
+                workflow_oracle(cfg._replace(oracle_times=times))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        workflow_oracle(cfg)  # warm-up: imports and first-call caches
+        few = peak([1.0, 120.0])
+        many = peak([3.0 * (i + 1) for i in range(40)])
+        assert many - few < 2**20
 
 
 class TestRunRecord:

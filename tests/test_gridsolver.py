@@ -19,22 +19,31 @@ from nosignal import (
     grid_error_fraction,
     grid_evolve,
     grid_half_plane_coherence,
+    grid_snapshot,
     make_spin_state,
 )
 from nosignal.wavepacket import closed_form_upper_coherence
+from conftest import grid_snapshots
 
 SMALL_GRID = GridSpec(extent=384.0, points=4096, dt=2e-4)
 
 
-def grid_norm(result, index: int = -1) -> float:
-    fp, fm = result.psi_plus[index], result.psi_minus[index]
-    return (float(np.sum(np.abs(fp) ** 2)) + float(np.sum(np.abs(fm) ** 2))) * result.dx
+def grid_snapshot_at(config, spin, grid, t):
+    """The grid solver's checked snapshot at the one time t."""
+    return grid_snapshots(config, spin, grid, [t])[0]
 
 
-def grid_mean_momentum(result, index: int, which: str) -> float:
-    psi = result.psi_plus[index] if which == "plus" else result.psi_minus[index]
+def grid_norm(result) -> float:
+    fp, fm = result.psi_plus, result.psi_minus
+    return (
+        float(np.sum(np.abs(fp) ** 2)) + float(np.sum(np.abs(fm) ** 2))
+    ) * result.source.dx
+
+
+def grid_mean_momentum(result, which: str) -> float:
+    psi = result.psi_plus if which == "plus" else result.psi_minus
     weight = np.abs(np.fft.fft(psi)) ** 2
-    k = 2.0 * math.pi * np.fft.fftfreq(len(psi), result.dx)
+    k = 2.0 * math.pi * np.fft.fftfreq(len(psi), result.source.dx)
     return float(np.sum(k * weight)) / float(np.sum(weight))
 
 
@@ -43,14 +52,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             GridSpec(extent=100.0, points=1000, dt=1e-3)
 
-    def test_needs_snapshots(self, device, x_state):
+    def test_snapshot_needs_a_time(self, device, x_state):
         with pytest.raises(TypeError):
-            grid_evolve(device, x_state, SMALL_GRID)
+            grid_snapshot(grid_evolve(device, x_state, SMALL_GRID))
+
+    def test_negative_snapshot_time_rejected(self, device, x_state):
+        source = grid_evolve(device, x_state, SMALL_GRID)
+        with pytest.raises(ValueError, match="non-negative"):
+            grid_snapshot(source, -1.0)
 
     def test_boundary_leak_detected(self, device, x_state):
         tiny = GridSpec(extent=16.0, points=256, dt=1e-3)
         with pytest.raises(BoundaryLeakError):
-            grid_evolve(device, x_state, tiny, snapshots=[40.0])
+            grid_snapshot_at(device, x_state, tiny, 40.0)
 
     def test_overflowing_potential_raises_instead_of_returning_nan(self, x_state):
         # each value is finite, moment * gradient is not: the potential, and
@@ -61,7 +75,7 @@ class TestValidation:
         grid = GridSpec(extent=64.0, points=256, dt=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NormDriftError, match="nan"):
-                grid_evolve(sg, x_state, grid, snapshots=[1.0])
+                grid_snapshot_at(sg, x_state, grid, 1.0)
 
     def test_wide_packet_is_normalized_without_a_warning(self, x_state):
         # 2 pi sigma0**2 overflows: the prefactor is not 0 and psi0 not 0/0;
@@ -73,68 +87,67 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BoundaryLeakError, match=r"3\.91e-03 at t = -0\.002"):
-                grid_evolve(sg, x_state, grid, snapshots=[1.0])
+                grid_snapshot_at(sg, x_state, grid, 1.0)
 
 
 class TestFreeParticle:
     def test_matches_analytic_gaussian(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.0)
         t = 9.0
-        result = grid_evolve(cfg, x_state, SMALL_GRID, snapshots=[t])
+        result = grid_snapshot_at(cfg, x_state, SMALL_GRID, t)
         pair = free_propagate(evolve_through_magnet(cfg, x_state), t)
         analytic = (
-            np.abs(component_amplitude(pair, result.z, "plus")) ** 2
-            + np.abs(component_amplitude(pair, result.z, "minus")) ** 2
+            np.abs(component_amplitude(pair, result.source.z, "plus")) ** 2
+            + np.abs(component_amplitude(pair, result.source.z, "minus")) ** 2
         )
-        l1 = float(np.sum(np.abs(grid_density(result) - analytic)) * result.dx)
+        l1 = float(np.sum(np.abs(grid_density(result) - analytic)) * result.source.dx)
         assert l1 < 1e-6
 
     def test_norm_is_conserved(self, device, x_state):
-        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=[0.0, 5.0, 20.0])
-        for idx in range(3):
-            assert abs(grid_norm(result, idx) - 1.0) < 1e-10
+        for result in grid_snapshots(device, x_state, SMALL_GRID, [0.0, 5.0, 20.0]):
+            assert abs(grid_norm(result) - 1.0) < 1e-10
 
     def test_norm_survives_many_magnet_steps(self, x_state):
         # 10^4 split-operator steps inside the magnet
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=1.0, bias=0.5, transit=1.0)
         grid = GridSpec(extent=128.0, points=1024, dt=1e-4)
-        result = grid_evolve(cfg, x_state, grid, snapshots=[0.0])
+        result = grid_snapshot_at(cfg, x_state, grid, 0.0)
         assert abs(grid_norm(result) - 1.0) < 1e-10
 
 
 class TestChannels:
     def test_up_eigenstate_leaves_down_channel_empty(self, device, up_state):
-        result = grid_evolve(device, up_state, SMALL_GRID, snapshots=[10.0])
-        assert float(np.max(np.abs(result.psi_minus[0]))) == 0.0
+        result = grid_snapshot_at(device, up_state, SMALL_GRID, 10.0)
+        assert float(np.max(np.abs(result.psi_minus))) == 0.0
 
     def test_impulsive_momentum_kicks(self, device, x_state):
-        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=[0.0])
+        result = grid_snapshot_at(device, x_state, SMALL_GRID, 0.0)
         kick = device.momentum_kick
-        assert abs(grid_mean_momentum(result, 0, "plus") - kick) / kick < 0.01
-        assert abs(grid_mean_momentum(result, 0, "minus") + kick) / kick < 0.01
+        assert abs(grid_mean_momentum(result, "plus") - kick) / kick < 0.01
+        assert abs(grid_mean_momentum(result, "minus") + kick) / kick < 0.01
 
 
 class TestAgainstAnalyticModel:
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_error_fraction_agreement(self, device, x_state, t):
-        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=[t])
+        result = grid_snapshot_at(device, x_state, SMALL_GRID, t)
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
         assert abs(grid_error_fraction(result) - error_fraction(pair)) < 1e-3
 
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_position_density_agreement(self, device, x_state, t):
-        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=[t])
+        result = grid_snapshot_at(device, x_state, SMALL_GRID, t)
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
         analytic = (
-            np.abs(component_amplitude(pair, result.z, "plus")) ** 2
-            + np.abs(component_amplitude(pair, result.z, "minus")) ** 2
+            np.abs(component_amplitude(pair, result.source.z, "plus")) ** 2
+            + np.abs(component_amplitude(pair, result.source.z, "minus")) ** 2
         )
-        l1 = float(np.sum(np.abs(grid_density(result) - analytic)) * result.dx)
+        l1 = float(np.sum(np.abs(grid_density(result) - analytic)) * result.source.dx)
         assert l1 < 1e-3
 
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_coherence_agreement(self, device, x_state, t):
-        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=[t])
+        result = grid_snapshot_at(device, x_state, SMALL_GRID, t)
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
         analytic = closed_form_upper_coherence(pair)
         grid = grid_half_plane_coherence(result)
@@ -144,7 +157,7 @@ class TestAgainstAnalyticModel:
     def test_complex_weight_input(self, device):
         # relative phase of the input spin must survive the weight division
         state = make_spin_state(1.0, 1.0j)
-        result = grid_evolve(device, state, SMALL_GRID, snapshots=[10.0])
+        result = grid_snapshot_at(device, state, SMALL_GRID, 10.0)
         pair = free_propagate(evolve_through_magnet(device, state), 10.0)
         analytic = closed_form_upper_coherence(pair)
         grid = grid_half_plane_coherence(result)
@@ -201,22 +214,24 @@ class TestInPlaceMagnetLoop:
     TIMES = [0.0, 2.0, 15.0, 40.0]
 
     @staticmethod
-    def pairs(result, reference):
+    def pairs(results, reference):
         return [
             (new, old)
-            for s, channel in ((+1, result.psi_plus), (-1, result.psi_minus))
-            for new, old in zip(channel, reference[s])
+            for s, which in ((+1, "psi_plus"), (-1, "psi_minus"))
+            for new, old in zip(
+                [getattr(result, which) for result in results], reference[s]
+            )
         ]
 
     def test_bitwise_equal_to_elided_nested_expression(self, device, x_state):
         # at 2^14 points and more, builds that elide temporaries evaluated the
         # old nested step in exactly this order
         grid = GridSpec(extent=1024.0, points=2**14, dt=2e-4)
-        result = grid_evolve(device, x_state, grid, snapshots=self.TIMES)
+        results = grid_snapshots(device, x_state, grid, self.TIMES)
         reference = reference_snapshots(
             device, x_state, grid, self.TIMES, elided_step
         )
-        for new, old in self.pairs(result, reference):
+        for new, old in self.pairs(results, reference):
             assert np.array_equal(new, old)
 
     def test_rounding_close_to_nested_expression_below_elision(self, device, x_state):
@@ -224,34 +239,33 @@ class TestInPlaceMagnetLoop:
         # swap operands and round differently: a few eps of the peak modulus
         # (up to 5.8 at t = 40), while near-zero tail components differ by
         # many of their own ulps
-        result = grid_evolve(device, x_state, SMALL_GRID, snapshots=self.TIMES)
+        results = grid_snapshots(device, x_state, SMALL_GRID, self.TIMES)
         reference = reference_snapshots(
             device, x_state, SMALL_GRID, self.TIMES, nested_step
         )
         eps = np.finfo(float).eps
-        for new, old in self.pairs(result, reference):
+        for new, old in self.pairs(results, reference):
             bound = 8 * eps * float(np.max(np.abs(old)))
             assert float(np.max(np.abs(new.real - old.real))) <= bound
             assert float(np.max(np.abs(new.imag - old.imag))) <= bound
 
     def test_repeated_calls_are_identical(self, device, x_state):
-        first = grid_evolve(device, x_state, SMALL_GRID, snapshots=self.TIMES)
-        second = grid_evolve(device, x_state, SMALL_GRID, snapshots=self.TIMES)
-        for a, b in zip(
-            first.psi_plus + first.psi_minus, second.psi_plus + second.psi_minus
-        ):
-            assert np.array_equal(a, b)
+        first = grid_snapshots(device, x_state, SMALL_GRID, self.TIMES)
+        second = grid_snapshots(device, x_state, SMALL_GRID, self.TIMES)
+        for a, b in zip(first, second):
+            assert np.array_equal(a.psi_plus, b.psi_plus)
+            assert np.array_equal(a.psi_minus, b.psi_minus)
 
 
 class TestTwoThreads:
-    """The spin-down channel evolves on a worker thread, the spin-up channel on
-    the calling thread."""
+    """The spin-down channel evolves through the magnet on a worker thread, the
+    spin-up channel on the calling thread."""
 
     def test_bitwise_equal_to_serial_loop(self, device):
         # both weights complex and unequal: |0.48+0.64i|^2 = 0.64, |0.36-0.48i|^2 = 0.36
         spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
         times = [0.0, 2.0, 15.0, 40.0]
-        result = grid_evolve(device, spin, SMALL_GRID, snapshots=times)
+        results = grid_snapshots(device, spin, SMALL_GRID, times)
 
         # the solver as it ran on one thread, one channel after the other
         n = SMALL_GRID.points
@@ -281,11 +295,15 @@ class TestTwoThreads:
                 np.multiply(psi, half_v, out=psi)
         exits = {s: np.fft.fft(channels[s]) for s in (+1, -1)}
 
-        assert n_steps == 10 and result.times == times
-        for s, snapshots in ((+1, result.psi_plus), (-1, result.psi_minus)):
-            for t, snapshot in zip(times, snapshots):
+        assert n_steps == 10 and [result.t for result in results] == times
+        for s, which in ((+1, "psi_plus"), (-1, "psi_minus")):
+            for t, result in zip(times, results):
                 flight = np.exp(-1j * k2 * t / (2.0 * device.mass))
+                snapshot = getattr(result, which)
                 assert np.array_equal(snapshot, np.fft.ifft(flight * exits[s]))
+        # the norm check's sum is the error fraction's total
+        for result in results:
+            assert result.sum_minus == float(np.sum(np.abs(result.psi_minus) ** 2))
 
     def test_worker_follows_the_callers_errstate(self, x_state):
         # the overflowing potential of both channels is ignored under the
@@ -299,7 +317,7 @@ class TestTwoThreads:
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NormDriftError, match="nan"):
-                    grid_evolve(sg, x_state, grid, snapshots=[1.0])
+                    grid_snapshot_at(sg, x_state, grid, 1.0)
 
     def test_worker_error_is_raised_to_the_caller(self, device, x_state, monkeypatch):
         class WorkerFailure(Exception):
@@ -316,7 +334,7 @@ class TestTwoThreads:
         monkeypatch.setattr(np.fft, "fft", fft_failing_off_the_caller)
         threads = threading.active_count()
         with pytest.raises(WorkerFailure):
-            grid_evolve(device, x_state, SMALL_GRID, snapshots=[1.0])
+            grid_evolve(device, x_state, SMALL_GRID)
         assert threading.active_count() == threads
 
     def test_earliest_failing_boundary_check_is_reported(self, device):
@@ -326,7 +344,7 @@ class TestTwoThreads:
         tiny = GridSpec(extent=16.0, points=256, dt=1e-3)
         message = r"^boundary density 5.78e-08 at t = 2 "  # the spin-down edge
         with pytest.raises(BoundaryLeakError, match=message):
-            grid_evolve(device, spin, tiny, snapshots=[2.0, 4.0])
+            grid_snapshots(device, spin, tiny, [2.0, 4.0])
 
     def test_earliest_failing_norm_check_is_reported(self, x_state):
         # NaN from t = 1 on: each time fails the norm check, and the boundary
@@ -337,4 +355,4 @@ class TestTwoThreads:
         grid = GridSpec(extent=64.0, points=256, dt=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NormDriftError, match=r"^norm drifted to nan at t = 1$"):
-                grid_evolve(sg, x_state, grid, snapshots=[1.0, 2.0, 3.0])
+                grid_snapshots(sg, x_state, grid, [1.0, 2.0, 3.0])

@@ -15,6 +15,7 @@ from nosignal import (
     estimate_phase,
     evolve_through_magnet,
     grid_evolve,
+    grid_snapshot,
     make_spin_state,
     project_upper,
     sample,
@@ -74,7 +75,8 @@ def _values() -> dict:
         record,
         estimate_phase(record, 0.5),
         load_config(None),
-        grid_evolve(sg, spin, GridSpec(**GRID), snapshots=[1.0]),
+        grid_evolve(sg, spin, GridSpec(**GRID)),
+        grid_snapshot(grid_evolve(sg, spin, GridSpec(**GRID)), 1.0),
     ]
     return {type(value).__name__: value for value in values}
 
@@ -92,9 +94,10 @@ def _values() -> dict:
         ("BranchTable", "Es"),
         ("MeasurementRecord", "n_plus"),
         ("PhaseEstimate", "phase"),
+        ("GridExit", "dx"),
         # mutable dataclasses before they became NamedTuples
         ("RunConfig", "root_seed"),
-        ("GridResult", "times"),
+        ("GridResult", "t"),
     ],
 )
 def test_fields_cannot_be_assigned(name, field):
