@@ -16,15 +16,15 @@ import importlib
 _EXPORTS = {
     "errors": """BoundaryLeakError ConfigError NormDriftError PhaseUndefinedError
         PostSelectionError""",
-    "estimation": """MeasurementRecord PhaseEstimate derive_seed
+    "estimation": """MeasurementRecord PhaseEstimate Z_95 derive_seed
         estimate_error_fraction estimate_phase sample violation_bound
         wilson_interval""",
     "gridsolver": """GridExit GridResult GridSpec grid_density
         grid_error_fraction grid_evolve grid_half_plane_coherence grid_snapshot""",
     "postselect": """PostSelectedSpin constraint_residual extract_phase
-        postselected_pure_state project_upper shift_cosine""",
-    "protocol": """BranchTable ProtocolResult branch_table cell_results
-        closed_form_result""",
+        model_state postselected_pure_state project_upper shift_cosine""",
+    "protocol": """BranchTable ProtocolResult branch_phase branch_table
+        branch_totals cell_results closed_form_result""",
     "spin": """SpinDensityMatrix SpinState born_probability make_spin_state
         sigma_eigenstate singlet_conditional""",
     "wavepacket": """SGConfig WavePacketPair asymptotic_error_fraction

@@ -299,54 +299,46 @@ def load_config(path: Optional[str]) -> RunConfig:
     )
 
 
-# the types that indent=2 writes on one line; their subclasses and empty
-# containers take the general path, which is exact too
+# the scalars that indent=2 writes on one line; subclasses take the general path
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-
-
-def _scalars(values) -> bool:
-    return _SCALAR_TYPES.issuperset(map(type, values))
+_KEY_TYPES = frozenset((str,))
 
 
 @functools.lru_cache(maxsize=16)  # one per nesting depth
 def _encoder(separator: str) -> Callable[[object], str]:
-    """json's C encoder: the data files' options, one line per item."""
+    """json's C encoder with the data files' options."""
     return json.JSONEncoder(
         sort_keys=True, allow_nan=False, separators=(separator, ": ")
     ).encode
 
 
 def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), byte for byte.
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), byte for
+    byte; a dict key that is not a str is a TypeError at any depth.
 
-    json's C encoder runs only without indent, so each container of scalars
-    goes to it whole, with ",\\n" and the items' indent as its item
-    separator; so do the scalar items of a dict, and a list of dicts of
-    scalars one level deeper.  An encoded string holds no raw newline, so
-    every newline the encoder writes is a separator's.  Only the nesting
-    above those containers is indented here.
+    json's C encoder runs only without indent.  A non-empty list of non-empty
+    dicts of scalars with str keys (report.json's cells) goes to it whole,
+    with ",\\n" and the items' indent as its separator; an encoded string has
+    no raw newline, so one replace splits the records.  Every other container
+    is indented here, with one encoder call per key and per scalar.
     """
     inner = indent + "  "
     sep = ",\n" + inner
     encode = _encoder(sep)
-    is_dict = isinstance(value, dict)
-    if not (is_dict or isinstance(value, (list, tuple))) or not value:
+    if not isinstance(value, (dict, list, tuple)) or not value:
         return encode(value)  # a scalar, an empty container or a TypeError
-    opening, closing = "{}" if is_dict else "[]"
-    if _scalars(value.values() if is_dict else value):
-        text = encode(value)[1:-1]
-    elif is_dict:
-        scalars, lines = {}, {}
-        for k, v in value.items():
-            if type(v) in _SCALAR_TYPES:
-                scalars[k] = v
-            elif isinstance(k, str):
-                lines[k] = f"{encode(k)}: {_json_text(v, inner)}"
-            else:
+    if isinstance(value, dict):
+        for k in value:
+            if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be str, not {k!r}")
-        lines.update(zip(sorted(scalars), encode(scalars)[1:-1].split(sep)))
-        text = sep.join(lines[k] for k in sorted(value))
-    elif all(type(item) is dict and item and _scalars(item.values()) for item in value):
+        items = sorted(value.items())
+        text = sep.join(f"{encode(k)}: {_json_text(v, inner)}" for k, v in items)
+        return f"{{\n{inner}{text}\n{indent}}}"
+    if all(
+        type(item) is dict and item and _KEY_TYPES.issuperset(map(type, item))
+        and _SCALAR_TYPES.issuperset(map(type, item.values()))
+        for item in value
+    ):
         deeper = inner + "  "
         text = _encoder(",\n" + deeper)(value)[2:-2]
         # a separator followed by "{" starts the next dict; a key starts with '"'
@@ -354,7 +346,7 @@ def _json_text(value, indent: str = "") -> str:
         text = f"{{\n{deeper}{text}\n{inner}}}"
     else:
         text = sep.join(_json_text(item, inner) for item in value)
-    return f"{opening}\n{inner}{text}\n{indent}{closing}"
+    return f"[\n{inner}{text}\n{indent}]"
 
 
 def _write_json(path: Path, payload) -> None:
@@ -362,10 +354,8 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_jsonl(path: Path, lines: List[dict]) -> None:
-    text = "".join(
-        json.dumps(line, sort_keys=True, allow_nan=False) + "\n" for line in lines
-    )
-    path.write_text(text, encoding="utf-8")
+    encode = _encoder(", ")  # json.dumps's own separators
+    path.write_text("".join(encode(line) + "\n" for line in lines), encoding="utf-8")
 
 
 class RunRecord(NamedTuple):
@@ -439,7 +429,7 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> RunRecord:
             )
         entry = (omega, branches)
         for result in cell_results(table, entry, cfg.theta_list, cfg.model, aligned):
-            cell = result.to_json_dict()
+            cell = result._asdict()
             cell["phase_sum_dev"] = phase_sum_dev
             cell["cos_sum"] = cos_sum
             cells.append(cell)
@@ -487,7 +477,7 @@ def workflow_sweep(cfg: RunConfig) -> RunRecord:
     rows = [
         closed_form_result(
             table.Es, omega, theta, phi_plus, phi_minus, cfg.model
-        ).to_json_dict()
+        )._asdict()
         for omega, _, phi_plus, phi_minus in rotated
         for theta in cfg.theta_list
     ]
@@ -574,7 +564,7 @@ def _bench_lines(
             )
             records[axis_name] = rec
             line = {"kind": "record", "omega": omega, "beam": beam_name}
-            line.update(rec.to_json_dict())
+            line.update(rec._asdict())
             lines.append(line)
         ef_hat, ef_ci = estimate_error_fraction(records["z"])
         est = estimate_phase(records["x"], ef_hat, ef_ci)
@@ -588,7 +578,7 @@ def _bench_lines(
                 "phase_on_0_pi": math.acos(min(max(measurable_cos, -1.0), 1.0)),
             },
         }
-        line.update(est.to_json_dict())
+        line.update(est._asdict())
         lines.append(line)
     point, ci = violation_bound(estimates[+1], estimates[-1])
     lines.append(
@@ -672,6 +662,8 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
             f"plus {len(times)} snapshot times on {grid.points} points exceed "
             f"the work bound {_ORACLE_POINT_STEPS:g} point-steps"
         )
+    if times[0] < 0:
+        raise ConfigError(f"oracle.times must be non-negative, got {times[0]:g}")
     for t in times:
         _check_flight(cfg.sg, t, f"oracle time {t:g}")
     dx = grid.extent / grid.points
@@ -728,6 +720,17 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
         return rows
 
     try:
+        # a center past the half-extent has wrapped round the periodic grid,
+        # which no edge check sees; the center and the width grow with t, so
+        # with the center inside at the last time its edge check sees any reach
+        half = grid.extent / 2
+        for t in times:
+            center = free_propagate(exit_pair, t).center("plus")
+            if abs(center) >= half:
+                raise BoundaryLeakError(
+                    f"packet center {center:.4g} at t = {t:g} is beyond the grid's "
+                    f"half-extent {half:g} and wraps round the periodic grid"
+                )
         source = grid_evolve(cfg.sg, beam, grid)
         # odd times on a worker thread, even times on this one; a snapshot
         # lives only while its time is compared

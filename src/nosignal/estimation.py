@@ -62,9 +62,6 @@ class MeasurementRecord(NamedTuple):
     def frequency(self) -> float:
         return self.n_plus / self.n
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 class PhaseEstimate(NamedTuple):
     """Point estimates and 95% intervals for (error fraction, phase)."""
@@ -74,15 +71,6 @@ class PhaseEstimate(NamedTuple):
     phase: float
     phase_ci: Tuple[float, float]
     clamped: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "error_fraction": self.error_fraction,
-            "error_fraction_ci": list(self.error_fraction_ci),
-            "phase": self.phase,
-            "phase_ci": list(self.phase_ci),
-            "clamped": self.clamped,
-        }
 
 
 def derive_seed(root_seed: int, *key: int) -> int:
@@ -118,17 +106,17 @@ def sample(
     )
 
 
-def wilson_interval(successes: int, n: int, z: float = Z_95) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at 95% (z = Z_95)."""
     if n < 1:
         raise ValueError("need at least one trial")
     if not 0 <= successes <= n:
         raise ValueError("successes must lie in [0, n]")
     phat = successes / n
-    z2n = z * z / n
+    z2n = Z_95 * Z_95 / n
     center = (phat + z2n / 2.0) / (1.0 + z2n)
     half = (
-        z
+        Z_95
         * math.sqrt(phat * (1.0 - phat) / n + z2n / (4.0 * n))
         / (1.0 + z2n)
     )

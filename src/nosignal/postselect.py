@@ -53,18 +53,16 @@ class PostSelectedSpin(NamedTuple):
     phase: Optional[float]
 
 
-def extract_phase(rho: SpinDensityMatrix, tol: Optional[float] = None) -> float:
+def extract_phase(rho: SpinDensityMatrix) -> float:
     """Relative phase of the down component, mapped to [0, 2 pi).
 
     This is arg of the down-up matrix element, so that the projector onto
     sqrt(1-E)|up> + e^{i phi} sqrt(E)|down> round-trips to exactly phi.
-    Raises PhaseUndefinedError when the coherence magnitude is below tol;
-    the default tol scales with the geometric mean of the populations,
-    floored at 1e-14.
+    Raises PhaseUndefinedError when the coherence magnitude is below a tol
+    that scales with the geometric mean of the populations, floored at 1e-14.
     """
     coherence = rho.matrix[1][0]
-    if tol is None:
-        tol = max(1e-10 * math.sqrt(abs(rho.up_up * rho.down_down)), 1e-14)
+    tol = max(1e-10 * math.sqrt(abs(rho.up_up * rho.down_down)), 1e-14)
     if abs(coherence) < tol:
         raise PhaseUndefinedError(
             f"coherence magnitude {abs(coherence):.2e} below {tol:.2e}; "

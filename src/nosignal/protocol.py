@@ -83,10 +83,6 @@ class ProtocolResult(NamedTuple):
     residual: float
     model: str
 
-    def to_json_dict(self) -> dict:
-        # a fresh dict of the fields in declaration order
-        return self._asdict()
-
 
 def closed_form_result(
     es: float,

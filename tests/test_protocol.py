@@ -319,7 +319,7 @@ class TestBranchTable:
 class TestSerialization:
     def test_flat_json_record(self, device):
         result = run_pipeline(device, math.pi / 2, 0.4)
-        record = result.to_json_dict()
+        record = result._asdict()
         assert list(record) == [
             "omega",
             "theta",
