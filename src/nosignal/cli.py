@@ -641,12 +641,12 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
     """Analytic model vs grid solver on the configured device."""
     from .gridsolver import (
         GridSpec,
-        fork_join,
         grid_density,
         grid_error_fraction,
         grid_evolve,
         grid_half_plane_coherence,
         grid_snapshot,
+        map_in_order,
     )
 
     grid = GridSpec(**cfg.oracle_grid)
@@ -680,8 +680,20 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
     exit_pair = evolve_through_magnet(cfg.sg, beam)
     saturation = {"tol": 1e-4, "value": asymptotic_error_fraction(cfg.sg)}
 
-    def compare(source, idx: int) -> dict:
-        t = times[idx]
+    # a center past the half-extent has wrapped round the periodic grid,
+    # which no edge check sees; the center and the width grow with t, so
+    # with the center inside at the last time its edge check sees any reach
+    half = grid.extent / 2
+    for t in times:
+        center = free_propagate(exit_pair, t).center("plus")
+        if abs(center) >= half:
+            raise BoundaryLeakError(
+                f"packet center {center:.4g} at t = {t:g} is beyond the grid's "
+                f"half-extent {half:g} and wraps round the periodic grid; "
+                "increase the grid extent"
+            )
+
+    def compare(source, t: float) -> dict:
         snapshot = grid_snapshot(source, t)
         pair = free_propagate(exit_pair, t)
         e_analytic = error_fraction(pair)
@@ -708,44 +720,11 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
             "coherence_phase_diff": phase_diff,
         }
 
-    def compare_each(source, indices: range) -> list:
-        """The rows of these times, up to and including the first failed check."""
-        rows = []
-        for idx in indices:
-            try:
-                rows.append(compare(source, idx))
-            except _NUMERICAL_ERRORS as exc:
-                rows.append(exc)
-                break
-        return rows
-
     try:
-        # a center past the half-extent has wrapped round the periodic grid,
-        # which no edge check sees; the center and the width grow with t, so
-        # with the center inside at the last time its edge check sees any reach
-        half = grid.extent / 2
-        for t in times:
-            center = free_propagate(exit_pair, t).center("plus")
-            if abs(center) >= half:
-                raise BoundaryLeakError(
-                    f"packet center {center:.4g} at t = {t:g} is beyond the grid's "
-                    f"half-extent {half:g} and wraps round the periodic grid"
-                )
         source = grid_evolve(cfg.sg, beam, grid)
         # odd times on a worker thread, even times on this one; a snapshot
         # lives only while its time is compared
-        odd, even = fork_join(
-            lambda: compare_each(source, range(1, len(times), 2)),
-            lambda: compare_each(source, range(0, len(times), 2)),
-        )
-        comparisons = [None] * len(times)
-        comparisons[1 : 1 + 2 * len(odd) : 2] = odd
-        comparisons[: 2 * len(even) : 2] = even
-        # a thread stops at its first failure, so the first row that is not
-        # a comparison is the earliest failing time's error
-        for row in comparisons:
-            if not isinstance(row, dict):
-                raise row
+        comparisons = map_in_order(lambda t: compare(source, t), times)
     except BoundaryLeakError as exc:
         # more extent makes an under-resolving dx worse: name the points then
         raise BoundaryLeakError(

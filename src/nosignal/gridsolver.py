@@ -28,19 +28,22 @@ release the interpreter lock, so the two overlap: on two cores, 100 steps
 on 65536 points take about half the time of one thread, while on 16384
 points the hand-offs of the lock cost about what the overlap saves.  Each
 thread evolves its own array with the same operands in the same order as
-one thread would, so the bits do not depend on the threads.  ``fork_join``
-runs the worker in a copy of the caller's context, so numpy's ``errstate``
-(a context variable) holds there too, and raises the worker's exception
-again after the join.
+one thread would, so the bits do not depend on the threads.
+``map_in_order`` holds the thread code: it maps a function over a sequence
+with the odd positions on a worker thread and the even ones on the calling
+thread, and returns the results in order.  The worker runs in a copy of the
+caller's context, so numpy's ``errstate`` (a context variable) holds there
+too.  Each thread stops at its first exception, and after the join the
+earliest failing item's exception is raised again.
 
 ``grid_snapshot`` then makes one time at a time: it builds the flight phase
 once for both channels, applies it and the inverse FFT to each channel, sums
 |psi|^2, and runs the norm check and then the spin-up and spin-down boundary
 checks.  A caller keeps a snapshot only while it uses it, so the memory of a
 run does not grow with the number of snapshot times.  The oracle workflow
-makes and compares its even times on the calling thread and its odd times
-on a worker (``fork_join`` again); each thread stops at its first failed
-check, and the earliest failing time is the one reported.
+maps its comparison over the times with ``map_in_order`` too, so its even
+times run on the calling thread and its odd times on a worker, and the
+earliest failing time is the one reported.
 
 This solver knows nothing of the impulsive Gaussian model in
 ``wavepacket``; it discretizes the Hamiltonian directly and serves as the
@@ -50,7 +53,7 @@ independent cross-check for it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Tuple
 
 from .errors import BoundaryLeakError, NormDriftError
 from .spin import SpinState
@@ -120,28 +123,31 @@ class GridResult(NamedTuple):
     source: GridExit
 
 
-def fork_join(on_worker: Callable, on_caller: Callable) -> tuple:
-    """Run on_worker on a worker thread, in a copy of this context, and
-    on_caller on this thread; after the join, return or raise what each did."""
+def map_in_order(fn: Callable, items: Sequence) -> list:
+    """[fn(item) for item in items], the odd positions on a worker thread (in
+    a copy of this context) and the even ones on this thread.  Each thread
+    stops at its first exception; the earliest failing item's is raised."""
     import contextvars
     import threading
-    worker_out = {}
+    results, errors = [None] * len(items), {}
 
-    def run() -> None:
-        try:
-            worker_out["result"] = on_worker()
-        except BaseException as exc:  # raised again below, after the join
-            worker_out["error"] = exc
+    def run(start: int) -> None:
+        for idx in range(start, len(items), 2):
+            try:
+                results[idx] = fn(items[idx])
+            except BaseException as exc:  # raised again below, after the join
+                errors[idx] = exc
+                return
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run, 1))
     worker.start()
     try:
-        caller_result = on_caller()
+        run(0)
     finally:
         worker.join()
-    if "error" in worker_out:
-        raise worker_out["error"]
-    return worker_out["result"], caller_result
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _check_boundary(psi: np.ndarray, dx: float, t: float) -> None:
@@ -207,9 +213,7 @@ def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> Grid
                 np.multiply(psi, half_v, out=psi)
         return np.fft.fft(psi, out=psi)
 
-    spectrum_minus, spectrum_plus = fork_join(
-        lambda: exit_spectrum(-1), lambda: exit_spectrum(+1)
-    )
+    spectrum_plus, spectrum_minus = map_in_order(exit_spectrum, (+1, -1))
     # z[n//2] == 0 exactly; trapezoidal half-weight there keeps
     # upper + lower == total and kills the half-cell bias at z = 0.
     upper = np.zeros(n)

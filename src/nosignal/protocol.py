@@ -28,6 +28,15 @@ beam through the device to the one closed-form time phase_settle_time
 and post-selects it, and cell_results turns a table entry and the thetas
 into Born probabilities.  verify runs every cell through cell_results, and
 sweep tabulates closed_form_result from the same table's phases.
+
+The two split P_A into branches differently.  closed_form_result gives each
+branch a survival of 1/2 and takes only Es and the phases, so sweep's rows do
+not depend on the model (apart from its column).  cell_results weights each
+branch by its own select_prob and reads it in the model's state.  So sweep's
+pA_plus and pA_minus are not verify's: on configs/default.json they differ by
+up to 0.173 (omega = pi/6) under both models, while PA_total, PB_plus,
+PB_minus, PB_total and residual agree to 2e-16, and Es and the phases are
+equal.
 """
 
 from __future__ import annotations

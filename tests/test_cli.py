@@ -720,6 +720,23 @@ class TestOracle:
         )
         assert not (tmp_path / "a").exists()
 
+    def test_wrap_advice_ignores_the_packet_note(self, tmp_path, capsys, monkeypatch):
+        # dx = 4 under-resolves sigma0 = 1, but more points cannot pull a
+        # center of 2000 back inside a half-extent of 512: only extent helps
+        self.forbid_grid_work(monkeypatch)
+        cfg = write_default_config(tmp_path, gradient=1e6)
+        payload = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        payload["oracle"]["points"] = 256
+        Path(cfg).write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "a" / "b"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: packet center 2000 at t = 1 is beyond the grid's "
+            "half-extent 512 and wraps round the periodic grid; increase the grid "
+            "extent\n"
+        )
+        assert not (tmp_path / "a").exists()
+
     def test_negative_time_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         self.forbid_grid_work(monkeypatch)
         cfg = write_default_config(tmp_path, times=[3, -1])
@@ -856,11 +873,10 @@ class TestOracleThreads:
         cfg = load_config(str(DEFAULT_CONFIG))
         threaded = workflow_oracle(cfg).payload
 
-        # the same comparisons, the worker's share first, all on this thread
-        def one_thread(on_worker, on_caller):
-            return on_worker(), on_caller()
-
-        monkeypatch.setattr(nosignal.gridsolver, "fork_join", one_thread)
+        # the same comparisons in time order, all on this thread
+        monkeypatch.setattr(
+            nosignal.gridsolver, "map_in_order", lambda fn, items: [fn(i) for i in items]
+        )
         serial = workflow_oracle(cfg).payload
         assert [row["t"] for row in threaded["comparisons"]] == cfg.oracle_times
         assert json.dumps(threaded) == json.dumps(serial)
@@ -939,7 +955,8 @@ class TestOracleThreads:
     def test_memory_does_not_grow_with_the_times(self):
         # each time's snapshot is dropped once compared: at 16384 points the
         # two channels' snapshots of one time hold 0.5 MiB, and 40 times
-        # peak within 1 MiB of 2 times
+        # peak within 1 MiB of 20.  With only 2 times the two threads'
+        # snapshots may not overlap, so that baseline would sit lower.
         import tracemalloc
 
         cfg = load_config(str(DEFAULT_CONFIG))
@@ -953,7 +970,7 @@ class TestOracleThreads:
                 tracemalloc.stop()
 
         workflow_oracle(cfg)  # warm-up: imports and first-call caches
-        few = peak([1.0, 120.0])
+        few = peak([6.0 * (i + 1) for i in range(20)])
         many = peak([3.0 * (i + 1) for i in range(40)])
         assert many - few < 2**20
 

@@ -22,6 +22,7 @@ from nosignal import (
     grid_snapshot,
     make_spin_state,
 )
+from nosignal.gridsolver import map_in_order
 from nosignal.wavepacket import closed_form_upper_coherence
 from conftest import grid_snapshots
 
@@ -356,3 +357,50 @@ class TestTwoThreads:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NormDriftError, match=r"^norm drifted to nan at t = 1$"):
                 grid_snapshots(sg, x_state, grid, [1.0, 2.0, 3.0])
+
+
+class TestMapInOrder:
+    """map_in_order(fn, items) is [fn(item) for item in items], the odd
+    positions on a worker thread and the even ones on the calling thread."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 5])
+    def test_results_in_order(self, count):
+        caller = threading.get_ident()
+        threads = threading.active_count()
+        results = map_in_order(
+            lambda item: (item * item, threading.get_ident() == caller), range(count)
+        )
+        assert results == [(i * i, i % 2 == 0) for i in range(count)]
+        assert threading.active_count() == threads
+
+    # (failing items, the one that raises first in time, the items called)
+    @pytest.mark.parametrize(
+        "failing, first, called_items",
+        [((3, 4), 4, [0, 1, 2, 3, 4]), ((2, 5), 5, [0, 1, 2, 3, 5])],
+    )
+    def test_earliest_failing_item_is_raised(self, failing, first, called_items):
+        # the later failing item raises first in time: its exception must
+        # still give way to the earlier item's
+        class ItemFailure(Exception):
+            pass
+
+        raised_first = threading.Event()
+        called = []
+
+        def fn(item):
+            called.append(item)
+            if item == first:
+                raised_first.set()
+                raise ItemFailure(item)
+            if item in failing:
+                assert raised_first.wait(timeout=10)
+                raise ItemFailure(item)
+            return item
+
+        threads = threading.active_count()
+        with pytest.raises(ItemFailure) as info:
+            map_in_order(fn, range(8))
+        assert info.value.args == (min(failing),)
+        # each thread stops at its first exception, of 8 items
+        assert sorted(called) == called_items
+        assert threading.active_count() == threads
