@@ -28,7 +28,8 @@ _EXPORTS = {
     "spin": """SpinDensityMatrix SpinState born_probability make_spin_state
         sigma_eigenstate singlet_conditional""",
     "wavepacket": """SGConfig WavePacketPair asymptotic_error_fraction
-        closed_form_upper_coherence component_amplitude error_fraction
+        closed_form_upper_coherence component_amplitude component_density
+        error_fraction
         evolve_through_magnet free_propagate phase_settle_time upper_fraction""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

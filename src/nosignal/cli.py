@@ -30,6 +30,7 @@ import datetime
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import suppress
 from itertools import takewhile
@@ -69,8 +70,8 @@ from .spin import SpinDensityMatrix, wrap_to_pi
 from .wavepacket import (
     SGConfig,
     asymptotic_error_fraction,
-    component_amplitude,
     closed_form_upper_coherence,
+    component_density,
     error_fraction,
     evolve_through_magnet,
     free_propagate,
@@ -675,6 +676,9 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
             f"{dx:.3g} exceeds sigma0 = {cfg.sg.sigma0:.3g}; "
             f"{_points_needed(points)} keeps dx <= sigma0"
         )
+    # the oracle calls no BLAS routine, and an idle OpenBLAS thread pool
+    # competes with the solver's two threads; a user's setting is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
     beam = postselected_pure_state(0.5, 0.0)  # x-polarized input
     exit_pair = evolve_through_magnet(cfg.sg, beam)
@@ -700,10 +704,8 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
         e_grid = grid_error_fraction(snapshot)
         c_analytic = closed_form_upper_coherence(pair)
         c_grid = grid_half_plane_coherence(snapshot)
-        density_analytic = (
-            np.abs(component_amplitude(pair, source.z, "plus")) ** 2
-            + np.abs(component_amplitude(pair, source.z, "minus")) ** 2
-        )
+        density_analytic = component_density(pair, source.z, "plus")
+        density_analytic += component_density(pair, source.z, "minus")
         density_grid = grid_density(snapshot)
         l1 = float(np.sum(np.abs(density_grid - density_analytic)) * source.dx)
         mod_diff = abs(abs(c_grid) - abs(c_analytic))

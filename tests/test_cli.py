@@ -1234,3 +1234,27 @@ def test_verify_sweep_and_estimate_run_without_numpy(tmp_path):
     codes, seen = run_script(script, cfg, str(tmp_path / "out-"))
     assert codes == [EXIT_OK] * 4
     assert seen == [[]] * 5
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_oracle_defaults_openblas_to_one_thread(tmp_path, preset, expected):
+    # the oracle calls no BLAS routine; it sets OPENBLAS_NUM_THREADS before
+    # numpy's first import, unless the user has set it
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        oracle={"extent": 384.0, "points": 4096, "dt": 2e-4, "times": [2.0, 10.0]},
+    )
+    script = (
+        "import json, os, sys\n"
+        "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+        "if sys.argv[3] != 'unset':\n"
+        "    os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[3]\n"
+        "from nosignal.cli import main\n"
+        "before = 'numpy' in sys.modules\n"
+        "code = main(['oracle', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(json.dumps([code, before, os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    code, before, seen = run_script(script, cfg, str(tmp_path / "out"), preset or "unset")
+    assert code == EXIT_OK
+    assert not before
+    assert seen == expected

@@ -1,15 +1,20 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import nosignal.wavepacket
 from nosignal import (
     SGConfig,
+    SpinState,
     asymptotic_error_fraction,
     component_amplitude,
+    component_density,
     error_fraction,
     evolve_through_magnet,
     free_propagate,
@@ -140,6 +145,76 @@ class TestFreePropagation:
         assert abs(once.center("plus") - twice.center("plus")) < 1e-12
         assert abs(once.phase("plus") - twice.phase("plus")) < 1e-12
         assert abs(once.width - twice.width) < 1e-12
+
+
+class TestComponentDensity:
+    """component_density is |component_amplitude|^2 in closed form."""
+
+    # CI's chirp device: sigma0**2 = 1e-320 is subnormal
+    CHIRP = SGConfig(
+        mass=1e300, sigma0=1e-160, moment=1.0, gradient=1e154, bias=0.0, transit=1.0
+    )
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        t=st.floats(0.0, 1e4),
+        sigma0=st.floats(1e-3, 1e3),
+        gradient=st.floats(-1e3, 1e3),
+        which=st.sampled_from(["plus", "minus"]),
+        up=st.floats(0.0, 1.0),
+        phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+        k=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=8),
+    )
+    def test_matches_squared_amplitude(self, t, sigma0, gradient, which, up, phases, k):
+        # complex weights with |up|^2 + |down|^2 = 1, at |z - c| <= 8 sigma(t)
+        spin = SpinState(
+            math.sqrt(up) * complex(math.cos(phases[0]), math.sin(phases[0])),
+            math.sqrt(1.0 - up) * complex(math.cos(phases[1]), math.sin(phases[1])),
+        )
+        cfg = SGConfig(
+            mass=1.0, sigma0=sigma0, moment=1.0, gradient=gradient, bias=0.5, transit=0.002
+        )
+        pair = free_propagate(evolve_through_magnet(cfg, spin), t)
+        z = pair.center(which) + pair.width * np.array(k)
+        expected = np.abs(component_amplitude(pair, z, which)) ** 2
+        density = component_density(pair, z, which)
+        assert np.all(np.abs(density - expected) <= 1e-13 * expected)
+
+    @pytest.mark.parametrize("t", [0.0, 7.3, 1e4])
+    @pytest.mark.parametrize("which", ["plus", "minus"])
+    def test_integrates_to_squared_weight(self, device, t, which):
+        spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
+        pair = free_propagate(evolve_through_magnet(device, spin), t)
+        # 8 points per sigma(t) out to 40 sigma(t): the sum is the integral
+        dz = pair.width / 8
+        z = pair.center(which) + dz * np.arange(-320, 321)
+        total = float(np.sum(component_density(pair, z, which))) * dz
+        assert abs(total - abs(pair.weight(which)) ** 2) <= 1e-12
+
+    @pytest.mark.parametrize("t", ORACLE_TIMES)
+    def test_subnormal_sigma0_squared_against_mpmath(self, x_state, t):
+        # the complex form carries sigma0**2 into its norm and exponent, off
+        # by 1.2e-5 relative here; the closed form takes only sigma(t)
+        cfg = self.CHIRP
+        assert 0.0 < cfg.sigma0 * cfg.sigma0 < sys.float_info.min
+        pair = free_propagate(evolve_through_magnet(cfg, x_state), t)
+        grid_z = (np.arange(256) - 128) * 0.25  # the oracle grid of CI's chirp run
+        for which in ("plus", "minus"):
+            z = np.concatenate(
+                [grid_z, pair.center(which) + pair.width * np.linspace(-8.0, 8.0, 33)]
+            )
+            density = component_density(pair, z, which)
+            with mp.workdps(40):
+                # at the code's own tau: sigma(t) = sigma0 sqrt(1 + tau^2)
+                sigma = mp.mpf(cfg.sigma0) * mp.sqrt(1 + mp.mpf(pair.tau) ** 2)
+                c = mp.mpf(pair.momentum(which)) * mp.mpf(t) / mp.mpf(cfg.mass)
+                scale = abs(mp.mpc(pair.weight(which))) ** 2 / (mp.sqrt(2 * mp.pi) * sigma)
+                for zi, value in zip(z, density):
+                    exact = scale * mp.exp(-((mp.mpf(zi) - c) / sigma) ** 2 / 2)
+                    if exact < sys.float_info.min:
+                        assert value <= sys.float_info.min
+                    else:
+                        assert abs(mp.mpf(value) - exact) <= 1e-14 * exact
 
 
 class TestErrorFraction:
