@@ -178,15 +178,9 @@ def _number_list(value, where: str) -> List[float]:
 
 
 def _check_flight(sg: SGConfig, t: float, when: str, *named_values) -> None:
-    """Reject non-finite named values, then a non-finite tau or packet
-    variance at flight time t: the closed forms divide by the variance
-    (inf / inf would be NaN)."""
-    tau = t / sg.spreading_time
+    """Reject non-finite named values, then a non-finite tau at flight time t."""
     for name, value in (
-        *named_values,
-        (f"tau = t / spreading_time at {when}", tau),
-        (f"variance sigma0**2 (1 + tau**2) at {when}",
-         sg.sigma0 * sg.sigma0 * (1.0 + tau * tau)),
+        *named_values, (f"tau = t / spreading_time at {when}", t / sg.spreading_time)
     ):
         if not math.isfinite(value):
             raise ConfigError(f"sg: {name} is not finite")
@@ -233,15 +227,12 @@ def load_config(path: Optional[str]) -> RunConfig:
             f"sg: spreading_time = 2 mass sigma0**2 = {spreading_time!r} "
             "is not finite and positive"
         )
-    # finite inputs, overflowing products (kick * kick gives inf where **
-    # raises); the analytic path's one flight time, and the packet there
-    kick = sg.momentum_kick
+    # finite inputs, overflowing products; the analytic path's one flight time
     flight = phase_settle_time(sg)
     _check_flight(
         sg, flight, "phase_settle_time",
-        ("momentum_kick = moment * gradient * transit", kick),
+        ("momentum_kick = moment * gradient * transit", sg.momentum_kick),
         ("larmor_phase = moment * bias * transit", sg.larmor_phase),
-        ("kick energy momentum_kick**2 / (2 mass)", kick * kick / (2.0 * sg.mass)),
         ("phase_settle_time", flight),
     )
 

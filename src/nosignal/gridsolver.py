@@ -21,9 +21,10 @@ temporary elision made of the nested expression
 ``half_v * ifft(kinetic * fft(half_v * psi))`` on grids of 16384 points or
 more, so those grids give the same bits as that expression.
 
-The phase arrays, ``kinetic``, each channel's ``half_v`` and the flight
-phase of a snapshot, are built in place in one array each.  Their in-place
-steps take the operands of the plain expressions, such as
+The initial state (the grid ``z``, ``k2``, the packet ``psi0`` and each
+channel) and the phase arrays (``kinetic``, each channel's ``half_v`` and
+the flight phase of a snapshot) are built in place in one array each.
+Their in-place steps take the operands of the plain expressions, such as
 ``np.exp(-1j * k2 * dt / (2 m))``, in the same order, so they have the
 expressions' bits without their temporaries.  The initial packet is dropped
 once the channels are made from it, before the threads start.
@@ -186,8 +187,13 @@ def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> Grid
     # points with 100 magnet steps takes about 115k minor faults, not 9k.
     np.empty(2 * n, dtype=complex)
     dx = grid.extent / n
-    z = (np.arange(n) - n // 2) * dx
-    k2 = (2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2
+    # (np.arange(n) - n // 2) * dx and (2 pi fftfreq(n, dx))**2, in place
+    z = np.arange(n, dtype=float)
+    z -= n // 2
+    z *= dx
+    k2 = np.fft.fftfreq(n, dx)
+    np.multiply(2.0 * math.pi, k2, out=k2)
+    np.square(k2, out=k2)
 
     # 2 pi sigma0**2 overflows for a packet far wider than any grid, and its
     # -1/4 power would be 0 (then psi0 / 0); the factored form is finite
@@ -196,15 +202,20 @@ def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> Grid
         prefactor = two_pi_var ** (-0.25)
     else:
         prefactor = (2.0 * math.pi) ** (-0.25) * config.sigma0 ** (-0.5)
-    # for a packet far narrower than dx, z**2 / (4 sigma0**2) overflows off
-    # z = 0, and exp(-inf) = 0 is the exact limit there
+    # prefactor * np.exp(-(z**2) / (4 sigma0**2)), in place; for a packet far
+    # narrower than dx, z**2 / (4 sigma0**2) overflows off z = 0, and
+    # exp(-inf) = 0 is the exact limit there
     with np.errstate(over="ignore"):
-        psi0 = prefactor * np.exp(-(z**2) / (4.0 * config.sigma0**2))
-    psi0 = psi0 / math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
+        psi0 = np.square(z)
+        np.negative(psi0, out=psi0)
+        psi0 /= 4.0 * config.sigma0**2
+        np.exp(psi0, out=psi0)
+    np.multiply(prefactor, psi0, out=psi0)
+    psi0 /= math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
     _check_boundary(psi0, dx, -config.transit)
     channels = {
-        +1: (input_spin.amp_up * psi0).astype(complex),
-        -1: (input_spin.amp_down * psi0).astype(complex),
+        +1: np.multiply(input_spin.amp_up, psi0, out=np.empty(n, dtype=complex)),
+        -1: np.multiply(input_spin.amp_down, psi0, out=np.empty(n, dtype=complex)),
     }
     del psi0
 

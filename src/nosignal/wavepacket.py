@@ -29,9 +29,12 @@ spin-down channel,
     E(t) = integral_0^inf |psi_minus(z, t)|^2 dz,
 
 evaluated in closed form through the Gaussian CDF: with a = 2 dp sigma0
-and tau = t / (2 m sigma0^2),
+(SGConfig.drift_ratio) and tau = t / (2 m sigma0^2),
 
     E(t) = Phi(-a tau / sqrt(1 + tau^2)).
+
+E(t) and the coherence below take only a, tau and the Larmor phase, and
+math.hypot(1, tau) stands for sqrt(1 + tau^2), whose tau^2 can overflow.
 
 E(t) decreases monotonically after the magnet for dp > 0 and saturates at
 the Gaussian tail value Phi(-a) (asymptotic_error_fraction), set by the
@@ -115,6 +118,12 @@ class SGConfig(_SGConfigFields):
         return self.moment * self.gradient * self.transit
 
     @property
+    def drift_ratio(self) -> float:
+        """a = 2 momentum_kick sigma0, the kicked channel's drift velocity
+        over its spreading velocity 1 / (2 m sigma0)."""
+        return 2.0 * self.momentum_kick * self.sigma0
+
+    @property
     def larmor_phase(self) -> float:
         """Phase picked up from the uniform bias field during transit."""
         return self.moment * self.bias * self.transit
@@ -155,8 +164,7 @@ class WavePacketPair(NamedTuple):
     @property
     def width(self) -> float:
         """Position standard deviation sigma(t), shared by both channels."""
-        tau = self.tau
-        return self.device.sigma0 * math.sqrt(1.0 + tau * tau)
+        return self.device.sigma0 * math.hypot(1.0, self.tau)
 
     def weight(self, which: str) -> complex:
         """Channel amplitude: the spin's up or down amplitude."""
@@ -247,8 +255,11 @@ def component_density(pair: WavePacketPair, z: np.ndarray, which: str) -> np.nda
 
 
 def upper_fraction(pair: WavePacketPair, which: str) -> float:
-    """Weight of one normalized channel on the upper half line z >= 0."""
-    return 1.0 - _norm_cdf(-pair.center(which) / pair.width)
+    """Weight of one normalized channel on the upper half line z >= 0:
+    Phi(+-a tau / sqrt(1 + tau^2)), + for "plus"; a tail below 1e-17 is kept."""
+    tau = pair.tau
+    r = pair.device.drift_ratio * tau / math.hypot(1.0, tau)
+    return _norm_cdf(_sign(which) * r)
 
 
 def error_fraction(pair: WavePacketPair) -> float:
@@ -300,23 +311,20 @@ def closed_form_upper_coherence(pair: WavePacketPair) -> complex:
     """Upper-half coherence int_0^inf psi_plus psi_minus^* dz of the pair.
 
     Both channels leave the magnet from z = 0 with opposite momenta +-dp
-    and exit phases +-phi_L (the Larmor phase).  With c = dp t / m the
-    plus channel's center, sigma^2 = sigma0^2 (1 + tau^2),
-    keff = 2 dp / (1 + tau^2) and x = keff sigma / sqrt(2),
+    and exit phases +-phi_L (the Larmor phase).  With a = 2 dp sigma0,
+    r = a tau / sqrt(1 + tau^2) the plus channel's center in widths and
+    x = a / (sqrt(2) sqrt(1 + tau^2)),
 
-        C(t) = (1/2) exp(-c^2 / (2 sigma^2)) exp(-x^2) (1 + i erfi x)
-               exp(2 i phi_L),
+        C(t) = (1/2) exp(-r^2 / 2) exp(-x^2) (1 + i erfi x) exp(2 i phi_L),
 
     where exp(-x^2) erfi x = (2/sqrt(pi)) F(x) stays finite for any x.
     """
     sg = pair.device
-    dp = sg.momentum_kick
-    tau = pair.tau
-    tau2 = tau * tau  # squares by multiplication: inf where ** would raise
-    sig2 = sg.sigma0 * sg.sigma0 * (1.0 + tau2)
-    c = pair.center("plus")
-    x = 2.0 * dp / (1.0 + tau2) * math.sqrt(sig2 / 2.0)
-    envelope = 0.5 * math.exp(-(c * c) / (2.0 * sig2))
+    a, tau = sg.drift_ratio, pair.tau
+    spread = math.hypot(1.0, tau)
+    r = a * tau / spread
+    x = a / (_SQRT2 * spread)
+    envelope = 0.5 * math.exp(-(r * r) / 2.0)
     erfi_part = complex(math.exp(-(x * x)), 2.0 / math.sqrt(math.pi) * _dawson(x))
     return envelope * erfi_part * cmath.exp(1j * (sg.larmor_phase + sg.larmor_phase))
 
@@ -327,7 +335,7 @@ def asymptotic_error_fraction(config: SGConfig) -> float:
     The argument is (drift velocity) / (spreading velocity) of the kicked
     channel; a large kick gives the ideal device, zero kick gives 1/2.
     """
-    return _norm_cdf(-2.0 * config.momentum_kick * config.sigma0)
+    return _norm_cdf(-config.drift_ratio)
 
 
 def phase_settle_time(config: SGConfig, phase_sum_tol: float = 1e-10) -> float:

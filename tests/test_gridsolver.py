@@ -260,8 +260,8 @@ class TestInPlaceMagnetLoop:
 
 
 class TestInPlacePhases:
-    """The phase arrays are built in place with the operands of the
-    expressions they replace, in the same order."""
+    """The initial state and the phase arrays are built in place with the
+    operands of the expressions they replace, in the same order."""
 
     @pytest.mark.parametrize(
         "grid",
@@ -280,6 +280,32 @@ class TestInPlacePhases:
                 (source.spectrum_minus, result.psi_minus),
             ):
                 assert np.array_equal(psi, np.fft.ifft(flight * spectrum))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [SMALL_GRID, GridSpec(extent=1024.0, points=2**14, dt=2e-4)],
+        ids=["2^12", "2^14"],
+    )
+    def test_initial_state_equals_plain_expressions(self, device, grid):
+        # with no magnet step the exit spectra are the FFTs of the initial
+        # channels, so they pin the in-place builds of z, psi0 and the channels
+        spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
+        device = device._replace(sigma0=0.7, transit=0.0)  # no exact quarter
+        source = grid_evolve(device, spin, grid)
+        n = grid.points
+        dx = grid.extent / n
+        z = (np.arange(n) - n // 2) * dx
+        psi0 = (2.0 * math.pi * device.sigma0**2) ** (-0.25) * np.exp(
+            -(z**2) / (4.0 * device.sigma0**2)
+        )
+        psi0 = psi0 / math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
+        assert np.array_equal(source.z, z)
+        assert np.array_equal(source.k2, (2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2)
+        for amp, spectrum in (
+            (spin.amp_up, source.spectrum_plus),
+            (spin.amp_down, source.spectrum_minus),
+        ):
+            assert np.array_equal(spectrum, np.fft.fft((amp * psi0).astype(complex)))
 
     def test_magnet_working_set(self, device, x_state):
         # grid z and k2 (half an array each), the two channels, kinetic and

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +31,7 @@ from conftest import (
 )
 
 ORACLE_TIMES = [1, 3, 7, 12, 20, 30, 45, 70, 95, 120]
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 def quad_density(pair, which, lo, hi):
@@ -253,6 +255,70 @@ class TestErrorFraction:
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-15)
         assert values[-1] == pytest.approx(asymptotic_error_fraction(device), abs=1e-4)
+
+    @pytest.mark.parametrize("gradient", [1500.0, 2500.0])
+    def test_far_tail_against_mpmath(self, gradient):
+        # configs/default.json's Es with a stronger gradient: 1 - Phi(r) lost
+        # the tail to rounding (5.6e-8 relative at 1500, 0.0 for 7.6e-24 at
+        # 2500), where Phi(-r) keeps it
+        from nosignal.cli import load_config
+        from nosignal.protocol import branch_table
+
+        cfg = load_config(str(DEFAULT_CONFIG))
+        sg = cfg.sg._replace(gradient=gradient)
+        es = branch_table(sg, cfg.omega_list).Es
+        tau = phase_settle_time(sg) / sg.spreading_time  # the code's own tau
+        with mp.workdps(40):
+            a = 2 * mp.mpf(sg.momentum_kick) * mp.mpf(sg.sigma0)
+            exact = mp.ncdf(-a * tau / mp.sqrt(1 + mp.mpf(tau) ** 2))
+        assert es == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+def _accepted_a():
+    """a = 2 momentum_kick sigma0: 0, or 10**e of either sign for e in
+    [-300, 297]; beyond ~5.6e297 phase_settle_time overflows."""
+    magnitude = st.floats(-300.0, 297.0).map(lambda e: 10.0**e)
+    signed = st.tuples(st.sampled_from((1.0, -1.0)), magnitude)
+    return st.one_of(st.just(0.0), signed.map(lambda pair: pair[0] * pair[1]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    a=_accepted_a(),
+    times=st.lists(
+        st.one_of(st.just(0.0), st.floats(-300.0, 308.0).map(lambda e: 10.0**e)),
+        min_size=2,
+        max_size=2,
+    ),
+)
+def test_closed_forms_over_accepted_a_and_tau(tmp_path_factory, a, times):
+    # m = 1/2 and sigma0 = 1 make spreading_time 1, so tau is the oracle time
+    # and a is 2 gradient exactly; load_config accepts every such device
+    import json
+
+    from nosignal.cli import load_config
+
+    sg = {"mass": 0.5, "sigma0": 1.0, "moment": 1.0, "gradient": a / 2,
+          "bias": 0.0, "transit": 1.0}
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(
+        {"schema_version": 1, "sg": sg, "oracle": {"times": times}}
+    ))
+    cfg = load_config(str(path))
+    assert cfg.sg.drift_ratio == a and cfg.sg.spreading_time == 1.0
+    exit_pair = evolve_through_magnet(cfg.sg, SpinState(math.sqrt(0.5), math.sqrt(0.5)))
+    pairs = [free_propagate(exit_pair, t) for t in sorted(cfg.oracle_times)]
+    e_early, e_late = (error_fraction(pair) for pair in pairs)
+    if a >= 0:
+        assert 0.0 <= e_late <= e_early <= 0.5
+    else:
+        assert 0.5 <= e_early <= e_late <= 1.0
+    for pair in pairs:
+        total = upper_fraction(pair, "plus") + upper_fraction(pair, "minus")
+        assert abs(total - 1.0) <= 4e-16
+        coherence = closed_form_upper_coherence(pair)
+        assert math.isfinite(coherence.real) and math.isfinite(coherence.imag)
+        assert abs(coherence) <= 0.5
 
 
 class TestSaturation:
