@@ -24,7 +24,7 @@ _EXPORTS = {
     "postselect": """PostSelectedSpin constraint_residual extract_phase
         model_state postselected_pure_state project_upper shift_cosine""",
     "protocol": """BranchTable ProtocolResult branch_phase branch_table
-        branch_totals cell_results closed_form_result""",
+        branch_totals cell_results closed_form_result closed_form_rows""",
     "spin": """SpinDensityMatrix SpinState born_probability make_spin_state
         sigma_eigenstate singlet_conditional""",
     "wavepacket": """SGConfig WavePacketPair asymptotic_error_fraction

@@ -63,7 +63,7 @@ from .protocol import (
     branch_table,
     branch_totals,
     cell_results,
-    closed_form_result,
+    closed_form_rows,
 )
 from .rng import INT64_MAX
 from .spin import SpinDensityMatrix, wrap_to_pi
@@ -463,15 +463,15 @@ def workflow_sweep(cfg: RunConfig) -> RunRecord:
     """Closed-form protocol table, one row per (omega, theta).
 
     Es and the phases come from the run's branch table (they do not depend
-    on theta); rows then evaluate the closed forms.
+    on theta); closed_form_rows then evaluates one omega's thetas at a time.
     """
     table, rotated, _ = _rotated(cfg, 0.0)
     rows = [
-        closed_form_result(
-            table.Es, omega, theta, phi_plus, phi_minus, cfg.model
-        )._asdict()
+        row
         for omega, _, phi_plus, phi_minus in rotated
-        for theta in cfg.theta_list
+        for row in closed_form_rows(
+            table.Es, omega, cfg.theta_list, phi_plus, phi_minus, cfg.model
+        )
     ]
     path = Path(cfg.output_dir) / "sweep.csv"
     return RunRecord(
@@ -479,20 +479,24 @@ def workflow_sweep(cfg: RunConfig) -> RunRecord:
     )
 
 
-def write_sweep_csv(path: Path, rows: List[dict]) -> None:
+class _FieldText(dict):
+    """sweep.csv's text of each field value: "" for None, a str as itself,
+    repr(float(v)) for a number.  Each distinct value is formatted once,
+    except zeros: 0.0 == -0.0 as keys, so they are never stored."""
+
+    def __missing__(self, value) -> str:
+        text = value if isinstance(value, str) else repr(float(value))
+        if value:
+            self[value] = text
+        return text
+
+
+def write_sweep_csv(path: Path, rows: Sequence[Sequence]) -> None:
+    """One line per row, its fields in SWEEP_COLUMNS order."""
+    text = _FieldText({None: ""}).__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fields = []
-            for col in SWEEP_COLUMNS:
-                value = row[col]
-                if value is None:
-                    fields.append("")
-                elif isinstance(value, str):
-                    fields.append(value)
-                else:
-                    fields.append(repr(float(value)))
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(",".join(map(text, row)) + "\n" for row in rows)
 
 
 def workflow_estimate(cfg: RunConfig, inject: float = 0.0) -> RunRecord:

@@ -8,8 +8,10 @@ recording +1.  No-signalling demands this be independent of Alice's
 setting choice, which pins the post-selected relative phases to
 cos(phi_plus) + cos(phi_minus) = 0.
 
-closed_form_result is the one closed form; sweep tabulates it.  With E
-the saturated error fraction and s = sqrt(E(1-E)):
+closed_form_rows is the closed form: one omega's rows, with the terms that
+do not depend on theta computed once.  closed_form_result is its one-theta
+view, and sweep tabulates closed_form_rows.  With E the saturated error
+fraction and s = sqrt(E(1-E)):
 
     Alice branch (probability 1/2, survival 1/2), +1 at theta:
         p_branch = 1/8 [1 + (1-2E) cos(theta) + 2 s sin(omega) sin(theta) cos(phi)]
@@ -27,9 +29,9 @@ them theta dependent: branch_table conditions the singlet, flies each
 beam through the device to the one closed-form time phase_settle_time
 and post-selects it, and cell_results turns a table entry and the thetas
 into Born probabilities.  verify runs every cell through cell_results, and
-sweep tabulates closed_form_result from the same table's phases.
+sweep tabulates closed_form_rows from the same table's phases.
 
-The two split P_A into branches differently.  closed_form_result gives each
+The two split P_A into branches differently.  closed_form_rows gives each
 branch a survival of 1/2 and takes only Es and the phases, so sweep's rows do
 not depend on the model (apart from its column).  cell_results weights each
 branch by its own select_prob and reads it in the model's state.  So sweep's
@@ -57,6 +59,7 @@ from .wavepacket import (
 
 __all__ = [
     "ProtocolResult",
+    "closed_form_rows",
     "closed_form_result",
     "BranchTable",
     "branch_table",
@@ -93,6 +96,49 @@ class ProtocolResult(NamedTuple):
     model: str
 
 
+def closed_form_rows(
+    es: float,
+    omega: float,
+    thetas: Sequence[float],
+    phi_plus: Optional[float],
+    phi_minus: Optional[float],
+    model: str,
+) -> List[ProtocolResult]:
+    """One omega's ProtocolResults, per theta, from the closed forms in the
+    module docstring.
+
+    Phases may be None on degenerate branches (no coherence); the
+    coherence terms are then identically zero.  The terms that do not
+    depend on theta are computed once.
+    """
+    if not 0.0 <= es <= 1.0:
+        raise ValueError(f"error fraction must be in [0, 1], got {es}")
+    if phi_plus is None or phi_minus is None:
+        weight, phases = 0.0, (0.0, 0.0)
+    else:
+        weight, phases = math.sin(omega), (phi_plus, phi_minus)
+    scale = 2.0 * weight * math.sqrt(es * (1.0 - es))
+    cos_plus, cos_minus = math.cos(phases[0]), math.cos(phases[1])
+    rows = []
+    for theta in thetas:
+        cos_theta = math.cos(theta)
+        pb_plus = _assert_probability(0.25 * (1.0 + cos_theta) * (1.0 - es), 0.5)
+        pb_minus = _assert_probability(0.25 * (1.0 - cos_theta) * es, 0.5)
+        base = 1.0 + (1.0 - 2.0 * es) * cos_theta
+        coherence = scale * math.sin(theta)
+        pa_plus = _assert_probability(0.125 * (base + coherence * cos_plus), 0.25)
+        pa_minus = _assert_probability(0.125 * (base + coherence * cos_minus), 0.25)
+        pa_total = pa_plus + pa_minus
+        pb_total = pb_plus + pb_minus
+        rows.append(
+            ProtocolResult(
+                omega, theta, es, phi_plus, phi_minus, pa_plus, pa_minus,
+                pa_total, pb_plus, pb_minus, pb_total, pa_total - pb_total, model,
+            )
+        )
+    return rows
+
+
 def closed_form_result(
     es: float,
     omega: float,
@@ -101,43 +147,8 @@ def closed_form_result(
     phi_minus: Optional[float],
     model: str,
 ) -> ProtocolResult:
-    """Assemble a ProtocolResult from the closed forms in the module docstring.
-
-    Phases may be None on degenerate branches (no coherence); the
-    coherence terms are then identically zero.
-    """
-    if not 0.0 <= es <= 1.0:
-        raise ValueError(f"error fraction must be in [0, 1], got {es}")
-    cos_theta = math.cos(theta)
-    pb_plus = _assert_probability(0.25 * (1.0 + cos_theta) * (1.0 - es), 0.5)
-    pb_minus = _assert_probability(0.25 * (1.0 - cos_theta) * es, 0.5)
-    if phi_plus is None or phi_minus is None:
-        weight, phases = 0.0, (0.0, 0.0)
-    else:
-        weight, phases = math.sin(omega), (phi_plus, phi_minus)
-    base = 1.0 + (1.0 - 2.0 * es) * cos_theta
-    coherence = 2.0 * weight * math.sqrt(es * (1.0 - es)) * math.sin(theta)
-    pa_plus, pa_minus = (
-        _assert_probability(0.125 * (base + coherence * math.cos(phi)), 0.25)
-        for phi in phases
-    )
-    pa_total = pa_plus + pa_minus
-    pb_total = pb_plus + pb_minus
-    return ProtocolResult(
-        omega=omega,
-        theta=theta,
-        Es=es,
-        phi_plus=phi_plus,
-        phi_minus=phi_minus,
-        pA_plus=pa_plus,
-        pA_minus=pa_minus,
-        PA_total=pa_total,
-        PB_plus=pb_plus,
-        PB_minus=pb_minus,
-        PB_total=pb_total,
-        residual=pa_total - pb_total,
-        model=model,
-    )
+    """The one-theta view of closed_form_rows."""
+    return closed_form_rows(es, omega, (theta,), phi_plus, phi_minus, model)[0]
 
 
 # (branch probability, post-selected spin or None when nothing is selected)

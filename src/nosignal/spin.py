@@ -26,11 +26,9 @@ Matrix = Tuple[Tuple[complex, complex], Tuple[complex, complex]]
 
 
 def wrap_to_pi(x: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    y = math.fmod(x + math.pi, TWO_PI)
-    if y <= 0:
-        y += TWO_PI
-    return y - math.pi
+    """Wrap an angle to (-pi, pi]; exact, so x in (-pi, pi] comes back unchanged."""
+    y = math.remainder(x, TWO_PI)
+    return math.pi if y == -math.pi else y
 
 
 # A NamedTuple body may not define __new__, so each checked value type is a

@@ -29,6 +29,7 @@ from nosignal.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    SWEEP_COLUMNS,
     RunConfig,
     _grid_resolution,
     _json_text,
@@ -37,7 +38,9 @@ from nosignal.cli import (
     workflow_oracle,
     workflow_sweep,
     workflow_verify,
+    write_sweep_csv,
 )
+from nosignal.protocol import ProtocolResult
 
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
@@ -350,15 +353,16 @@ class TestVerify:
         # injected cells are Born probabilities of the configured model, like
         # the uninjected ones: no cell comes from the closed form, and the
         # plus branch and the aligned setting keep their bits
+        # (closed_form_result calls closed_form_rows through protocol's globals)
         calls = []
-        closed_form_result = nosignal.protocol.closed_form_result
+        closed_form_rows = nosignal.protocol.closed_form_rows
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return closed_form_result(*args, **kwargs)
+            return closed_form_rows(*args, **kwargs)
 
         for module in (nosignal.cli, nosignal.protocol):
-            monkeypatch.setattr(module, "closed_form_result", counted)
+            monkeypatch.setattr(module, "closed_form_rows", counted)
         cfg = write_default_config(tmp_path)
         payload = json.loads(Path(cfg).read_text())
         payload["model"] = model
@@ -435,6 +439,58 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert all(l.split(",")[11] == "0.0" for l in lines[1:])
         assert all(l.split(",")[2] == "0.0" for l in lines[1:])  # Es underflows
+
+    # the field-by-field writer the cached one replaced
+    @staticmethod
+    def reference_csv(rows) -> str:
+        def field(value) -> str:
+            if value is None:
+                return ""
+            if isinstance(value, str):
+                return value
+            return repr(float(value))
+
+        lines = [",".join(SWEEP_COLUMNS)]
+        lines += [",".join(field(value) for value in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_rows_are_protocol_results_in_column_order(self):
+        assert list(ProtocolResult._fields) == SWEEP_COLUMNS
+        rows = workflow_sweep(load_config(str(DEFAULT_CONFIG))).payload
+        assert len(rows) == 52
+        assert all(type(row) is ProtocolResult for row in rows)
+
+    def test_writer_matches_reference_on_mixed_rows(self, tmp_path):
+        # a zero of either sign is never served from the cache: 0.0 == -0.0
+        # == 0 as dict keys; an int and its equal float write the same text
+        rows = [
+            (-0.0, 0.0, None, 1, 1.0, 0, -0.0, 0.5, 0.5, -0.5, 3, 1e-300, "pure"),
+            (0.0, -0.0, 0.5, None, -1, 1.0, 0.0, 0, 0.5, 3.0, -0.5, -1e-300, "pure"),
+            (0, -0.0, 0.5, None, None, 2**60, -0.0, 0.1, 0.1, 0.1, 0.0, 0, ""),
+            (True, 0.5, -1e-300, 1e300, -1e300, 0.1 + 0.2, 0.3, 0.0, -0.0, -0.0,
+             0.0, 0.5, "projected"),
+        ]
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, rows)
+        assert path.read_text(encoding="utf-8") == self.reference_csv(rows)
+
+    @pytest.mark.parametrize(
+        "model, sg",
+        [
+            ("projected", {}),
+            ("pure", {}),
+            ("projected", {"gradient": 0.0}),
+            ("projected", {"gradient": 1e6}),
+        ],
+        ids=["default", "pure", "grad0", "grad1e6"],
+    )
+    def test_writer_matches_reference_on_sweep(self, tmp_path, model, sg):
+        cfg = load_config(str(DEFAULT_CONFIG))
+        cfg = cfg._replace(model=model, sg=cfg.sg._replace(**sg))
+        rows = workflow_sweep(cfg).payload
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, rows)
+        assert path.read_text(encoding="utf-8") == self.reference_csv(rows)
 
 
 class TestEstimate:
@@ -1239,7 +1295,8 @@ def test_bias_moves_no_aligned_total_and_no_residual(bias):
 
     def aligned(run: RunConfig) -> list:
         # repr, as sweep.csv writes them: equal strings are equal bits
-        return [[repr(row[c]) for c in columns] for row in workflow_sweep(run).payload]
+        rows = workflow_sweep(run).payload
+        return [[repr(getattr(row, c)) for c in columns] for row in rows]
 
     assert aligned(biased) == aligned(cfg)
     record = workflow_verify(biased)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nosignal.protocol
 from nosignal import (
@@ -11,6 +13,7 @@ from nosignal import (
     branch_table,
     cell_results,
     closed_form_result,
+    closed_form_rows,
     postselected_pure_state,
 )
 from nosignal.cli import EXIT_OK, main
@@ -342,3 +345,57 @@ class TestSerialization:
         result = closed_form_result(0.2, 0.0, 0.5, None, None, "pure")
         assert result.residual == pytest.approx(0.0, abs=1e-15)
         assert result.phi_plus is None
+
+
+def frozen_closed_form_cell(es, omega, theta, phi_plus, phi_minus, model):
+    """One cell of the closed form as closed_form_result computed it before
+    closed_form_rows hoisted the theta-free terms; kept as the bit reference."""
+    cos_theta = math.cos(theta)
+    pb_plus = 0.25 * (1.0 + cos_theta) * (1.0 - es)
+    pb_minus = 0.25 * (1.0 - cos_theta) * es
+    if phi_plus is None or phi_minus is None:
+        weight, phases = 0.0, (0.0, 0.0)
+    else:
+        weight, phases = math.sin(omega), (phi_plus, phi_minus)
+    base = 1.0 + (1.0 - 2.0 * es) * cos_theta
+    coherence = 2.0 * weight * math.sqrt(es * (1.0 - es)) * math.sin(theta)
+    pa_plus, pa_minus = (0.125 * (base + coherence * math.cos(phi)) for phi in phases)
+    pa_total = pa_plus + pa_minus
+    pb_total = pb_plus + pb_minus
+    return (
+        omega, theta, es, phi_plus, phi_minus, pa_plus, pa_minus, pa_total,
+        pb_plus, pb_minus, pb_total, pa_total - pb_total, model,
+    )
+
+
+_angle = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, math.pi, -math.pi])
+
+
+class TestClosedFormRows:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        es=st.floats(0.0, 1.0),
+        omega=_angle,
+        thetas=st.lists(_angle, min_size=1, max_size=8),
+        phi_plus=st.none() | _angle,
+        phi_minus=st.none() | _angle,
+        model=st.sampled_from(MODELS),
+    )
+    def test_rows_keep_the_per_cell_bits(
+        self, es, omega, thetas, phi_plus, phi_minus, model
+    ):
+        # repr tells -0.0 from 0.0, so equal strings are equal bits
+        rows = closed_form_rows(es, omega, thetas, phi_plus, phi_minus, model)
+        expected = [
+            frozen_closed_form_cell(es, omega, theta, phi_plus, phi_minus, model)
+            for theta in thetas
+        ]
+        assert [repr(tuple(row)) for row in rows] == [repr(e) for e in expected]
+        for theta, row in zip(thetas, rows):
+            one = closed_form_result(es, omega, theta, phi_plus, phi_minus, model)
+            assert repr(one) == repr(row)
+
+    def test_rejects_an_error_fraction_outside_unit_interval(self):
+        for es in (-1e-300, 1.0 + 2.0**-52, math.nan):
+            with pytest.raises(ValueError):
+                closed_form_rows(es, 0.5, [], 1.0, 2.0, "pure")

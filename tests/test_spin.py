@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nosignal import (
     SpinDensityMatrix,
@@ -10,7 +13,7 @@ from nosignal import (
     sigma_eigenstate,
     singlet_conditional,
 )
-from nosignal.spin import smaller_eigenvalue
+from nosignal.spin import TWO_PI, smaller_eigenvalue, wrap_to_pi
 from conftest import mixture
 
 ATOL = 1e-12
@@ -232,3 +235,34 @@ class TestSingletConditional:
             parts.append((prob, state))
         rho = mixture(parts)
         assert np.allclose(rho.matrix, np.eye(2) / 2, atol=ATOL)
+
+
+def fmod_wrap(x: float) -> float:
+    """wrap_to_pi's earlier form: it rounds x + pi, so an angle near 0 comes
+    back as a multiple of ulp(pi)."""
+    y = math.fmod(x + math.pi, TWO_PI)
+    if y <= 0:
+        y += TWO_PI
+    return y - math.pi
+
+
+class TestWrapToPi:
+    @pytest.mark.parametrize("x", [3e-4, 1e-300, 0.0, -0.0, math.pi, -3.0, 1.0])
+    def test_angle_in_range_comes_back_bit_for_bit(self, x):
+        assert repr(wrap_to_pi(x)) == repr(x)
+
+    def test_minus_pi_is_pi(self):
+        assert repr(wrap_to_pi(-math.pi)) == repr(math.pi)
+        assert wrap_to_pi(3.0 * math.pi) == math.pi
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(x=st.floats(-1e3, 1e3))
+    def test_exact_remainder_near_the_fmod_form(self, x):
+        y = wrap_to_pi(x)
+        assert -math.pi < y <= math.pi
+        # x - y is an exact multiple of the float 2 pi: no rounding at all
+        assert ((Fraction(x) - Fraction(y)) / Fraction(TWO_PI)).denominator == 1
+        # the fmod form rounds x + pi once (half an ulp of x or of pi) and
+        # may land on the other end of the range
+        gap = abs(y - fmod_wrap(x))
+        assert min(gap, abs(gap - TWO_PI)) <= math.ulp(math.pi) + math.ulp(x)

@@ -336,7 +336,7 @@ class TestSaturation:
             tau = t / cfg.spreading_time
             expected = _norm_cdf(-a * tau / math.sqrt(1.0 + tau * tau))
             assert error_fraction(free_propagate(exit_pair, t)) == pytest.approx(
-                expected, rel=1e-14, abs=1e-15
+                expected, rel=1e-14, abs=0.0
             )
 
     def test_zero_kick_saturates_at_half(self, x_state):
