@@ -62,7 +62,7 @@ from .protocol import (
     branch_phase,
     branch_table,
     branch_totals,
-    cell_results,
+    cell_records,
     closed_form_rows,
 )
 from .rng import INT64_MAX
@@ -291,9 +291,8 @@ def load_config(path: Optional[str]) -> RunConfig:
     )
 
 
-# the scalars that indent=2 writes on one line; subclasses take the general path
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-_KEY_TYPES = frozenset((str,))
+# the values a record template writes; any other value takes the general path
+_RECORD_TYPES = frozenset((float, str, type(None)))
 
 
 @functools.lru_cache(maxsize=16)  # one per nesting depth
@@ -304,15 +303,61 @@ def _encoder(separator: str) -> Callable[[object], str]:
     ).encode
 
 
+class _JsonFieldText(dict):
+    """A record value's JSON text: null for None, a str encoded, a finite
+    float's repr; a non-finite float is a ValueError, as under
+    allow_nan=False.  Each distinct value is formatted once, except zeros:
+    0.0 == -0.0 as keys, so they are never stored."""
+
+    def __missing__(self, value) -> str:
+        if type(value) is str:
+            text = _encoder(", ")(value)
+        elif math.isfinite(value):
+            text = float.__repr__(value)
+        else:
+            raise ValueError(f"float {value!r} is not JSON compliant")
+        if value:
+            self[value] = text
+        return text
+
+
+def _records_text(records: Sequence, indent: str) -> Optional[str]:
+    """The JSON array of records written from one record template, or None
+    unless every record is a dict with the first's non-empty set of str keys
+    and every value a float, a str or None.
+
+    The template holds each encoded key once, in sorted order; a
+    _JsonFieldText memo fills it, so each distinct value is formatted once.
+    The type gate keeps 1, 1.0 and True, which are equal as dict keys, from
+    sharing a text.
+    """
+    first = records[0]
+    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+        return None
+    keys = first.keys()
+    if not all(type(item) is dict and item.keys() == keys for item in records):
+        return None
+    order = sorted(keys)
+    values = [v for item in records for v in map(item.__getitem__, order)]
+    if not _RECORD_TYPES.issuperset(map(type, values)):
+        return None
+    inner, deeper = indent + "  ", indent + "    "
+    encode = _encoder(", ")
+    fields = f",\n{deeper}".join(f"{encode(k).replace('%', '%%')}: %s" for k in order)
+    template = f"{{\n{deeper}{fields}\n{inner}}}"
+    text = f",\n{inner}".join([template] * len(records))
+    return text % tuple(map(_JsonFieldText({None: "null"}).__getitem__, values))
+
+
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), byte for
     byte; a dict key that is not a str is a TypeError at any depth.
 
-    json's C encoder runs only without indent.  A non-empty list of non-empty
-    dicts of scalars with str keys (report.json's cells) goes to it whole,
-    with ",\\n" and the items' indent as its separator; an encoded string has
-    no raw newline, so one replace splits the records.  Every other container
-    is indented here, with one encoder call per key and per scalar.
+    A non-empty list of records that share one set of str keys and hold
+    only floats, strs and None (report.json's cells) is written from one
+    record template by _records_text, each distinct value formatted once.
+    Every other container is indented here, with one call of json's C
+    encoder per key and per scalar.
     """
     inner = indent + "  "
     sep = ",\n" + inner
@@ -326,17 +371,8 @@ def _json_text(value, indent: str = "") -> str:
         items = sorted(value.items())
         text = sep.join(f"{encode(k)}: {_json_text(v, inner)}" for k, v in items)
         return f"{{\n{inner}{text}\n{indent}}}"
-    if all(
-        type(item) is dict and item and _KEY_TYPES.issuperset(map(type, item))
-        and _SCALAR_TYPES.issuperset(map(type, item.values()))
-        for item in value
-    ):
-        deeper = inner + "  "
-        text = _encoder(",\n" + deeper)(value)[2:-2]
-        # a separator followed by "{" starts the next dict; a key starts with '"'
-        text = text.replace("},\n" + deeper + "{", f"\n{inner}}}{sep}{{\n{deeper}")
-        text = f"{{\n{deeper}{text}\n{inner}}}"
-    else:
+    text = _records_text(value, indent)
+    if text is None:
         text = sep.join(_json_text(item, inner) for item in value)
     return f"[\n{inner}{text}\n{indent}]"
 
@@ -419,13 +455,13 @@ def workflow_verify(cfg: RunConfig, inject: float = 0.0) -> RunRecord:
                 f"omega={omega:.6g}: phases unidentifiable on degenerate "
                 "branches (no coherence); phase checks skipped"
             )
-        entry = (omega, branches)
-        for result in cell_results(table, entry, cfg.theta_list, cfg.model, aligned):
-            cell = result._asdict()
-            cell["phase_sum_dev"] = phase_sum_dev
-            cell["cos_sum"] = cos_sum
-            cells.append(cell)
-            max_residual = max(max_residual, abs(result.residual))
+        records = cell_records(
+            table, (omega, branches), cfg.theta_list, cfg.model, aligned,
+            phase_sum_dev=phase_sum_dev, cos_sum=cos_sum,
+        )
+        cells += records
+        for cell in records:
+            max_residual = max(max_residual, abs(cell["residual"]))
     if cfg.sg.gradient == 0.0:
         warnings.append("zero field gradient: device never splits the packet")
     warnings += unapplied

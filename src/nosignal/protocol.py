@@ -27,13 +27,15 @@ reproduces it end to end from the wave-packet dynamics instead of the
 closed form.  Only four post-selected spins enter it per omega, none of
 them theta dependent: branch_table conditions the singlet, flies each
 beam through the device to the one closed-form time phase_settle_time
-and post-selects it, and cell_results turns a table entry and the thetas
-into Born probabilities.  verify runs every cell through cell_results, and
+and post-selects it, and cell_records turns a table entry and the thetas
+into Born probabilities: branch_totals makes one born_probabilities call
+per branch, over every theta.  verify writes cell_records' dicts as
+report.json's cells (cell_results is their ProtocolResult view), and
 sweep tabulates closed_form_rows from the same table's phases.
 
 The two split P_A into branches differently.  closed_form_rows gives each
 branch a survival of 1/2 and takes only Es and the phases, so sweep's rows do
-not depend on the model (apart from its column).  cell_results weights each
+not depend on the model (apart from its column).  cell_records weights each
 branch by its own select_prob and reads it in the model's state.  So sweep's
 pA_plus and pA_minus are not verify's: on configs/default.json they differ by
 up to 0.173 (omega = pi/6) under both models, while PA_total, PB_plus,
@@ -48,7 +50,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PostSelectionError
 from .postselect import PostSelectedSpin, model_state, project_upper
-from .spin import born_probability, make_spin_state, singlet_conditional
+from .spin import born_probabilities, make_spin_state, singlet_conditional
 from .wavepacket import (
     SGConfig,
     error_fraction,
@@ -65,6 +67,7 @@ __all__ = [
     "branch_table",
     "branch_phase",
     "branch_totals",
+    "cell_records",
     "cell_results",
 ]
 
@@ -220,19 +223,62 @@ def branch_totals(
     reads +1 at theta.
 
     Each branch's model state and weight prob * select_prob are built once,
-    whatever the theta count.
+    and its Born probabilities come from one born_probabilities call over
+    every theta.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     # a branch that selects nothing reads +1 with probability 0
     totals = [dict.fromkeys(branches, 0.0) for _ in thetas]
+    axes = [float(theta) for theta in thetas]
     for s, (prob, post) in branches.items():
         if post is None:
             continue
         weight, state = prob * post.select_prob, model_state(post, model)
-        for row, theta in zip(totals, thetas):
-            row[s] = weight * born_probability(state, float(theta), +1)
+        for row, p in zip(totals, born_probabilities(state, axes, +1)):
+            row[s] = weight * p
     return totals
+
+
+def cell_records(
+    table: BranchTable,
+    entry: Entry,
+    thetas: Sequence[float],
+    model: str,
+    aligned: Sequence[Dict[int, float]],
+    **extra,
+) -> List[dict]:
+    """Born probabilities of one omega's cells from a table entry, per theta:
+    one dict per cell, keyed by ProtocolResult's fields and then by extra's.
+
+    The residual compares the rotated setting against the aligned one;
+    under unitary dynamics plus Born statistics it vanishes to rounding.
+    ``aligned`` is ``branch_totals(table.aligned, thetas, model)``, which
+    does not depend on omega, so callers compute it once per run.
+    """
+    omega, rotated = entry
+    es = table.Es
+    phi_plus, phi_minus = branch_phase(rotated[+1]), branch_phase(rotated[-1])
+    records = []
+    for theta, pa, pb in zip(thetas, branch_totals(rotated, thetas, model), aligned):
+        pa_total, pb_total = pa[+1] + pa[-1], pb[+1] + pb[-1]
+        records.append({
+            "omega": omega,
+            "theta": float(theta),
+            "Es": es,
+            "phi_plus": phi_plus,
+            "phi_minus": phi_minus,
+            "pA_plus": pa[+1],
+            "pA_minus": pa[-1],
+            "PA_total": pa_total,
+            "PB_plus": pb[+1],
+            "PB_minus": pb[-1],
+            "PB_total": pb_total,
+            "residual": pa_total - pb_total,
+            "model": model,
+            **extra,
+        })
+    return records
 
 
 def cell_results(
@@ -242,30 +288,8 @@ def cell_results(
     model: str,
     aligned: Sequence[Dict[int, float]],
 ) -> List[ProtocolResult]:
-    """Born probabilities of one omega's cells from a table entry, per theta.
-
-    The residual compares the rotated setting against the aligned one;
-    under unitary dynamics plus Born statistics it vanishes to rounding.
-    ``aligned`` is ``branch_totals(table.aligned, thetas, model)``, which
-    does not depend on omega, so callers compute it once per run.
-    """
-    omega, rotated = entry
-    phi_plus, phi_minus = branch_phase(rotated[+1]), branch_phase(rotated[-1])
+    """The ProtocolResult view of cell_records."""
     return [
-        ProtocolResult(
-            omega=omega,
-            theta=float(theta),
-            Es=table.Es,
-            phi_plus=phi_plus,
-            phi_minus=phi_minus,
-            pA_plus=pa[+1],
-            pA_minus=pa[-1],
-            PA_total=pa[+1] + pa[-1],
-            PB_plus=pb[+1],
-            PB_minus=pb[-1],
-            PB_total=pb[+1] + pb[-1],
-            residual=(pa[+1] + pa[-1]) - (pb[+1] + pb[-1]),
-            model=model,
-        )
-        for theta, pa, pb in zip(thetas, branch_totals(rotated, thetas, model), aligned)
+        ProtocolResult(**record)
+        for record in cell_records(table, entry, thetas, model, aligned)
     ]

@@ -17,7 +17,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import NamedTuple, Tuple, Union
+from itertools import repeat
+from typing import Iterable, List, NamedTuple, Tuple, Union
 
 ATOL = 1e-12
 TWO_PI = 2.0 * math.pi
@@ -147,28 +148,49 @@ def sigma_eigenstate(axis: float, outcome: int) -> SpinState:
     return make_spin_state(-math.sin(half), math.cos(half))
 
 
+def born_probabilities(
+    state: Union[SpinState, SpinDensityMatrix],
+    axes: Iterable[float],
+    outcome: int,
+) -> List[float]:
+    """Probability of `outcome` when measuring sigma_theta on `state`, per axis.
+
+    The state is dispatched on and unpacked once, and each axis's eigenvector
+    and its conjugates are taken once.
+    """
+    kets = list(map(sigma_eigenstate, axes, repeat(outcome)))  # (e_up, e_down)
+    if isinstance(state, SpinState):
+        amp_up, amp_down = state
+        ps = [
+            abs(e_up.conjugate() * amp_up + e_down.conjugate() * amp_down) ** 2
+            for e_up, e_down in kets
+        ]
+    elif isinstance(state, SpinDensityMatrix):
+        # <e| rho |e>, the row vector <e| rho first
+        (uu, ud), (du, dd) = state.matrix
+        ps = [
+            (
+                (bra_up * uu + bra_down * du) * e_up
+                + (bra_up * ud + bra_down * dd) * e_down
+            ).real
+            for e_up, e_down in kets
+            for bra_up, bra_down in [(e_up.conjugate(), e_down.conjugate())]
+        ]
+    else:
+        raise TypeError(f"unsupported state type: {type(state).__name__}")
+    for p in ps:
+        if not -ATOL <= p <= 1.0 + ATOL:
+            raise AssertionError(f"Born probability out of range: {p}")
+    return [min(max(p, 0.0), 1.0) for p in ps]
+
+
 def born_probability(
     state: Union[SpinState, SpinDensityMatrix],
     axis: float,
     outcome: int,
 ) -> float:
-    """Probability of `outcome` when measuring sigma_theta on `state`."""
-    e_up, e_down = sigma_eigenstate(axis, outcome).vector()
-    bra_up, bra_down = e_up.conjugate(), e_down.conjugate()
-    if isinstance(state, SpinState):
-        p = abs(bra_up * state.amp_up + bra_down * state.amp_down) ** 2
-    elif isinstance(state, SpinDensityMatrix):
-        # <e| rho |e>, the row vector <e| rho first
-        (uu, ud), (du, dd) = state.matrix
-        p = (
-            (bra_up * uu + bra_down * du) * e_up
-            + (bra_up * ud + bra_down * dd) * e_down
-        ).real
-    else:
-        raise TypeError(f"unsupported state type: {type(state).__name__}")
-    if not -ATOL <= p <= 1.0 + ATOL:
-        raise AssertionError(f"Born probability out of range: {p}")
-    return min(max(p, 0.0), 1.0)
+    """The one-axis view of born_probabilities."""
+    return born_probabilities(state, (axis,), outcome)[0]
 
 
 def singlet_conditional(

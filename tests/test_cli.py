@@ -33,6 +33,7 @@ from nosignal.cli import (
     RunConfig,
     _grid_resolution,
     _json_text,
+    _records_text,
     load_config,
     main,
     workflow_oracle,
@@ -1169,6 +1170,40 @@ def has_non_str_key(value) -> bool:
     return isinstance(value, (list, tuple)) and any(map(has_non_str_key, value))
 
 
+# lists of records that share one key set, the shape the record template
+# writes: keys and strings that hold its "%" placeholders or need escapes,
+# and values that are equal as dict keys but not as JSON (1, 1.0, True)
+record_keys = st.one_of(
+    st.text(max_size=3), st.sampled_from(["%", "%s", "%%", '"', "\\", 'a%"\\'])
+)
+record_template_values = st.one_of(
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, "%s", "null", "%", "", '"\\']),
+    st.text(max_size=3),
+)
+record_values = st.one_of(
+    record_template_values,
+    st.integers(),
+    st.sampled_from([1, True, False, 0]),
+)
+
+
+@st.composite
+def uniform_records(draw):
+    """1 to 5 dicts with one key set, in a shuffled insertion order each; the
+    values come from a small pool, so they repeat across records, and the
+    pool may hold both zeros, which are equal as dict keys."""
+    keys = draw(st.lists(record_keys, min_size=1, max_size=5, unique=True))
+    scalars = draw(st.sampled_from([record_template_values, record_values]))
+    pool = draw(st.lists(scalars, min_size=1, max_size=6))
+    pool += draw(st.sampled_from([[], [0.0, -0.0], [-0.0, 0.0]]))
+    return [
+        {k: draw(st.sampled_from(pool)) for k in draw(st.permutations(keys))}
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
 class TestJsonWriter:
     # about half the values hold an int key: 400 keep 200 or so to compare
     @settings(derandomize=True, max_examples=400, deadline=None)
@@ -1180,6 +1215,40 @@ class TestJsonWriter:
                 _json_text(value)
         else:
             assert _json_text(value) + "\n" == stdlib_json(value)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(records=uniform_records(), nested=st.booleans())
+    def test_uniform_records_equal_stdlib_indented_json(self, records, nested):
+        value = {"cells": records} if nested else records
+        assert _json_text(value) + "\n" == stdlib_json(value)
+
+    def test_template_path_takes_float_str_and_none_only(self):
+        assert _records_text([{"a": 1.0, "b": "x"}, {"b": None, "a": -0.0}], "") == (
+            '{\n    "a": 1.0,\n    "b": "x"\n  },\n  {\n    "a": -0.0,\n    "b": null\n  }'
+        )
+        for records in (
+            [{"a": 1.0}, {"a": 1}],
+            [{"a": 1.0}, {"a": True}],
+            [{"a": 1.0}, {"a": [1.0]}],
+            [{"a": 1.0}, {"b": 1.0}],
+            [{"a": 1.0}, {"a": 1.0, "b": 1.0}],
+            [{}, {}],
+            [{1: 1.0}],
+            [{"a": 1.0}, [1.0]],
+        ):
+            assert _records_text(records, "") is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_in_a_later_record_raises_value_error(self, bad):
+        value = [{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y"}, {"a": bad, "b": "x"}]
+        with pytest.raises(ValueError):
+            stdlib_json(value)
+        with pytest.raises(ValueError):
+            _json_text(value)
+
+    def test_verify_cells_take_the_record_template(self):
+        cells = workflow_verify(load_config(str(DEFAULT_CONFIG))).payload["cells"]
+        assert _records_text(cells, "  ") is not None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises_value_error(self, bad):

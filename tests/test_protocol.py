@@ -11,13 +11,14 @@ from nosignal import (
     asymptotic_error_fraction,
     born_probability,
     branch_table,
+    cell_records,
     cell_results,
     closed_form_result,
     closed_form_rows,
     postselected_pure_state,
 )
 from nosignal.cli import EXIT_OK, main
-from nosignal.protocol import MODELS, branch_totals
+from nosignal.protocol import MODELS, ProtocolResult, branch_totals
 from nosignal.spin import sigma_eigenstate, wrap_to_pi
 from conftest import device_for_error_fraction, run_pipeline
 
@@ -257,18 +258,22 @@ class TestBranchTable:
     @pytest.mark.parametrize("n_theta", [1, 9])
     def test_verify_builds_each_branch_once(self, tmp_path, monkeypatch, n_theta):
         # one projection per Alice outcome for the aligned setting and for
-        # each omega, whatever the theta count; the aligned Born
-        # probabilities once per theta, not once per cell
-        calls = {"project_upper": 0, "born_probability": 0}
+        # each omega, whatever the theta count; the Born probabilities in
+        # one born_probabilities call per branch over every theta, not one
+        # call per cell
+        calls = {"project_upper": 0, "born_probabilities": 0}
+        axes_per_call = []
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "born_probabilities":
+                    axes_per_call.append(len(args[1]))
                 return original(*args, **kwargs)
 
             return wrapper
 
-        for name in ("project_upper", "born_probability"):
+        for name in calls:
             original = getattr(nosignal.protocol, name)
             monkeypatch.setattr(nosignal.protocol, name, counted(name, original))
         omegas = [0.3, 1.1, 2.5]
@@ -282,8 +287,9 @@ class TestBranchTable:
         assert main(argv) == EXIT_OK
         assert calls == {
             "project_upper": 2 * len(omegas) + 2,
-            "born_probability": 2 * len(omegas) * n_theta + 2 * n_theta,
+            "born_probabilities": 2 * len(omegas) + 2,
         }
+        assert axes_per_call == [n_theta] * (2 * len(omegas) + 2)
 
     def test_verify_builds_each_measurement_basis_once(self, tmp_path):
         # sigma_theta's +1 eigenstate is built once per theta, not once per
@@ -316,6 +322,24 @@ class TestBranchTable:
                 assert row == [
                     run_pipeline(device, entry[0], theta, model=model)
                     for theta in thetas
+                ]
+
+
+    def test_cell_records_are_the_results_as_dicts(self, device):
+        # ProtocolResult's fields in order, then the extra keys; the same bits
+        table = branch_table(device, [0.0, math.pi / 6, 2.5])
+        thetas = (0.0, -0.0, 0.7, math.pi)
+        for model in MODELS:
+            aligned = branch_totals(table.aligned, thetas, model)
+            for entry in table.rotated:
+                records = cell_records(
+                    table, entry, thetas, model, aligned, phase_sum_dev=0.5, cos_sum=None
+                )
+                results = cell_results(table, entry, thetas, model, aligned)
+                keys = [*ProtocolResult._fields, "phase_sum_dev", "cos_sum"]
+                assert [list(record) for record in records] == [keys] * len(thetas)
+                assert [repr((*result, 0.5, None)) for result in results] == [
+                    repr(tuple(record.values())) for record in records
                 ]
 
 

@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 
 from nosignal import (
     SpinDensityMatrix,
+    SpinState,
+    born_probabilities,
     born_probability,
+    branch_table,
     make_spin_state,
+    model_state,
+    postselected_pure_state,
     sigma_eigenstate,
     singlet_conditional,
 )
+from nosignal.protocol import MODELS
 from nosignal.spin import TWO_PI, smaller_eigenvalue, wrap_to_pi
 from conftest import mixture
 
@@ -134,6 +140,95 @@ class TestBornProbability:
     def test_rejects_non_finite_axis(self, axis):
         with pytest.raises(ValueError, match="finite"):
             born_probability(make_spin_state(1, 1), axis, +1)
+
+
+def frozen_born_probability(state, axis, outcome):
+    """born_probability as it was before born_probabilities, one axis a call."""
+    e_up, e_down = sigma_eigenstate(axis, outcome).vector()
+    bra_up, bra_down = e_up.conjugate(), e_down.conjugate()
+    if isinstance(state, SpinState):
+        p = abs(bra_up * state.amp_up + bra_down * state.amp_down) ** 2
+    else:
+        (uu, ud), (du, dd) = state.matrix
+        p = (
+            (bra_up * uu + bra_down * du) * e_up
+            + (bra_up * ud + bra_down * dd) * e_down
+        ).real
+    assert -ATOL <= p <= 1.0 + ATOL
+    return min(max(p, 0.0), 1.0)
+
+
+_amplitude = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+_spin_states = (
+    st.tuples(_amplitude, _amplitude)
+    .filter(lambda pair: abs(pair[0]) ** 2 + abs(pair[1]) ** 2 > 1e-20)
+    .map(lambda pair: make_spin_state(*pair))
+)
+# the "pure" model's ansatz, and "projected"-like mixtures of two pure states
+_states = st.one_of(
+    st.builds(postselected_pure_state, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)),
+    _spin_states,
+    st.builds(
+        lambda w, a, b: mixture([(w, a), (1.0 - w, b)]),
+        st.floats(0.0, 1.0), _spin_states, _spin_states,
+    ),
+)
+_EDGE_AXES = (0.0, -0.0, math.pi, -math.pi, 1e300, -1e300, TWO_PI)
+_axes = st.lists(
+    st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_EDGE_AXES)), max_size=8
+)
+
+
+class TestBornProbabilities:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(state=_states, axes=_axes, outcome=st.sampled_from((+1, -1)))
+    def test_equals_born_probability_per_axis(self, state, axes, outcome):
+        # repr tells -0.0 from 0.0, so equal strings are equal bits
+        ps = born_probabilities(state, axes, outcome)
+        assert repr(ps) == repr([born_probability(state, a, outcome) for a in axes])
+        assert repr(ps) == repr([frozen_born_probability(state, a, outcome) for a in axes])
+
+    def test_model_states_of_a_branch_table(self, device):
+        # the states verify measures: each branch's post-selected spin in
+        # both models, on the edge axes
+        table = branch_table(device, [0.3, math.pi / 2, 2.5])
+        branches = [*table.aligned.values()]
+        for _, rotated in table.rotated:
+            branches += rotated.values()
+        posts = [post for _, post in branches if post is not None]
+        assert len(posts) == 8
+        for model in MODELS:
+            for post in posts:
+                state = model_state(post, model)
+                for outcome in (+1, -1):
+                    assert repr(born_probabilities(state, _EDGE_AXES, outcome)) == repr(
+                        [frozen_born_probability(state, a, outcome) for a in _EDGE_AXES]
+                    )
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            SpinState._make((1.5, 0.0)),
+            SpinDensityMatrix._make((((1.5, 0.0), (0.0, -0.5)),)),
+        ],
+        ids=["pure", "density"],
+    )
+    def test_out_of_range_state_raises_assertion_error(self, state):
+        # _make skips the checks; the Born rule's range check still fires
+        for call in (
+            lambda: born_probabilities(state, [1.0, 0.0], +1),
+            lambda: born_probability(state, 0.0, +1),
+        ):
+            with pytest.raises(AssertionError, match="out of range"):
+                call()
+
+    @pytest.mark.parametrize("axes", [[], [0.0, 1.0]])
+    def test_unsupported_state_type_raises_type_error(self, axes):
+        state = (1.0, 0.0)
+        with pytest.raises(TypeError, match="unsupported state type: tuple"):
+            born_probabilities(state, axes, +1)
+        with pytest.raises(TypeError, match="unsupported state type: tuple"):
+            born_probability(state, 0.0, +1)
 
 
 class TestAgainstNumpy:
