@@ -26,17 +26,19 @@ Exit codes: 0 pass, 1 check failure, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
+import gc
 import json
 import math
 import os
 import sys
+import time
 from contextlib import suppress
 from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import __version__
 from .errors import (
     BoundaryLeakError,
     ConfigError,
@@ -841,6 +843,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _utc_timestamp() -> str:
+    """Now as datetime.now(timezone.utc).isoformat() writes it, but always
+    with six fractional digits; datetime is not imported for it."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    clock = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{clock}.{micros:06d}+00:00"
+
+
 def _unwritable(out_dir: Path, exc: OSError) -> int:
     print(f"config error: cannot write output to {out_dir}: {exc}", file=sys.stderr)
     return EXIT_CONFIG
@@ -894,12 +904,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _failed(f"numerical failure: {exc}", created, EXIT_NUMERICAL)
     except MemoryError as exc:  # numpy's names the size it could not allocate
         return _failed(f"config error: out of memory: {exc}", created, EXIT_CONFIG)
-    # timestamps live here, away from the deterministic data files
+    # timestamps and versions live here, away from the deterministic data files
     meta = {
         "command": args.command,
         "config": args.config,
-        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "nosignal": __version__,
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "timestamp_utc": _utc_timestamp(),
     }
+    if args.command == "oracle":  # the one workflow that imports numpy
+        meta["numpy"] = sys.modules["numpy"].__version__
     try:
         record.write(out_dir / record.data_file, record.payload)
         _write_json(out_dir / "run_meta.json", meta)
@@ -911,5 +925,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return EXIT_OK if record.passed else EXIT_CHECK_FAILED
 
 
+def run() -> int:
+    """The process entry point: main's exit code, with the collector frozen.
+
+    gc.freeze() moves every object alive after main() to the permanent
+    generation, so the interpreter's exit-time collections skip them.  Every
+    data file is written and closed inside main(), and the interpreter still
+    flushes stdout and stderr and runs atexit handlers afterwards.  main()
+    itself leaves GC state alone: tests and the in-process tracer call it
+    many times in one process.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,3 +1,5 @@
+import datetime
+import gc
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1108,8 +1111,36 @@ class TestRunRecord:
         assert captured.err == ""
         assert (out / data_file).stat().st_size > 0
         meta = json.loads((out / "run_meta.json").read_text())
-        assert set(meta) == {"command", "config", "timestamp_utc"}
+        keys = {"command", "config", "nosignal", "python", "timestamp_utc"}
+        # numpy's version only where the run uses numpy
+        assert set(meta) == keys | ({"numpy"} if command == "oracle" else set())
         assert meta["command"] == command and meta["config"] == str(DEFAULT_CONFIG)
+        assert meta["nosignal"] == nosignal.__version__
+        assert meta["python"] == "%d.%d.%d" % sys.version_info[:3]
+        if command == "oracle":
+            assert meta["numpy"] == np.__version__
+
+    def test_timestamp_is_utc_now(self, tmp_path):
+        out = tmp_path / "out"
+        before = datetime.datetime.now(datetime.timezone.utc)
+        argv = ["sweep", "--config", str(DEFAULT_CONFIG), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        meta = json.loads((out / "run_meta.json").read_text())
+        stamp = datetime.datetime.fromisoformat(meta["timestamp_utc"])
+        assert stamp.utcoffset() == datetime.timedelta(0)
+        assert abs(stamp - before) < datetime.timedelta(minutes=1)
+
+    @pytest.mark.parametrize(
+        "ns", [0, 1_700_000_000_123_456_789, 1_700_000_000_000_000_999]
+    )
+    def test_timestamp_text_is_isoformat_with_microseconds(self, monkeypatch, ns):
+        # whole microseconds, as datetime.now floors them; six fractional
+        # digits even when they are all zero
+        monkeypatch.setattr(nosignal.cli.time, "time_ns", lambda: ns)
+        epoch = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
+        now = epoch + datetime.timedelta(microseconds=ns // 1000)
+        expected = now.isoformat(timespec="microseconds")
+        assert nosignal.cli._utc_timestamp() == expected
 
     @pytest.mark.parametrize("command", ["verify", "estimate"])
     def test_injection_without_phase_warns(self, tmp_path, capsys, command):
@@ -1125,6 +1156,92 @@ class TestRunRecord:
         if command == "verify":
             report = json.loads((out / "report.json").read_text())
             assert report["warnings"][-1] == warning and report["passed"] is True
+
+
+class TestEntryPoint:
+    """run() is the process entry point of python -m nosignal.cli and of the
+    console script: main's exit code, then gc.freeze().  main() leaves GC
+    state alone, since tests and the in-process tracer call it repeatedly."""
+
+    COMMANDS = list(TestRunRecord.SUMMARIES)
+
+    @staticmethod
+    def fresh(prefix: list, argv: list) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *prefix, *argv],
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_main_leaves_gc_state(self, tmp_path, command):
+        state = gc.isenabled(), gc.get_freeze_count()
+        argv = [command, "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+    def test_run_returns_main_code_then_freezes(self, tmp_path, monkeypatch):
+        argv = ["verify", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path),
+                "--inject-violation", "0.1"]
+        monkeypatch.setattr(sys, "argv", ["nosignal", *argv])
+        assert gc.get_freeze_count() == 0
+        try:
+            assert nosignal.cli.run() == EXIT_CHECK_FAILED
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_console_script_is_run(self):
+        pyproject = DEFAULT_CONFIG.parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+        assert scripts.startswith('nosignal = "nosignal.cli:run"\n')
+
+    def test_module_run_freezes_after_main(self, tmp_path):
+        # python -m nosignal.cli as runpy runs it; atexit handlers run after
+        # sys.exit and before the exit-time collections
+        probe = (
+            "import atexit, gc, runpy\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "runpy.run_module('nosignal.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        argv = ["verify", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path),
+                "--inject-violation", "0.1"]
+        proc = self.fresh(["-c", probe], argv)
+        assert proc.returncode == EXIT_CHECK_FAILED, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen True"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_module_run_writes_what_main_writes(self, tmp_path, capsys, command):
+        data_file = tmp_path / TestRunRecord.SUMMARIES[command][0]
+        argv = [command, "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        in_process, written = capsys.readouterr(), data_file.read_bytes()
+        data_file.unlink()
+        proc = self.fresh(["-m", "nosignal.cli"], argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (proc.stdout, proc.stderr) == (in_process.out, in_process.err)
+        assert data_file.read_bytes() == written
+
+    def test_exit_codes_come_through_run(self, tmp_path, capsys):
+        # 3: the packet centre passes the grid's half-extent (CI's wrap.json)
+        payload = json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
+        payload["sg"].update(mass=100, gradient=5e4)
+        payload["oracle"].update(extent=64, points=2**17, dt=2e-4, times=[1, 50])
+        wrap = tmp_path / "wrap.json"
+        wrap.write_text(json.dumps(payload), encoding="utf-8")
+        cases = [
+            (EXIT_CHECK_FAILED,
+             ["verify", "--config", str(DEFAULT_CONFIG), "--inject-violation", "0.1"]),
+            (EXIT_CONFIG, ["verify", "--config", str(tmp_path / "missing.json")]),
+            (EXIT_NUMERICAL, ["oracle", "--config", str(wrap)]),
+        ]
+        for i, (code, argv) in enumerate(cases):
+            argv = argv + ["--out", str(tmp_path / str(i))]
+            assert main(argv) == code
+            in_process = capsys.readouterr()
+            proc = self.fresh(["-m", "nosignal.cli"], argv)
+            assert proc.returncode == code, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert (proc.stdout, proc.stderr) == (in_process.out, in_process.err)
 
 
 def stdlib_json(value) -> str:
@@ -1400,7 +1517,7 @@ def test_verify_sweep_and_estimate_run_without_numpy(tmp_path):
         "import json, sys\n"
         "import nosignal.cli as cli\n"
         "def loaded():\n"
-        "    unwanted = {'dataclasses', 'numpy', 'nosignal.gridsolver'}\n"
+        "    unwanted = {'dataclasses', 'datetime', 'numpy', 'nosignal.gridsolver'}\n"
         "    return sorted(unwanted & set(sys.modules))\n"
         "cli.load_config(sys.argv[1])\n"
         "codes, seen = [], [loaded()]\n"
