@@ -24,12 +24,11 @@ _EXPORTS = {
     "postselect": """PostSelectedSpin constraint_residual extract_phase
         model_state postselected_pure_state project_upper shift_cosine""",
     "protocol": """BranchTable ProtocolResult branch_phase branch_table
-        branch_totals cell_records cell_results closed_form_result closed_form_rows""",
+        branch_totals cell_records closed_form_rows""",
     "spin": """SpinDensityMatrix SpinState born_probabilities born_probability
         make_spin_state sigma_eigenstate singlet_conditional""",
     "wavepacket": """SGConfig WavePacketPair asymptotic_error_fraction
-        closed_form_upper_coherence component_amplitude component_density
-        error_fraction
+        closed_form_upper_coherence component_density error_fraction
         evolve_through_magnet free_propagate phase_settle_time upper_fraction""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

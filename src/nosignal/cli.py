@@ -828,7 +828,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument(
-            "--seed", type=int, help="root seed override (64-bit unsigned)"
+            "--seed", type=int, help="root seed override (a non-negative integer)"
         )
         if name in ("verify", "estimate"):
             p.add_argument(

@@ -9,9 +9,8 @@ setting choice, which pins the post-selected relative phases to
 cos(phi_plus) + cos(phi_minus) = 0.
 
 closed_form_rows is the closed form: one omega's rows, with the terms that
-do not depend on theta computed once.  closed_form_result is its one-theta
-view, and sweep tabulates closed_form_rows.  With E the saturated error
-fraction and s = sqrt(E(1-E)):
+do not depend on theta computed once; sweep tabulates it.  With E the
+saturated error fraction and s = sqrt(E(1-E)):
 
     Alice branch (probability 1/2, survival 1/2), +1 at theta:
         p_branch = 1/8 [1 + (1-2E) cos(theta) + 2 s sin(omega) sin(theta) cos(phi)]
@@ -30,8 +29,8 @@ beam through the device to the one closed-form time phase_settle_time
 and post-selects it, and cell_records turns a table entry and the thetas
 into Born probabilities: branch_totals makes one born_probabilities call
 per branch, over every theta.  verify writes cell_records' dicts as
-report.json's cells (cell_results is their ProtocolResult view), and
-sweep tabulates closed_form_rows from the same table's phases.
+report.json's cells, and sweep tabulates closed_form_rows from the same
+table's phases.
 
 The two split P_A into branches differently.  closed_form_rows gives each
 branch a survival of 1/2 and takes only Es and the phases, so sweep's rows do
@@ -62,13 +61,11 @@ from .wavepacket import (
 __all__ = [
     "ProtocolResult",
     "closed_form_rows",
-    "closed_form_result",
     "BranchTable",
     "branch_table",
     "branch_phase",
     "branch_totals",
     "cell_records",
-    "cell_results",
 ]
 
 MODELS = ("pure", "projected")
@@ -140,18 +137,6 @@ def closed_form_rows(
             )
         )
     return rows
-
-
-def closed_form_result(
-    es: float,
-    omega: float,
-    theta: float,
-    phi_plus: Optional[float],
-    phi_minus: Optional[float],
-    model: str,
-) -> ProtocolResult:
-    """The one-theta view of closed_form_rows."""
-    return closed_form_rows(es, omega, (theta,), phi_plus, phi_minus, model)[0]
 
 
 # (branch probability, post-selected spin or None when nothing is selected)
@@ -279,17 +264,3 @@ def cell_records(
             **extra,
         })
     return records
-
-
-def cell_results(
-    table: BranchTable,
-    entry: Entry,
-    thetas: Sequence[float],
-    model: str,
-    aligned: Sequence[Dict[int, float]],
-) -> List[ProtocolResult]:
-    """The ProtocolResult view of cell_records."""
-    return [
-        ProtocolResult(**record)
-        for record in cell_records(table, entry, thetas, model, aligned)
-    ]

@@ -51,13 +51,6 @@ class SpinState(_SpinStateFields):
             raise ValueError(f"state not normalized: |psi|^2 = {norm}")
         return super().__new__(cls, amp_up, amp_down)
 
-    def vector(self) -> Tuple[complex, complex]:
-        return (self.amp_up, self.amp_down)
-
-    def density(self) -> "SpinDensityMatrix":
-        v = self.vector()
-        return SpinDensityMatrix(tuple(tuple(a * b.conjugate() for b in v) for a in v))
-
 
 def make_spin_state(amp_up: complex, amp_down: complex) -> SpinState:
     """Normalize (amp_up, amp_down) and fix the canonical global phase.

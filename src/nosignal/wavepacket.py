@@ -21,7 +21,8 @@ Model (natural units, hbar = 1, 1-D along the field axis z):
   p = +-dp,  c(t) = p t / m,  phi(t) = +-phi_L + p^2 t / (2 m), and width
   sigma(t) = sigma0 sqrt(1 + (t / (2 m sigma0^2))^2).  A pair stores the
   device, the input spin and t only; the channels' weights (the spin's
-  amplitudes), p, c, phi and sigma are derived from them.
+  amplitudes), p, c and sigma are derived from them.  phi(t) is never
+  formed: the closed forms below use the exit phases +-phi_L.
 
 The device's non-idealness measure is the upper-half-plane weight of the
 spin-down channel,
@@ -65,7 +66,6 @@ __all__ = [
     "WavePacketPair",
     "evolve_through_magnet",
     "free_propagate",
-    "component_amplitude",
     "component_density",
     "upper_fraction",
     "error_fraction",
@@ -146,10 +146,10 @@ class WavePacketPair(NamedTuple):
 
     The magnet leaves the spin-up ("plus") and spin-down ("minus") channels
     at the common origin z = 0 with momenta +-momentum_kick, Larmor phases
-    +-larmor_phase and the spin's amplitudes as weights.  Center, phase and
-    width at `time` are derived from these exit values; the overlap formulas
-    use the exit phases directly, because the accumulated phase is large at
-    late times and its double rounding would be fatal to coherence phases.
+    +-larmor_phase and the spin's amplitudes as weights.  Center and width
+    at `time` are derived from these exit values; the overlap formulas use
+    the exit phases directly, because the accumulated phase is large at late
+    times and its double rounding would be fatal to coherence phases.
     """
 
     device: SGConfig
@@ -184,16 +184,6 @@ class WavePacketPair(NamedTuple):
         c = p * self.time / m
         return p * (self.time / m) if math.isinf(c) else c
 
-    def phase(self, which: str) -> float:
-        """Channel phase phi(t) = +-larmor_phase + p^2 t / (2 m).
-
-        Where p^2 t overflows, the division comes first, as in `center`.
-        """
-        p, two_m = self.momentum(which), 2.0 * self.device.mass
-        chirp = p * p * self.time / two_m
-        chirp = p * (p * (self.time / two_m)) if math.isinf(chirp) else chirp
-        return _sign(which) * self.device.larmor_phase + chirp
-
 
 def evolve_through_magnet(config: SGConfig, input_spin: SpinState) -> WavePacketPair:
     """Impulsive magnet transit.
@@ -213,28 +203,10 @@ def free_propagate(pair: WavePacketPair, t: float) -> WavePacketPair:
     return pair._replace(time=pair.time + t)
 
 
-def component_amplitude(pair: WavePacketPair, z: np.ndarray, which: str) -> np.ndarray:
-    """One channel's wave function, its spin weight included, at positions z.
-
-    Intended for densities, debugging exports and moderate-time checks;
-    coherence integrals should go through :func:`closed_form_upper_coherence`.
-    """
-    import numpy as np
-    center = pair.center(which)
-    s0 = pair.device.sigma0
-    alpha = 1.0 + 1j * pair.tau
-    norm = (2.0 * math.pi * s0**2) ** (-0.25) * alpha ** (-0.5)
-    zz = np.asarray(z, dtype=float)
-    val = norm * np.exp(
-        -((zz - center) ** 2) / (4.0 * s0**2 * alpha)
-        + 1j * pair.momentum(which) * (zz - center)
-        + 1j * pair.phase(which)
-    )
-    return pair.weight(which) * val
-
-
 def component_density(pair: WavePacketPair, z: np.ndarray, which: str) -> np.ndarray:
-    """One channel's position density |component_amplitude|^2 at positions z.
+    """One channel's position density |weight psi(z, t)|^2 at positions z,
+    psi as in the module docstring; the tests check it against the complex
+    wave function of tests/conftest.py's component_amplitude.
 
     The closed-form Gaussian |weight|^2 exp(-u^2 / 2) / (sqrt(2 pi) sigma(t))
     with u = (z - c(t)) / sigma(t).  It never forms sigma0^2, which is

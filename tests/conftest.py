@@ -8,10 +8,13 @@ from scipy.special import ndtri
 
 import nosignal.wavepacket
 from nosignal import (
+    ProtocolResult,
     SGConfig,
     SpinDensityMatrix,
+    SpinState,
+    WavePacketPair,
     branch_table,
-    cell_results,
+    cell_records,
     evolve_through_magnet,
     free_propagate,
     grid_evolve,
@@ -20,6 +23,7 @@ from nosignal import (
 )
 from nosignal.protocol import branch_totals
 from nosignal.spin import ATOL
+from nosignal.wavepacket import _sign
 
 
 class SaturationResult(NamedTuple):
@@ -66,6 +70,11 @@ def grid_snapshots(config, input_spin, grid, times) -> list:
     return [grid_snapshot(source, t) for t in times]
 
 
+def pure_density(state: SpinState) -> SpinDensityMatrix:
+    """The projector |psi><psi| of a pure spin state."""
+    return SpinDensityMatrix([[a * b.conjugate() for b in state] for a in state])
+
+
 def mixture(components) -> SpinDensityMatrix:
     """Convex combination sum_i w_i |psi_i><psi_i| of (weight, SpinState) pairs."""
     components = list(components)
@@ -76,7 +85,7 @@ def mixture(components) -> SpinDensityMatrix:
         raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
     rho = [[0j, 0j], [0j, 0j]]
     for w, psi in components:
-        for row, psi_row in zip(rho, psi.density().matrix):
+        for row, psi_row in zip(rho, pure_density(psi).matrix):
             row[:] = [x + w * y for x, y in zip(row, psi_row)]
     return SpinDensityMatrix(rho)
 
@@ -101,7 +110,8 @@ def run_pipeline(sg: SGConfig, omega: float, theta: float, model: str = "project
     """One (omega, theta) cell end to end through the wave-packet model."""
     table = branch_table(sg, [omega])
     aligned = branch_totals(table.aligned, [theta], model)
-    return cell_results(table, table.rotated[0], [theta], model, aligned)[0]
+    (record,) = cell_records(table, table.rotated[0], [theta], model, aligned)
+    return ProtocolResult(**record)
 
 
 @pytest.fixture
@@ -121,6 +131,37 @@ def up_state():
     return make_spin_state(1.0, 0.0)
 
 
+def channel_phase(pair: WavePacketPair, which: str) -> float:
+    """Channel phase phi(t) = +-larmor_phase + p^2 t / (2 m).
+
+    Where p^2 t overflows, the division comes first, as in the pair's center.
+    """
+    p, two_m = pair.momentum(which), 2.0 * pair.device.mass
+    chirp = p * p * pair.time / two_m
+    chirp = p * (p * (pair.time / two_m)) if math.isinf(chirp) else chirp
+    return _sign(which) * pair.device.larmor_phase + chirp
+
+
+def component_amplitude(pair: WavePacketPair, z: np.ndarray, which: str) -> np.ndarray:
+    """One channel's wave function, its spin weight included, at positions z.
+
+    The tests' reference for component_density and the grid solver at
+    moderate times; coherence integrals go through closed_form_upper_coherence
+    or quad_coherence.
+    """
+    center = pair.center(which)
+    s0 = pair.device.sigma0
+    alpha = 1.0 + 1j * pair.tau
+    norm = (2.0 * math.pi * s0**2) ** (-0.25) * alpha ** (-0.5)
+    zz = np.asarray(z, dtype=float)
+    val = norm * np.exp(
+        -((zz - center) ** 2) / (4.0 * s0**2 * alpha)
+        + 1j * pair.momentum(which) * (zz - center)
+        + 1j * channel_phase(pair, which)
+    )
+    return pair.weight(which) * val
+
+
 def exit_channels(pair):
     """(momentum, origin, exit phase) of the plus and minus channels.
 
@@ -128,7 +169,9 @@ def exit_channels(pair):
     origin 0, as inputs for the general Gaussian-pair references below.
     """
     at_exit = pair._replace(time=0.0)
-    return [(pair.momentum(w), 0.0, at_exit.phase(w)) for w in ("plus", "minus")]
+    return [
+        (pair.momentum(w), 0.0, channel_phase(at_exit, w)) for w in ("plus", "minus")
+    ]
 
 
 def reduced_overlap_exponent(pair):

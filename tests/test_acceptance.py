@@ -15,7 +15,7 @@ from nosignal import (
     GridSpec,
     asymptotic_error_fraction,
     born_probability,
-    closed_form_result,
+    closed_form_rows,
     closed_form_upper_coherence,
     derive_seed,
     error_fraction,
@@ -60,8 +60,8 @@ def test_criterion_1_closed_form_identity():
             pb = 0.25 * (1 + (1 - 2 * es) * math.cos(theta))
             for omega in angle_grid:
                 for phi_plus in phi_grid:
-                    result = closed_form_result(
-                        es, omega, theta, phi_plus, math.pi - phi_plus, "pure"
+                    (result,) = closed_form_rows(
+                        es, omega, (theta,), phi_plus, math.pi - phi_plus, "pure"
                     )
                     worst = max(worst, abs(result.PA_total - pb))
     elapsed = time.monotonic() - start
@@ -108,13 +108,13 @@ def test_criterion_3_degenerate_limits():
     for _ in range(500):
         theta, omega = rng.uniform(0, math.pi, 2)
         p1, p2 = rng.uniform(0, 2 * math.pi, 2)
-        result = closed_form_result(0.0, omega, theta, p1, p2, "pure")
+        (result,) = closed_form_rows(0.0, omega, (theta,), p1, p2, "pure")
         worst = max(worst, abs(result.residual))
     for _ in range(500):
         omega = rng.uniform(0, math.pi)
         es = rng.uniform(0, 1)
         p1, p2 = rng.uniform(0, 2 * math.pi, 2)
-        result = closed_form_result(es, omega, 0.0, p1, p2, "pure")
+        (result,) = closed_form_rows(es, omega, (0.0,), p1, p2, "pure")
         worst = max(worst, abs(result.residual))
     elapsed = time.monotonic() - start
     report(

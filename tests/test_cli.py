@@ -110,6 +110,14 @@ def run_script(script: str, *args: str):
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("command", ["verify", "sweep", "estimate", "oracle"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--seed SEED root seed override (a non-negative integer)" in help_text
+
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n  "schema_version": 1,\n  "oops"\n}', encoding="utf-8")
@@ -357,7 +365,8 @@ class TestVerify:
         # injected cells are Born probabilities of the configured model, like
         # the uninjected ones: no cell comes from the closed form, and the
         # plus branch and the aligned setting keep their bits
-        # (closed_form_result calls closed_form_rows through protocol's globals)
+        # (patched on cli, which imported the name, and on protocol, where a
+        # call from inside the module would look it up)
         calls = []
         closed_form_rows = nosignal.protocol.closed_form_rows
 

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +32,16 @@ def test_each_modules_all_lists_its_exports():
         if defined is not None and set(defined) != set(names.split()):
             differ[module] = sorted(set(defined) ^ set(names.split()))
     assert differ == {}
+
+
+def test_every_export_is_used_inside_the_package():
+    # a name that no module of the package reads is a view only the tests
+    # call; the strings in __all__ and _EXPORTS are constants, not names
+    used = set()
+    for path in Path(nosignal.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(nosignal.__all__) - used) == []

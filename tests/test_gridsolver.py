@@ -12,7 +12,6 @@ from nosignal import (
     NormDriftError,
     SGConfig,
     SpinState,
-    component_amplitude,
     error_fraction,
     evolve_through_magnet,
     free_propagate,
@@ -25,7 +24,7 @@ from nosignal import (
 )
 from nosignal.gridsolver import map_in_order
 from nosignal.wavepacket import closed_form_upper_coherence
-from conftest import grid_snapshots
+from conftest import component_amplitude, grid_snapshots
 
 SMALL_GRID = GridSpec(extent=384.0, points=4096, dt=2e-4)
 

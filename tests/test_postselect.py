@@ -21,7 +21,7 @@ from nosignal import (
     sigma_eigenstate,
 )
 from nosignal.spin import smaller_eigenvalue, wrap_to_pi
-from conftest import device_for_error_fraction
+from conftest import device_for_error_fraction, pure_density
 
 
 def settled_pair(config, state, t=400.0):
@@ -52,16 +52,16 @@ class TestPureStateForm:
 
 class TestExtractPhase:
     def test_round_trip(self):
-        rho = postselected_pure_state(0.2, 1.3).density()
+        rho = pure_density(postselected_pure_state(0.2, 1.3))
         assert abs(extract_phase(rho) - 1.3) < 1e-12
 
     def test_diagonal_matrix_has_no_phase(self):
-        rho = postselected_pure_state(0.0, 0.0).density()
+        rho = pure_density(postselected_pure_state(0.0, 0.0))
         with pytest.raises(PhaseUndefinedError):
             extract_phase(rho)
 
     def test_result_in_principal_range(self):
-        rho = postselected_pure_state(0.3, -0.7).density()
+        rho = pure_density(postselected_pure_state(0.3, -0.7))
         phase = extract_phase(rho)
         assert 0.0 <= phase < 2 * math.pi
         assert abs(phase - (2 * math.pi - 0.7)) < 1e-12

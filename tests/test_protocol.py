@@ -12,8 +12,6 @@ from nosignal import (
     born_probability,
     branch_table,
     cell_records,
-    cell_results,
-    closed_form_result,
     closed_form_rows,
     postselected_pure_state,
 )
@@ -24,7 +22,7 @@ from conftest import device_for_error_fraction, run_pipeline
 
 
 def closed_form(es, omega, theta, phi_plus, phi_minus):
-    return closed_form_result(es, omega, theta, phi_plus, phi_minus, "pure")
+    return closed_form_rows(es, omega, (theta,), phi_plus, phi_minus, "pure")[0]
 
 
 def single_branch(es, theta, phi):
@@ -318,8 +316,8 @@ class TestBranchTable:
         for model in MODELS:
             aligned = branch_totals(table.aligned, thetas, model)
             for entry in table.rotated:
-                row = cell_results(table, entry, thetas, model, aligned)
-                assert row == [
+                records = cell_records(table, entry, thetas, model, aligned)
+                assert [ProtocolResult(**record) for record in records] == [
                     run_pipeline(device, entry[0], theta, model=model)
                     for theta in thetas
                 ]
@@ -335,7 +333,10 @@ class TestBranchTable:
                 records = cell_records(
                     table, entry, thetas, model, aligned, phase_sum_dev=0.5, cos_sum=None
                 )
-                results = cell_results(table, entry, thetas, model, aligned)
+                results = [
+                    ProtocolResult(**record)
+                    for record in cell_records(table, entry, thetas, model, aligned)
+                ]
                 keys = [*ProtocolResult._fields, "phase_sum_dev", "cos_sum"]
                 assert [list(record) for record in records] == [keys] * len(thetas)
                 assert [repr((*result, 0.5, None)) for result in results] == [
@@ -366,14 +367,14 @@ class TestSerialization:
         assert json.loads(text)["model"] == "projected"
 
     def test_closed_form_result_with_degenerate_phases(self):
-        result = closed_form_result(0.2, 0.0, 0.5, None, None, "pure")
+        (result,) = closed_form_rows(0.2, 0.0, (0.5,), None, None, "pure")
         assert result.residual == pytest.approx(0.0, abs=1e-15)
         assert result.phi_plus is None
 
 
 def frozen_closed_form_cell(es, omega, theta, phi_plus, phi_minus, model):
-    """One cell of the closed form as closed_form_result computed it before
-    closed_form_rows hoisted the theta-free terms; kept as the bit reference."""
+    """One cell of the closed form, every term computed per theta, where
+    closed_form_rows hoists the theta-free ones; kept as the bit reference."""
     cos_theta = math.cos(theta)
     pb_plus = 0.25 * (1.0 + cos_theta) * (1.0 - es)
     pb_minus = 0.25 * (1.0 - cos_theta) * es
@@ -416,7 +417,7 @@ class TestClosedFormRows:
         ]
         assert [repr(tuple(row)) for row in rows] == [repr(e) for e in expected]
         for theta, row in zip(thetas, rows):
-            one = closed_form_result(es, omega, theta, phi_plus, phi_minus, model)
+            (one,) = closed_form_rows(es, omega, (theta,), phi_plus, phi_minus, model)
             assert repr(one) == repr(row)
 
     def test_rejects_an_error_fraction_outside_unit_interval(self):

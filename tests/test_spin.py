@@ -20,7 +20,7 @@ from nosignal import (
 )
 from nosignal.protocol import MODELS
 from nosignal.spin import TWO_PI, smaller_eigenvalue, wrap_to_pi
-from conftest import mixture
+from conftest import mixture, pure_density
 
 ATOL = 1e-12
 
@@ -73,15 +73,15 @@ class TestSigmaEigenstate:
         oracle = evecs[:, np.argmax(evals)]
         oracle = oracle * np.sign(oracle[0])
         st = sigma_eigenstate(theta, +1)
-        assert np.allclose(st.vector(), oracle, atol=ATOL)
+        assert np.allclose(tuple(st), oracle, atol=ATOL)
         assert abs(st.amp_up - math.sqrt(3) / 2) < ATOL
         assert abs(st.amp_down - 0.5) < ATOL
 
     @pytest.mark.parametrize("theta", np.linspace(0, 2 * math.pi, 17))
     def test_eigenvalue_equation_and_orthogonality(self, theta):
         m = sigma_matrix(theta)
-        plus = sigma_eigenstate(theta, +1).vector()
-        minus = sigma_eigenstate(theta, -1).vector()
+        plus = tuple(sigma_eigenstate(theta, +1))
+        minus = tuple(sigma_eigenstate(theta, -1))
         assert np.allclose(m @ plus, plus, atol=ATOL)
         assert np.allclose(m @ minus, -np.asarray(minus), atol=ATOL)
         assert abs(np.vdot(plus, minus)) < ATOL
@@ -144,7 +144,7 @@ class TestBornProbability:
 
 def frozen_born_probability(state, axis, outcome):
     """born_probability as it was before born_probabilities, one axis a call."""
-    e_up, e_down = sigma_eigenstate(axis, outcome).vector()
+    e_up, e_down = sigma_eigenstate(axis, outcome)
     bra_up, bra_down = e_up.conjugate(), e_down.conjugate()
     if isinstance(state, SpinState):
         p = abs(bra_up * state.amp_up + bra_down * state.amp_down) ** 2
@@ -249,8 +249,8 @@ class TestAgainstNumpy:
             rho_np = np.asarray(rho.matrix)
             for theta in rng.uniform(0.0, 2.0 * math.pi, size=2):
                 for outcome in (+1, -1):
-                    e = np.asarray(sigma_eigenstate(theta, outcome).vector())
-                    pure = abs(np.vdot(e, psi.vector())) ** 2
+                    e = np.asarray(tuple(sigma_eigenstate(theta, outcome)))
+                    pure = abs(np.vdot(e, tuple(psi))) ** 2
                     mixed = np.real(e.conj() @ rho_np @ e)
                     worst = max(
                         worst,
@@ -272,7 +272,7 @@ class TestAgainstNumpy:
                 parts = [(w, self.random_state(rng)), (1.0 - w, self.random_state(rng))]
                 m = mixture(parts).matrix
             else:  # pure: the smaller eigenvalue is 0, found by cancellation
-                m = self.random_state(rng).density().matrix
+                m = pure_density(self.random_state(rng)).matrix
             expected = np.linalg.eigvalsh(np.asarray(m))[0]
             worst = max(worst, abs(smaller_eigenvalue(m) - expected))
         assert worst <= 1e-15
@@ -316,7 +316,7 @@ class TestSingletConditional:
 
     def test_anticorrelation_along_x(self):
         prob, state = singlet_conditional(math.pi / 2, +1)
-        rho = state.density().matrix
+        rho = pure_density(state).matrix
         minus_x = np.array([1, -1]) / math.sqrt(2)
         assert abs(prob - 0.5) < ATOL
         assert np.allclose(rho, np.outer(minus_x, minus_x), atol=ATOL)

@@ -11,7 +11,7 @@ from nosignal import (
     SpinDensityMatrix,
     SpinState,
     branch_table,
-    closed_form_result,
+    closed_form_rows,
     estimate_phase,
     evolve_through_magnet,
     grid_evolve,
@@ -21,6 +21,7 @@ from nosignal import (
     sample,
 )
 from nosignal.cli import load_config
+from conftest import pure_density
 
 DEVICE = dict(mass=1.0, sigma0=1.0, moment=1.0, gradient=210.4, bias=0.0, transit=0.002)
 GRID = dict(extent=64.0, points=256, dt=1e-3)
@@ -65,12 +66,12 @@ def _values() -> dict:
     record = sample(spin, math.pi / 2, 1000, seed=1)
     values = [
         spin,
-        spin.density(),
+        pure_density(spin),
         sg,
         GridSpec(**GRID),
         pair,
         project_upper(pair),
-        closed_form_result(0.1, 0.5, 0.5, 0.0, math.pi, "pure"),
+        closed_form_rows(0.1, 0.5, (0.5,), 0.0, math.pi, "pure")[0],
         branch_table(sg, [math.pi / 2]),
         record,
         estimate_phase(record, 0.5),
