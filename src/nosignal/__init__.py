@@ -19,8 +19,7 @@ _EXPORTS = {
     "estimation": """MeasurementRecord PhaseEstimate Z_95 derive_seed
         estimate_error_fraction estimate_phase sample violation_bound
         wilson_interval""",
-    "gridsolver": """GridExit GridResult GridSpec grid_density
-        grid_error_fraction grid_evolve grid_half_plane_coherence grid_snapshot""",
+    "gridsolver": "GridExit GridResult GridSpec grid_evolve grid_snapshots",
     "postselect": """PostSelectedSpin constraint_residual extract_phase
         model_state postselected_pure_state project_upper shift_cosine""",
     "protocol": """BranchTable ProtocolResult branch_phase branch_table

@@ -305,21 +305,36 @@ def _encoder(separator: str) -> Callable[[object], str]:
     ).encode
 
 
-class _JsonFieldText(dict):
-    """A record value's JSON text: null for None, a str encoded, a finite
-    float's repr; a non-finite float is a ValueError, as under
-    allow_nan=False.  Each distinct value is formatted once, except zeros:
-    0.0 == -0.0 as keys, so they are never stored."""
+class _FieldText(dict):
+    """The text of each value of report.json's records (for_json) or of
+    sweep.csv's fields: None as null or "", a str JSON-encoded or as itself,
+    a number as repr(float(v)); in JSON a non-finite float is a ValueError,
+    as under allow_nan=False.  Each distinct value is formatted once.  A
+    zero is never a key, since 0.0 == -0.0 as keys: zeros keep their texts
+    by sign in ``zeros``."""
+
+    def __init__(self, for_json: bool) -> None:
+        super().__init__({None: "null" if for_json else ""})
+        self.for_json = for_json
+        self.zeros = {}
+
+    def _number(self, value) -> str:
+        if not self.for_json:
+            return repr(float(value))
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"float {value!r} is not JSON compliant")
 
     def __missing__(self, value) -> str:
         if type(value) is str:
-            text = _encoder(", ")(value)
-        elif math.isfinite(value):
-            text = float.__repr__(value)
+            text = self[value] = _encoder(", ")(value) if self.for_json else value
+        elif value:  # NaN too
+            text = self[value] = self._number(value)
         else:
-            raise ValueError(f"float {value!r} is not JSON compliant")
-        if value:
-            self[value] = text
+            sign = math.copysign(1.0, value)
+            text = self.zeros.get(sign)
+            if text is None:
+                text = self.zeros[sign] = self._number(value)
         return text
 
 
@@ -329,7 +344,7 @@ def _records_text(records: Sequence, indent: str) -> Optional[str]:
     and every value a float, a str or None.
 
     The template holds each encoded key once, in sorted order; a
-    _JsonFieldText memo fills it, so each distinct value is formatted once.
+    _FieldText memo fills it, so each distinct value is formatted once.
     The type gate keeps 1, 1.0 and True, which are equal as dict keys, from
     sharing a text.
     """
@@ -348,7 +363,7 @@ def _records_text(records: Sequence, indent: str) -> Optional[str]:
     fields = f",\n{deeper}".join(f"{encode(k).replace('%', '%%')}: %s" for k in order)
     template = f"{{\n{deeper}{fields}\n{inner}}}"
     text = f",\n{inner}".join([template] * len(records))
-    return text % tuple(map(_JsonFieldText({None: "null"}).__getitem__, values))
+    return text % tuple(map(_FieldText(for_json=True).__getitem__, values))
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -517,21 +532,9 @@ def workflow_sweep(cfg: RunConfig) -> RunRecord:
     )
 
 
-class _FieldText(dict):
-    """sweep.csv's text of each field value: "" for None, a str as itself,
-    repr(float(v)) for a number.  Each distinct value is formatted once,
-    except zeros: 0.0 == -0.0 as keys, so they are never stored."""
-
-    def __missing__(self, value) -> str:
-        text = value if isinstance(value, str) else repr(float(value))
-        if value:
-            self[value] = text
-        return text
-
-
 def write_sweep_csv(path: Path, rows: Sequence[Sequence]) -> None:
     """One line per row, its fields in SWEEP_COLUMNS order."""
-    text = _FieldText({None: ""}).__getitem__
+    text = _FieldText(for_json=False).__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         fh.writelines(",".join(map(text, row)) + "\n" for row in rows)
@@ -673,15 +676,7 @@ def _points_needed(points: float) -> str:
 
 def workflow_oracle(cfg: RunConfig) -> RunRecord:
     """Analytic model vs grid solver on the configured device."""
-    from .gridsolver import (
-        GridSpec,
-        grid_density,
-        grid_error_fraction,
-        grid_evolve,
-        grid_half_plane_coherence,
-        grid_snapshot,
-        map_in_order,
-    )
+    from .gridsolver import GridSpec, grid_evolve, grid_snapshots
 
     grid = GridSpec(**cfg.oracle_grid)
     times = sorted(cfg.oracle_times)
@@ -730,17 +725,12 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
                 "increase the grid extent"
             )
 
-    def compare(source, t: float) -> dict:
-        snapshot = grid_snapshot(source, t)
+    def compare(t: float, snapshot) -> dict:
         pair = free_propagate(exit_pair, t)
         e_analytic = error_fraction(pair)
-        e_grid = grid_error_fraction(snapshot)
+        e_grid = snapshot.error_fraction
         c_analytic = closed_form_upper_coherence(pair)
-        c_grid = grid_half_plane_coherence(snapshot)
-        density_analytic = component_density(pair, source.z, "plus")
-        density_analytic += component_density(pair, source.z, "minus")
-        density_grid = grid_density(snapshot)
-        l1 = float(np.sum(np.abs(density_grid - density_analytic)) * source.dx)
+        c_grid = snapshot.coherence
         mod_diff = abs(abs(c_grid) - abs(c_analytic))
         phase_diff = abs(wrap_to_pi(np.angle(c_grid) - np.angle(c_analytic)))
         return {
@@ -748,7 +738,7 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
             "E_analytic": e_analytic,
             "E_grid": e_grid,
             "abs_E_diff": abs(e_grid - e_analytic),
-            "l1_density_diff": l1,
+            "l1_density_diff": snapshot.density_l1,
             "coherence_analytic": [c_analytic.real, c_analytic.imag],
             "coherence_grid": [c_grid.real, c_grid.imag],
             "coherence_mod_diff": mod_diff,
@@ -757,14 +747,20 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
 
     try:
         source = grid_evolve(cfg.sg, beam, grid)
-        # odd times on a worker thread, even times on this one; a snapshot
-        # lives only while its time is compared
-        comparisons = map_in_order(lambda t: compare(source, t), times)
+        # one time after another, each reduced before the next
+        snapshots = grid_snapshots(
+            source,
+            times,
+            lambda t, which: component_density(
+                free_propagate(exit_pair, t), source.z, which
+            ),
+        )
     except BoundaryLeakError as exc:
         # more extent makes an under-resolving dx worse: name the points then
         raise BoundaryLeakError(
             f"{exc}; {packet_note or 'increase the grid extent'}"
         ) from None
+    comparisons = [compare(t, snapshot) for t, snapshot in zip(times, snapshots)]
 
     # max folds left to right, so each maximum is max(max(0.0, x0), x1) ...
     keys = "abs_E_diff", "coherence_mod_diff", "coherence_phase_diff", "l1_density_diff"

@@ -26,33 +26,37 @@ channel) and the phase arrays (``kinetic``, each channel's ``half_v`` and
 the flight phase of a snapshot) are built in place in one array each.
 Their in-place steps take the operands of the plain expressions, such as
 ``np.exp(-1j * k2 * dt / (2 m))``, in the same order, so they have the
-expressions' bits without their temporaries.  The initial packet is dropped
-once the channels are made from it, before the threads start.
+expressions' bits without their temporaries.  The two free-flight phases
+(``kinetic`` and the flight phase) are computed on the wavenumbers 0 to n/2
+only and mirrored onto the rest, since ``k2[j] == k2[n - j]`` exactly.  The
+initial packet is dropped once the channels are made from it, before the
+threads start.
 
-The run has two steps.  ``grid_evolve`` takes the two channels through the
-magnet on two threads, spin down on a worker thread and spin up on the
-calling thread, and keeps only their exit spectra.  numpy's FFTs and ufuncs
-release the interpreter lock, so the two overlap: on two cores, 100 steps
-on 65536 points take about half the time of one thread, while on 16384
-points the hand-offs of the lock cost about what the overlap saves.  Each
-thread evolves its own array with the same operands in the same order as
-one thread would, so the bits do not depend on the threads.
-``map_in_order`` holds the thread code: it maps a function over a sequence
-with the odd positions on a worker thread and the even ones on the calling
-thread, and returns the results in order.  The worker runs in a copy of the
-caller's context, so numpy's ``errstate`` (a context variable) holds there
-too.  Each thread stops at its first exception, and after the join the
-earliest failing item's exception is raised again.
+The run has two steps, each with the spin-up channel on the calling thread
+and the spin-down channel on one worker thread (``_Worker``) that serves
+the whole step.  numpy's FFTs and ufuncs release the interpreter lock, so
+the two overlap: on two cores, 100 steps on 65536 points take about half
+the time of one thread, while on 16384 points the hand-offs of the lock
+cost about what the overlap saves.  Each thread takes the same operands in
+the same order as one thread would, so the bits do not depend on the
+threads.  The worker runs in a copy of the caller's context, so numpy's
+``errstate`` (a context variable) holds there too, and its exceptions are
+raised again on the calling thread, after the calling thread's own.
 
-``grid_snapshot`` then makes one time at a time: it builds the flight phase
-once for both channels, applies it and the inverse FFT to each channel (the
-spin-down channel lands in the flight phase's own array), sums
-|psi|^2, and runs the norm check and then the spin-up and spin-down boundary
-checks.  A caller keeps a snapshot only while it uses it, so the memory of a
-run does not grow with the number of snapshot times.  The oracle workflow
-maps its comparison over the times with ``map_in_order`` too, so its even
-times run on the calling thread and its odd times on a worker, and the
-earliest failing time is the one reported.
+``grid_evolve`` takes the channels through the magnet and keeps only their
+exit spectra.  ``grid_snapshots`` then takes the times one after another.
+Per time, each thread builds the flight phase in its channel's array (made
+on the calling thread), multiplies it by the exit spectrum,
+inverse-transforms it in place and forms |psi|^2 once, for the norm sum,
+the edge density, the density and, for spin down, the error fraction's
+upper-half sum.  The calling thread runs the norm check and the spin-up,
+then spin-down, boundary checks, sums the half-plane coherence in place in
+the spin-up array and drops both wave functions; then comes the L1
+distance of the density from the caller's reference densities, made one
+channel per thread.  So at most one time's arrays are alive, three and a
+half complex arrays' worth, and a time costs two hand-offs to the worker,
+not a thread start.  The earliest failing time is the one reported, and no
+grid work runs after it.
 
 This solver knows nothing of the impulsive Gaussian model in
 ``wavepacket``; it discretizes the Hamiltonian directly and serves as the
@@ -62,7 +66,7 @@ independent cross-check for it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
 
 from .errors import BoundaryLeakError, NormDriftError
 from .spin import SpinState
@@ -71,19 +75,11 @@ from .wavepacket import SGConfig
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "GridSpec",
-    "GridExit",
-    "GridResult",
-    "grid_evolve",
-    "grid_snapshot",
-    "grid_error_fraction",
-    "grid_half_plane_coherence",
-    "grid_density",
-]
+__all__ = ["GridSpec", "GridExit", "GridResult", "grid_evolve", "grid_snapshots"]
 
 _BOUNDARY_TOL = 1e-10
 _NORM_TOL = 1e-10
+_EDGE = [0, 1, -2, -1]  # the grid points the boundary check reads
 
 
 # the fields; GridSpec checks them in __new__, which _replace skips
@@ -123,51 +119,91 @@ class GridExit(NamedTuple):
 
 
 class GridResult(NamedTuple):
-    """Both channels at one time t after the magnet exit, norm and edges checked."""
+    """One time t after the magnet exit, norm and edges checked, reduced."""
 
     t: float
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-    sum_minus: float  # sum of |psi_minus|^2, as the norm check summed it
-    source: GridExit
+    error_fraction: float  # upper-half weight of the normalized spin-down channel
+    coherence: complex  # upper-half overlap of the normalized channels
+    density_l1: float  # sum |grid density - reference density| dx
 
 
-def map_in_order(fn: Callable, items: Sequence) -> list:
-    """[fn(item) for item in items], the odd positions on a worker thread (in
-    a copy of this context) and the even ones on this thread.  Each thread
-    stops at its first exception; the earliest failing item's is raised."""
-    import contextvars
-    import threading
-    results, errors = [None] * len(items), {}
+class _Worker:
+    """A worker thread for the pairs of a ``with`` block, run in a copy of
+    the context that entered the block."""
 
-    def run(start: int) -> None:
-        for idx in range(start, len(items), 2):
-            try:
-                results[idx] = fn(items[idx])
-            except BaseException as exc:  # raised again below, after the join
-                errors[idx] = exc
+    def __enter__(self) -> _Worker:
+        import contextvars
+        import threading
+        # binary semaphores: a call (None, to stop) is posted; the call is done
+        self._posted, self._done = threading.Lock(), threading.Lock()
+        self._posted.acquire()
+        self._done.acquire()
+        self._thread = threading.Thread(
+            target=contextvars.copy_context().run, args=(self._serve,)
+        )
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._call = None
+        self._posted.release()
+        self._thread.join()
+
+    def _serve(self) -> None:
+        while True:
+            self._posted.acquire()
+            if self._call is None:
                 return
+            fn, arg = self._call
+            try:
+                self._outcome = fn(arg), None
+            except BaseException as exc:  # raised again by pair, on the caller
+                self._outcome = None, exc
+            self._done.release()
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run, 1))
-    worker.start()
-    try:
-        run(0)
-    finally:
-        worker.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    def pair(self, fn: Callable, here, there) -> tuple:
+        """(fn(here), fn(there)), fn(there) on the worker.  Both calls end
+        before this returns or raises; fn(here)'s exception comes first."""
+        self._call = fn, there
+        self._posted.release()
+        try:
+            first = fn(here)
+        finally:
+            self._done.acquire()
+        (second, exc), self._outcome = self._outcome, None  # hold no result
+        if exc is not None:
+            raise exc
+        return first, second
 
 
-def _check_boundary(psi: np.ndarray, dx: float, t: float) -> None:
-    import numpy as np
-    # np.max passes a NaN on, and a NaN edge fails the check
-    edge = float(np.max(np.abs(psi[[0, 1, -2, -1]]) ** 2))
+def _check_boundary(edge: float, dx: float, t: float) -> None:
+    """edge is the largest density at the _EDGE points; a NaN fails."""
     if not edge * dx <= _BOUNDARY_TOL:
         raise BoundaryLeakError(
             f"boundary density {edge * dx:.2e} at t = {t:g} exceeds "
             f"{_BOUNDARY_TOL:g}"
         )
+
+
+def _free_phase(
+    k2: np.ndarray, t: float, mass: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """np.exp(-1j * k2 * t / (2.0 * mass)), in place in out (a new array if
+    out is None).
+
+    Computed on k2[0 : n/2 + 1] and mirrored onto the rest: k2[j] == k2[n - j]
+    exactly, and each element takes the plain expression's operands.
+    """
+    import numpy as np
+    n = len(k2)
+    phase = np.empty(n, dtype=complex) if out is None else out
+    head = phase[: n // 2 + 1]
+    np.multiply(-1j, k2[: n // 2 + 1], out=head)
+    head *= t
+    head /= 2.0 * mass
+    np.exp(head, out=head)
+    phase[n // 2 + 1 :] = phase[n // 2 - 1 : 0 : -1]
+    return phase
 
 
 def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> GridExit:
@@ -187,11 +223,15 @@ def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> Grid
     # points with 100 magnet steps takes about 115k minor faults, not 9k.
     np.empty(2 * n, dtype=complex)
     dx = grid.extent / n
-    # (np.arange(n) - n // 2) * dx and (2 pi fftfreq(n, dx))**2, in place
+    # (np.arange(n) - n // 2) * dx and (2 pi fftfreq(n, dx))**2, in place:
+    # fftfreq's frequencies are the integers 0 .. n/2 - 1, -n/2 .. -1 times
+    # 1 / (n dx), and the float integers are exact
     z = np.arange(n, dtype=float)
     z -= n // 2
     z *= dx
-    k2 = np.fft.fftfreq(n, dx)
+    k2 = np.arange(n, dtype=float)
+    k2[n // 2 :] -= n
+    k2 *= 1.0 / (n * dx)
     np.multiply(2.0 * math.pi, k2, out=k2)
     np.square(k2, out=k2)
 
@@ -211,8 +251,9 @@ def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> Grid
         psi0 /= 4.0 * config.sigma0**2
         np.exp(psi0, out=psi0)
     np.multiply(prefactor, psi0, out=psi0)
-    psi0 /= math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
-    _check_boundary(psi0, dx, -config.transit)
+    # psi0 >= 0, so np.abs(psi0) ** 2 is np.square(psi0)
+    psi0 /= math.sqrt(float(np.sum(np.square(psi0))) * dx)
+    _check_boundary(float(np.max(np.square(psi0[_EDGE]))), dx, -config.transit)
     channels = {
         +1: np.multiply(input_spin.amp_up, psi0, out=np.empty(n, dtype=complex)),
         -1: np.multiply(input_spin.amp_down, psi0, out=np.empty(n, dtype=complex)),
@@ -222,11 +263,7 @@ def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> Grid
     if config.transit > 0:
         n_steps = max(1, math.ceil(config.transit / grid.dt))
         dt = config.transit / n_steps
-        # np.exp(-1j * k2 * dt / (2.0 * config.mass)), in place
-        kinetic = np.multiply(-1j, k2)
-        kinetic *= dt
-        kinetic /= 2.0 * config.mass
-        np.exp(kinetic, out=kinetic)
+        kinetic = _free_phase(k2, dt, config.mass)
 
     def exit_spectrum(s: int) -> np.ndarray:
         """Channel s through the magnet, in momentum space at its exit.
@@ -256,7 +293,8 @@ def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> Grid
                 np.multiply(psi, half_v, out=psi)
         return np.fft.fft(psi, out=psi)
 
-    spectrum_plus, spectrum_minus = map_in_order(exit_spectrum, (+1, -1))
+    with _Worker() as worker:
+        spectrum_plus, spectrum_minus = worker.pair(exit_spectrum, +1, -1)
     # z[n//2] == 0 exactly; trapezoidal half-weight there keeps
     # upper + lower == total and kills the half-cell bias at z = 0.
     upper = np.zeros(n)
@@ -275,62 +313,86 @@ def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> Grid
     )
 
 
-def grid_snapshot(source: GridExit, t: float) -> GridResult:
-    """Both channels at time t after the magnet exit, by exact free flight.
+def grid_snapshots(
+    source: GridExit,
+    times: Sequence[float],
+    reference: Callable[[float, str], np.ndarray],
+) -> List[GridResult]:
+    """Both channels at each time t after the magnet exit, by exact free
+    flight, reduced: the error fraction, the half-plane coherence and the
+    L1 distance of the density from reference(t, "plus") +
+    reference(t, "minus"), new arrays of each channel's density on source.z;
+    reference(t, "minus") is called on the worker thread.
 
-    Raises NormDriftError if the total norm drifts beyond 1e-10 or is not a
-    number, then BoundaryLeakError when density reaches the grid edge (the
-    spin-up channel checked first).
+    The times run one after another.  Raises ValueError for a negative time
+    or a one-channel input, before any grid work; then, at the earliest
+    failing time, NormDriftError if the total norm drifts beyond 1e-10 or
+    is not a number, then BoundaryLeakError when density reaches the grid
+    edge (the spin-up channel checked first).
     """
     import numpy as np
-    t = float(t)
-    if t < 0:
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times):
         raise ValueError("snapshot times must be non-negative")
-    # np.exp(-1j * k2 * t / (2.0 * mass)), in place
-    flight = np.multiply(-1j, source.k2)
-    flight *= t
-    flight /= 2.0 * source.config.mass
-    np.exp(flight, out=flight)
-
-    def flown(
-        spectrum: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, float]:
-        psi = np.multiply(flight, spectrum, out=out)
-        np.fft.ifft(psi, out=psi)
-        return psi, float(np.sum(np.abs(psi) ** 2))
-
-    psi_plus, sum_plus = flown(source.spectrum_plus)
-    # the spin-down channel flies into the flight phase's own array
-    psi_minus, sum_minus = flown(source.spectrum_minus, out=flight)
-    norm = (sum_plus + sum_minus) * source.dx
-    if not abs(norm - 1.0) <= _NORM_TOL:
-        raise NormDriftError(f"norm drifted to {norm} at t = {t:g}")
-    _check_boundary(psi_plus, source.dx, t)
-    _check_boundary(psi_minus, source.dx, t)
-    return GridResult(t, psi_plus, psi_minus, sum_minus, source)
-
-
-def grid_error_fraction(result: GridResult) -> float:
-    """Upper-half weight of the normalized spin-down channel."""
-    import numpy as np
-    total = result.sum_minus
-    if total * result.source.dx < 1e-300:
-        raise ValueError("spin-down channel is empty; error fraction undefined")
-    return float(np.sum(result.source.upper * np.abs(result.psi_minus) ** 2)) / total
-
-
-def grid_half_plane_coherence(result: GridResult) -> complex:
-    """Upper-half overlap of the normalized channels (weights divided out)."""
-    import numpy as np
-    source = result.source
     wp, wm = source.weight_up, source.weight_down
     if abs(wp) < 1e-15 or abs(wm) < 1e-15:
-        raise ValueError("coherence undefined for a one-channel input")
-    fp, fm = result.psi_plus, result.psi_minus
-    raw = complex(np.sum(source.upper * fp * np.conj(fm))) * source.dx
-    return raw / (wp * np.conj(wm))
+        raise ValueError("snapshots undefined for a one-channel input")
+    dx = source.dx
 
+    def flown(channel: tuple) -> tuple:
+        """A channel at t, in its array psi: psi, |psi|^2, its sum, its edge
+        density and, for spin down, its upper-half sum."""
+        t, spectrum, psi = channel
+        # np.fft.ifft(np.exp(-1j * k2 * t / (2 mass)) * spectrum), in place
+        _free_phase(source.k2, t, source.config.mass, out=psi)
+        np.multiply(psi, spectrum, out=psi)
+        np.fft.ifft(psi, out=psi)
+        density = np.abs(psi)
+        np.square(density, out=density)
+        upper_sum = None
+        if spectrum is source.spectrum_minus:
+            upper_sum = float(np.sum(source.upper * density))
+        edge = float(np.max(density[_EDGE]))
+        return psi, density, float(np.sum(density)), edge, upper_sum
 
-def grid_density(result: GridResult) -> np.ndarray:
-    """Total position density |psi_plus|^2 + |psi_minus|^2."""
-    return abs(result.psi_plus) ** 2 + abs(result.psi_minus) ** 2
+    def snapshot(t: float) -> GridResult:
+        # both wave functions are made on this thread, which keeps the
+        # worker's heap within what the magnet step left it: on 2^16 points
+        # (a shared 2-vCPU Linux guest) 20 fresh runs peaked at 40.1 MiB
+        # median (highest 40.6), against 40.8 (41.1) with the worker making
+        # its own
+        n = len(source.z)
+        (psi_plus, density, sum_plus, edge_plus, _), (
+            psi_minus, density_minus, sum_minus, edge_minus, upper_minus
+        ) = worker.pair(
+            flown,
+            (t, source.spectrum_plus, np.empty(n, dtype=complex)),
+            (t, source.spectrum_minus, np.empty(n, dtype=complex)),
+        )
+        norm = (sum_plus + sum_minus) * dx
+        if not abs(norm - 1.0) <= _NORM_TOL:
+            raise NormDriftError(f"norm drifted to {norm} at t = {t:g}")
+        _check_boundary(edge_plus, dx, t)
+        _check_boundary(edge_minus, dx, t)
+        if sum_minus * dx < 1e-300:
+            raise ValueError("spin-down channel is empty; error fraction undefined")
+        # sum(upper * psi_plus * conj(psi_minus)), in place in psi_plus
+        np.multiply(source.upper, psi_plus, out=psi_plus)
+        np.multiply(psi_plus, np.conjugate(psi_minus, out=psi_minus), out=psi_plus)
+        coherence = complex(np.sum(psi_plus)) * dx / (wp * np.conj(wm))
+        del psi_plus, psi_minus
+        # (|psi_plus|^2 + |psi_minus|^2) - (reference plus + reference minus)
+        density += density_minus
+        del density_minus
+        expected, expected_minus = worker.pair(
+            lambda which: reference(t, which), "plus", "minus"
+        )
+        expected += expected_minus
+        density -= expected
+        np.abs(density, out=density)
+        return GridResult(
+            t, upper_minus / sum_minus, coherence, float(np.sum(density) * dx)
+        )
+
+    with _Worker() as worker:
+        return [snapshot(t) for t in times]

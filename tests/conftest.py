@@ -18,7 +18,7 @@ from nosignal import (
     evolve_through_magnet,
     free_propagate,
     grid_evolve,
-    grid_snapshot,
+    grid_snapshots,
     make_spin_state,
 )
 from nosignal.protocol import branch_totals
@@ -60,14 +60,21 @@ def saturated_error_fraction(config, input_spin, tol: float = 1e-6) -> Saturatio
         last = nxt
 
 
-def grid_snapshots(config, input_spin, grid, times) -> list:
-    """The grid solver's checked snapshots at these times, in order.
+def grid_results(config, input_spin, grid, times) -> list:
+    """The grid solver's checked, reduced snapshots at these times, in order.
 
-    One magnet run, then one snapshot per time; the first failed check
-    raises, so the earliest failing time is the one reported.
+    One magnet run, then the times one after another; the first failed
+    check raises, so the earliest failing time is the one reported.  Each
+    density is compared with component_amplitude's, the tests' reference.
     """
     source = grid_evolve(config, input_spin, grid)
-    return [grid_snapshot(source, t) for t in times]
+    exit_pair = evolve_through_magnet(config, input_spin)
+
+    def reference(t, which):
+        pair = free_propagate(exit_pair, t)
+        return np.abs(component_amplitude(pair, source.z, which)) ** 2
+
+    return grid_snapshots(source, times, reference)
 
 
 def pure_density(state: SpinState) -> SpinDensityMatrix:

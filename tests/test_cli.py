@@ -34,6 +34,7 @@ from nosignal.cli import (
     EXIT_OK,
     SWEEP_COLUMNS,
     RunConfig,
+    _FieldText,
     _grid_resolution,
     _json_text,
     _records_text,
@@ -474,8 +475,8 @@ class TestSweep:
         assert all(type(row) is ProtocolResult for row in rows)
 
     def test_writer_matches_reference_on_mixed_rows(self, tmp_path):
-        # a zero of either sign is never served from the cache: 0.0 == -0.0
-        # == 0 as dict keys; an int and its equal float write the same text
+        # 0.0 == -0.0 == 0 as dict keys, so zeros are kept by sign; an int
+        # and its equal float write the same text
         rows = [
             (-0.0, 0.0, None, 1, 1.0, 0, -0.0, 0.5, 0.5, -0.5, 3, 1e-300, "pure"),
             (0.0, -0.0, 0.5, None, -1, 1.0, 0.0, 0, 0.5, 3.0, -0.5, -1e-300, "pure"),
@@ -757,7 +758,7 @@ class TestOracle:
         def no_grid_work(*args, **kwargs):
             raise AssertionError("grid work started")
 
-        for entry in ("grid_evolve", "grid_snapshot"):
+        for entry in ("grid_evolve", "grid_snapshots"):
             monkeypatch.setattr(nosignal.gridsolver, entry, no_grid_work)
 
     def test_work_bound_refuses_long_transit(self, tmp_path, capsys, monkeypatch):
@@ -961,58 +962,61 @@ class TestOracle:
 
 
 class TestOracleThreads:
-    """workflow_oracle compares the odd snapshot times on a worker thread and
-    the even ones on the calling thread."""
+    """workflow_oracle compares the snapshot times one after another, each
+    time's spin-down channel on a worker thread and its spin-up channel on
+    the calling thread."""
 
     def test_payload_equals_one_thread(self, monkeypatch):
         cfg = load_config(str(DEFAULT_CONFIG))
         threaded = workflow_oracle(cfg).payload
 
-        # the same comparisons in time order, all on this thread
+        # the same channels one after the other, all on this thread
         monkeypatch.setattr(
-            nosignal.gridsolver, "map_in_order", lambda fn, items: [fn(i) for i in items]
+            nosignal.gridsolver._Worker,
+            "pair",
+            lambda self, fn, here, there: (fn(here), fn(there)),
         )
         serial = workflow_oracle(cfg).payload
         assert [row["t"] for row in threaded["comparisons"]] == cfg.oracle_times
         assert json.dumps(threaded) == json.dumps(serial)
 
     def test_worker_error_is_raised_to_the_caller(self, monkeypatch):
+        # the spin-down channel's reference density is made on the worker
         class WorkerFailure(Exception):
             pass
 
         caller = threading.get_ident()
-        free_propagate = nosignal.cli.free_propagate
+        component_density = nosignal.cli.component_density
+        made = []
 
-        def free_propagate_failing_off_the_caller(*args, **kwargs):
+        def component_density_failing_off_the_caller(pair, z, which):
+            made.append((pair.time, which, threading.get_ident() == caller))
             if threading.get_ident() != caller:
                 raise WorkerFailure
-            return free_propagate(*args, **kwargs)
+            return component_density(pair, z, which)
 
         monkeypatch.setattr(
-            nosignal.cli, "free_propagate", free_propagate_failing_off_the_caller
+            nosignal.cli, "component_density", component_density_failing_off_the_caller
         )
         threads = threading.active_count()
         with pytest.raises(WorkerFailure):
             workflow_oracle(load_config(str(DEFAULT_CONFIG)))
         assert threading.active_count() == threads
+        # the first time's two channels, and no later time
+        assert sorted(made) == [(1.0, "minus", False), (1.0, "plus", True)]
 
-    def test_earliest_leak_is_reported_when_it_is_the_workers(self, monkeypatch):
+    def test_earliest_leak_is_reported(self, monkeypatch):
         # a free packet (gradient 0) stays centred and spreads to the edge of
-        # a 200-wide grid by t = 45 and 50: t = 45 (index 1) fails on the
-        # worker, t = 50 (index 2) on the caller, and the earlier time is the
-        # one reported, with its advice
-        caller = threading.get_ident()
-        grid_snapshot = nosignal.gridsolver.grid_snapshot
-        failed = []
+        # a 200-wide grid by t = 45 and 50: t = 45 is reported, with its
+        # advice, and no time after it is flown
+        free_phase = nosignal.gridsolver._free_phase
+        flown = []
 
-        def recorded(source, t):
-            try:
-                return grid_snapshot(source, t)
-            except BoundaryLeakError:
-                failed.append((t, threading.get_ident() == caller))
-                raise
+        def recorded(k2, t, mass, out=None):
+            flown.append(t)
+            return free_phase(k2, t, mass, out)
 
-        monkeypatch.setattr(nosignal.gridsolver, "grid_snapshot", recorded)
+        monkeypatch.setattr(nosignal.gridsolver, "_free_phase", recorded)
         cfg = load_config(str(DEFAULT_CONFIG))
         cfg = cfg._replace(
             sg=cfg.sg._replace(gradient=0.0),
@@ -1025,33 +1029,41 @@ class TestOracleThreads:
         )
         with pytest.raises(BoundaryLeakError, match=message):
             workflow_oracle(cfg)
-        assert sorted(failed) == [(45.0, False), (50.0, True)]
+        # the magnet's kinetic phase, then both channels of t = 1 and t = 45
+        assert flown == [2e-4, 1.0, 1.0, 45.0, 45.0]
 
     def test_earliest_norm_check_decides(self, monkeypatch):
-        # every time fails the norm check: t = 2 on the worker, t = 1 on the
-        # caller, which then stops; the first time's failure decides
+        # every time would fail the norm check; the first time's failure
+        # decides, and no later time is flown
         caller = threading.get_ident()
-        failed = []
+        inverse = []
 
-        def drifted(source, t):
-            failed.append((t, threading.get_ident() == caller))
-            raise NormDriftError(f"norm drifted to nan at t = {t:g}")
+        def drifted(psi, out=None):
+            inverse.append(threading.get_ident() == caller)
+            out[:] = math.nan
+            return out
 
-        monkeypatch.setattr(nosignal.gridsolver, "grid_snapshot", drifted)
         cfg = load_config(str(DEFAULT_CONFIG))
         cfg = cfg._replace(
             oracle_grid={"extent": 64.0, "points": 256, "dt": 1e-3},
             oracle_times=[1.0, 2.0, 3.0],
         )
+        grid_evolve = nosignal.gridsolver.grid_evolve
+
+        def evolve_then_drift(*args):
+            source = grid_evolve(*args)
+            monkeypatch.setattr(np.fft, "ifft", drifted)
+            return source
+
+        monkeypatch.setattr(nosignal.gridsolver, "grid_evolve", evolve_then_drift)
         with pytest.raises(NormDriftError, match=r"^norm drifted to nan at t = 1$"):
             workflow_oracle(cfg)
-        assert sorted(failed) == [(1.0, True), (2.0, False)]
+        assert sorted(inverse) == [False, True]
 
     def test_memory_does_not_grow_with_the_times(self):
-        # each time's snapshot is dropped once compared: at 16384 points the
-        # two channels' snapshots of one time hold 0.5 MiB, and 40 times
-        # peak within 1 MiB of 20.  With only 2 times the two threads'
-        # snapshots may not overlap, so that baseline would sit lower.
+        # each time is reduced before the next: at 16384 points the two
+        # channels of one time hold 0.5 MiB, and 40 times peak within 1 MiB
+        # of 20
         import tracemalloc
 
         cfg = load_config(str(DEFAULT_CONFIG))
@@ -1328,6 +1340,39 @@ def uniform_records(draw):
         {k: draw(st.sampled_from(pool)) for k in draw(st.permutations(keys))}
         for _ in range(draw(st.integers(1, 5)))
     ]
+
+
+class TestFieldText:
+    """report.json's record values and sweep.csv's fields share one memo,
+    which formats each distinct value once and keeps 0.0 and -0.0 apart."""
+
+    VALUES = [0.0, -0.0, None, "a", 1.5, "a", -0.0, 0.0, 1.5, None, -2.25, 'b"c', 0.0]
+
+    @staticmethod
+    def expected(value, json_mode: bool) -> str:
+        if json_mode:
+            return json.dumps(value, allow_nan=False)
+        if value is None:
+            return ""
+        return value if isinstance(value, str) else repr(float(value))
+
+    @pytest.mark.parametrize("json_mode", [True, False], ids=["json", "csv"])
+    def test_each_distinct_value_is_formatted_once(self, json_mode):
+        memo = _FieldText(for_json=json_mode)
+        texts = list(map(memo.__getitem__, self.VALUES))
+        assert texts == [self.expected(v, json_mode) for v in self.VALUES]
+        assert memo.zeros == {1.0: "0.0", -1.0: "-0.0"}
+        assert set(memo) == {None, "a", 'b"c', 1.5, -2.25}
+        # later lookups are served from the memo, zeros by their sign
+        memo.zeros[-1.0] = "served"
+        memo[1.5] = "served too"
+        assert [memo[-0.0], memo[0.0], memo[1.5]] == ["served", "0.0", "served too"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float(self, bad):
+        with pytest.raises(ValueError, match=f"^float {bad!r} is not JSON compliant$"):
+            _FieldText(for_json=True)[bad]
+        assert _FieldText(for_json=False)[bad] == repr(bad)
 
 
 class TestJsonWriter:

@@ -1,51 +1,70 @@
+import contextvars
 import math
 import threading
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import nosignal.gridsolver
 from nosignal import (
     BoundaryLeakError,
     GridSpec,
     NormDriftError,
     SGConfig,
     SpinState,
+    component_density,
     error_fraction,
     evolve_through_magnet,
     free_propagate,
-    grid_density,
-    grid_error_fraction,
     grid_evolve,
-    grid_half_plane_coherence,
-    grid_snapshot,
+    grid_snapshots,
     make_spin_state,
 )
-from nosignal.gridsolver import map_in_order
+from nosignal.gridsolver import _free_phase, _Worker
 from nosignal.wavepacket import closed_form_upper_coherence
-from conftest import component_amplitude, grid_snapshots
+from conftest import grid_results
 
 SMALL_GRID = GridSpec(extent=384.0, points=4096, dt=2e-4)
 
 
-def grid_snapshot_at(config, spin, grid, t):
-    """The grid solver's checked snapshot at the one time t."""
-    return grid_snapshots(config, spin, grid, [t])[0]
+def grid_result_at(config, spin, grid, t):
+    """The grid solver's checked, reduced snapshot at the one time t."""
+    return grid_results(config, spin, grid, [t])[0]
 
 
-def grid_norm(result) -> float:
-    fp, fm = result.psi_plus, result.psi_minus
-    return (
-        float(np.sum(np.abs(fp) ** 2)) + float(np.sum(np.abs(fm) ** 2))
-    ) * result.source.dx
+def same_bits(a, b) -> bool:
+    """a and b hold the same float64 or complex128 bits, signed zeros and
+    NaN payloads included."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def grid_mean_momentum(result, which: str) -> float:
-    psi = result.psi_plus if which == "plus" else result.psi_minus
-    weight = np.abs(np.fft.fft(psi)) ** 2
-    k = 2.0 * math.pi * np.fft.fftfreq(len(psi), result.source.dx)
+def flown(source, t):
+    """Both channels at time t, by the plain flight expression the snapshots
+    must reproduce: ifft(exp(-1j k2 t / 2m) * exit spectrum)."""
+    flight = np.exp(-1j * source.k2 * t / (2.0 * source.config.mass))
+    return [
+        np.fft.ifft(flight * spectrum)
+        for spectrum in (source.spectrum_plus, source.spectrum_minus)
+    ]
+
+
+def flown_norm(source, t) -> float:
+    return sum(float(np.sum(np.abs(psi) ** 2)) for psi in flown(source, t)) * source.dx
+
+
+def exit_mean_momentum(source, which: str) -> float:
+    spectrum = source.spectrum_plus if which == "plus" else source.spectrum_minus
+    weight = np.abs(spectrum) ** 2
+    k = 2.0 * math.pi * np.fft.fftfreq(len(spectrum), source.dx)
     return float(np.sum(k * weight)) / float(np.sum(weight))
+
+
+def no_reference(t, which):
+    raise AssertionError(f"reference density asked for at t = {t:g}")
 
 
 class TestValidation:
@@ -55,17 +74,23 @@ class TestValidation:
 
     def test_snapshot_needs_a_time(self, device, x_state):
         with pytest.raises(TypeError):
-            grid_snapshot(grid_evolve(device, x_state, SMALL_GRID))
+            grid_snapshots(grid_evolve(device, x_state, SMALL_GRID))
 
     def test_negative_snapshot_time_rejected(self, device, x_state):
+        # before any grid work: no time is flown and no reference is asked for
         source = grid_evolve(device, x_state, SMALL_GRID)
         with pytest.raises(ValueError, match="non-negative"):
-            grid_snapshot(source, -1.0)
+            grid_snapshots(source, [1.0, -1.0], no_reference)
+
+    def test_one_channel_input_rejected(self, device, up_state):
+        source = grid_evolve(device, up_state, SMALL_GRID)
+        with pytest.raises(ValueError, match="one-channel"):
+            grid_snapshots(source, [1.0], no_reference)
 
     def test_boundary_leak_detected(self, device, x_state):
         tiny = GridSpec(extent=16.0, points=256, dt=1e-3)
         with pytest.raises(BoundaryLeakError):
-            grid_snapshot_at(device, x_state, tiny, 40.0)
+            grid_result_at(device, x_state, tiny, 40.0)
 
     def test_overflowing_potential_raises_instead_of_returning_nan(self, x_state):
         # each value is finite, moment * gradient is not: the potential, and
@@ -76,7 +101,7 @@ class TestValidation:
         grid = GridSpec(extent=64.0, points=256, dt=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NormDriftError, match="nan"):
-                grid_snapshot_at(sg, x_state, grid, 1.0)
+                grid_snapshots(grid_evolve(sg, x_state, grid), [1.0], no_reference)
 
     def test_wide_packet_is_normalized_without_a_warning(self, x_state):
         # 2 pi sigma0**2 overflows: the prefactor is not 0 and psi0 not 0/0;
@@ -88,81 +113,64 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BoundaryLeakError, match=r"3\.91e-03 at t = -0\.002"):
-                grid_snapshot_at(sg, x_state, grid, 1.0)
+                grid_evolve(sg, x_state, grid)
 
 
 class TestFreeParticle:
     def test_matches_analytic_gaussian(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.0)
-        t = 9.0
-        result = grid_snapshot_at(cfg, x_state, SMALL_GRID, t)
-        pair = free_propagate(evolve_through_magnet(cfg, x_state), t)
-        analytic = (
-            np.abs(component_amplitude(pair, result.source.z, "plus")) ** 2
-            + np.abs(component_amplitude(pair, result.source.z, "minus")) ** 2
-        )
-        l1 = float(np.sum(np.abs(grid_density(result) - analytic)) * result.source.dx)
-        assert l1 < 1e-6
+        result = grid_result_at(cfg, x_state, SMALL_GRID, 9.0)
+        assert result.density_l1 < 1e-6
 
     def test_norm_is_conserved(self, device, x_state):
-        for result in grid_snapshots(device, x_state, SMALL_GRID, [0.0, 5.0, 20.0]):
-            assert abs(grid_norm(result) - 1.0) < 1e-10
+        source = grid_evolve(device, x_state, SMALL_GRID)
+        for t in [0.0, 5.0, 20.0]:
+            assert abs(flown_norm(source, t) - 1.0) < 1e-10
 
     def test_norm_survives_many_magnet_steps(self, x_state):
         # 10^4 split-operator steps inside the magnet
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=1.0, bias=0.5, transit=1.0)
         grid = GridSpec(extent=128.0, points=1024, dt=1e-4)
-        result = grid_snapshot_at(cfg, x_state, grid, 0.0)
-        assert abs(grid_norm(result) - 1.0) < 1e-10
+        assert abs(flown_norm(grid_evolve(cfg, x_state, grid), 0.0) - 1.0) < 1e-10
 
 
 class TestChannels:
     def test_up_eigenstate_leaves_down_channel_empty(self, device, up_state):
-        result = grid_snapshot_at(device, up_state, SMALL_GRID, 10.0)
-        assert float(np.max(np.abs(result.psi_minus))) == 0.0
+        source = grid_evolve(device, up_state, SMALL_GRID)
+        assert float(np.max(np.abs(source.spectrum_minus))) == 0.0
 
     def test_impulsive_momentum_kicks(self, device, x_state):
-        result = grid_snapshot_at(device, x_state, SMALL_GRID, 0.0)
+        source = grid_evolve(device, x_state, SMALL_GRID)
         kick = device.momentum_kick
-        assert abs(grid_mean_momentum(result, "plus") - kick) / kick < 0.01
-        assert abs(grid_mean_momentum(result, "minus") + kick) / kick < 0.01
+        assert abs(exit_mean_momentum(source, "plus") - kick) / kick < 0.01
+        assert abs(exit_mean_momentum(source, "minus") + kick) / kick < 0.01
 
 
 class TestAgainstAnalyticModel:
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_error_fraction_agreement(self, device, x_state, t):
-        result = grid_snapshot_at(device, x_state, SMALL_GRID, t)
+        result = grid_result_at(device, x_state, SMALL_GRID, t)
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
-        assert abs(grid_error_fraction(result) - error_fraction(pair)) < 1e-3
+        assert abs(result.error_fraction - error_fraction(pair)) < 1e-3
 
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_position_density_agreement(self, device, x_state, t):
-        result = grid_snapshot_at(device, x_state, SMALL_GRID, t)
-        pair = free_propagate(evolve_through_magnet(device, x_state), t)
-        analytic = (
-            np.abs(component_amplitude(pair, result.source.z, "plus")) ** 2
-            + np.abs(component_amplitude(pair, result.source.z, "minus")) ** 2
-        )
-        l1 = float(np.sum(np.abs(grid_density(result) - analytic)) * result.source.dx)
-        assert l1 < 1e-3
+        assert grid_result_at(device, x_state, SMALL_GRID, t).density_l1 < 1e-3
 
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_coherence_agreement(self, device, x_state, t):
-        result = grid_snapshot_at(device, x_state, SMALL_GRID, t)
+        result = grid_result_at(device, x_state, SMALL_GRID, t)
         pair = free_propagate(evolve_through_magnet(device, x_state), t)
         analytic = closed_form_upper_coherence(pair)
-        grid = grid_half_plane_coherence(result)
-        assert abs(abs(grid) - abs(analytic)) < 1e-3
-        assert abs(np.angle(grid) - np.angle(analytic)) < 1e-2
+        assert abs(abs(result.coherence) - abs(analytic)) < 1e-3
+        assert abs(np.angle(result.coherence) - np.angle(analytic)) < 1e-2
 
     def test_complex_weight_input(self, device):
         # relative phase of the input spin must survive the weight division
         state = make_spin_state(1.0, 1.0j)
-        result = grid_snapshot_at(device, state, SMALL_GRID, 10.0)
+        result = grid_result_at(device, state, SMALL_GRID, 10.0)
         pair = free_propagate(evolve_through_magnet(device, state), 10.0)
-        analytic = closed_form_upper_coherence(pair)
-        grid = grid_half_plane_coherence(result)
-        assert abs(grid - analytic) < 1e-3
+        assert abs(result.coherence - closed_form_upper_coherence(pair)) < 1e-3
 
 
 def nested_step(psi, half_v, kinetic):
@@ -182,8 +190,8 @@ def elided_step(psi, half_v, kinetic):
     return np.fft.ifft(np.fft.fft(half_v * psi) * kinetic) * half_v
 
 
-def reference_snapshots(config, spin, grid, times, step):
-    """The solver with a fresh-array magnet step."""
+def reference_exits(config, spin, grid, step):
+    """The exit spectra of the solver with a fresh-array magnet step."""
     n = grid.points
     dx = grid.extent / n
     z = (np.arange(n) - n // 2) * dx
@@ -196,89 +204,132 @@ def reference_snapshots(config, spin, grid, times, step):
     n_steps = max(1, math.ceil(config.transit / grid.dt))
     dt = config.transit / n_steps
     kinetic = np.exp(-1j * k**2 * dt / (2.0 * config.mass))
-    snapshots = {}
+    exits = {}
     for s in (+1, -1):
         potential = -s * config.moment * (config.bias + config.gradient * z)
         half_v = np.exp(-1j * potential * dt / 2.0)
         psi = (amplitudes[s] * psi0).astype(complex)
         for _ in range(n_steps):
             psi = step(psi, half_v, kinetic)
-        exit_k = np.fft.fft(psi)
-        snapshots[s] = [
-            np.fft.ifft(np.exp(-1j * k**2 * t / (2.0 * config.mass)) * exit_k)
-            for t in times
-        ]
-    return snapshots
+        exits[s] = np.fft.fft(psi)
+    return exits
 
 
 class TestInPlaceMagnetLoop:
     TIMES = [0.0, 2.0, 15.0, 40.0]
 
-    @staticmethod
-    def pairs(results, reference):
-        return [
-            (new, old)
-            for s, which in ((+1, "psi_plus"), (-1, "psi_minus"))
-            for new, old in zip(
-                [getattr(result, which) for result in results], reference[s]
-            )
-        ]
-
     def test_bitwise_equal_to_elided_nested_expression(self, device, x_state):
         # at 2^14 points and more, builds that elide temporaries evaluated the
-        # old nested step in exactly this order
+        # old nested step in exactly this order; equal exit spectra give equal
+        # snapshots (TestInPlacePhases)
         grid = GridSpec(extent=1024.0, points=2**14, dt=2e-4)
-        results = grid_snapshots(device, x_state, grid, self.TIMES)
-        reference = reference_snapshots(
-            device, x_state, grid, self.TIMES, elided_step
-        )
-        for new, old in self.pairs(results, reference):
-            assert np.array_equal(new, old)
+        source = grid_evolve(device, x_state, grid)
+        exits = reference_exits(device, x_state, grid, elided_step)
+        assert same_bits(source.spectrum_plus, exits[+1])
+        assert same_bits(source.spectrum_minus, exits[-1])
 
     def test_rounding_close_to_nested_expression_below_elision(self, device, x_state):
         # no elision at 4096 points, so the kinetic and second half_v products
         # swap operands and round differently: a few eps of the peak modulus
         # (up to 5.8 at t = 40), while near-zero tail components differ by
         # many of their own ulps
-        results = grid_snapshots(device, x_state, SMALL_GRID, self.TIMES)
-        reference = reference_snapshots(
-            device, x_state, SMALL_GRID, self.TIMES, nested_step
-        )
+        source = grid_evolve(device, x_state, SMALL_GRID)
+        exits = reference_exits(device, x_state, SMALL_GRID, nested_step)
+        old_source = source._replace(spectrum_plus=exits[+1], spectrum_minus=exits[-1])
         eps = np.finfo(float).eps
-        for new, old in self.pairs(results, reference):
-            bound = 8 * eps * float(np.max(np.abs(old)))
-            assert float(np.max(np.abs(new.real - old.real))) <= bound
-            assert float(np.max(np.abs(new.imag - old.imag))) <= bound
+        for t in self.TIMES:
+            for new, old in zip(flown(source, t), flown(old_source, t)):
+                bound = 8 * eps * float(np.max(np.abs(old)))
+                assert float(np.max(np.abs(new.real - old.real))) <= bound
+                assert float(np.max(np.abs(new.imag - old.imag))) <= bound
 
     def test_repeated_calls_are_identical(self, device, x_state):
-        first = grid_snapshots(device, x_state, SMALL_GRID, self.TIMES)
-        second = grid_snapshots(device, x_state, SMALL_GRID, self.TIMES)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.psi_plus, b.psi_plus)
-            assert np.array_equal(a.psi_minus, b.psi_minus)
+        first = grid_evolve(device, x_state, SMALL_GRID)
+        second = grid_evolve(device, x_state, SMALL_GRID)
+        assert same_bits(first.spectrum_plus, second.spectrum_plus)
+        assert same_bits(first.spectrum_minus, second.spectrum_minus)
+        assert grid_results(device, x_state, SMALL_GRID, self.TIMES) == grid_results(
+            device, x_state, SMALL_GRID, self.TIMES
+        )
 
 
 class TestInPlacePhases:
     """The initial state and the phase arrays are built in place with the
     operands of the expressions they replace, in the same order."""
 
+    @pytest.mark.parametrize("n", [2**k for k in range(1, 17)])
+    @pytest.mark.parametrize(
+        "t, mass",
+        [(0.0, 1.0), (2e-4, 1.0), (45.0, 1.7), (1e7, 0.3), (1e300, 1e-3)],
+        ids=["zero", "magnet-step", "flight", "large", "overflowing"],
+    )
+    def test_mirrored_phase_equals_plain_expression(self, n, t, mass):
+        # k2[j] == k2[n - j] exactly, so phases built on j <= n/2 and mirrored
+        # have every bit of the plain expression, NaN from an overflow too
+        k2 = (2.0 * math.pi * np.fft.fftfreq(n, 1024.0 / n)) ** 2
+        with np.errstate(all="ignore"):
+            plain = np.exp(-1j * k2 * t / (2.0 * mass))
+            assert same_bits(_free_phase(k2, t, mass), plain)
+
+    @pytest.mark.parametrize("n", [2**k for k in range(3, 17)])
+    @pytest.mark.parametrize("extent", [1024.0, 3.7])
+    def test_wavenumbers_equal_fftfreq(self, n, extent):
+        # the in-place k2 against fftfreq's, without its integer temporary; a
+        # packet an eighth of a cell wide keeps the edge check quiet down to
+        # 8 points
+        dx = extent / n
+        sg = SGConfig(
+            mass=1.0, sigma0=dx / 8, moment=1.0, gradient=0.0, bias=0.0, transit=0.0
+        )
+        source = grid_evolve(sg, make_spin_state(1.0, 1.0), GridSpec(extent, n, 1e-3))
+        assert same_bits(source.k2, (2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2)
+
     @pytest.mark.parametrize(
         "grid",
         [SMALL_GRID, GridSpec(extent=1024.0, points=2**14, dt=2e-4)],
         ids=["2^12", "2^14"],
     )
-    def test_snapshot_equals_flight_expression(self, device, grid):
-        # 2^12 points is below numpy's temporary elision, 2^14 above it
+    def test_snapshot_equals_flight_expression(self, device, grid, monkeypatch):
+        # 2^12 points is below numpy's temporary elision, 2^14 above it.  Each
+        # time's inverse FFTs (the spin-up channel on this thread, the
+        # spin-down one on the worker) give the plain expression's psi, and
+        # with |psi|^2 of those as the reference every density cancels
         spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
         source = grid_evolve(device, spin, grid)
-        for t in [0.0, 2.0, 15.0, 40.0]:
-            result = grid_snapshot(source, t)
-            flight = np.exp(-1j * source.k2 * t / (2.0 * device.mass))
-            for spectrum, psi in (
-                (source.spectrum_plus, result.psi_plus),
-                (source.spectrum_minus, result.psi_minus),
-            ):
-                assert np.array_equal(psi, np.fft.ifft(flight * spectrum))
+        times = [0.0, 2.0, 15.0, 40.0]
+        expected = {t: flown(source, t) for t in times}
+        caller = threading.get_ident()
+        inverse = []
+        ifft = np.fft.ifft
+
+        def recorded(*args, **kwargs):
+            psi = ifft(*args, **kwargs)
+            inverse.append((threading.get_ident() != caller, psi.copy()))
+            return psi
+
+        monkeypatch.setattr(np.fft, "ifft", recorded)
+        results = grid_snapshots(
+            source,
+            times,
+            lambda t, which: np.abs(expected[t][which == "minus"]) ** 2,
+        )
+        monkeypatch.undo()
+        assert len(inverse) == 2 * len(times)
+        for i, t in enumerate(times):
+            channels = dict(inverse[2 * i : 2 * i + 2])  # by thread: worker?
+            assert same_bits(channels[False], expected[t][0])
+            assert same_bits(channels[True], expected[t][1])
+        for t, result in zip(times, results):
+            psi_plus, psi_minus = expected[t]
+            density_minus = np.abs(psi_minus) ** 2
+            assert result.t == t
+            assert result.density_l1 == 0.0
+            assert result.error_fraction == float(
+                np.sum(source.upper * density_minus)
+            ) / float(np.sum(density_minus))
+            raw = complex(np.sum(source.upper * psi_plus * np.conj(psi_minus)))
+            coherence = raw * source.dx / (spin.amp_up * np.conj(spin.amp_down))
+            assert same_bits(result.coherence, coherence)
 
     @pytest.mark.parametrize(
         "grid",
@@ -322,15 +373,38 @@ class TestInPlacePhases:
         assert peak <= 7 * 16 * n
 
 
+    def test_snapshot_working_set(self, device, x_state):
+        # two times in flight at once need both channels of each: 4 complex
+        # arrays (with two times on two threads, whole, the peak was 7).  One
+        # time at a time holds its two wave functions and two densities, and
+        # the spin-down product of the error fraction (3.5 arrays), then the
+        # densities and the two reference densities
+        n = 2**16
+        grid = GridSpec(extent=4096.0, points=n, dt=1e-3)  # 2 magnet steps
+        source = grid_evolve(device, x_state, grid)
+        exit_pair = evolve_through_magnet(device, x_state)
+
+        def reference(t, which):
+            return component_density(free_propagate(exit_pair, t), source.z, which)
+
+        grid_snapshots(source, [1.0], reference)  # numpy's one-time set-up
+        tracemalloc.start()
+        try:
+            grid_snapshots(source, [1.0, 3.0, 7.0, 12.0], reference)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * n
+
+
 class TestTwoThreads:
-    """The spin-down channel evolves through the magnet on a worker thread, the
+    """Each step runs the spin-down channel on a worker thread and the
     spin-up channel on the calling thread."""
 
     def test_bitwise_equal_to_serial_loop(self, device):
         # both weights complex and unequal: |0.48+0.64i|^2 = 0.64, |0.36-0.48i|^2 = 0.36
         spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
-        times = [0.0, 2.0, 15.0, 40.0]
-        results = grid_snapshots(device, spin, SMALL_GRID, times)
+        source = grid_evolve(device, spin, SMALL_GRID)
 
         # the solver as it ran on one thread, one channel after the other
         n = SMALL_GRID.points
@@ -358,17 +432,10 @@ class TestTwoThreads:
                 np.multiply(psi, kinetic, out=psi)
                 np.fft.ifft(psi, out=psi)
                 np.multiply(psi, half_v, out=psi)
-        exits = {s: np.fft.fft(channels[s]) for s in (+1, -1)}
 
-        assert n_steps == 10 and [result.t for result in results] == times
-        for s, which in ((+1, "psi_plus"), (-1, "psi_minus")):
-            for t, result in zip(times, results):
-                flight = np.exp(-1j * k2 * t / (2.0 * device.mass))
-                snapshot = getattr(result, which)
-                assert np.array_equal(snapshot, np.fft.ifft(flight * exits[s]))
-        # the norm check's sum is the error fraction's total
-        for result in results:
-            assert result.sum_minus == float(np.sum(np.abs(result.psi_minus) ** 2))
+        assert n_steps == 10
+        assert same_bits(source.spectrum_plus, np.fft.fft(channels[+1]))
+        assert same_bits(source.spectrum_minus, np.fft.fft(channels[-1]))
 
     def test_worker_follows_the_callers_errstate(self, x_state):
         # the overflowing potential of both channels is ignored under the
@@ -382,7 +449,7 @@ class TestTwoThreads:
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NormDriftError, match="nan"):
-                    grid_snapshot_at(sg, x_state, grid, 1.0)
+                    grid_snapshots(grid_evolve(sg, x_state, grid), [1.0], no_reference)
 
     def test_worker_error_is_raised_to_the_caller(self, device, x_state, monkeypatch):
         class WorkerFailure(Exception):
@@ -402,6 +469,39 @@ class TestTwoThreads:
             grid_evolve(device, x_state, SMALL_GRID)
         assert threading.active_count() == threads
 
+    def test_snapshot_worker_error_is_raised_to_the_caller(
+        self, device, x_state, monkeypatch
+    ):
+        # the spin-down channel's inverse FFT fails on the worker at t = 2:
+        # the failure is raised here, and no grid work follows it
+        class WorkerFailure(Exception):
+            pass
+
+        source = grid_evolve(device, x_state, SMALL_GRID)
+        caller = threading.get_ident()
+        ifft = np.fft.ifft
+        flights = []
+
+        def ifft_failing_off_the_caller(*args, **kwargs):
+            flights.append(threading.get_ident() == caller)
+            if threading.get_ident() != caller and len(flights) > 2:
+                raise WorkerFailure
+            return ifft(*args, **kwargs)
+
+        asked = []
+
+        def reference(t, which):
+            asked.append(t)
+            return np.zeros(SMALL_GRID.points)
+
+        monkeypatch.setattr(np.fft, "ifft", ifft_failing_off_the_caller)
+        threads = threading.active_count()
+        with pytest.raises(WorkerFailure):
+            grid_snapshots(source, [1.0, 2.0, 3.0], reference)
+        assert sorted(flights) == [False, False, True, True]
+        assert asked == [1.0, 1.0]
+        assert threading.active_count() == threads
+
     def test_earliest_failing_boundary_check_is_reported(self, device):
         # the spin-down channel carries almost all the weight and reaches the
         # edge by t = 2; the spin-up channel reaches it only by t = 4
@@ -409,62 +509,96 @@ class TestTwoThreads:
         tiny = GridSpec(extent=16.0, points=256, dt=1e-3)
         message = r"^boundary density 5.78e-08 at t = 2 "  # the spin-down edge
         with pytest.raises(BoundaryLeakError, match=message):
-            grid_snapshots(device, spin, tiny, [2.0, 4.0])
+            grid_snapshots(grid_evolve(device, spin, tiny), [2.0, 4.0], no_reference)
 
-    def test_earliest_failing_norm_check_is_reported(self, x_state):
-        # NaN from t = 1 on: each time fails the norm check, and the boundary
-        # checks too, and the norm check at the first time decides
+    def test_earliest_failing_norm_check_is_reported(self, x_state, monkeypatch):
+        # NaN from t = 1 on: each time would fail the norm check, and the
+        # boundary checks too; the norm check at the first time decides, and
+        # no later time is flown
         sg = SGConfig(
             mass=1.0, sigma0=1.0, moment=1e200, gradient=1e200, bias=0.0, transit=0.002
         )
         grid = GridSpec(extent=64.0, points=256, dt=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
+            source = grid_evolve(sg, x_state, grid)
+            phases = []
+            free_phase = nosignal.gridsolver._free_phase
+
+            def recorded(k2, t, mass, out=None):
+                phases.append(t)
+                return free_phase(k2, t, mass, out)
+
+            monkeypatch.setattr(nosignal.gridsolver, "_free_phase", recorded)
             with pytest.raises(NormDriftError, match=r"^norm drifted to nan at t = 1$"):
-                grid_snapshots(sg, x_state, grid, [1.0, 2.0, 3.0])
+                grid_snapshots(source, [1.0, 2.0, 3.0], no_reference)
+        assert phases == [1.0, 1.0]
 
 
-class TestMapInOrder:
-    """map_in_order(fn, items) is [fn(item) for item in items], the odd
-    positions on a worker thread and the even ones on the calling thread."""
+class TestWorker:
+    """_Worker().pair(fn, here, there) is (fn(here), fn(there)), fn(there) on
+    the worker thread, which serves every pair of its with block."""
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 5])
-    def test_results_in_order(self, count):
+    def test_pairs_run_on_one_worker_in_order(self):
         caller = threading.get_ident()
         threads = threading.active_count()
-        results = map_in_order(
-            lambda item: (item * item, threading.get_ident() == caller), range(count)
-        )
-        assert results == [(i * i, i % 2 == 0) for i in range(count)]
+        seen = []
+
+        def fn(item):
+            seen.append((item, threading.get_ident()))
+            return item * item
+
+        with _Worker() as worker:
+            results = [worker.pair(fn, i, -i) for i in range(1, 4)]
+        assert results == [(1, 1), (4, 4), (9, 9)]
+        assert [item for item, _ in seen if item > 0] == [1, 2, 3]
+        assert [item for item, _ in seen if item < 0] == [-1, -2, -3]
+        workers = {ident for item, ident in seen if item < 0}
+        assert len(workers) == 1 and caller not in workers
+        assert {ident for item, ident in seen if item > 0} == {caller}
         assert threading.active_count() == threads
 
-    # (failing items, the one that raises first in time, the items called)
-    @pytest.mark.parametrize(
-        "failing, first, called_items",
-        [((3, 4), 4, [0, 1, 2, 3, 4]), ((2, 5), 5, [0, 1, 2, 3, 5])],
-    )
-    def test_earliest_failing_item_is_raised(self, failing, first, called_items):
-        # the later failing item raises first in time: its exception must
-        # still give way to the earlier item's
+    def test_callers_exception_comes_first_once_both_calls_end(self):
         class ItemFailure(Exception):
             pass
 
-        raised_first = threading.Event()
-        called = []
+        ended = []
 
         def fn(item):
-            called.append(item)
-            if item == first:
-                raised_first.set()
-                raise ItemFailure(item)
-            if item in failing:
-                assert raised_first.wait(timeout=10)
-                raise ItemFailure(item)
-            return item
+            if item == "there":
+                time.sleep(0.05)
+                ended.append(item)
+            raise ItemFailure(item)
 
         threads = threading.active_count()
         with pytest.raises(ItemFailure) as info:
-            map_in_order(fn, range(8))
-        assert info.value.args == (min(failing),)
-        # each thread stops at its first exception, of 8 items
-        assert sorted(called) == called_items
+            with _Worker() as worker:
+                worker.pair(fn, "here", "there")
+        assert info.value.args == ("here",)
+        assert ended == ["there"]
         assert threading.active_count() == threads
+
+    def test_workers_exception_is_raised_and_the_worker_serves_on(self):
+        class ItemFailure(Exception):
+            pass
+
+        def fn(item):
+            if item == "fail":
+                raise ItemFailure(item)
+            return item
+
+        with _Worker() as worker:
+            with pytest.raises(ItemFailure):
+                worker.pair(fn, "ok", "fail")
+            assert worker.pair(fn, "a", "b") == ("a", "b")
+
+    def test_worker_runs_in_a_copy_of_the_context(self):
+        var = contextvars.ContextVar("var", default="unset")
+        token = var.set("caller's")
+        try:
+            with _Worker() as worker:
+                assert worker.pair(lambda _: var.get(), None, None) == (
+                    "caller's",
+                    "caller's",
+                )
+        finally:
+            var.reset(token)

@@ -15,7 +15,7 @@ from nosignal import (
     estimate_phase,
     evolve_through_magnet,
     grid_evolve,
-    grid_snapshot,
+    grid_snapshots,
     make_spin_state,
     project_upper,
     sample,
@@ -58,6 +58,12 @@ def test_density_matrix_stores_rows_of_complex():
     assert all(type(x) is complex for row in matrix for x in row)
 
 
+def _grid_result(sg, spin):
+    """The reduced snapshot at t = 1, against a zero reference density."""
+    source = grid_evolve(sg, spin, GridSpec(**GRID))
+    return grid_snapshots(source, [1.0], lambda t, which: 0.0 * source.z)[0]
+
+
 def _values() -> dict:
     """One value of each value type, by type name."""
     sg = SGConfig(**DEVICE)
@@ -77,7 +83,7 @@ def _values() -> dict:
         estimate_phase(record, 0.5),
         load_config(None),
         grid_evolve(sg, spin, GridSpec(**GRID)),
-        grid_snapshot(grid_evolve(sg, spin, GridSpec(**GRID)), 1.0),
+        _grid_result(sg, spin),
     ]
     return {type(value).__name__: value for value in values}
 
