@@ -25,7 +25,6 @@ Exit codes: 0 pass, 1 check failure, 2 config error, 3 numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
@@ -36,6 +35,7 @@ import time
 from contextlib import suppress
 from itertools import takewhile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
@@ -81,6 +81,8 @@ from .wavepacket import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .gridsolver import GridSpec
 
 SCHEMA_VERSION = 1
@@ -808,7 +810,45 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
     return RunRecord("oracle.json", report, _write_json, summary)
 
 
+# each subcommand's flags and the types their values are converted with
+_FLAG_TYPES = {"--config": str, "--out": str, "--seed": int}
+_COMMAND_FLAGS = {
+    "verify": {**_FLAG_TYPES, "--inject-violation": float},
+    "sweep": _FLAG_TYPES,
+    "estimate": {**_FLAG_TYPES, "--inject-violation": float},
+    "oracle": _FLAG_TYPES,
+}
+
+
+def _canonical_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """_build_parser().parse_args(argv)'s namespace, or None unless argv is a
+    subcommand and then --flag value pairs: each flag spelled in full and
+    valid for the subcommand, no value starting with "-", and each value
+    accepted by its flag's type.  The last repeat of a flag wins.
+
+    Every other argv (help, abbreviations, --flag=value, unknown flags, a
+    rejected value, no subcommand) is left to argparse, which is not even
+    imported for the canonical argv.
+    """
+    types = _COMMAND_FLAGS.get(argv[0]) if argv else None
+    if types is None or len(argv) % 2 == 0:
+        return None
+    args = {"config": None, "out": None, "seed": None}
+    if "--inject-violation" in types:
+        args["inject_violation"] = 0.0
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in types or value.startswith("-"):
+            return None
+        try:
+            args[flag[2:].replace("-", "_")] = types[flag](value)
+        except ValueError:
+            return None
+    return SimpleNamespace(command=argv[0], **args)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nosignal",
         description="non-ideal Stern-Gerlach post-selection verification suite",
@@ -861,8 +901,18 @@ def _failed(message: str, created: List[Path], code: int) -> int:
     return code
 
 
+def _parse_args(
+    argv: Optional[Sequence[str]],
+) -> SimpleNamespace | argparse.Namespace:
+    """argparse's namespace for argv (sys.argv[1:] when None), taken without
+    argparse when _canonical_args accepts argv."""
+    if argv is None:
+        argv = sys.argv[1:]
+    return _canonical_args(argv) or _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -253,7 +253,8 @@ def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> Grid
     np.multiply(prefactor, psi0, out=psi0)
     # psi0 >= 0, so np.abs(psi0) ** 2 is np.square(psi0)
     psi0 /= math.sqrt(float(np.sum(np.square(psi0))) * dx)
-    _check_boundary(float(np.max(np.square(psi0[_EDGE]))), dx, -config.transit)
+    # t = -transit at the magnet's entry; a zero transit reads t = 0, not -0
+    _check_boundary(float(np.max(np.square(psi0[_EDGE]))), dx, 0.0 - config.transit)
     channels = {
         +1: np.multiply(input_spin.amp_up, psi0, out=np.empty(n, dtype=complex)),
         -1: np.multiply(input_spin.amp_down, psi0, out=np.empty(n, dtype=complex)),

@@ -1,5 +1,6 @@
 import datetime
 import gc
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -1265,6 +1267,106 @@ class TestEntryPoint:
             assert (proc.stdout, proc.stderr) == (in_process.out, in_process.err)
 
 
+def captured(call) -> tuple:
+    """call()'s result, or ("exit", code) for a SystemExit; then its stdout
+    and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def namespace_text(namespace) -> str:
+    """vars(namespace) by name, as repr: nan equals nan, 5 differs from 5.0."""
+    return repr(sorted(vars(namespace).items()))
+
+
+ARGV_COMMANDS = ["verify", "sweep", "estimate", "oracle", "bogus"]
+ARGV_FULL_FLAGS = ["--config", "--out", "--seed", "--inject-violation"]
+ARGV_FLAGS = ARGV_FULL_FLAGS + [
+    "--conf", "--o", "--se", "--inject",  # abbreviated
+    "--config=5", "--out=", "--seed=5", "--inject-violation=-0.1",  # =-joined
+    "--bogus", "--inject_violation", "-c", "-h", "--help",  # unknown, help
+]
+ARGV_VALUES = ["5", " 5", "5.0", "0x10", "1_000", "-0.1", "nan", "1e400", "", "x.json"]
+
+
+def command_and_pairs(flags: list):
+    """A command, then up to three flag-value pairs."""
+    return st.builds(
+        lambda command, pairs: [command, *(token for pair in pairs for token in pair)],
+        st.sampled_from(ARGV_COMMANDS),
+        st.lists(
+            st.tuples(st.sampled_from(flags), st.sampled_from(ARGV_VALUES)), max_size=3
+        ),
+    )
+
+
+# the canonical shape with full flags, then with any flag, then any mix of
+# commands, flags and values
+argvs = st.one_of(
+    command_and_pairs(ARGV_FULL_FLAGS),
+    command_and_pairs(ARGV_FLAGS),
+    st.lists(st.sampled_from(ARGV_COMMANDS + ARGV_FLAGS + ARGV_VALUES), max_size=5),
+)
+
+
+class TestCanonicalArgv:
+    """main parses a subcommand and then --flag value pairs without argparse;
+    argparse takes every other argv, and both give argparse's namespace."""
+
+    @staticmethod
+    def by_argparse(argv: list) -> tuple:
+        return captured(
+            lambda: namespace_text(nosignal.cli._build_parser().parse_args(argv))
+        )
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(argv=argvs)
+    def test_same_outcome_as_argparse(self, argv):
+        expected = self.by_argparse(argv)
+        fast = nosignal.cli._canonical_args(argv)
+        if fast is not None:
+            assert (namespace_text(fast), "", "") == expected
+        parsed = captured(lambda: namespace_text(nosignal.cli._parse_args(argv)))
+        assert parsed == expected
+        if expected[0][0] == "exit":  # help or a usage error: main exits there
+            assert captured(lambda: main(argv)) == expected
+
+    @pytest.mark.parametrize(
+        "argv, canonical",
+        [
+            (["verify", "--config", "c.json", "--out", "o"], True),
+            (["estimate", "--seed", "7", "--seed", "8", "--inject-violation", "nan"],
+             True),
+            (["oracle"], True),
+            (["sweep", "--out", " -o"], True),
+            ([], False),
+            (["verify", "--config=c.json"], False),
+            (["verify", "--conf", "c.json"], False),
+            (["verify", "--seed", "x"], False),
+            (["verify", "--inject-violation", "-0.1"], False),
+            (["sweep", "--inject-violation", "0.1"], False),
+            (["verify", "--config"], False),
+            (["verify", "-h"], False),
+        ],
+    )
+    def test_which_argv_skips_argparse(self, argv, canonical):
+        fast = nosignal.cli._canonical_args(argv)
+        assert (fast is not None) == canonical
+        if canonical:
+            assert namespace_text(fast) == self.by_argparse(argv)[0]
+
+    def test_invalid_int_is_argparse_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "x"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def stdlib_json(value) -> str:
     """The data files' format: json.dumps(indent=2, sort_keys=True) and a newline."""
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -1565,13 +1667,15 @@ def test_cli_runs_without_scipy(tmp_path):
 def test_verify_sweep_and_estimate_run_without_numpy(tmp_path):
     # the 2x2 spin algebra and the seeded binomial stream are plain Python;
     # only oracle needs numpy and the grid solver.  The value types are
-    # NamedTuples: dataclasses would import inspect, ast, dis and tokenize
+    # NamedTuples: dataclasses would import inspect, ast, dis and tokenize.
+    # The canonical argv is parsed without argparse, which imports gettext
     cfg = write_config(tmp_path / "cfg.json")
     script = (
         "import json, sys\n"
         "import nosignal.cli as cli\n"
         "def loaded():\n"
-        "    unwanted = {'dataclasses', 'datetime', 'numpy', 'nosignal.gridsolver'}\n"
+        "    unwanted = {'argparse', 'dataclasses', 'datetime', 'gettext', 'numpy',\n"
+        "                'nosignal.gridsolver'}\n"
         "    return sorted(unwanted & set(sys.modules))\n"
         "cli.load_config(sys.argv[1])\n"
         "codes, seen = [], [loaded()]\n"
@@ -1585,6 +1689,23 @@ def test_verify_sweep_and_estimate_run_without_numpy(tmp_path):
     codes, seen = run_script(script, cfg, str(tmp_path / "out-"))
     assert codes == [EXIT_OK] * 4
     assert seen == [[]] * 5
+
+
+def test_canonical_oracle_imports_no_argparse(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        oracle={"extent": 384.0, "points": 4096, "dt": 2e-4, "times": [2.0, 10.0]},
+    )
+    script = (
+        "import json, sys\n"
+        "from nosignal.cli import main\n"
+        "code = main(['oracle', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "loaded = sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+        "print(json.dumps([code, loaded]))\n"
+    )
+    code, loaded = run_script(script, cfg, str(tmp_path / "out"))
+    assert code == EXIT_OK
+    assert loaded == []
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

@@ -115,6 +115,15 @@ class TestValidation:
             with pytest.raises(BoundaryLeakError, match=r"3\.91e-03 at t = -0\.002"):
                 grid_evolve(sg, x_state, grid)
 
+    def test_zero_transit_leak_is_at_time_zero(self, x_state):
+        # the entry check's time is -transit, and -0.0 would print as "-0"
+        sg = SGConfig(
+            mass=1.0, sigma0=0.5, moment=1.0, gradient=210.4, bias=0.0, transit=0.0
+        )
+        grid = GridSpec(extent=8.0, points=8, dt=1e-3)  # dx = 2 sigma0
+        with pytest.raises(BoundaryLeakError, match=r"2\.64e-04 at t = 0 exceeds"):
+            grid_evolve(sg, x_state, grid)
+
 
 class TestFreeParticle:
     def test_matches_analytic_gaussian(self, x_state):
