@@ -19,7 +19,7 @@ _EXPORTS = {
     "estimation": """MeasurementRecord PhaseEstimate Z_95 derive_seed
         estimate_error_fraction estimate_phase sample violation_bound
         wilson_interval""",
-    "gridsolver": "GridExit GridResult GridSpec grid_evolve grid_snapshots",
+    "gridsolver": "GridResult GridSpec grid_solve",
     "postselect": """PostSelectedSpin constraint_residual extract_phase
         model_state postselected_pure_state project_upper shift_cosine""",
     "protocol": """BranchTable ProtocolResult branch_phase branch_table

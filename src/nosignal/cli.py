@@ -61,6 +61,7 @@ from .postselect import (
 from .protocol import (
     MODELS,
     BranchTable,
+    ProtocolResult,
     branch_phase,
     branch_table,
     branch_totals,
@@ -91,21 +92,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-SWEEP_COLUMNS = [
-    "omega",
-    "theta",
-    "Es",
-    "phi_plus",
-    "phi_minus",
-    "pA_plus",
-    "pA_minus",
-    "PA_total",
-    "PB_plus",
-    "PB_minus",
-    "PB_total",
-    "residual",
-    "model",
-]
+SWEEP_COLUMNS = ProtocolResult._fields  # sweep.csv's header
 
 _NUMERICAL_ERRORS = (BoundaryLeakError, NormDriftError)
 # acceptance criterion 4's bound on |C_grid| - |C_analytic|
@@ -159,6 +146,17 @@ def _reject_unknown(section: dict, allowed: Sequence[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
+def _section(raw: dict, name: str) -> dict:
+    """DEFAULTS[name] updated with raw[name], which must be a JSON object of
+    known keys."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    section = {**DEFAULTS[name], **section}
+    _reject_unknown(section, DEFAULTS[name].keys(), name)
+    return section
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
@@ -200,7 +198,7 @@ def load_config(path: Optional[str]) -> RunConfig:
     else:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             raw = json.loads(text)
@@ -208,6 +206,8 @@ def load_config(path: Optional[str]) -> RunConfig:
             raise ConfigError(
                 f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         version = raw.get("schema_version")
@@ -218,8 +218,7 @@ def load_config(path: Optional[str]) -> RunConfig:
 
     _reject_unknown(raw, ["schema_version", *DEFAULTS], "top level")
 
-    sg_raw = {**DEFAULTS["sg"], **raw.get("sg", {})}
-    _reject_unknown(sg_raw, DEFAULTS["sg"].keys(), "sg")
+    sg_raw = _section(raw, "sg")
     try:
         sg = SGConfig(**{k: _number(v, f"sg.{k}") for k, v in sg_raw.items()})
     except ValueError as exc:
@@ -240,11 +239,9 @@ def load_config(path: Optional[str]) -> RunConfig:
         ("phase_settle_time", flight),
     )
 
-    tol_raw = {**DEFAULTS["tolerances"], **raw.get("tolerances", {})}
-    _reject_unknown(tol_raw, DEFAULTS["tolerances"].keys(), "tolerances")
+    tol_raw = _section(raw, "tolerances")
 
-    oracle_raw = {**DEFAULTS["oracle"], **raw.get("oracle", {})}
-    _reject_unknown(oracle_raw, DEFAULTS["oracle"].keys(), "oracle")
+    oracle_raw = _section(raw, "oracle")
     # GridSpec's checks, made here so that only oracle imports the grid solver
     points = oracle_raw["points"]
     if (
@@ -678,7 +675,7 @@ def _points_needed(points: float) -> str:
 
 def workflow_oracle(cfg: RunConfig) -> RunRecord:
     """Analytic model vs grid solver on the configured device."""
-    from .gridsolver import GridSpec, grid_evolve, grid_snapshots
+    from .gridsolver import GridSpec, grid_solve
 
     grid = GridSpec(**cfg.oracle_grid)
     times = sorted(cfg.oracle_times)
@@ -748,13 +745,14 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
         }
 
     try:
-        source = grid_evolve(cfg.sg, beam, grid)
         # one time after another, each reduced before the next
-        snapshots = grid_snapshots(
-            source,
+        snapshots = grid_solve(
+            cfg.sg,
+            beam,
+            grid,
             times,
-            lambda t, which: component_density(
-                free_propagate(exit_pair, t), source.z, which
+            lambda t, which, z: component_density(
+                free_propagate(exit_pair, t), z, which
             ),
         )
     except BoundaryLeakError as exc:

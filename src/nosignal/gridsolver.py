@@ -32,19 +32,23 @@ only and mirrored onto the rest, since ``k2[j] == k2[n - j]`` exactly.  The
 initial packet is dropped once the channels are made from it, before the
 threads start.
 
-The run has two steps, each with the spin-up channel on the calling thread
-and the spin-down channel on one worker thread (``_Worker``) that serves
-the whole step.  numpy's FFTs and ufuncs release the interpreter lock, so
-the two overlap: on two cores, 100 steps on 65536 points take about half
-the time of one thread, while on 16384 points the hand-offs of the lock
-cost about what the overlap saves.  Each thread takes the same operands in
-the same order as one thread would, so the bits do not depend on the
-threads.  The worker runs in a copy of the caller's context, so numpy's
-``errstate`` (a context variable) holds there too, and its exceptions are
-raised again on the calling thread, after the calling thread's own.
+``grid_solve`` runs the whole solve on the calling thread and one worker
+thread (``_Worker``), started once per solve: the spin-up channel on the
+caller and the spin-down channel on the worker, first through the magnet
+(``_exit_spectra``, which keeps only the exit spectra) and then at each
+snapshot time in turn.  numpy's FFTs and ufuncs release the interpreter
+lock, so the two overlap: on two cores, 100 steps on 65536 points take
+about half the time of one thread, while on 16384 points the hand-offs of
+the lock cost about what the overlap saves.  Each thread takes the same
+operands in the same order as one thread would, so the bits do not depend
+on the threads.  The worker runs in a copy of the caller's context, so
+numpy's ``errstate`` (a context variable) holds there too, and its
+exceptions are raised again on the calling thread, after the calling
+thread's own.  One worker serving the whole solve also keeps the worker's
+arrays in one malloc arena: a second thread started just after the first
+is joined can get a fresh arena, and a 2^16-point run then peaked at
+43 MiB against about 40.
 
-``grid_evolve`` takes the channels through the magnet and keeps only their
-exit spectra.  ``grid_snapshots`` then takes the times one after another.
 Per time, each thread builds the flight phase in its channel's array (made
 on the calling thread), multiplies it by the exit spectrum,
 inverse-transforms it in place and forms |psi|^2 once, for the norm sum,
@@ -75,7 +79,7 @@ from .wavepacket import SGConfig
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["GridSpec", "GridExit", "GridResult", "grid_evolve", "grid_snapshots"]
+__all__ = ["GridSpec", "GridResult", "grid_solve"]
 
 _BOUNDARY_TOL = 1e-10
 _NORM_TOL = 1e-10
@@ -102,20 +106,6 @@ class GridSpec(_GridSpecFields):
         if dt <= 0:
             raise ValueError("dt must be positive")
         return super().__new__(cls, extent, points, dt)
-
-
-class GridExit(NamedTuple):
-    """Both channels' spectra at the magnet exit, and the grid they live on."""
-
-    z: np.ndarray
-    dx: float
-    k2: np.ndarray  # squared wavenumbers of the FFT grid
-    upper: np.ndarray  # upper-half weights of the coherence and error sums
-    spectrum_plus: np.ndarray
-    spectrum_minus: np.ndarray
-    weight_up: complex
-    weight_down: complex
-    config: SGConfig
 
 
 class GridResult(NamedTuple):
@@ -159,6 +149,7 @@ class _Worker:
                 self._outcome = fn(arg), None
             except BaseException as exc:  # raised again by pair, on the caller
                 self._outcome = None, exc
+            del fn, arg  # hold no call once it is done
             self._done.release()
 
     def pair(self, fn: Callable, here, there) -> tuple:
@@ -170,7 +161,8 @@ class _Worker:
             first = fn(here)
         finally:
             self._done.acquire()
-        (second, exc), self._outcome = self._outcome, None  # hold no result
+        # hold neither the call (fn's closure) nor its result
+        (second, exc), self._call, self._outcome = self._outcome, None, None
         if exc is not None:
             raise exc
         return first, second
@@ -206,8 +198,22 @@ def _free_phase(
     return phase
 
 
-def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> GridExit:
-    """Evolve both channels through the magnet; return their exit spectra.
+def _upper_weights(n: int) -> np.ndarray:
+    """Upper-half weights of the coherence and error sums: z[n//2] == 0
+    exactly, and its trapezoidal half-weight keeps upper + lower == total
+    and kills the half-cell bias at z = 0."""
+    import numpy as np
+    upper = np.zeros(n)
+    upper[n // 2] = 0.5
+    upper[n // 2 + 1 :] = 1.0
+    return upper
+
+
+def _exit_spectra(
+    worker: _Worker, config: SGConfig, input_spin: SpinState, grid: GridSpec
+) -> tuple:
+    """Both channels through the magnet, spin down on the worker: the grid
+    positions z, the squared wavenumbers k2 and the two exit spectra.
 
     Raises BoundaryLeakError when the initial packet already reaches the
     grid edge.
@@ -294,39 +300,26 @@ def grid_evolve(config: SGConfig, input_spin: SpinState, grid: GridSpec) -> Grid
                 np.multiply(psi, half_v, out=psi)
         return np.fft.fft(psi, out=psi)
 
-    with _Worker() as worker:
-        spectrum_plus, spectrum_minus = worker.pair(exit_spectrum, +1, -1)
-    # z[n//2] == 0 exactly; trapezoidal half-weight there keeps
-    # upper + lower == total and kills the half-cell bias at z = 0.
-    upper = np.zeros(n)
-    upper[n // 2] = 0.5
-    upper[n // 2 + 1 :] = 1.0
-    return GridExit(
-        z=z,
-        dx=dx,
-        k2=k2,
-        upper=upper,
-        spectrum_plus=spectrum_plus,
-        spectrum_minus=spectrum_minus,
-        weight_up=complex(input_spin.amp_up),
-        weight_down=complex(input_spin.amp_down),
-        config=config,
-    )
+    return (z, k2, *worker.pair(exit_spectrum, +1, -1))
 
 
-def grid_snapshots(
-    source: GridExit,
+def grid_solve(
+    config: SGConfig,
+    input_spin: SpinState,
+    grid: GridSpec,
     times: Sequence[float],
-    reference: Callable[[float, str], np.ndarray],
+    reference: Callable[[float, str, np.ndarray], np.ndarray],
 ) -> List[GridResult]:
-    """Both channels at each time t after the magnet exit, by exact free
-    flight, reduced: the error fraction, the half-plane coherence and the
-    L1 distance of the density from reference(t, "plus") +
-    reference(t, "minus"), new arrays of each channel's density on source.z;
-    reference(t, "minus") is called on the worker thread.
+    """Both channels through the magnet, then at each time t after its exit
+    by exact free flight, reduced: the error fraction, the half-plane
+    coherence and the L1 distance of the density from
+    reference(t, "plus", z) + reference(t, "minus", z), new arrays of each
+    channel's density at the grid positions z; reference(t, "minus", z) is
+    called on the worker thread.
 
     The times run one after another.  Raises ValueError for a negative time
-    or a one-channel input, before any grid work; then, at the earliest
+    or a one-channel input, before any grid work; BoundaryLeakError when the
+    initial packet already reaches the grid edge; then, at the earliest
     failing time, NormDriftError if the total norm drifts beyond 1e-10 or
     is not a number, then BoundaryLeakError when density reaches the grid
     edge (the spin-up channel checked first).
@@ -335,24 +328,26 @@ def grid_snapshots(
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("snapshot times must be non-negative")
-    wp, wm = source.weight_up, source.weight_down
+    wp, wm = complex(input_spin.amp_up), complex(input_spin.amp_down)
     if abs(wp) < 1e-15 or abs(wm) < 1e-15:
         raise ValueError("snapshots undefined for a one-channel input")
-    dx = source.dx
+    n = grid.points
+    dx = grid.extent / n
 
+    # flown and snapshot read the worker and the exit's arrays, bound below
     def flown(channel: tuple) -> tuple:
         """A channel at t, in its array psi: psi, |psi|^2, its sum, its edge
         density and, for spin down, its upper-half sum."""
         t, spectrum, psi = channel
         # np.fft.ifft(np.exp(-1j * k2 * t / (2 mass)) * spectrum), in place
-        _free_phase(source.k2, t, source.config.mass, out=psi)
+        _free_phase(k2, t, config.mass, out=psi)
         np.multiply(psi, spectrum, out=psi)
         np.fft.ifft(psi, out=psi)
         density = np.abs(psi)
         np.square(density, out=density)
         upper_sum = None
-        if spectrum is source.spectrum_minus:
-            upper_sum = float(np.sum(source.upper * density))
+        if spectrum is spectrum_minus:
+            upper_sum = float(np.sum(upper * density))
         edge = float(np.max(density[_EDGE]))
         return psi, density, float(np.sum(density)), edge, upper_sum
 
@@ -362,13 +357,12 @@ def grid_snapshots(
         # (a shared 2-vCPU Linux guest) 20 fresh runs peaked at 40.1 MiB
         # median (highest 40.6), against 40.8 (41.1) with the worker making
         # its own
-        n = len(source.z)
         (psi_plus, density, sum_plus, edge_plus, _), (
             psi_minus, density_minus, sum_minus, edge_minus, upper_minus
         ) = worker.pair(
             flown,
-            (t, source.spectrum_plus, np.empty(n, dtype=complex)),
-            (t, source.spectrum_minus, np.empty(n, dtype=complex)),
+            (t, spectrum_plus, np.empty(n, dtype=complex)),
+            (t, spectrum_minus, np.empty(n, dtype=complex)),
         )
         norm = (sum_plus + sum_minus) * dx
         if not abs(norm - 1.0) <= _NORM_TOL:
@@ -378,7 +372,7 @@ def grid_snapshots(
         if sum_minus * dx < 1e-300:
             raise ValueError("spin-down channel is empty; error fraction undefined")
         # sum(upper * psi_plus * conj(psi_minus)), in place in psi_plus
-        np.multiply(source.upper, psi_plus, out=psi_plus)
+        np.multiply(upper, psi_plus, out=psi_plus)
         np.multiply(psi_plus, np.conjugate(psi_minus, out=psi_minus), out=psi_plus)
         coherence = complex(np.sum(psi_plus)) * dx / (wp * np.conj(wm))
         del psi_plus, psi_minus
@@ -386,7 +380,7 @@ def grid_snapshots(
         density += density_minus
         del density_minus
         expected, expected_minus = worker.pair(
-            lambda which: reference(t, which), "plus", "minus"
+            lambda which: reference(t, which, z), "plus", "minus"
         )
         expected += expected_minus
         density -= expected
@@ -396,4 +390,8 @@ def grid_snapshots(
         )
 
     with _Worker() as worker:
+        z, k2, spectrum_plus, spectrum_minus = _exit_spectra(
+            worker, config, input_spin, grid
+        )
+        upper = _upper_weights(n)
         return [snapshot(t) for t in times]

@@ -17,8 +17,7 @@ from nosignal import (
     cell_records,
     evolve_through_magnet,
     free_propagate,
-    grid_evolve,
-    grid_snapshots,
+    grid_solve,
     make_spin_state,
 )
 from nosignal.protocol import branch_totals
@@ -67,14 +66,13 @@ def grid_results(config, input_spin, grid, times) -> list:
     check raises, so the earliest failing time is the one reported.  Each
     density is compared with component_amplitude's, the tests' reference.
     """
-    source = grid_evolve(config, input_spin, grid)
     exit_pair = evolve_through_magnet(config, input_spin)
 
-    def reference(t, which):
+    def reference(t, which, z):
         pair = free_propagate(exit_pair, t)
-        return np.abs(component_amplitude(pair, source.z, which)) ** 2
+        return np.abs(component_amplitude(pair, z, which)) ** 2
 
-    return grid_snapshots(source, times, reference)
+    return grid_solve(config, input_spin, grid, times, reference)
 
 
 def pure_density(state: SpinState) -> SpinDensityMatrix:

@@ -161,6 +161,43 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error") and where in err
 
+    @pytest.mark.parametrize("section", ["sg", "tolerances", "oracle"])
+    @pytest.mark.parametrize(
+        "value", [[], None, "x", 1], ids=["array", "null", "string", "number"]
+    )
+    def test_non_object_section_rejected(self, tmp_path, capsys, section, value):
+        # "sg": [] ended in a "'list' object is not a mapping" traceback, exit 1
+        cfg = write_config(tmp_path / "cfg.json", **{section: value})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {section} must be a JSON object\n"
+        assert not out.exists()
+
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        # a Latin-1 file ended in a UnicodeDecodeError traceback, exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes('{"schema_version": 1, "output_dir": "r\u00e9"}'.encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config {cfg}: 'utf-8' codec can't decode"
+        )
+        assert not out.exists()
+
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        # JSON nested past the recursion limit ended in a RecursionError
+        # traceback, exit 1
+        cfg = tmp_path / "cfg.json"
+        depth = 100_000
+        cfg.write_text(
+            '{"schema_version": 1, "model": ' + "[" * depth + "]" * depth + "}",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {cfg}: JSON nested too deeply\n"
+        assert not out.exists()
+
     def test_wrong_schema_version(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", schema_version=99)
         assert main(["verify", "--config", cfg]) == EXIT_CONFIG
@@ -471,7 +508,6 @@ class TestSweep:
         return "\n".join(lines) + "\n"
 
     def test_rows_are_protocol_results_in_column_order(self):
-        assert list(ProtocolResult._fields) == SWEEP_COLUMNS
         rows = workflow_sweep(load_config(str(DEFAULT_CONFIG))).payload
         assert len(rows) == 52
         assert all(type(row) is ProtocolResult for row in rows)
@@ -756,12 +792,11 @@ class TestOracle:
 
     @staticmethod
     def forbid_grid_work(monkeypatch):
-        """Make the grid solver's entry points fail the test if called."""
+        """Make the grid solver's entry point fail the test if called."""
         def no_grid_work(*args, **kwargs):
             raise AssertionError("grid work started")
 
-        for entry in ("grid_evolve", "grid_snapshots"):
-            monkeypatch.setattr(nosignal.gridsolver, entry, no_grid_work)
+        monkeypatch.setattr(nosignal.gridsolver, "grid_solve", no_grid_work)
 
     def test_work_bound_refuses_long_transit(self, tmp_path, capsys, monkeypatch):
         # ceil(1000 / 2e-4) = 5e6 magnet steps x 16384 points: refused before
@@ -845,7 +880,7 @@ class TestOracle:
         def out_of_memory(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(nosignal.gridsolver, "grid_evolve", out_of_memory)
+        monkeypatch.setattr(nosignal.gridsolver, "grid_solve", out_of_memory)
         out = tmp_path / "a" / "b"
         argv = ["oracle", "--config", str(DEFAULT_CONFIG), "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
@@ -1050,14 +1085,14 @@ class TestOracleThreads:
             oracle_grid={"extent": 64.0, "points": 256, "dt": 1e-3},
             oracle_times=[1.0, 2.0, 3.0],
         )
-        grid_evolve = nosignal.gridsolver.grid_evolve
+        exit_spectra = nosignal.gridsolver._exit_spectra
 
-        def evolve_then_drift(*args):
-            source = grid_evolve(*args)
+        def magnet_then_drift(*args):
+            spectra = exit_spectra(*args)
             monkeypatch.setattr(np.fft, "ifft", drifted)
-            return source
+            return spectra
 
-        monkeypatch.setattr(nosignal.gridsolver, "grid_evolve", evolve_then_drift)
+        monkeypatch.setattr(nosignal.gridsolver, "_exit_spectra", magnet_then_drift)
         with pytest.raises(NormDriftError, match=r"^norm drifted to nan at t = 1$"):
             workflow_oracle(cfg)
         assert sorted(inverse) == [False, True]
@@ -1590,6 +1625,17 @@ def log_magnitude(signed: bool):
     )
 
 
+# JSON values that are not objects, in place of a config section
+NOT_AN_OBJECT = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+)
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(
     sg=st.fixed_dictionaries(
@@ -1601,17 +1647,22 @@ def log_magnitude(signed: bool):
             "bias": log_magnitude(True),
             "transit": log_magnitude(False),
         }
-    )
+    ),
+    broken=st.sampled_from(("sg", "tolerances", "oracle")),
+    value=NOT_AN_OBJECT,
 )
-def test_exit_code_contract(tmp_path_factory, sg):
+def test_exit_code_contract(tmp_path_factory, sg, broken, value):
     # every config ends in exit 0 (pass), 1 (verify's gate), 2 (config) or
-    # 3 (numerical), never in a traceback; 16 magnet steps bound the oracle
+    # 3 (numerical), never in a traceback; 16 magnet steps bound the oracle.
+    # The same config with a section that is not a JSON object is a config
+    # error, and leaves no directory
     payload = json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
     payload["sg"] = sg
     payload["oracle"].update(points=256, dt=sg["transit"] / 16)
     work = tmp_path_factory.mktemp("fuzz")
-    cfg = work / "cfg.json"
+    cfg, bad = work / "cfg.json", work / "bad.json"
     cfg.write_text(json.dumps(payload), encoding="utf-8")
+    bad.write_text(json.dumps({**payload, broken: value}), encoding="utf-8")
     for i, (command, *extra) in enumerate(
         (["verify"], ["verify", "--inject-violation", "0.1"], ["sweep"],
          ["estimate"], ["oracle"])
@@ -1623,6 +1674,9 @@ def test_exit_code_contract(tmp_path_factory, sg):
         assert code != EXIT_CHECK_FAILED or extra == ["--inject-violation", "0.1"]
         wrote = (out / "run_meta.json").is_file()
         assert wrote is (code in (EXIT_OK, EXIT_CHECK_FAILED))
+        out = work / f"bad-{i}"
+        code = main([command, "--config", str(bad), "--out", str(out), *extra])
+        assert code == EXIT_CONFIG and not out.exists()
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

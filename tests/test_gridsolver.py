@@ -4,6 +4,8 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,11 +21,10 @@ from nosignal import (
     error_fraction,
     evolve_through_magnet,
     free_propagate,
-    grid_evolve,
-    grid_snapshots,
+    grid_solve,
     make_spin_state,
 )
-from nosignal.gridsolver import _free_phase, _Worker
+from nosignal.gridsolver import _exit_spectra, _free_phase, _upper_weights, _Worker
 from nosignal.wavepacket import closed_form_upper_coherence
 from conftest import grid_results
 
@@ -42,10 +43,43 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+class Exit(NamedTuple):
+    """The solver's state at the magnet exit, as its snapshots read it."""
+
+    z: np.ndarray
+    dx: float
+    k2: np.ndarray
+    upper: np.ndarray  # upper-half weights of the coherence and error sums
+    spectrum_plus: np.ndarray
+    spectrum_minus: np.ndarray
+    mass: float
+
+
+def exit_spectra(config, spin, grid) -> Exit:
+    """_exit_spectra on a worker of its own, with the grid spacing, the
+    upper-half weights and the mass that the snapshots use."""
+    with _Worker() as worker:
+        z, k2, plus, minus = _exit_spectra(worker, config, spin, grid)
+    n = grid.points
+    return Exit(z, grid.extent / n, k2, _upper_weights(n), plus, minus, config.mass)
+
+
+def after_the_magnet(monkeypatch, action):
+    """Call action() once the solver's magnet step has returned."""
+    magnet = nosignal.gridsolver._exit_spectra
+
+    def magnet_then_action(*args):
+        spectra = magnet(*args)
+        action()
+        return spectra
+
+    monkeypatch.setattr(nosignal.gridsolver, "_exit_spectra", magnet_then_action)
+
+
 def flown(source, t):
     """Both channels at time t, by the plain flight expression the snapshots
     must reproduce: ifft(exp(-1j k2 t / 2m) * exit spectrum)."""
-    flight = np.exp(-1j * source.k2 * t / (2.0 * source.config.mass))
+    flight = np.exp(-1j * source.k2 * t / (2.0 * source.mass))
     return [
         np.fft.ifft(flight * spectrum)
         for spectrum in (source.spectrum_plus, source.spectrum_minus)
@@ -63,8 +97,12 @@ def exit_mean_momentum(source, which: str) -> float:
     return float(np.sum(k * weight)) / float(np.sum(weight))
 
 
-def no_reference(t, which):
+def no_reference(t, which, z):
     raise AssertionError(f"reference density asked for at t = {t:g}")
+
+
+def no_grid_work(*args):
+    raise AssertionError("grid work started")
 
 
 class TestValidation:
@@ -74,18 +112,19 @@ class TestValidation:
 
     def test_snapshot_needs_a_time(self, device, x_state):
         with pytest.raises(TypeError):
-            grid_snapshots(grid_evolve(device, x_state, SMALL_GRID))
+            grid_solve(device, x_state, SMALL_GRID)
 
-    def test_negative_snapshot_time_rejected(self, device, x_state):
-        # before any grid work: no time is flown and no reference is asked for
-        source = grid_evolve(device, x_state, SMALL_GRID)
+    def test_negative_snapshot_time_rejected(self, device, x_state, monkeypatch):
+        # before any grid work: the magnet does not run, no time is flown
+        # and no reference is asked for
+        monkeypatch.setattr(nosignal.gridsolver, "_exit_spectra", no_grid_work)
         with pytest.raises(ValueError, match="non-negative"):
-            grid_snapshots(source, [1.0, -1.0], no_reference)
+            grid_solve(device, x_state, SMALL_GRID, [1.0, -1.0], no_reference)
 
-    def test_one_channel_input_rejected(self, device, up_state):
-        source = grid_evolve(device, up_state, SMALL_GRID)
+    def test_one_channel_input_rejected(self, device, up_state, monkeypatch):
+        monkeypatch.setattr(nosignal.gridsolver, "_exit_spectra", no_grid_work)
         with pytest.raises(ValueError, match="one-channel"):
-            grid_snapshots(source, [1.0], no_reference)
+            grid_solve(device, up_state, SMALL_GRID, [1.0], no_reference)
 
     def test_boundary_leak_detected(self, device, x_state):
         tiny = GridSpec(extent=16.0, points=256, dt=1e-3)
@@ -101,7 +140,7 @@ class TestValidation:
         grid = GridSpec(extent=64.0, points=256, dt=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NormDriftError, match="nan"):
-                grid_snapshots(grid_evolve(sg, x_state, grid), [1.0], no_reference)
+                grid_solve(sg, x_state, grid, [1.0], no_reference)
 
     def test_wide_packet_is_normalized_without_a_warning(self, x_state):
         # 2 pi sigma0**2 overflows: the prefactor is not 0 and psi0 not 0/0;
@@ -113,7 +152,7 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BoundaryLeakError, match=r"3\.91e-03 at t = -0\.002"):
-                grid_evolve(sg, x_state, grid)
+                grid_solve(sg, x_state, grid, [1.0], no_reference)
 
     def test_zero_transit_leak_is_at_time_zero(self, x_state):
         # the entry check's time is -transit, and -0.0 would print as "-0"
@@ -122,7 +161,7 @@ class TestValidation:
         )
         grid = GridSpec(extent=8.0, points=8, dt=1e-3)  # dx = 2 sigma0
         with pytest.raises(BoundaryLeakError, match=r"2\.64e-04 at t = 0 exceeds"):
-            grid_evolve(sg, x_state, grid)
+            grid_solve(sg, x_state, grid, [1.0], no_reference)
 
 
 class TestFreeParticle:
@@ -132,7 +171,7 @@ class TestFreeParticle:
         assert result.density_l1 < 1e-6
 
     def test_norm_is_conserved(self, device, x_state):
-        source = grid_evolve(device, x_state, SMALL_GRID)
+        source = exit_spectra(device, x_state, SMALL_GRID)
         for t in [0.0, 5.0, 20.0]:
             assert abs(flown_norm(source, t) - 1.0) < 1e-10
 
@@ -140,16 +179,16 @@ class TestFreeParticle:
         # 10^4 split-operator steps inside the magnet
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=1.0, bias=0.5, transit=1.0)
         grid = GridSpec(extent=128.0, points=1024, dt=1e-4)
-        assert abs(flown_norm(grid_evolve(cfg, x_state, grid), 0.0) - 1.0) < 1e-10
+        assert abs(flown_norm(exit_spectra(cfg, x_state, grid), 0.0) - 1.0) < 1e-10
 
 
 class TestChannels:
     def test_up_eigenstate_leaves_down_channel_empty(self, device, up_state):
-        source = grid_evolve(device, up_state, SMALL_GRID)
+        source = exit_spectra(device, up_state, SMALL_GRID)
         assert float(np.max(np.abs(source.spectrum_minus))) == 0.0
 
     def test_impulsive_momentum_kicks(self, device, x_state):
-        source = grid_evolve(device, x_state, SMALL_GRID)
+        source = exit_spectra(device, x_state, SMALL_GRID)
         kick = device.momentum_kick
         assert abs(exit_mean_momentum(source, "plus") - kick) / kick < 0.01
         assert abs(exit_mean_momentum(source, "minus") + kick) / kick < 0.01
@@ -232,7 +271,7 @@ class TestInPlaceMagnetLoop:
         # old nested step in exactly this order; equal exit spectra give equal
         # snapshots (TestInPlacePhases)
         grid = GridSpec(extent=1024.0, points=2**14, dt=2e-4)
-        source = grid_evolve(device, x_state, grid)
+        source = exit_spectra(device, x_state, grid)
         exits = reference_exits(device, x_state, grid, elided_step)
         assert same_bits(source.spectrum_plus, exits[+1])
         assert same_bits(source.spectrum_minus, exits[-1])
@@ -242,7 +281,7 @@ class TestInPlaceMagnetLoop:
         # swap operands and round differently: a few eps of the peak modulus
         # (up to 5.8 at t = 40), while near-zero tail components differ by
         # many of their own ulps
-        source = grid_evolve(device, x_state, SMALL_GRID)
+        source = exit_spectra(device, x_state, SMALL_GRID)
         exits = reference_exits(device, x_state, SMALL_GRID, nested_step)
         old_source = source._replace(spectrum_plus=exits[+1], spectrum_minus=exits[-1])
         eps = np.finfo(float).eps
@@ -253,8 +292,8 @@ class TestInPlaceMagnetLoop:
                 assert float(np.max(np.abs(new.imag - old.imag))) <= bound
 
     def test_repeated_calls_are_identical(self, device, x_state):
-        first = grid_evolve(device, x_state, SMALL_GRID)
-        second = grid_evolve(device, x_state, SMALL_GRID)
+        first = exit_spectra(device, x_state, SMALL_GRID)
+        second = exit_spectra(device, x_state, SMALL_GRID)
         assert same_bits(first.spectrum_plus, second.spectrum_plus)
         assert same_bits(first.spectrum_minus, second.spectrum_minus)
         assert grid_results(device, x_state, SMALL_GRID, self.TIMES) == grid_results(
@@ -290,7 +329,7 @@ class TestInPlacePhases:
         sg = SGConfig(
             mass=1.0, sigma0=dx / 8, moment=1.0, gradient=0.0, bias=0.0, transit=0.0
         )
-        source = grid_evolve(sg, make_spin_state(1.0, 1.0), GridSpec(extent, n, 1e-3))
+        source = exit_spectra(sg, make_spin_state(1.0, 1.0), GridSpec(extent, n, 1e-3))
         assert same_bits(source.k2, (2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2)
 
     @pytest.mark.parametrize(
@@ -304,7 +343,7 @@ class TestInPlacePhases:
         # spin-down one on the worker) give the plain expression's psi, and
         # with |psi|^2 of those as the reference every density cancels
         spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
-        source = grid_evolve(device, spin, grid)
+        source = exit_spectra(device, spin, grid)
         times = [0.0, 2.0, 15.0, 40.0]
         expected = {t: flown(source, t) for t in times}
         caller = threading.get_ident()
@@ -316,11 +355,15 @@ class TestInPlacePhases:
             inverse.append((threading.get_ident() != caller, psi.copy()))
             return psi
 
-        monkeypatch.setattr(np.fft, "ifft", recorded)
-        results = grid_snapshots(
-            source,
+        after_the_magnet(
+            monkeypatch, lambda: monkeypatch.setattr(np.fft, "ifft", recorded)
+        )
+        results = grid_solve(
+            device,
+            spin,
+            grid,
             times,
-            lambda t, which: np.abs(expected[t][which == "minus"]) ** 2,
+            lambda t, which, z: np.abs(expected[t][which == "minus"]) ** 2,
         )
         monkeypatch.undo()
         assert len(inverse) == 2 * len(times)
@@ -350,7 +393,7 @@ class TestInPlacePhases:
         # channels, so they pin the in-place builds of z, psi0 and the channels
         spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
         device = device._replace(sigma0=0.7, transit=0.0)  # no exact quarter
-        source = grid_evolve(device, spin, grid)
+        source = exit_spectra(device, spin, grid)
         n = grid.points
         dx = grid.extent / n
         z = (np.arange(n) - n // 2) * dx
@@ -372,48 +415,56 @@ class TestInPlacePhases:
         # peaked at 8.5 to 9.5
         n = 2**16
         grid = GridSpec(extent=4096.0, points=n, dt=1e-3)  # 2 magnet steps
-        grid_evolve(device, x_state, grid)  # numpy's one-time set-up
+        exit_spectra(device, x_state, grid)  # numpy's one-time set-up
         tracemalloc.start()
         try:
-            grid_evolve(device, x_state, grid)
+            exit_spectra(device, x_state, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 7 * 16 * n
 
 
-    def test_snapshot_working_set(self, device, x_state):
+    def test_snapshot_working_set(self, device, x_state, monkeypatch):
         # two times in flight at once need both channels of each: 4 complex
         # arrays (with two times on two threads, whole, the peak was 7).  One
         # time at a time holds its two wave functions and two densities, and
         # the spin-down product of the error fraction (3.5 arrays), then the
-        # densities and the two reference densities
+        # densities and the two reference densities.  Counted from the
+        # magnet's exit, where the worker holds no call (so no kinetic
+        # phase), the upper-half weights (half an array) come first: 4
         n = 2**16
         grid = GridSpec(extent=4096.0, points=n, dt=1e-3)  # 2 magnet steps
-        source = grid_evolve(device, x_state, grid)
         exit_pair = evolve_through_magnet(device, x_state)
 
-        def reference(t, which):
-            return component_density(free_propagate(exit_pair, t), source.z, which)
+        def reference(t, which, z):
+            return component_density(free_propagate(exit_pair, t), z, which)
 
-        grid_snapshots(source, [1.0], reference)  # numpy's one-time set-up
+        grid_solve(device, x_state, grid, [1.0], reference)  # numpy's one-time set-up
+        held = []
+
+        def from_the_exit():
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+
+        after_the_magnet(monkeypatch, from_the_exit)
         tracemalloc.start()
         try:
-            grid_snapshots(source, [1.0, 3.0, 7.0, 12.0], reference)
+            grid_solve(device, x_state, grid, [1.0, 3.0, 7.0, 12.0], reference)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 16 * n
+        assert peak - held[0] < 4.5 * 16 * n
 
 
 class TestTwoThreads:
-    """Each step runs the spin-down channel on a worker thread and the
-    spin-up channel on the calling thread."""
+    """The magnet and each time run the spin-down channel on a worker thread
+    and the spin-up channel on the calling thread."""
 
     def test_bitwise_equal_to_serial_loop(self, device):
         # both weights complex and unequal: |0.48+0.64i|^2 = 0.64, |0.36-0.48i|^2 = 0.36
         spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
-        source = grid_evolve(device, spin, SMALL_GRID)
+        source = exit_spectra(device, spin, SMALL_GRID)
 
         # the solver as it ran on one thread, one channel after the other
         n = SMALL_GRID.points
@@ -458,7 +509,7 @@ class TestTwoThreads:
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NormDriftError, match="nan"):
-                    grid_snapshots(grid_evolve(sg, x_state, grid), [1.0], no_reference)
+                    grid_solve(sg, x_state, grid, [1.0], no_reference)
 
     def test_worker_error_is_raised_to_the_caller(self, device, x_state, monkeypatch):
         class WorkerFailure(Exception):
@@ -475,7 +526,7 @@ class TestTwoThreads:
         monkeypatch.setattr(np.fft, "fft", fft_failing_off_the_caller)
         threads = threading.active_count()
         with pytest.raises(WorkerFailure):
-            grid_evolve(device, x_state, SMALL_GRID)
+            grid_solve(device, x_state, SMALL_GRID, [1.0], no_reference)
         assert threading.active_count() == threads
 
     def test_snapshot_worker_error_is_raised_to_the_caller(
@@ -486,7 +537,6 @@ class TestTwoThreads:
         class WorkerFailure(Exception):
             pass
 
-        source = grid_evolve(device, x_state, SMALL_GRID)
         caller = threading.get_ident()
         ifft = np.fft.ifft
         flights = []
@@ -499,14 +549,17 @@ class TestTwoThreads:
 
         asked = []
 
-        def reference(t, which):
+        def reference(t, which, z):
             asked.append(t)
             return np.zeros(SMALL_GRID.points)
 
-        monkeypatch.setattr(np.fft, "ifft", ifft_failing_off_the_caller)
+        after_the_magnet(
+            monkeypatch,
+            lambda: monkeypatch.setattr(np.fft, "ifft", ifft_failing_off_the_caller),
+        )
         threads = threading.active_count()
         with pytest.raises(WorkerFailure):
-            grid_snapshots(source, [1.0, 2.0, 3.0], reference)
+            grid_solve(device, x_state, SMALL_GRID, [1.0, 2.0, 3.0], reference)
         assert sorted(flights) == [False, False, True, True]
         assert asked == [1.0, 1.0]
         assert threading.active_count() == threads
@@ -518,7 +571,7 @@ class TestTwoThreads:
         tiny = GridSpec(extent=16.0, points=256, dt=1e-3)
         message = r"^boundary density 5.78e-08 at t = 2 "  # the spin-down edge
         with pytest.raises(BoundaryLeakError, match=message):
-            grid_snapshots(grid_evolve(device, spin, tiny), [2.0, 4.0], no_reference)
+            grid_solve(device, spin, tiny, [2.0, 4.0], no_reference)
 
     def test_earliest_failing_norm_check_is_reported(self, x_state, monkeypatch):
         # NaN from t = 1 on: each time would fail the norm check, and the
@@ -528,19 +581,40 @@ class TestTwoThreads:
             mass=1.0, sigma0=1.0, moment=1e200, gradient=1e200, bias=0.0, transit=0.002
         )
         grid = GridSpec(extent=64.0, points=256, dt=1e-3)
+        phases = []
+        free_phase = nosignal.gridsolver._free_phase
+
+        def recorded(k2, t, mass, out=None):
+            phases.append(t)
+            return free_phase(k2, t, mass, out)
+
+        monkeypatch.setattr(nosignal.gridsolver, "_free_phase", recorded)
         with np.errstate(over="ignore", invalid="ignore"):
-            source = grid_evolve(sg, x_state, grid)
-            phases = []
-            free_phase = nosignal.gridsolver._free_phase
-
-            def recorded(k2, t, mass, out=None):
-                phases.append(t)
-                return free_phase(k2, t, mass, out)
-
-            monkeypatch.setattr(nosignal.gridsolver, "_free_phase", recorded)
             with pytest.raises(NormDriftError, match=r"^norm drifted to nan at t = 1$"):
-                grid_snapshots(source, [1.0, 2.0, 3.0], no_reference)
-        assert phases == [1.0, 1.0]
+                grid_solve(sg, x_state, grid, [1.0, 2.0, 3.0], no_reference)
+        # the magnet's kinetic phase (2 steps of 1e-3), then both channels at t = 1
+        assert phases == [1e-3, 1.0, 1.0]
+
+
+class TestOneSolve:
+    """grid_solve runs the magnet and every time on one worker thread."""
+
+    def test_one_thread_per_solve(self, device, x_state, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        threads = threading.active_count()
+        results = grid_solve(
+            device, x_state, SMALL_GRID, [1.0, 2.0, 3.0], lambda t, which, z: 0.0 * z
+        )
+        assert [result.t for result in results] == [1.0, 2.0, 3.0]
+        assert len(started) == 1
+        assert threading.active_count() == threads
 
 
 class TestWorker:
@@ -599,6 +673,17 @@ class TestWorker:
             with pytest.raises(ItemFailure):
                 worker.pair(fn, "ok", "fail")
             assert worker.pair(fn, "a", "b") == ("a", "b")
+
+    def test_worker_holds_no_call_once_a_pair_returns(self):
+        # a call's closure (the magnet's kinetic phase) is freed with it
+        def fn(item):
+            return item
+
+        called = weakref.ref(fn)
+        with _Worker() as worker:
+            assert worker.pair(fn, 1, 2) == (1, 2)
+            del fn
+            assert called() is None
 
     def test_worker_runs_in_a_copy_of_the_context(self):
         var = contextvars.ContextVar("var", default="unset")

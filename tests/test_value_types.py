@@ -14,8 +14,7 @@ from nosignal import (
     closed_form_rows,
     estimate_phase,
     evolve_through_magnet,
-    grid_evolve,
-    grid_snapshots,
+    grid_solve,
     make_spin_state,
     project_upper,
     sample,
@@ -60,8 +59,7 @@ def test_density_matrix_stores_rows_of_complex():
 
 def _grid_result(sg, spin):
     """The reduced snapshot at t = 1, against a zero reference density."""
-    source = grid_evolve(sg, spin, GridSpec(**GRID))
-    return grid_snapshots(source, [1.0], lambda t, which: 0.0 * source.z)[0]
+    return grid_solve(sg, spin, GridSpec(**GRID), [1.0], lambda t, which, z: 0.0 * z)[0]
 
 
 def _values() -> dict:
@@ -82,7 +80,6 @@ def _values() -> dict:
         record,
         estimate_phase(record, 0.5),
         load_config(None),
-        grid_evolve(sg, spin, GridSpec(**GRID)),
         _grid_result(sg, spin),
     ]
     return {type(value).__name__: value for value in values}
@@ -101,7 +98,6 @@ def _values() -> dict:
         ("BranchTable", "Es"),
         ("MeasurementRecord", "n_plus"),
         ("PhaseEstimate", "phase"),
-        ("GridExit", "dx"),
         # mutable dataclasses before they became NamedTuples
         ("RunConfig", "root_seed"),
         ("GridResult", "t"),
