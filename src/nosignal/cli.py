@@ -140,10 +140,24 @@ class RunConfig(NamedTuple):
     oracle_times: List[float]
 
 
+def _cut(text: str) -> str:
+    """text cut at 80 characters, for a one-line error message."""
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _shown(value) -> str:
+    """A config value for an error message: a JSON object or array by its
+    type (one can nest as deep as json.loads goes), anything else by its
+    repr, cut (an int can have 4300 digits)."""
+    if isinstance(value, (dict, list)):
+        return "a JSON object" if isinstance(value, dict) else "a JSON array"
+    return _cut(repr(value))
+
+
 def _reject_unknown(section: dict, allowed: Sequence[str], where: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+        raise ConfigError(f"unknown key(s) {_cut(str(unknown))} in {where}")
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -159,10 +173,10 @@ def _section(raw: dict, name: str) -> dict:
 
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+        raise ConfigError(f"{where} must be a number, got {_shown(value)}")
     # json.loads yields nan and inf (NaN, Infinity, 1e400) and unbounded ints
     if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{where} must be finite, got {value!r}")
+        raise ConfigError(f"{where} must be finite, got {_shown(value)}")
     return float(value)
 
 
@@ -208,12 +222,17 @@ def load_config(path: Optional[str]) -> RunConfig:
             ) from exc
         except RecursionError:
             raise ConfigError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            # an integer literal past int's digit limit (4300 by default):
+            # "Exceeds the limit (4300 digits) for integer string conversion"
+            raise ConfigError(f"{path}: {str(exc).partition(':')[0]}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         version = raw.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError(
-                f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
+                f"{path}: schema_version must be {SCHEMA_VERSION}, "
+                f"got {_shown(version)}"
             )
 
     _reject_unknown(raw, ["schema_version", *DEFAULTS], "top level")
@@ -250,7 +269,9 @@ def load_config(path: Optional[str]) -> RunConfig:
         or points < 2
         or points & (points - 1)
     ):
-        raise ConfigError(f"oracle.points must be a power of two, got {points!r}")
+        raise ConfigError(
+            f"oracle.points must be a power of two, got {_shown(points)}"
+        )
     grid = {
         "extent": _positive(oracle_raw["extent"], "oracle.extent"),
         "points": points,
@@ -259,16 +280,20 @@ def load_config(path: Optional[str]) -> RunConfig:
 
     model = raw.get("model", DEFAULTS["model"])
     if model not in MODELS:
-        raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
+        raise ConfigError(f"model must be one of {MODELS}, got {_shown(model)}")
     samples = raw.get("samples", DEFAULTS["samples"])
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
-        raise ConfigError(f"samples must be a non-negative integer, got {samples!r}")
+        raise ConfigError(
+            f"samples must be a non-negative integer, got {_shown(samples)}"
+        )
     if samples > INT64_MAX:
         # numpy's binomial takes an int64 count, and the stream reproduces it
-        raise ConfigError(f"samples must be at most 2**63 - 1, got {samples}")
+        raise ConfigError(f"samples must be at most 2**63 - 1, got {_shown(samples)}")
     root_seed = raw.get("root_seed", DEFAULTS["root_seed"])
     if isinstance(root_seed, bool) or not isinstance(root_seed, int) or root_seed < 0:
-        raise ConfigError(f"root_seed must be a non-negative integer, got {root_seed!r}")
+        raise ConfigError(
+            f"root_seed must be a non-negative integer, got {_shown(root_seed)}"
+        )
     output_dir = raw.get("output_dir", DEFAULTS["output_dir"])
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string")
@@ -751,8 +776,8 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
             beam,
             grid,
             times,
-            lambda t, which, z: component_density(
-                free_propagate(exit_pair, t), z, which
+            lambda t, which, z, out: component_density(
+                free_propagate(exit_pair, t), z, which, out=out
             ),
         )
     except BoundaryLeakError as exc:

@@ -21,46 +21,58 @@ temporary elision made of the nested expression
 ``half_v * ifft(kinetic * fft(half_v * psi))`` on grids of 16384 points or
 more, so those grids give the same bits as that expression.
 
-The initial state (the grid ``z``, ``k2``, the packet ``psi0`` and each
-channel) and the phase arrays (``kinetic``, each channel's ``half_v`` and
-the flight phase of a snapshot) are built in place in one array each.
-Their in-place steps take the operands of the plain expressions, such as
-``np.exp(-1j * k2 * dt / (2 m))``, in the same order, so they have the
-expressions' bits without their temporaries.  The two free-flight phases
-(``kinetic`` and the flight phase) are computed on the wavenumbers 0 to n/2
-only and mirrored onto the rest, since ``k2[j] == k2[n - j]`` exactly.  The
-initial packet is dropped once the channels are made from it, before the
-threads start.
+The whole solve runs in five n-point complex buffers, made once per solve
+on the calling thread: one per channel, which holds the channel and then
+its exit spectrum; a spare one, which holds the grid ``z`` and the squared
+wavenumbers ``k2`` as floats until the half-steps and the kinetic phase
+are built, then the kinetic phase; and one half-step buffer per channel,
+which holds that channel's ``half_v`` in the magnet (the initial packet
+``psi0`` sits in the spin-down one's floats until the channels are made
+from it).  Each array is built in place with the operands of its plain
+expression, such as ``np.exp(-1j * k2 * dt / (2 m))``, in the same order,
+so it has the expression's bits without its temporaries; ``z`` and ``k2``
+come from an exact integer ramp in place of ``np.arange``.  The two
+free-flight phases (``kinetic`` and the flight phase) are computed on the
+wavenumbers 0 to n/2 only and mirrored onto the rest, since
+``k2[j] == k2[n - j]`` exactly, so only those n/2 + 1 wavenumbers are kept.
 
 ``grid_solve`` runs the whole solve on the calling thread and one worker
 thread (``_Worker``), started once per solve: the spin-up channel on the
 caller and the spin-down channel on the worker, first through the magnet
-(``_exit_spectra``, which keeps only the exit spectra) and then at each
-snapshot time in turn.  numpy's FFTs and ufuncs release the interpreter
-lock, so the two overlap: on two cores, 100 steps on 65536 points take
-about half the time of one thread, while on 16384 points the hand-offs of
-the lock cost about what the overlap saves.  Each thread takes the same
-operands in the same order as one thread would, so the bits do not depend
-on the threads.  The worker runs in a copy of the caller's context, so
-numpy's ``errstate`` (a context variable) holds there too, and its
-exceptions are raised again on the calling thread, after the calling
-thread's own.  One worker serving the whole solve also keeps the worker's
-arrays in one malloc arena: a second thread started just after the first
-is joined can get a fresh arena, and a 2^16-point run then peaked at
-43 MiB against about 40.
+(``_exit_spectra``) and then at each snapshot time in turn.  numpy's FFTs
+and ufuncs release the interpreter lock, so the two overlap: on two cores,
+100 steps on 65536 points take about half the time of one thread, while on
+16384 points the hand-offs of the lock cost about what the overlap saves.
+Each thread takes the same operands in the same order as one thread would,
+so the bits do not depend on the threads.  The worker runs in a copy of the
+caller's context, so numpy's ``errstate`` (a context variable) holds there
+too, and its exceptions are raised again on the calling thread, after the
+calling thread's own.  One worker serving the whole solve also keeps the
+worker's memory in one malloc arena: a second thread started just after
+the first is joined can get a fresh arena, and a 2^16-point run then
+peaked at 43 MiB against about 40.
 
-Per time, each thread builds the flight phase in its channel's array (made
-on the calling thread), multiplies it by the exit spectrum,
-inverse-transforms it in place and forms |psi|^2 once, for the norm sum,
-the edge density, the density and, for spin down, the error fraction's
-upper-half sum.  The calling thread runs the norm check and the spin-up,
-then spin-down, boundary checks, sums the half-plane coherence in place in
-the spin-up array and drops both wave functions; then comes the L1
-distance of the density from the caller's reference densities, made one
-channel per thread.  So at most one time's arrays are alive, three and a
-half complex arrays' worth, and a time costs two hand-offs to the worker,
-not a thread start.  The earliest failing time is the one reported, and no
-grid work runs after it.
+Per time, each thread rebuilds the ``k2`` head in its channel's half of
+the spare buffer's floats, builds the flight phase from it in its
+half-step buffer, multiplies it by the exit spectrum, inverse-transforms
+it in place and writes |psi|^2 over the ``k2`` head, for the norm sum and
+the edge density.  The calling thread runs the norm check and the spin-up,
+then spin-down, boundary checks, adds the spin-down density to the spin-up
+one, weights the spin-down density in place for the error fraction's
+upper-half sum and then writes the upper-half weights over it for the
+half-plane coherence, summed in place in the spin-up wave function's
+buffer.  Then ``z`` is rebuilt in place of the weights, and the two
+reference densities, made one channel per thread, are written in the
+spent spin-up buffer's floats for the L1 distance.  So a time allocates no
+n-point array, and costs two hand-offs to the worker, not a thread start.
+The earliest failing time is the one reported, and no grid work runs after
+it.
+
+Besides the five buffers, each thread holds what pocketfft keeps for its
+FFTs: a plan per thread (about 1 MiB on 2^16 points, made at the thread's
+first FFT of that size) and one array of scratch at each FFT (freed after
+it; see ``_exit_spectra`` for why glibc keeps it mapped).  On 2^16 points
+that is seven arrays and two plans, about 9 MiB above numpy's import.
 
 This solver knows nothing of the impulsive Gaussian model in
 ``wavepacket``; it discretizes the Hamiltonian directly and serves as the
@@ -177,18 +189,53 @@ def _check_boundary(edge: float, dx: float, t: float) -> None:
         )
 
 
+def _ramp(out: np.ndarray) -> np.ndarray:
+    """0.0, 1.0, ..., len(out) - 1 in place in out, np.arange's floats
+    without its new array: each step adds m to the first m values, so every
+    value is an exact integer."""
+    import numpy as np
+    out[:1] = 0.0
+    m, size = 1, len(out)
+    while m < size:
+        np.add(out[: min(m, size - m)], m, out=out[m : 2 * m])
+        m *= 2
+    return out
+
+
+def _positions(n: int, dx: float, out: np.ndarray) -> np.ndarray:
+    """The grid positions (np.arange(n) - n // 2) * dx, in place in out."""
+    z = _ramp(out)
+    z -= n // 2
+    z *= dx
+    return z
+
+
+def _wavenumbers_squared(n: int, dx: float, out: np.ndarray) -> np.ndarray:
+    """(2 pi np.fft.fftfreq(n, dx))**2 at the first len(out) wavenumbers, in
+    place in out: fftfreq's frequencies are the integers 0 .. n/2 - 1,
+    -n/2 .. -1 times 1 / (n dx), and the float integers are exact."""
+    import numpy as np
+    k2 = _ramp(out)
+    k2[n // 2 :] -= n
+    k2 *= 1.0 / (n * dx)
+    np.multiply(2.0 * math.pi, k2, out=k2)
+    np.square(k2, out=k2)
+    return k2
+
+
 def _free_phase(
     k2: np.ndarray, t: float, mass: float, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """np.exp(-1j * k2 * t / (2.0 * mass)), in place in out (a new array if
-    out is None).
+    """np.exp(-1j * k2 * t / (2.0 * mass)) on n points, in place in out (a
+    new array of n = len(k2) points if out is None; n = len(out) if not).
 
     Computed on k2[0 : n/2 + 1] and mirrored onto the rest: k2[j] == k2[n - j]
-    exactly, and each element takes the plain expression's operands.
+    exactly, and each element takes the plain expression's operands.  So k2
+    need hold only those n/2 + 1 wavenumbers when out is given.
     """
     import numpy as np
-    n = len(k2)
-    phase = np.empty(n, dtype=complex) if out is None else out
+    phase = np.empty(len(k2), dtype=complex) if out is None else out
+    n = len(phase)
     head = phase[: n // 2 + 1]
     np.multiply(-1j, k2[: n // 2 + 1], out=head)
     head *= t
@@ -198,22 +245,25 @@ def _free_phase(
     return phase
 
 
-def _upper_weights(n: int) -> np.ndarray:
-    """Upper-half weights of the coherence and error sums: z[n//2] == 0
-    exactly, and its trapezoidal half-weight keeps upper + lower == total
-    and kills the half-cell bias at z = 0."""
-    import numpy as np
-    upper = np.zeros(n)
-    upper[n // 2] = 0.5
-    upper[n // 2 + 1 :] = 1.0
-    return upper
+def _upper_weights(out: np.ndarray) -> np.ndarray:
+    """Upper-half weights of the coherence and error sums, in place in out:
+    0 below z = 0 and 1 above.  z[n//2] == 0 exactly, and its trapezoidal
+    half-weight keeps upper + lower == total and kills the half-cell bias
+    at z = 0."""
+    n = len(out)
+    out[: n // 2] = 0.0
+    out[n // 2] = 0.5
+    out[n // 2 + 1 :] = 1.0
+    return out
 
 
 def _exit_spectra(
     worker: _Worker, config: SGConfig, input_spin: SpinState, grid: GridSpec
 ) -> tuple:
-    """Both channels through the magnet, spin down on the worker: the grid
-    positions z, the squared wavenumbers k2 and the two exit spectra.
+    """Both channels through the magnet, spin down on the worker, in five
+    n-point complex buffers made here: the two exit spectra, then the three
+    buffers the magnet is done with (the kinetic phase's, then each
+    channel's half-step's, spin up first).
 
     Raises BoundaryLeakError when the initial packet already reaches the
     grid edge.
@@ -222,24 +272,22 @@ def _exit_spectra(
     n = grid.points
     # pocketfft allocates an array of scratch at each FFT.  glibc returns the
     # top of its heap to the system once twice the largest mmap block freed
-    # so far lies free there, and the in-place builds below leave the
-    # scratch no hole but the top, so it would be unmapped and faulted in
-    # again at every FFT.  Freeing an untouched two-array block at once
-    # raises that bound past the scratch.  Without it, an oracle run on 2^16
-    # points with 100 magnet steps takes about 115k minor faults, not 9k.
+    # so far lies free there, and the buffers below leave the scratch no
+    # hole but the top, so it would be unmapped and faulted in again at
+    # every FFT.  Freeing an untouched two-array block at once raises that
+    # bound past the scratch.  Without it, an oracle run on 2^16 points with
+    # 100 magnet steps takes about 108k minor faults, not 7k.
     np.empty(2 * n, dtype=complex)
+    plus, minus, spare, half_plus, half_minus = (
+        np.empty(n, dtype=complex) for _ in range(5)
+    )
     dx = grid.extent / n
-    # (np.arange(n) - n // 2) * dx and (2 pi fftfreq(n, dx))**2, in place:
-    # fftfreq's frequencies are the integers 0 .. n/2 - 1, -n/2 .. -1 times
-    # 1 / (n dx), and the float integers are exact
-    z = np.arange(n, dtype=float)
-    z -= n // 2
-    z *= dx
-    k2 = np.arange(n, dtype=float)
-    k2[n // 2 :] -= n
-    k2 *= 1.0 / (n * dx)
-    np.multiply(2.0 * math.pi, k2, out=k2)
-    np.square(k2, out=k2)
+    # z and the squared wavenumbers 0 .. n/2 in the spare buffer's floats, k2
+    # at the end: the kinetic phase's head, built from k2 over z, then ends
+    # before k2 starts (from 8 points up; below, numpy copies k2 first)
+    floats = spare.view(float)
+    z = _positions(n, dx, floats[:n])
+    k2 = _wavenumbers_squared(n, dx, floats[-(n // 2 + 1) :])
 
     # 2 pi sigma0**2 overflows for a packet far wider than any grid, and its
     # -1/4 power would be 0 (then psi0 / 0); the factored form is finite
@@ -248,42 +296,39 @@ def _exit_spectra(
         prefactor = two_pi_var ** (-0.25)
     else:
         prefactor = (2.0 * math.pi) ** (-0.25) * config.sigma0 ** (-0.5)
-    # prefactor * np.exp(-(z**2) / (4 sigma0**2)), in place; for a packet far
-    # narrower than dx, z**2 / (4 sigma0**2) overflows off z = 0, and
-    # exp(-inf) = 0 is the exact limit there
+    # prefactor * np.exp(-(z**2) / (4 sigma0**2)), in place in the spin-down
+    # half-step buffer's floats; for a packet far narrower than dx,
+    # z**2 / (4 sigma0**2) overflows off z = 0, and exp(-inf) = 0 is the
+    # exact limit there
+    psi0 = half_minus.view(float)[:n]
     with np.errstate(over="ignore"):
-        psi0 = np.square(z)
+        np.square(z, out=psi0)
         np.negative(psi0, out=psi0)
         psi0 /= 4.0 * config.sigma0**2
         np.exp(psi0, out=psi0)
     np.multiply(prefactor, psi0, out=psi0)
-    # psi0 >= 0, so np.abs(psi0) ** 2 is np.square(psi0)
-    psi0 /= math.sqrt(float(np.sum(np.square(psi0))) * dx)
+    # psi0 >= 0, so np.abs(psi0) ** 2 is np.square(psi0), made in the
+    # spin-up half-step buffer's floats
+    squared = np.square(psi0, out=half_plus.view(float)[:n])
+    psi0 /= math.sqrt(float(np.sum(squared)) * dx)
     # t = -transit at the magnet's entry; a zero transit reads t = 0, not -0
     _check_boundary(float(np.max(np.square(psi0[_EDGE]))), dx, 0.0 - config.transit)
-    channels = {
-        +1: np.multiply(input_spin.amp_up, psi0, out=np.empty(n, dtype=complex)),
-        -1: np.multiply(input_spin.amp_down, psi0, out=np.empty(n, dtype=complex)),
-    }
-    del psi0
+    np.multiply(input_spin.amp_up, psi0, out=plus)
+    np.multiply(input_spin.amp_down, psi0, out=minus)
+    channels = {+1: (plus, half_plus), -1: (minus, half_minus)}
 
     if config.transit > 0:
         n_steps = max(1, math.ceil(config.transit / grid.dt))
         dt = config.transit / n_steps
-        kinetic = _free_phase(k2, dt, config.mass)
 
-    def exit_spectrum(s: int) -> np.ndarray:
-        """Channel s through the magnet, in momentum space at its exit.
-
-        Calls numpy only, so it may run off the calling thread.
-        """
-        psi = channels[s]  # a private copy, evolved in place
-        if config.transit > 0:
-            # np.exp(-1j * potential * dt / 2.0) for the potential
-            # -s * moment * (bias + gradient * z), in place: the potential
-            # is built in the real part, and with the imaginary part +0 the
-            # array is what numpy's cast of a real potential would give
-            half_v = np.zeros(n, dtype=complex)
+        def half_step(s: int) -> None:
+            """np.exp(-1j * potential * dt / 2.0) for the potential
+            -s * moment * (bias + gradient * z), in place in channel s's
+            half-step buffer: the potential is built in the real part, and
+            with the imaginary part +0 the array is what numpy's cast of a
+            real potential would give."""
+            half_v = channels[s][1]
+            half_v.imag = 0.0
             potential = half_v.real
             np.multiply(config.gradient, z, out=potential)
             potential += config.bias
@@ -292,6 +337,18 @@ def _exit_spectra(
             half_v *= dt
             half_v /= 2.0
             np.exp(half_v, out=half_v)
+
+        worker.pair(half_step, +1, -1)
+        # over z and k2, which no half-step reads any more
+        kinetic = _free_phase(k2, dt, config.mass, out=spare)
+
+    def exit_spectrum(s: int) -> np.ndarray:
+        """Channel s through the magnet, in momentum space at its exit.
+
+        Calls numpy only, so it may run off the calling thread.
+        """
+        psi, half_v = channels[s]  # evolved in place
+        if config.transit > 0:
             for _ in range(n_steps):
                 np.multiply(half_v, psi, out=psi)
                 np.fft.fft(psi, out=psi)
@@ -300,7 +357,7 @@ def _exit_spectra(
                 np.multiply(psi, half_v, out=psi)
         return np.fft.fft(psi, out=psi)
 
-    return (z, k2, *worker.pair(exit_spectrum, +1, -1))
+    return (*worker.pair(exit_spectrum, +1, -1), spare, half_plus, half_minus)
 
 
 def grid_solve(
@@ -308,14 +365,14 @@ def grid_solve(
     input_spin: SpinState,
     grid: GridSpec,
     times: Sequence[float],
-    reference: Callable[[float, str, np.ndarray], np.ndarray],
+    reference: Callable[[float, str, np.ndarray, np.ndarray], object],
 ) -> List[GridResult]:
     """Both channels through the magnet, then at each time t after its exit
     by exact free flight, reduced: the error fraction, the half-plane
-    coherence and the L1 distance of the density from
-    reference(t, "plus", z) + reference(t, "minus", z), new arrays of each
-    channel's density at the grid positions z; reference(t, "minus", z) is
-    called on the worker thread.
+    coherence and the L1 distance of the density from the sum of the two
+    reference densities.  reference(t, which, z, out) writes channel
+    which's ("plus" or "minus") density at the grid positions z into out;
+    reference(t, "minus", z, out) is called on the worker thread.
 
     The times run one after another.  Raises ValueError for a negative time
     or a one-channel input, before any grid work; BoundaryLeakError when the
@@ -334,35 +391,28 @@ def grid_solve(
     n = grid.points
     dx = grid.extent / n
 
-    # flown and snapshot read the worker and the exit's arrays, bound below
     def flown(channel: tuple) -> tuple:
-        """A channel at t, in its array psi: psi, |psi|^2, its sum, its edge
-        density and, for spin down, its upper-half sum."""
-        t, spectrum, psi = channel
-        # np.fft.ifft(np.exp(-1j * k2 * t / (2 mass)) * spectrum), in place
+        """A channel at t, psi in its buffer and |psi|^2 in its density:
+        the density's sum and its edge density."""
+        t, spectrum, psi, density = channel
+        # np.fft.ifft(np.exp(-1j * k2 * t / (2 mass)) * spectrum), in place,
+        # from k2 rebuilt in the density's floats, which |psi|^2 then takes
+        k2 = _wavenumbers_squared(n, dx, density[: n // 2 + 1])
         _free_phase(k2, t, config.mass, out=psi)
         np.multiply(psi, spectrum, out=psi)
         np.fft.ifft(psi, out=psi)
-        density = np.abs(psi)
+        np.abs(psi, out=density)
         np.square(density, out=density)
-        upper_sum = None
-        if spectrum is spectrum_minus:
-            upper_sum = float(np.sum(upper * density))
-        edge = float(np.max(density[_EDGE]))
-        return psi, density, float(np.sum(density)), edge, upper_sum
+        return float(np.sum(density)), float(np.max(density[_EDGE]))
 
+    # snapshot reads the worker and the buffers, bound below
     def snapshot(t: float) -> GridResult:
-        # both wave functions are made on this thread, which keeps the
-        # worker's heap within what the magnet step left it: on 2^16 points
-        # (a shared 2-vCPU Linux guest) 20 fresh runs peaked at 40.1 MiB
-        # median (highest 40.6), against 40.8 (41.1) with the worker making
-        # its own
-        (psi_plus, density, sum_plus, edge_plus, _), (
-            psi_minus, density_minus, sum_minus, edge_minus, upper_minus
-        ) = worker.pair(
+        # the two densities in the spare buffer's floats
+        density, density_minus = spare.view(float).reshape(2, n)
+        (sum_plus, edge_plus), (sum_minus, edge_minus) = worker.pair(
             flown,
-            (t, spectrum_plus, np.empty(n, dtype=complex)),
-            (t, spectrum_minus, np.empty(n, dtype=complex)),
+            (t, spectrum_plus, psi_plus, density),
+            (t, spectrum_minus, psi_minus, density_minus),
         )
         norm = (sum_plus + sum_minus) * dx
         if not abs(norm - 1.0) <= _NORM_TOL:
@@ -371,16 +421,26 @@ def grid_solve(
         _check_boundary(edge_minus, dx, t)
         if sum_minus * dx < 1e-300:
             raise ValueError("spin-down channel is empty; error fraction undefined")
-        # sum(upper * psi_plus * conj(psi_minus)), in place in psi_plus
+        density += density_minus
+        # sum(upper * density_minus), in place: a float times a float is
+        # the same either way round, and 1.0 * x is x
+        density_minus[: n // 2] *= 0.0
+        density_minus[n // 2] *= 0.5
+        upper_minus = float(np.sum(density_minus))
+        # sum(upper * psi_plus * conj(psi_minus)), in place in psi_plus, with
+        # the weights in density_minus's floats
+        upper = _upper_weights(density_minus)
         np.multiply(upper, psi_plus, out=psi_plus)
         np.multiply(psi_plus, np.conjugate(psi_minus, out=psi_minus), out=psi_plus)
         coherence = complex(np.sum(psi_plus)) * dx / (wp * np.conj(wm))
-        del psi_plus, psi_minus
-        # (|psi_plus|^2 + |psi_minus|^2) - (reference plus + reference minus)
-        density += density_minus
-        del density_minus
-        expected, expected_minus = worker.pair(
-            lambda which: reference(t, which, z), "plus", "minus"
+        # (|psi_plus|^2 + |psi_minus|^2) - (reference plus + reference minus),
+        # the references written in the spent spin-up buffer's floats
+        z = _positions(n, dx, density_minus)
+        expected, expected_minus = psi_plus.view(float).reshape(2, n)
+        worker.pair(
+            lambda args: reference(t, *args),
+            ("plus", z, expected),
+            ("minus", z, expected_minus),
         )
         expected += expected_minus
         density -= expected
@@ -390,8 +450,7 @@ def grid_solve(
         )
 
     with _Worker() as worker:
-        z, k2, spectrum_plus, spectrum_minus = _exit_spectra(
+        spectrum_plus, spectrum_minus, spare, psi_plus, psi_minus = _exit_spectra(
             worker, config, input_spin, grid
         )
-        upper = _upper_weights(n)
         return [snapshot(t) for t in times]

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .spin import SpinState
 
@@ -203,10 +203,16 @@ def free_propagate(pair: WavePacketPair, t: float) -> WavePacketPair:
     return pair._replace(time=pair.time + t)
 
 
-def component_density(pair: WavePacketPair, z: np.ndarray, which: str) -> np.ndarray:
+def component_density(
+    pair: WavePacketPair,
+    z: np.ndarray,
+    which: str,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """One channel's position density |weight psi(z, t)|^2 at positions z,
-    psi as in the module docstring; the tests check it against the complex
-    wave function of tests/conftest.py's component_amplitude.
+    psi as in the module docstring, in place in out (a new array if out is
+    None); the tests check it against the complex wave function of
+    tests/conftest.py's component_amplitude.
 
     The closed-form Gaussian |weight|^2 exp(-u^2 / 2) / (sqrt(2 pi) sigma(t))
     with u = (z - c(t)) / sigma(t).  It never forms sigma0^2, which is
@@ -214,8 +220,7 @@ def component_density(pair: WavePacketPair, z: np.ndarray, which: str) -> np.nda
     bits into the complex form's exponent.
     """
     import numpy as np
-    u = np.array(z, dtype=float)
-    u -= pair.center(which)
+    u = np.subtract(z, pair.center(which), out=out, dtype=float)
     width = pair.width
     u /= width
     np.square(u, out=u)

@@ -68,9 +68,9 @@ def grid_results(config, input_spin, grid, times) -> list:
     """
     exit_pair = evolve_through_magnet(config, input_spin)
 
-    def reference(t, which, z):
+    def reference(t, which, z, out):
         pair = free_propagate(exit_pair, t)
-        return np.abs(component_amplitude(pair, z, which)) ** 2
+        out[...] = np.abs(component_amplitude(pair, z, which)) ** 2
 
     return grid_solve(config, input_spin, grid, times, reference)
 

@@ -198,6 +198,43 @@ class TestConfigHandling:
         assert capsys.readouterr().err == f"config error: {cfg}: JSON nested too deeply\n"
         assert not out.exists()
 
+    def test_oversized_integer_is_a_config_error(self, tmp_path, capsys):
+        # an integer literal past int's 4300-digit limit made json.loads
+        # raise a plain ValueError: a traceback, exit 1
+        cfg = tmp_path / "cfg.json"
+        text = json.dumps(json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8")))
+        cfg.write_text(
+            text.replace('"samples": 1000000', '"samples": ' + "9" * 5000),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert len(err) < 200
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"model": json.loads("[" * 300 + '"pure"' + "]" * 300)},
+                "model must be one of ('pure', 'projected'), got a JSON array",
+            ),
+            (
+                {"samples": -int("9" * 4000)},
+                "samples must be a non-negative integer, got -" + "9" * 76 + "...",
+            ),
+        ],
+        ids=["model-300-deep", "samples-4000-digits"],
+    )
+    def test_long_value_is_cut_in_the_message(self, tmp_path, capsys, overrides, message):
+        # the whole value was echoed: a 663-character line for the model,
+        # 4060 for the samples
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_wrong_schema_version(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", schema_version=99)
         assert main(["verify", "--config", cfg]) == EXIT_CONFIG
@@ -1026,11 +1063,11 @@ class TestOracleThreads:
         component_density = nosignal.cli.component_density
         made = []
 
-        def component_density_failing_off_the_caller(pair, z, which):
+        def component_density_failing_off_the_caller(pair, z, which, out=None):
             made.append((pair.time, which, threading.get_ident() == caller))
             if threading.get_ident() != caller:
                 raise WorkerFailure
-            return component_density(pair, z, which)
+            return component_density(pair, z, which, out=out)
 
         monkeypatch.setattr(
             nosignal.cli, "component_density", component_density_failing_off_the_caller

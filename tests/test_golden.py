@@ -50,8 +50,17 @@ CASES = {
     "pure": ({"model": "pure"}, {}, ANALYTIC, None),
     "gradient-1e6": ({}, {"gradient": 1e6}, ANALYTIC, None),
     "gradient-0": ({}, {"gradient": 0.0}, ANALYTIC, None),
-    "bias-100": ({}, {"bias": 100.0}, ANALYTIC, None),
+    "bias-100": ({}, {"bias": 100.0}, (*ANALYTIC, "oracle"), None),
     "scaled-seed1": (SCALED, {}, (*ANALYTIC, "oracle"), 1),
+    # the oracle with no magnet step: no half-steps and no kinetic phase
+    "transit-0": ({}, {"transit": 0.0}, ("oracle",), None),
+    # CI's 41 times on a 2^8-point grid (dx = 4, so a packet of sigma0 8)
+    "points-256-times41": (
+        {"oracle": {"points": 256, "times": [3.0 * i for i in range(41)]}},
+        {"sigma0": 8.0},
+        ("oracle",),
+        None,
+    ),
 }
 
 

@@ -24,7 +24,14 @@ from nosignal import (
     grid_solve,
     make_spin_state,
 )
-from nosignal.gridsolver import _exit_spectra, _free_phase, _upper_weights, _Worker
+from nosignal.gridsolver import (
+    _exit_spectra,
+    _free_phase,
+    _positions,
+    _upper_weights,
+    _wavenumbers_squared,
+    _Worker,
+)
 from nosignal.wavepacket import closed_form_upper_coherence
 from conftest import grid_results
 
@@ -56,12 +63,22 @@ class Exit(NamedTuple):
 
 
 def exit_spectra(config, spin, grid) -> Exit:
-    """_exit_spectra on a worker of its own, with the grid spacing, the
-    upper-half weights and the mass that the snapshots use."""
+    """_exit_spectra's two exit spectra, on a worker of its own, with the
+    grid positions, spacing, squared wavenumbers, upper-half weights and
+    mass that the snapshots use, from the solver's own builders."""
     with _Worker() as worker:
-        z, k2, plus, minus = _exit_spectra(worker, config, spin, grid)
+        plus, minus, _, _, _ = _exit_spectra(worker, config, spin, grid)
     n = grid.points
-    return Exit(z, grid.extent / n, k2, _upper_weights(n), plus, minus, config.mass)
+    dx = grid.extent / n
+    return Exit(
+        _positions(n, dx, np.empty(n)),
+        dx,
+        _wavenumbers_squared(n, dx, np.empty(n)),
+        _upper_weights(np.empty(n)),
+        plus,
+        minus,
+        config.mass,
+    )
 
 
 def after_the_magnet(monkeypatch, action):
@@ -97,7 +114,7 @@ def exit_mean_momentum(source, which: str) -> float:
     return float(np.sum(k * weight)) / float(np.sum(weight))
 
 
-def no_reference(t, which, z):
+def no_reference(t, which, z, out):
     raise AssertionError(f"reference density asked for at t = {t:g}")
 
 
@@ -363,7 +380,9 @@ class TestInPlacePhases:
             spin,
             grid,
             times,
-            lambda t, which, z: np.abs(expected[t][which == "minus"]) ** 2,
+            lambda t, which, z, out: np.copyto(
+                out, np.abs(expected[t][which == "minus"]) ** 2
+            ),
         )
         monkeypatch.undo()
         assert len(inverse) == 2 * len(times)
@@ -410,51 +429,63 @@ class TestInPlacePhases:
             assert np.array_equal(spectrum, np.fft.fft((amp * psi0).astype(complex)))
 
     def test_magnet_working_set(self, device, x_state):
-        # grid z and k2 (half an array each), the two channels, kinetic and
-        # each thread's half_v: 6 complex arrays; the out-of-place builds
-        # peaked at 8.5 to 9.5
+        # five complex buffers: the two channels, the kinetic phase (z and k2
+        # before it) and each channel's half-step (psi0 before them); the
+        # out-of-place builds peaked at 8.5 to 9.5, and separate z, k2 and
+        # psi0 arrays beside the loop at 6
         n = 2**16
         grid = GridSpec(extent=4096.0, points=n, dt=1e-3)  # 2 magnet steps
-        exit_spectra(device, x_state, grid)  # numpy's one-time set-up
-        tracemalloc.start()
-        try:
-            exit_spectra(device, x_state, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7 * 16 * n
-
+        with _Worker() as worker:
+            _exit_spectra(worker, device, x_state, grid)  # numpy's one-time set-up
+            tracemalloc.start()
+            try:
+                _exit_spectra(worker, device, x_state, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 5.5 * 16 * n
 
     def test_snapshot_working_set(self, device, x_state, monkeypatch):
-        # two times in flight at once need both channels of each: 4 complex
-        # arrays (with two times on two threads, whole, the peak was 7).  One
-        # time at a time holds its two wave functions and two densities, and
-        # the spin-down product of the error fraction (3.5 arrays), then the
-        # densities and the two reference densities.  Counted from the
-        # magnet's exit, where the worker holds no call (so no kinetic
-        # phase), the upper-half weights (half an array) come first: 4
+        # each time runs in the magnet's five buffers: the wave functions in
+        # the half-step buffers, the densities (k2 before them, then the
+        # weights and z) in the kinetic phase's, the reference densities in
+        # the spent spin-up one.  So a time after the first allocates no
+        # n-point array: its peak stays within half an array of what the
+        # first time left (a time of new arrays added 3.5)
         n = 2**16
         grid = GridSpec(extent=4096.0, points=n, dt=1e-3)  # 2 magnet steps
         exit_pair = evolve_through_magnet(device, x_state)
 
-        def reference(t, which, z):
-            return component_density(free_propagate(exit_pair, t), z, which)
+        def reference(t, which, z, out):
+            component_density(free_propagate(exit_pair, t), z, which, out=out)
 
         grid_solve(device, x_state, grid, [1.0], reference)  # numpy's one-time set-up
-        held = []
+        caller = threading.get_ident()
+        free_phase = nosignal.gridsolver._free_phase
+        marks = []  # (traced, peak since the last mark) as each time starts
 
-        def from_the_exit():
-            tracemalloc.reset_peak()
-            held.append(tracemalloc.get_traced_memory()[0])
+        def marked(k2, t, mass, out=None):
+            if threading.get_ident() == caller:
+                marks.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+            return free_phase(k2, t, mass, out)
 
-        after_the_magnet(monkeypatch, from_the_exit)
+        after_the_magnet(
+            monkeypatch,
+            lambda: monkeypatch.setattr(nosignal.gridsolver, "_free_phase", marked),
+        )
+        times = [1.0, 3.0, 7.0, 12.0]
         tracemalloc.start()
         try:
-            grid_solve(device, x_state, grid, [1.0, 3.0, 7.0, 12.0], reference)
-            _, peak = tracemalloc.get_traced_memory()
+            results = grid_solve(device, x_state, grid, times, reference)
+            marks.append(tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert peak - held[0] < 4.5 * 16 * n
+        assert [result.t for result in results] == times
+        assert len(marks) == len(times) + 1
+        left = marks[1][0]  # traced as the second time starts
+        for _, peak in marks[2:]:  # the peak of each later time
+            assert peak - left < 0.5 * 16 * n
 
 
 class TestTwoThreads:
@@ -549,9 +580,9 @@ class TestTwoThreads:
 
         asked = []
 
-        def reference(t, which, z):
+        def reference(t, which, z, out):
             asked.append(t)
-            return np.zeros(SMALL_GRID.points)
+            out.fill(0.0)
 
         after_the_magnet(
             monkeypatch,
@@ -610,7 +641,11 @@ class TestOneSolve:
         monkeypatch.setattr(threading.Thread, "start", counted)
         threads = threading.active_count()
         results = grid_solve(
-            device, x_state, SMALL_GRID, [1.0, 2.0, 3.0], lambda t, which, z: 0.0 * z
+            device,
+            x_state,
+            SMALL_GRID,
+            [1.0, 2.0, 3.0],
+            lambda t, which, z, out: out.fill(0.0),
         )
         assert [result.t for result in results] == [1.0, 2.0, 3.0]
         assert len(started) == 1

@@ -59,7 +59,7 @@ def test_density_matrix_stores_rows_of_complex():
 
 def _grid_result(sg, spin):
     """The reduced snapshot at t = 1, against a zero reference density."""
-    return grid_solve(sg, spin, GridSpec(**GRID), [1.0], lambda t, which, z: 0.0 * z)[0]
+    return grid_solve(sg, spin, GridSpec(**GRID), [1.0], lambda t, which, z, out: out.fill(0.0))[0]
 
 
 def _values() -> dict:
