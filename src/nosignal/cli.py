@@ -872,6 +872,20 @@ def _canonical_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 def _build_parser() -> argparse.ArgumentParser:
     import argparse
 
+    def typed(convert: Callable[[str], object]) -> Callable[[str], object]:
+        """convert, rejecting a value in argparse's words with the value cut
+        by _cut: argparse would quote all of it (5000 digits, say)."""
+
+        def parse(value: str):
+            try:
+                return convert(value)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"invalid {convert.__name__} value: {_cut(repr(value))}"
+                ) from None
+
+        return parse
+
     parser = argparse.ArgumentParser(
         prog="nosignal",
         description="non-ideal Stern-Gerlach post-selection verification suite",
@@ -887,12 +901,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument(
-            "--seed", type=int, help="root seed override (a non-negative integer)"
+            "--seed", type=typed(int), help="root seed override (a non-negative integer)"
         )
         if name in ("verify", "estimate"):
             p.add_argument(
                 "--inject-violation",
-                type=float,
+                type=typed(float),
                 default=0.0,
                 metavar="X",
                 help="negative control: move the minus branch's phase to "

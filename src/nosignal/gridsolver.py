@@ -6,73 +6,23 @@ Solves
 
 on a periodic FFT grid.  The two spin channels are decoupled (the coupling
 is diagonal in sigma_z), so each evolves under its own scalar potential.
-
 Inside the magnet the propagator is Trotterized with the symmetric
 split-operator step  exp(-iV dt/2) exp(-iT dt) exp(-iV dt/2).  After the
-magnet the Hamiltonian is purely kinetic, so the remaining flight to each
-snapshot is applied as a single exact momentum-space phase (no step error
-accumulates during free flight).
+magnet the Hamiltonian is purely kinetic, so the flight to each snapshot
+time is one exact momentum-space phase (no step error accumulates there).
 
-The magnet loop evolves each channel in place in its own array, so a step
-allocates nothing.  Its operand order is fixed: complex multiplication is
-not bitwise commutative (fused multiply-add), and the order
-``half_v * psi``, ``psi * kinetic``, ``psi * half_v`` is what numpy's
-temporary elision made of the nested expression
-``half_v * ifft(kinetic * fft(half_v * psi))`` on grids of 16384 points or
-more, so those grids give the same bits as that expression.
+``grid_solve`` runs the spin-up channel on the calling thread and the
+spin-down channel on one worker thread (``_Worker``), so that their FFTs
+overlap on two cores: first through the magnet (``_exit_spectra``), then
+at each snapshot time in turn, each time reduced before the next.
 
-The whole solve runs in five n-point complex buffers, made once per solve
-on the calling thread: one per channel, which holds the channel and then
-its exit spectrum; a spare one, which holds the grid ``z`` and the squared
-wavenumbers ``k2`` as floats until the half-steps and the kinetic phase
-are built, then the kinetic phase; and one half-step buffer per channel,
-which holds that channel's ``half_v`` in the magnet (the initial packet
-``psi0`` sits in the spin-down one's floats until the channels are made
-from it).  Each array is built in place with the operands of its plain
-expression, such as ``np.exp(-1j * k2 * dt / (2 m))``, in the same order,
-so it has the expression's bits without its temporaries; ``z`` and ``k2``
-come from an exact integer ramp in place of ``np.arange``.  The two
-free-flight phases (``kinetic`` and the flight phase) are computed on the
-wavenumbers 0 to n/2 only and mirrored onto the rest, since
-``k2[j] == k2[n - j]`` exactly, so only those n/2 + 1 wavenumbers are kept.
-
-``grid_solve`` runs the whole solve on the calling thread and one worker
-thread (``_Worker``), started once per solve: the spin-up channel on the
-caller and the spin-down channel on the worker, first through the magnet
-(``_exit_spectra``) and then at each snapshot time in turn.  numpy's FFTs
-and ufuncs release the interpreter lock, so the two overlap: on two cores,
-100 steps on 65536 points take about half the time of one thread, while on
-16384 points the hand-offs of the lock cost about what the overlap saves.
-Each thread takes the same operands in the same order as one thread would,
-so the bits do not depend on the threads.  The worker runs in a copy of the
-caller's context, so numpy's ``errstate`` (a context variable) holds there
-too, and its exceptions are raised again on the calling thread, after the
-calling thread's own.  One worker serving the whole solve also keeps the
-worker's memory in one malloc arena: a second thread started just after
-the first is joined can get a fresh arena, and a 2^16-point run then
-peaked at 43 MiB against about 40.
-
-Per time, each thread rebuilds the ``k2`` head in its channel's half of
-the spare buffer's floats, builds the flight phase from it in its
-half-step buffer, multiplies it by the exit spectrum, inverse-transforms
-it in place and writes |psi|^2 over the ``k2`` head, for the norm sum and
-the edge density.  The calling thread runs the norm check and the spin-up,
-then spin-down, boundary checks, adds the spin-down density to the spin-up
-one, weights the spin-down density in place for the error fraction's
-upper-half sum and then writes the upper-half weights over it for the
-half-plane coherence, summed in place in the spin-up wave function's
-buffer.  Then ``z`` is rebuilt in place of the weights, and the two
-reference densities, made one channel per thread, are written in the
-spent spin-up buffer's floats for the L1 distance.  So a time allocates no
-n-point array, and costs two hand-offs to the worker, not a thread start.
-The earliest failing time is the one reported, and no grid work runs after
-it.
-
-Besides the five buffers, each thread holds what pocketfft keeps for its
-FFTs: a plan per thread (about 1 MiB on 2^16 points, made at the thread's
-first FFT of that size) and one array of scratch at each FFT (freed after
-it; see ``_exit_spectra`` for why glibc keeps it mapped).  On 2^16 points
-that is seven arrays and two plans, about 9 MiB above numpy's import.
+Each array takes the operands of its plain expression, such as
+``np.exp(-1j * k2 * t / (2 mass))``, in their order, so it has that
+expression's bits whichever thread builds it.  The magnet steps each
+channel in place.  The times share two wave-function buffers and two
+densities, and each time writes k2, the upper-half weights, z and the
+reference densities into floats it has spent, so no time allocates an
+n-point array.
 
 This solver knows nothing of the impulsive Gaussian model in
 ``wavepacket``; it discretizes the Hamiltonian directly and serves as the
@@ -82,7 +32,7 @@ independent cross-check for it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BoundaryLeakError, NormDriftError
 from .spin import SpinState
@@ -211,16 +161,15 @@ def _positions(n: int, dx: float, out: np.ndarray) -> np.ndarray:
 
 
 def _wavenumbers_squared(n: int, dx: float, out: np.ndarray) -> np.ndarray:
-    """(2 pi np.fft.fftfreq(n, dx))**2 at the first len(out) wavenumbers, in
-    place in out: fftfreq's frequencies are the integers 0 .. n/2 - 1,
-    -n/2 .. -1 times 1 / (n dx), and the float integers are exact."""
+    """(2 pi np.fft.fftfreq(n, dx))**2 at the first len(out) <= n/2 + 1
+    wavenumbers, all that _free_phase reads, in place in out: fftfreq's
+    frequencies are the integers 0 .. n/2 - 1, then -n/2 (which squares as
+    n/2) .. -1, times 1 / (n dx), and the float integers are exact."""
     import numpy as np
     k2 = _ramp(out)
-    k2[n // 2 :] -= n
     k2 *= 1.0 / (n * dx)
     np.multiply(2.0 * math.pi, k2, out=k2)
-    np.square(k2, out=k2)
-    return k2
+    return np.square(k2, out=k2)
 
 
 def _free_phase(
@@ -245,49 +194,24 @@ def _free_phase(
     return phase
 
 
-def _upper_weights(out: np.ndarray) -> np.ndarray:
-    """Upper-half weights of the coherence and error sums, in place in out:
-    0 below z = 0 and 1 above.  z[n//2] == 0 exactly, and its trapezoidal
-    half-weight keeps upper + lower == total and kills the half-cell bias
-    at z = 0."""
-    n = len(out)
-    out[: n // 2] = 0.0
-    out[n // 2] = 0.5
-    out[n // 2 + 1 :] = 1.0
-    return out
-
-
 def _exit_spectra(
     worker: _Worker, config: SGConfig, input_spin: SpinState, grid: GridSpec
-) -> tuple:
-    """Both channels through the magnet, spin down on the worker, in five
-    n-point complex buffers made here: the two exit spectra, then the three
-    buffers the magnet is done with (the kinetic phase's, then each
-    channel's half-step's, spin up first).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Both channels through the magnet, spin down on the worker, in
+    momentum space at its exit.
 
     Raises BoundaryLeakError when the initial packet already reaches the
     grid edge.
     """
     import numpy as np
     n = grid.points
-    # pocketfft allocates an array of scratch at each FFT.  glibc returns the
-    # top of its heap to the system once twice the largest mmap block freed
-    # so far lies free there, and the buffers below leave the scratch no
-    # hole but the top, so it would be unmapped and faulted in again at
-    # every FFT.  Freeing an untouched two-array block at once raises that
-    # bound past the scratch.  Without it, an oracle run on 2^16 points with
-    # 100 magnet steps takes about 108k minor faults, not 7k.
-    np.empty(2 * n, dtype=complex)
-    plus, minus, spare, half_plus, half_minus = (
-        np.empty(n, dtype=complex) for _ in range(5)
-    )
     dx = grid.extent / n
-    # z and the squared wavenumbers 0 .. n/2 in the spare buffer's floats, k2
-    # at the end: the kinetic phase's head, built from k2 over z, then ends
-    # before k2 starts (from 8 points up; below, numpy copies k2 first)
-    floats = spare.view(float)
-    z = _positions(n, dx, floats[:n])
-    k2 = _wavenumbers_squared(n, dx, floats[-(n // 2 + 1) :])
+    # pocketfft allocates an array of scratch at each FFT, which glibc would
+    # unmap from the heap's top and fault in again each time: freeing an
+    # untouched two-array block raises glibc's trim bound past it (on 2^16
+    # points and 100 magnet steps, 6.6k minor faults against 108k)
+    np.empty(2 * n, dtype=complex)
+    z = _positions(n, dx, np.empty(n))
 
     # 2 pi sigma0**2 overflows for a packet far wider than any grid, and its
     # -1/4 power would be 0 (then psi0 / 0); the factored form is finite
@@ -296,59 +220,61 @@ def _exit_spectra(
         prefactor = two_pi_var ** (-0.25)
     else:
         prefactor = (2.0 * math.pi) ** (-0.25) * config.sigma0 ** (-0.5)
-    # prefactor * np.exp(-(z**2) / (4 sigma0**2)), in place in the spin-down
-    # half-step buffer's floats; for a packet far narrower than dx,
-    # z**2 / (4 sigma0**2) overflows off z = 0, and exp(-inf) = 0 is the
-    # exact limit there
-    psi0 = half_minus.view(float)[:n]
+    # prefactor * np.exp(-(z**2) / (4 sigma0**2)); for a packet far narrower
+    # than dx, z**2 / (4 sigma0**2) overflows off z = 0, and exp(-inf) = 0 is
+    # the exact limit there
+    psi0 = np.square(z)
     with np.errstate(over="ignore"):
-        np.square(z, out=psi0)
         np.negative(psi0, out=psi0)
         psi0 /= 4.0 * config.sigma0**2
         np.exp(psi0, out=psi0)
     np.multiply(prefactor, psi0, out=psi0)
-    # psi0 >= 0, so np.abs(psi0) ** 2 is np.square(psi0), made in the
-    # spin-up half-step buffer's floats
-    squared = np.square(psi0, out=half_plus.view(float)[:n])
-    psi0 /= math.sqrt(float(np.sum(squared)) * dx)
+    # psi0 >= 0, so np.abs(psi0) ** 2 is np.square(psi0)
+    psi0 /= math.sqrt(float(np.sum(np.square(psi0))) * dx)
     # t = -transit at the magnet's entry; a zero transit reads t = 0, not -0
     _check_boundary(float(np.max(np.square(psi0[_EDGE]))), dx, 0.0 - config.transit)
-    np.multiply(input_spin.amp_up, psi0, out=plus)
-    np.multiply(input_spin.amp_down, psi0, out=minus)
-    channels = {+1: (plus, half_plus), -1: (minus, half_minus)}
+    channels = {
+        s: np.multiply(amp, psi0, out=np.empty(n, dtype=complex))
+        for s, amp in ((+1, input_spin.amp_up), (-1, input_spin.amp_down))
+    }
+    del psi0
 
+    half_steps = {}
     if config.transit > 0:
         n_steps = max(1, math.ceil(config.transit / grid.dt))
         dt = config.transit / n_steps
-
-        def half_step(s: int) -> None:
-            """np.exp(-1j * potential * dt / 2.0) for the potential
-            -s * moment * (bias + gradient * z), in place in channel s's
-            half-step buffer: the potential is built in the real part, and
-            with the imaginary part +0 the array is what numpy's cast of a
-            real potential would give."""
-            half_v = channels[s][1]
-            half_v.imag = 0.0
-            potential = half_v.real
-            np.multiply(config.gradient, z, out=potential)
+        # each temporary comes after the array it fills, so that it is freed
+        # at the heap's top, where later arrays reuse its pages (made first,
+        # 0.9 MiB more on 2^16 points)
+        for s in (+1, -1):
+            # np.exp(-1j * potential * dt / 2.0) for the potential
+            # -s * moment * (bias + gradient * z)
+            half_v = half_steps[s] = np.empty(n, dtype=complex)
+            potential = np.multiply(config.gradient, z)
             potential += config.bias
             potential *= -s * config.moment
-            np.multiply(-1j, half_v, out=half_v)
+            np.multiply(-1j, potential, out=half_v)
+            del potential
             half_v *= dt
             half_v /= 2.0
             np.exp(half_v, out=half_v)
-
-        worker.pair(half_step, +1, -1)
-        # over z and k2, which no half-step reads any more
-        kinetic = _free_phase(k2, dt, config.mass, out=spare)
+        del z
+        kinetic = np.empty(n, dtype=complex)
+        _free_phase(
+            _wavenumbers_squared(n, dx, np.empty(n // 2 + 1)), dt, config.mass, kinetic
+        )
 
     def exit_spectrum(s: int) -> np.ndarray:
         """Channel s through the magnet, in momentum space at its exit.
 
         Calls numpy only, so it may run off the calling thread.
         """
-        psi, half_v = channels[s]  # evolved in place
-        if config.transit > 0:
+        psi = channels[s]  # evolved in place
+        if half_steps:
+            half_v = half_steps[s]
+            # this operand order is what numpy's temporary elision made of
+            # half_v * ifft(kinetic * fft(half_v * psi)) from 2^14 points on,
+            # and complex products round differently in the other order
             for _ in range(n_steps):
                 np.multiply(half_v, psi, out=psi)
                 np.fft.fft(psi, out=psi)
@@ -357,7 +283,7 @@ def _exit_spectra(
                 np.multiply(psi, half_v, out=psi)
         return np.fft.fft(psi, out=psi)
 
-    return (*worker.pair(exit_spectrum, +1, -1), spare, half_plus, half_minus)
+    return worker.pair(exit_spectrum, +1, -1)
 
 
 def grid_solve(
@@ -396,7 +322,7 @@ def grid_solve(
         the density's sum and its edge density."""
         t, spectrum, psi, density = channel
         # np.fft.ifft(np.exp(-1j * k2 * t / (2 mass)) * spectrum), in place,
-        # from k2 rebuilt in the density's floats, which |psi|^2 then takes
+        # with k2 in the density's floats until |psi|^2 takes them
         k2 = _wavenumbers_squared(n, dx, density[: n // 2 + 1])
         _free_phase(k2, t, config.mass, out=psi)
         np.multiply(psi, spectrum, out=psi)
@@ -407,8 +333,7 @@ def grid_solve(
 
     # snapshot reads the worker and the buffers, bound below
     def snapshot(t: float) -> GridResult:
-        # the two densities in the spare buffer's floats
-        density, density_minus = spare.view(float).reshape(2, n)
+        density, density_minus = densities
         (sum_plus, edge_plus), (sum_minus, edge_minus) = worker.pair(
             flown,
             (t, spectrum_plus, psi_plus, density),
@@ -421,20 +346,24 @@ def grid_solve(
         _check_boundary(edge_minus, dx, t)
         if sum_minus * dx < 1e-300:
             raise ValueError("spin-down channel is empty; error fraction undefined")
-        density += density_minus
-        # sum(upper * density_minus), in place: a float times a float is
-        # the same either way round, and 1.0 * x is x
+        density += density_minus  # the spin-up density, now both channels'
+        # the upper-half weights: 0 below z = 0 and 1 above, and at z = 0
+        # (z[n//2] == 0 exactly) the trapezoidal 0.5, which keeps upper +
+        # lower == total.  sum(upper * density_minus) in place, since
+        # upper * density_minus would be an array more per time
         density_minus[: n // 2] *= 0.0
         density_minus[n // 2] *= 0.5
         upper_minus = float(np.sum(density_minus))
         # sum(upper * psi_plus * conj(psi_minus)), in place in psi_plus, with
-        # the weights in density_minus's floats
-        upper = _upper_weights(density_minus)
+        # the weights in density_minus
+        upper = density_minus
+        upper[: n // 2] = 0.0
+        upper[n // 2] = 0.5
+        upper[n // 2 + 1 :] = 1.0
         np.multiply(upper, psi_plus, out=psi_plus)
         np.multiply(psi_plus, np.conjugate(psi_minus, out=psi_minus), out=psi_plus)
         coherence = complex(np.sum(psi_plus)) * dx / (wp * np.conj(wm))
-        # (|psi_plus|^2 + |psi_minus|^2) - (reference plus + reference minus),
-        # the references written in the spent spin-up buffer's floats
+        # the reference densities, in the spent psi_plus's floats
         z = _positions(n, dx, density_minus)
         expected, expected_minus = psi_plus.view(float).reshape(2, n)
         worker.pair(
@@ -449,8 +378,10 @@ def grid_solve(
             t, upper_minus / sum_minus, coherence, float(np.sum(density) * dx)
         )
 
+    # one worker for the whole solve, whose arrays then stay in one malloc
+    # arena: a second thread can get a fresh one (43 MiB against 40 on 2^16)
     with _Worker() as worker:
-        spectrum_plus, spectrum_minus, spare, psi_plus, psi_minus = _exit_spectra(
-            worker, config, input_spin, grid
-        )
+        spectrum_plus, spectrum_minus = _exit_spectra(worker, config, input_spin, grid)
+        psi_plus, psi_minus = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        densities = np.empty((2, n))
         return [snapshot(t) for t in times]

@@ -1363,7 +1363,10 @@ ARGV_FLAGS = ARGV_FULL_FLAGS + [
     "--config=5", "--out=", "--seed=5", "--inject-violation=-0.1",  # =-joined
     "--bogus", "--inject_violation", "-c", "-h", "--help",  # unknown, help
 ]
-ARGV_VALUES = ["5", " 5", "5.0", "0x10", "1_000", "-0.1", "nan", "1e400", "", "x.json"]
+ARGV_VALUES = [
+    "5", " 5", "5.0", "0x10", "1_000", "-0.1", "nan", "1e400", "", "x.json",
+    "9" * 4301,  # past int's digit limit, and an inf to float
+]
 
 
 def command_and_pairs(flags: list):
@@ -1437,6 +1440,23 @@ class TestCanonicalArgv:
             main(["verify", "--seed", "x"])
         assert exc.value.code == EXIT_CONFIG
         assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["verify", "--seed", "9" * 5000], "invalid int value: '" + "9" * 76 + "..."),
+            (["estimate", "--inject-violation", "x" * 5000],
+             "invalid float value: '" + "x" * 76 + "..."),
+        ],
+        ids=["seed", "inject-violation"],
+    )
+    def test_rejected_value_is_cut(self, capsys, argv, shown):
+        # argparse's words, with the value cut as the config errors cut it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.endswith(f"argument {argv[1]}: {shown}")
 
 
 def stdlib_json(value) -> str:
@@ -1687,12 +1707,21 @@ NOT_AN_OBJECT = st.one_of(
     ),
     broken=st.sampled_from(("sg", "tolerances", "oracle")),
     value=NOT_AN_OBJECT,
+    # a value that int and float reject, up to past int's 4300 digits
+    long_value=st.integers(80, 6000).map(lambda digits: "9" * digits + "x"),
 )
-def test_exit_code_contract(tmp_path_factory, sg, broken, value):
+def test_exit_code_contract(tmp_path_factory, sg, broken, value, long_value):
     # every config ends in exit 0 (pass), 1 (verify's gate), 2 (config) or
     # 3 (numerical), never in a traceback; 16 magnet steps bound the oracle.
     # The same config with a section that is not a JSON object is a config
-    # error, and leaves no directory
+    # error, and leaves no directory.  An over-long value of a typed flag is
+    # argparse's usage error, with one error line of at most 200 characters
+    for flag in ("--seed", "--inject-violation"):
+        result, _, err = captured(lambda: main(["verify", flag, long_value]))
+        assert result == ("exit", EXIT_CONFIG)
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert max(len(line) for line in err.splitlines()) <= 200
     payload = json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
     payload["sg"] = sg
     payload["oracle"].update(points=256, dt=sg["transit"] / 16)

@@ -1,5 +1,6 @@
 """Golden outputs: the exit code and the bytes of every data file that the
-workflows write on a few overrides of configs/default.json.
+workflows write on a few overrides of configs/default.json, and the bytes
+of the oracle's stderr (its warnings, or the failing time and its advice).
 
 A speed-up or a refactor must leave these files byte-identical.  The hashes
 hold for the Python, numpy and glibc versions recorded in golden.json; where
@@ -61,6 +62,35 @@ CASES = {
         ("oracle",),
         None,
     ),
+    # CI's inline oracle configs: times before saturation (a note) ...
+    "early": ({"oracle": {"times": [1, 3]}}, {}, ("oracle",), None),
+    # ... tau**2 overflowing at every time ...
+    "late": (
+        {"oracle": {"points": 256}},
+        {"mass": 9.57e22, "sigma0": 1.45e-110, "moment": -1.02e-6, "gradient": -4.98e6},
+        ("oracle",),
+        None,
+    ),
+    # ... a packet far narrower than dx through 1000 magnet steps ...
+    "chirp": (
+        {"oracle": {"points": 256, "extent": 64.0, "dt": 1e-3}},
+        {"mass": 1e300, "sigma0": 1e-160, "gradient": 1e154, "transit": 1.0},
+        ("oracle",),
+        None,
+    ),
+    # ... 41 times on the default grid ...
+    "times41": (
+        {"oracle": {"times": [3.0 * i for i in range(41)]}}, {}, ("oracle",), None
+    ),
+    # ... and an initial packet wider than any grid, which leaks (exit 3)
+    "wide": ({}, {"sigma0": 6e153, "gradient": 0.0}, ("oracle",), None),
+    # a free packet that reaches the edge of a 200-wide grid first at t = 45
+    "leak-45": (
+        {"oracle": {"extent": 200.0, "points": 4096, "dt": 2e-4, "times": [1, 45, 50]}},
+        {"gradient": 0.0},
+        ("oracle",),
+        None,
+    ),
 }
 
 
@@ -88,8 +118,13 @@ def write_case_config(name: str, directory: Path) -> Path:
     return path
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def run_case(name: str, command: str, directory: Path) -> list:
-    """[exit code, sha256 of the data file or None] of one command."""
+    """[exit code, sha256 of the data file or None] of one command, and for
+    the oracle the sha256 of its stderr."""
     from nosignal.cli import main
 
     seed = CASES[name][3]
@@ -98,11 +133,14 @@ def run_case(name: str, command: str, directory: Path) -> list:
             "--out", str(out)]
     if command == "estimate" and seed is not None:
         argv += ["--seed", str(seed)]
-    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+    stderr = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(stderr):
         code = main(argv)
     data = out / DATA_FILES[command]
-    digest = hashlib.sha256(data.read_bytes()).hexdigest() if data.is_file() else None
-    return [code, digest]
+    pinned = [code, sha256(data.read_bytes()) if data.is_file() else None]
+    if command == "oracle":
+        pinned.append(sha256(stderr.getvalue().encode("utf-8")))
+    return pinned
 
 
 def manifest() -> dict:

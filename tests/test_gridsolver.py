@@ -24,14 +24,7 @@ from nosignal import (
     grid_solve,
     make_spin_state,
 )
-from nosignal.gridsolver import (
-    _exit_spectra,
-    _free_phase,
-    _positions,
-    _upper_weights,
-    _wavenumbers_squared,
-    _Worker,
-)
+from nosignal.gridsolver import _exit_spectra, _free_phase, _Worker
 from nosignal.wavepacket import closed_form_upper_coherence
 from conftest import grid_results
 
@@ -65,16 +58,19 @@ class Exit(NamedTuple):
 def exit_spectra(config, spin, grid) -> Exit:
     """_exit_spectra's two exit spectra, on a worker of its own, with the
     grid positions, spacing, squared wavenumbers, upper-half weights and
-    mass that the snapshots use, from the solver's own builders."""
+    mass that the snapshots must use, from their plain expressions."""
     with _Worker() as worker:
-        plus, minus, _, _, _ = _exit_spectra(worker, config, spin, grid)
+        plus, minus = _exit_spectra(worker, config, spin, grid)
     n = grid.points
     dx = grid.extent / n
+    upper = np.ones(n)
+    upper[: n // 2] = 0.0
+    upper[n // 2] = 0.5  # z = 0, the trapezoidal half-weight
     return Exit(
-        _positions(n, dx, np.empty(n)),
+        (np.arange(n) - n // 2) * dx,
         dx,
-        _wavenumbers_squared(n, dx, np.empty(n)),
-        _upper_weights(np.empty(n)),
+        (2 * math.pi * np.fft.fftfreq(n, dx)) ** 2,
+        upper,
         plus,
         minus,
         config.mass,
@@ -338,16 +334,35 @@ class TestInPlacePhases:
 
     @pytest.mark.parametrize("n", [2**k for k in range(3, 17)])
     @pytest.mark.parametrize("extent", [1024.0, 3.7])
-    def test_wavenumbers_equal_fftfreq(self, n, extent):
-        # the in-place k2 against fftfreq's, without its integer temporary; a
+    def test_wavenumbers_equal_fftfreq(self, n, extent, monkeypatch):
+        # the in-place k2 that each channel's flight phase reads, against
+        # fftfreq's at the wavenumbers 0 .. n/2 that the phase reads; a
         # packet an eighth of a cell wide keeps the edge check quiet down to
         # 8 points
         dx = extent / n
         sg = SGConfig(
             mass=1.0, sigma0=dx / 8, moment=1.0, gradient=0.0, bias=0.0, transit=0.0
         )
-        source = exit_spectra(sg, make_spin_state(1.0, 1.0), GridSpec(extent, n, 1e-3))
-        assert same_bits(source.k2, (2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2)
+        free_phase = nosignal.gridsolver._free_phase
+        read = []
+
+        def recorded(k2, t, mass, out=None):
+            read.append(k2.copy())
+            return free_phase(k2, t, mass, out)
+
+        monkeypatch.setattr(nosignal.gridsolver, "_free_phase", recorded)
+        grid_solve(
+            sg,
+            make_spin_state(1.0, 1.0),
+            GridSpec(extent, n, 1e-3),
+            [0.0],
+            lambda t, which, z, out: out.fill(0.0),
+        )
+        assert len(read) == 2
+        for k2 in read:
+            assert same_bits(
+                k2, ((2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2)[: n // 2 + 1]
+            )
 
     @pytest.mark.parametrize(
         "grid",
@@ -429,8 +444,8 @@ class TestInPlacePhases:
             assert np.array_equal(spectrum, np.fft.fft((amp * psi0).astype(complex)))
 
     def test_magnet_working_set(self, device, x_state):
-        # five complex buffers: the two channels, the kinetic phase (z and k2
-        # before it) and each channel's half-step (psi0 before them); the
+        # five complex arrays in the loop: the two channels, their half-steps
+        # and the kinetic phase, with z, psi0 and k2 freed before it; the
         # out-of-place builds peaked at 8.5 to 9.5, and separate z, k2 and
         # psi0 arrays beside the loop at 6
         n = 2**16
@@ -446,12 +461,11 @@ class TestInPlacePhases:
         assert peak <= 5.5 * 16 * n
 
     def test_snapshot_working_set(self, device, x_state, monkeypatch):
-        # each time runs in the magnet's five buffers: the wave functions in
-        # the half-step buffers, the densities (k2 before them, then the
-        # weights and z) in the kinetic phase's, the reference densities in
-        # the spent spin-up one.  So a time after the first allocates no
-        # n-point array: its peak stays within half an array of what the
-        # first time left (a time of new arrays added 3.5)
+        # the times share two wave functions and two densities, with k2, the
+        # weights, z and the reference densities in their spent floats.  So a
+        # time after the first allocates no n-point array: its peak stays
+        # within half an array of what the first time left (a time of new
+        # arrays added 3.5)
         n = 2**16
         grid = GridSpec(extent=4096.0, points=n, dt=1e-3)  # 2 magnet steps
         exit_pair = evolve_through_magnet(device, x_state)
