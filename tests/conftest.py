@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +27,35 @@ from nosignal import (
 from nosignal.protocol import branch_totals
 from nosignal.spin import ATOL
 from nosignal.wavepacket import _sign
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this nosignal."""
+    src = str(Path(nosignal.__file__).resolve().parents[1])
+    paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
+# runs argv (stdout to /dev/null), prints its rusage and exits with its code
+RUSAGE_PROBE = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "usage = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+    "print(usage.ru_maxrss, usage.ru_minflt)\n"
+    "sys.exit(code)\n"
+)
+
+
+def fresh_rusage(argv: list, env: dict) -> tuple:
+    """(peak resident MiB, minor faults) of one fresh process that exits 0.
+    A process takes its parent's peak resident set when it execs, so argv is
+    spawned from a bare interpreter: spawned from pytest it reads pytest's."""
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c", RUSAGE_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    maxrss, faults = map(int, probe.stdout.split())
+    return maxrss / (2**20 if sys.platform == "darwin" else 2**10), faults
 
 
 class SaturationResult(NamedTuple):
