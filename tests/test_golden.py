@@ -63,6 +63,7 @@ ANALYTIC = {
 UNDER_RESOLVED = Facts(data="the grid under-resolves the packet")
 LEAK = "exceeds 1e-10; increase the grid extent"
 INJECT = ("--inject-violation", "0.1")
+NOT_APPLIED = "--inject-violation 0.1 not applied: no omega carries a phase"
 FAIL = Facts(code=1, stdout="FAIL")
 # perfbench's scaled workload at seed 1: its seeded omegas, written out
 SCALED = {
@@ -130,6 +131,44 @@ CASES = {
         "oracle": {"extent": 200.0, "points": 4096, "dt": 2e-4, "times": [1, 45, 50]},
         "sg": {"gradient": 0.0},
     }, {"oracle": Facts(code=3, stderr=f"at t = 45 {LEAK}")}),
+    # an ideal device leaves no phase to move: exit 0 and a warning
+    "ideal-injected": Case({"sg": {"gradient": 1e6}}, {
+        "verify": Facts(stderr=NOT_APPLIED, data=NOT_APPLIED),
+        "estimate": Facts(stderr=NOT_APPLIED),
+    }, INJECT),
+    # m = 1.5e302: the packet's drift does not overflow
+    "heavy": Case({"sg": {"mass": 1.5e302, "sigma0": 1e-5, "gradient": 5e7}},
+                  ANALYTIC),
+    # the packet variance at phase_settle_time overflows: the device runs as
+    # ideal, and the oracle's packet is wider than its grid
+    "vast": Case({"sg": {"sigma0": 1e80}}, {
+        "verify": Facts(stdout="phase-checked cells: 0/52"),
+        "sweep": ANALYTIC["sweep"],
+        "estimate": Facts(stdout="0/0 bounds consistent with zero"),
+        "oracle": Facts(code=3, stderr=f"at t = -0.002 {LEAK}"),
+    }),
+    "huge": Case({"sg": {"sigma0": 1e100}},
+                 {"verify": Facts(code=2, stderr="phase_settle_time is not finite")}),
+    # no magnet step still counts: (1 + 10 times) x 2^40 points is refused
+    # by the work bound before any allocation
+    "flat": Case({"sg": {"transit": 0.0}, "oracle": {"points": 2**40}},
+                 {"oracle": Facts(code=2, stderr="exceed the work bound")}),
+    # a packet carried past the grid's half-extent would wrap round the
+    # periodic grid unseen: refused before any grid work
+    "wrap": Case({
+        "sg": {"mass": 100.0, "gradient": 5e4},
+        "oracle": {"extent": 64.0, "points": 2**17, "dt": 2e-4, "times": [1, 50]},
+    }, {"oracle": Facts(code=3, stderr="wraps round the periodic grid")}),
+    # dx = 4 under-resolves sigma0 = 1, but more points cannot bring a
+    # wrapped packet back: the refusal asks for extent, not oracle.points
+    "wrap-coarse": Case({"sg": {"gradient": 1e6}, "oracle": {"points": 256}},
+                        {"oracle": Facts(code=3, stderr="increase the grid extent")}),
+    "many": Case({"samples": 10**19}, {"estimate": Facts(code=2, stderr="samples must be at most 2**63 - 1")}),
+    # zeros of both signs, as ints and floats, on both axes
+    "signed-zero": Case({
+        "omega_list": [0.0, -0.0, 1, 2, math.pi / 2, 3],
+        "theta_list": [0.0, -0.0, 1, 2, 0.5, -0.5, 3, 0, 1.0],
+    }, {"verify": Facts(stdout="phase-checked cells: 36/54"), "sweep": Facts(stdout="wrote 54 rows"), "estimate": OK}),
 }
 PINNED = [(name, command) for name, case in CASES.items() for command in case.commands]
 IDS = [f"{name}-{command}" for name, command in PINNED]
