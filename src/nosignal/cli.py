@@ -25,7 +25,6 @@ Exit codes: 0 pass, 1 check failure, 2 config error, 3 numerical failure.
 
 from __future__ import annotations
 
-import functools
 import gc
 import json
 import math
@@ -321,12 +320,9 @@ def load_config(path: Optional[str]) -> RunConfig:
 _RECORD_TYPES = frozenset((float, str, type(None)))
 
 
-@functools.lru_cache(maxsize=16)  # one per nesting depth
-def _encoder(separator: str) -> Callable[[object], str]:
-    """json's C encoder with the data files' options."""
-    return json.JSONEncoder(
-        sort_keys=True, allow_nan=False, separators=(separator, ": ")
-    ).encode
+# json's C encoder with the data files' options, for a key, a str or a
+# flat line; json.dumps's own separators
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 class _FieldText(dict):
@@ -351,7 +347,7 @@ class _FieldText(dict):
 
     def __missing__(self, value) -> str:
         if type(value) is str:
-            text = self[value] = _encoder(", ")(value) if self.for_json else value
+            text = self[value] = _encode(value) if self.for_json else value
         elif value:  # NaN too
             text = self[value] = self._number(value)
         else:
@@ -362,10 +358,10 @@ class _FieldText(dict):
         return text
 
 
-def _records_text(records: Sequence, indent: str) -> Optional[str]:
-    """The JSON array of records written from one record template, or None
-    unless every record is a dict with the first's non-empty set of str keys
-    and every value a float, a str or None.
+def _records_text(records: list) -> Optional[str]:
+    """The items of a top-level value's JSON array of records, written from
+    one record template, or None unless every record is a dict with the first's
+    non-empty set of str keys and every value a float, a str or None.
 
     The template holds each encoded key once, in sorted order; a
     _FieldText memo fills it, so each distinct value is formatted once.
@@ -382,40 +378,32 @@ def _records_text(records: Sequence, indent: str) -> Optional[str]:
     values = [v for item in records for v in map(item.__getitem__, order)]
     if not _RECORD_TYPES.issuperset(map(type, values)):
         return None
-    inner, deeper = indent + "  ", indent + "    "
-    encode = _encoder(", ")
-    fields = f",\n{deeper}".join(f"{encode(k).replace('%', '%%')}: %s" for k in order)
-    template = f"{{\n{deeper}{fields}\n{inner}}}"
-    text = f",\n{inner}".join([template] * len(records))
+    fields = ",\n      ".join(f"{_encode(k).replace('%', '%%')}: %s" for k in order)
+    text = ",\n    ".join([f"{{\n      {fields}\n    }}"] * len(records))
     return text % tuple(map(_FieldText(for_json=True).__getitem__, values))
 
 
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), byte for
-    byte; a dict key that is not a str is a TypeError at any depth.
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) of a
+    non-empty dict with str keys, as the workflows write, byte for byte.
 
-    A non-empty list of records that share one set of str keys and hold
-    only floats, strs and None (report.json's cells) is written from one
-    record template by _records_text, each distinct value formatted once.
-    Every other container is indented here, with one call of json's C
-    encoder per key and per scalar.
+    A value that is a non-empty list of records (report.json's cells) is
+    written by _records_text where it can be.  Every other value is
+    json.dumps's, indented two spaces deeper: each newline in that text is
+    indentation, since an encoded string holds no raw newline.
     """
-    inner = indent + "  "
-    sep = ",\n" + inner
-    encode = _encoder(sep)
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        return encode(value)  # a scalar, an empty container or a TypeError
-    if isinstance(value, dict):
-        for k in value:
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be str, not {k!r}")
-        items = sorted(value.items())
-        text = sep.join(f"{encode(k)}: {_json_text(v, inner)}" for k, v in items)
-        return f"{{\n{inner}{text}\n{indent}}}"
-    text = _records_text(value, indent)
-    if text is None:
-        text = sep.join(_json_text(item, inner) for item in value)
-    return f"[\n{inner}{text}\n{indent}]"
+    parts = []  # joined once: report.json's cells are copied only by the join
+    for key, value in sorted(payload.items()):
+        parts += (",\n  ", _encode(key), ": ")
+        text = _records_text(value) if type(value) is list and value else None
+        if text is None:
+            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+            parts.append(text.replace("\n", "\n  "))
+        else:
+            parts += ("[\n    ", text, "\n  ]")
+    parts[0] = "{\n  "  # the first separator opens the object
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -423,8 +411,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_jsonl(path: Path, lines: List[dict]) -> None:
-    encode = _encoder(", ")  # json.dumps's own separators
-    path.write_text("".join(encode(line) + "\n" for line in lines), encoding="utf-8")
+    path.write_text("".join(_encode(line) + "\n" for line in lines), encoding="utf-8")
 
 
 class RunRecord(NamedTuple):

@@ -32,7 +32,7 @@ independent cross-check for it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import BoundaryLeakError, NormDriftError
 from .spin import SpinState
@@ -172,26 +172,23 @@ def _wavenumbers_squared(n: int, dx: float, out: np.ndarray) -> np.ndarray:
     return np.square(k2, out=k2)
 
 
-def _free_phase(
-    k2: np.ndarray, t: float, mass: float, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """np.exp(-1j * k2 * t / (2.0 * mass)) on n points, in place in out (a
-    new array of n = len(k2) points if out is None; n = len(out) if not).
+def _free_phase(k2: np.ndarray, t: float, mass: float, out: np.ndarray) -> np.ndarray:
+    """np.exp(-1j * k2 * t / (2.0 * mass)) on n = len(out) points, in place
+    in out.
 
     Computed on k2[0 : n/2 + 1] and mirrored onto the rest: k2[j] == k2[n - j]
     exactly, and each element takes the plain expression's operands.  So k2
-    need hold only those n/2 + 1 wavenumbers when out is given.
+    need hold only those n/2 + 1 wavenumbers.
     """
     import numpy as np
-    phase = np.empty(len(k2), dtype=complex) if out is None else out
-    n = len(phase)
-    head = phase[: n // 2 + 1]
+    n = len(out)
+    head = out[: n // 2 + 1]
     np.multiply(-1j, k2[: n // 2 + 1], out=head)
     head *= t
     head /= 2.0 * mass
     np.exp(head, out=head)
-    phase[n // 2 + 1 :] = phase[n // 2 - 1 : 0 : -1]
-    return phase
+    out[n // 2 + 1 :] = out[n // 2 - 1 : 0 : -1]
+    return out
 
 
 def _exit_spectra(

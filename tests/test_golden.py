@@ -12,11 +12,20 @@ path masked).  A speed-up or a refactor must leave them unchanged.
 Regenerating the manifest is a deliberate step, recorded in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
+
+To see what moved in one case's data file against another tree's src/
+(for example one extracted by `git archive HEAD src`), per field the largest
+distance in ulp and the largest absolute difference:
+
+    PYTHONPATH=src python tests/test_golden.py --diff default-verify BASE/src
 """
 
+import csv
 import json
 import math
 import platform
+import struct
+import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -347,6 +356,130 @@ def test_oracle_resident_memory(tmp_path):
     pytest.fail(f"(MiB, minor faults) above (38.3, 7400) in every run: {readings}")
 
 
+def parse(file_name: str, text: str):
+    """A data file as JSON values; sweep.csv as one dict per row, each
+    field a float where it reads as one."""
+    if file_name.endswith(".jsonl"):
+        return [json.loads(line) for line in text.splitlines()]
+    if file_name.endswith(".json"):
+        return json.loads(text)
+
+    def field(f: str):
+        try:
+            return float(f)
+        except ValueError:
+            return f  # "" or the model's name
+
+    return [{k: field(f) for k, f in row.items()} for row in csv.DictReader(StringIO(text))]
+
+
+def leaves(value, path: tuple = ()) -> dict:
+    """{path: scalar} of a parsed value; a path holds keys and list indices."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {path: value}
+    return {p: v for k, item in items for p, v in leaves(item, path + (k,)).items()}
+
+
+def float_step(x: float) -> int:
+    """x's place among the float64s in order; -0.0 is one step below 0.0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(2**63) - bits - 1
+
+
+def field_differences(file_name: str, old: str, new: str) -> Dict[str, Tuple[float, float]]:
+    """(largest ulp distance, largest absolute difference) per field whose
+    values differ between two texts of one data file, its list indices
+    written []; inf for a value that is missing or not a number on one side."""
+    old_leaves, new_leaves = leaves(parse(file_name, old)), leaves(parse(file_name, new))
+    worst: Dict[str, Tuple[float, float]] = {}
+    for path in old_leaves.keys() | new_leaves.keys():
+        a, b = old_leaves.get(path, ...), new_leaves.get(path, ...)  # ... if missing
+        if repr(a) == repr(b):  # the same JSON text, 0.0 and -0.0 apart
+            continue
+        numbers = all(type(v) in (int, float) for v in (a, b))
+        if numbers and not math.isnan(a - b):
+            ulps, absolute = abs(float_step(a) - float_step(b)), abs(a - b)
+        else:
+            ulps = absolute = math.inf
+        name = "".join("[]" if type(k) is int else f".{k}" for k in path).lstrip(".")
+        was = worst.get(name, (0, 0.0))
+        worst[name] = (max(was[0], ulps), max(was[1], absolute))
+    return worst
+
+
+def diff(case_id: str, base_src: str) -> None:
+    """Run one case here and on base_src's nosignal; print each field of the
+    data file that moved, with both of its distances."""
+    name, _, command = case_id.rpartition("-")
+    if case_id not in IDS:
+        sys.exit(f"no golden case {case_id!r}; one of: {', '.join(IDS)}")
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        run = run_case(name, command, Path(work))
+        out = Path(work) / "base"
+        argv = [sys.executable, "-m", "nosignal.cli", command,
+                "--config", str(write_case_config(name, Path(work))),
+                "--out", str(out), *CASES[name].flags]
+        base = subprocess.run(argv, env=dict(fresh_env(), PYTHONPATH=base_src),
+                              capture_output=True, text=True)
+        data = DATA_FILES[command]
+        old = (out / data).read_text(encoding="utf-8") if out.exists() else None
+    new = (run.files or {}).get(data)
+    print(f"{case_id}: exit code {base.returncode} in the base, {run.code} here")
+    if old is None or new is None:
+        print(f"{data} written: {old is not None} in the base, {new is not None} here")
+        print(f"the base's stderr: {base.stderr.strip()[-300:]}")
+        return
+    moved = field_differences(data, old, new.decode("utf-8"))
+    for field, (ulps, absolute) in sorted(moved.items()):
+        print(f"{data} {field}: {ulps:.0f} ulp, {absolute:.3g} absolute")
+    if not moved:
+        print(f"{data}: no field moved")
+
+
+class TestFieldDifferences:
+    """--diff's distances, on texts made here."""
+
+    @staticmethod
+    def report(cells, **fields) -> str:
+        return json.dumps({"cells": cells, **fields}, indent=2, sort_keys=True) + "\n"
+
+    def test_one_ulp_in_one_field(self):
+        x, y = 0.1, math.nextafter(0.1, 1.0)
+        old = self.report([{"a": 1.0, "b": x}, {"a": 2.0, "b": 0.5}], n=3, s="x")
+        new = self.report([{"a": 1.0, "b": y}, {"a": 2.0, "b": 0.5}], n=3, s="x")
+        assert field_differences("report.json", old, new) == {"cells[].b": (1, y - x)}
+        assert field_differences("report.json", old, old) == {}
+
+    def test_a_residual_near_zero_moves_by_many_ulp(self):
+        old, new = self.report([], residual=0.0), self.report([], residual=5e-17)
+        ulps, absolute = field_differences("report.json", old, new)["residual"]
+        assert 4e18 < ulps < 5e18 and absolute == 5e-17
+        signed = self.report([], residual=-0.0)
+        assert field_differences("report.json", old, signed) == {"residual": (1, 0.0)}
+
+    def test_sweep_and_estimates(self):
+        x, y = 0.25, math.nextafter(0.25, 0.0)
+        row = "0.5,{},,projected\n"
+        old, new = ("omega,Es,phi_plus,model\n" + row.format(v) for v in (x, y))
+        assert field_differences("sweep.csv", old, new) == {"[].Es": (1, x - y)}
+        lines = [json.dumps({"kind": "bound", "ci": [v, 1.0]}) + "\n" for v in (x, y)]
+        assert field_differences("estimates.jsonl", lines[0], lines[1]) == {
+            "[].ci[]": (1, x - y)
+        }
+
+    def test_a_missing_or_changed_text_field(self):
+        old = self.report([{"a": 1.0}], s="x")
+        assert field_differences("report.json", old, self.report([], s="y")) == {
+            "cells[].a": (math.inf, math.inf), "s": (math.inf, math.inf)
+        }
+
+
 def regenerate() -> None:
     import tempfile
 
@@ -360,6 +493,9 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
+    if sys.argv[1:] == ["--regenerate"]:
+        regenerate()
+    elif len(sys.argv) == 4 and sys.argv[1] == "--diff":
+        diff(*sys.argv[2:])
+    else:
         sys.exit(__doc__)
-    regenerate()

@@ -330,7 +330,8 @@ class TestInPlacePhases:
         k2 = (2.0 * math.pi * np.fft.fftfreq(n, 1024.0 / n)) ** 2
         with np.errstate(all="ignore"):
             plain = np.exp(-1j * k2 * t / (2.0 * mass))
-            assert same_bits(_free_phase(k2, t, mass), plain)
+            phase = _free_phase(k2, t, mass, out=np.empty(n, dtype=complex))
+            assert same_bits(phase, plain)
 
     @pytest.mark.parametrize("n", [2**k for k in range(3, 17)])
     @pytest.mark.parametrize("extent", [1024.0, 3.7])
@@ -346,7 +347,7 @@ class TestInPlacePhases:
         free_phase = nosignal.gridsolver._free_phase
         read = []
 
-        def recorded(k2, t, mass, out=None):
+        def recorded(k2, t, mass, out):
             read.append(k2.copy())
             return free_phase(k2, t, mass, out)
 
@@ -628,7 +629,7 @@ class TestTwoThreads:
         phases = []
         free_phase = nosignal.gridsolver._free_phase
 
-        def recorded(k2, t, mass, out=None):
+        def recorded(k2, t, mass, out):
             phases.append(t)
             return free_phase(k2, t, mass, out)
 
