@@ -27,8 +27,7 @@ _EXPORTS = {
     "spin": """SpinDensityMatrix SpinState born_probabilities born_probability
         make_spin_state sigma_eigenstate singlet_conditional""",
     "wavepacket": """SGConfig WavePacketPair asymptotic_error_fraction
-        closed_form_upper_coherence component_density error_fraction
-        evolve_through_magnet free_propagate phase_settle_time upper_fraction""",
+        component_density phase_settle_time upper_overlaps""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -71,13 +71,11 @@ from .rng import INT64_MAX
 from .spin import SpinDensityMatrix, wrap_to_pi
 from .wavepacket import (
     SGConfig,
+    WavePacketPair,
     asymptotic_error_fraction,
-    closed_form_upper_coherence,
     component_density,
-    error_fraction,
-    evolve_through_magnet,
-    free_propagate,
     phase_settle_time,
+    upper_overlaps,
 )
 
 if TYPE_CHECKING:
@@ -720,7 +718,6 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
     beam = postselected_pure_state(0.5, 0.0)  # x-polarized input
-    exit_pair = evolve_through_magnet(cfg.sg, beam)
     saturation = {"tol": 1e-4, "value": asymptotic_error_fraction(cfg.sg)}
 
     # a center past the half-extent has wrapped round the periodic grid,
@@ -728,7 +725,7 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
     # with the center inside at the last time its edge check sees any reach
     half = grid.extent / 2
     for t in times:
-        center = free_propagate(exit_pair, t).center("plus")
+        center = WavePacketPair(cfg.sg, beam, t).center("plus")
         if abs(center) >= half:
             raise BoundaryLeakError(
                 f"packet center {center:.4g} at t = {t:g} is beyond the grid's "
@@ -737,10 +734,8 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
             )
 
     def compare(t: float, snapshot) -> dict:
-        pair = free_propagate(exit_pair, t)
-        e_analytic = error_fraction(pair)
+        _, e_analytic, c_analytic = upper_overlaps(cfg.sg, t)
         e_grid = snapshot.error_fraction
-        c_analytic = closed_form_upper_coherence(pair)
         c_grid = snapshot.coherence
         mod_diff = abs(abs(c_grid) - abs(c_analytic))
         phase_diff = abs(wrap_to_pi(np.angle(c_grid) - np.angle(c_analytic)))
@@ -764,7 +759,7 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
             grid,
             times,
             lambda t, which, z, out: component_density(
-                free_propagate(exit_pair, t), z, which, out=out
+                WavePacketPair(cfg.sg, beam, t), z, which, out=out
             ),
         )
     except BoundaryLeakError as exc:

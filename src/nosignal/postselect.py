@@ -7,10 +7,13 @@ over the retained region leaves a 2x2 spin density matrix
     rho  propto  [ |w_up|^2 I_up              w_up w_down^* C      ]
                  [ (w_up w_down^* C)^*        |w_down|^2 I_down    ]
 
-where I_up/I_down are the upper-half weights of the normalized channels
-and C is their upper-half coherence integral.  Its diagonal gives the
-effective error fraction, the off-diagonal argument defines the relative
-phase; the model "pure" replaces rho by the pure superposition with them,
+where w_up/w_down are the input spin's amplitudes, I_up/I_down the
+upper-half weights of the normalized channels and C their upper-half
+coherence integral.  (I_up, I_down, C) belong to the device and the flight
+time alone (wavepacket.upper_overlaps), so one triple serves every input
+spin.  Its diagonal gives the effective error fraction, the off-diagonal
+argument defines the relative phase; the model "pure" replaces rho by the
+pure superposition with them,
 
     sqrt(1 - E) |up>  +  e^{i phi} sqrt(E) |down>.
 """
@@ -19,11 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import PhaseUndefinedError, PostSelectionError
 from .spin import TWO_PI, SpinDensityMatrix, SpinState, make_spin_state
-from .wavepacket import WavePacketPair, closed_form_upper_coherence, upper_fraction
 
 __all__ = [
     "PostSelectedSpin",
@@ -113,12 +115,14 @@ def model_state(
     return postselected_pure_state(post.error_fraction, post.phase or 0.0)
 
 
-def project_upper(pair: WavePacketPair) -> PostSelectedSpin:
-    """Project the pair onto z >= 0 and trace out z."""
-    w_up = pair.spin.amp_up
-    w_down = pair.spin.amp_down
-    i_up = upper_fraction(pair, "plus")
-    i_down = upper_fraction(pair, "minus")
+def project_upper(
+    spin: SpinState, overlaps: Tuple[float, float, complex]
+) -> PostSelectedSpin:
+    """Send spin through the device, project onto z >= 0 and trace out z;
+    overlaps is the device's (I_up, I_down, C) at the flight time."""
+    i_up, i_down, upper_coherence = overlaps
+    w_up = spin.amp_up
+    w_down = spin.amp_down
     up_mass = abs(w_up) ** 2 * i_up
     down_mass = abs(w_down) ** 2 * i_down
     select_prob = up_mass + down_mass
@@ -127,9 +131,7 @@ def project_upper(pair: WavePacketPair) -> PostSelectedSpin:
             f"selection probability {select_prob:.2e}: nothing post-selected"
         )
     if abs(w_up) > 0 and abs(w_down) > 0:
-        coherence = complex(
-            w_up * w_down.conjugate() * closed_form_upper_coherence(pair)
-        )
+        coherence = complex(w_up * w_down.conjugate() * upper_coherence)
         # rounding alone can put |C| a few 1e-16 relative past sqrt(I+ I-)
         bound = math.sqrt(up_mass * down_mass)
         if abs(coherence) > bound:

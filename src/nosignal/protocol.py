@@ -22,13 +22,14 @@ saturated error fraction and s = sqrt(E(1-E)):
             = 1/4 [1 + (1-2E) cos(theta)]
 
 The residual P_A - P_B is the signalling figure of merit.  The pipeline
-reproduces it end to end from the wave-packet dynamics instead of the
+reproduces it end to end from the post-selected spins instead of the
 closed form.  Only four post-selected spins enter it per omega, none of
-them theta dependent: branch_table conditions the singlet, flies each
-beam through the device to the one closed-form time phase_settle_time
-and post-selects it, and cell_records turns a table entry and the thetas
-into Born probabilities: branch_totals makes one born_probabilities call
-per branch, over every theta.  verify writes cell_records' dicts as
+them theta dependent: branch_table takes the device's upper-half overlaps
+(I+, I-, C) once, at the one closed-form time phase_settle_time, then
+conditions the singlet and post-selects each branch's spin with that
+triple, and cell_records turns a table entry and the thetas into Born
+probabilities: branch_totals makes one born_probabilities call per
+branch, over every theta.  verify writes cell_records' dicts as
 report.json's cells, and sweep tabulates closed_form_rows from the same
 table's phases.
 
@@ -49,14 +50,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import PostSelectionError
 from .postselect import PostSelectedSpin, model_state, project_upper
-from .spin import born_probabilities, make_spin_state, singlet_conditional
-from .wavepacket import (
-    SGConfig,
-    error_fraction,
-    evolve_through_magnet,
-    free_propagate,
-    phase_settle_time,
-)
+from .spin import born_probabilities, singlet_conditional
+from .wavepacket import SGConfig, phase_settle_time, upper_overlaps
 
 __all__ = [
     "ProtocolResult",
@@ -163,19 +158,19 @@ def branch_table(sg: SGConfig, omegas: Iterable[float]) -> BranchTable:
 
     Every beam flies for phase_settle_time(sg), the closed-form time when the
     chirp-induced coherence phase has fallen below a quarter of 1e-10 rad;
-    the error fraction has saturated well before.  A branch that selects
-    nothing (exactly ideal device, wrong-polarized input) carries None.
+    the error fraction has saturated well before.  The device's overlaps
+    (I+, I-, C) at that time serve every branch, and Es is their I-.  A
+    branch that selects nothing (exactly ideal device, wrong-polarized
+    input) carries None.
     """
-    x_beam = make_spin_state(1.0, 1.0)
-    t_run = phase_settle_time(sg)
+    overlaps = upper_overlaps(sg, phase_settle_time(sg))
 
     def branches(alice_axis: float) -> Dict[int, Branch]:
         out = {}
         for alice_outcome in (+1, -1):
             prob, bob_state = singlet_conditional(alice_axis, alice_outcome)
-            pair = free_propagate(evolve_through_magnet(sg, bob_state), t_run)
             try:
-                post = project_upper(pair)
+                post = project_upper(bob_state, overlaps)
             except PostSelectionError:
                 post = None
             out[-alice_outcome] = (prob, post)
@@ -187,9 +182,8 @@ def branch_table(sg: SGConfig, omegas: Iterable[float]) -> BranchTable:
     assert all(post is None or post.phase is None for _, post in aligned.values()), (
         "aligned branch unexpectedly carries coherence"
     )
-    reference_pair = free_propagate(evolve_through_magnet(sg, x_beam), t_run)
     return BranchTable(
-        Es=error_fraction(reference_pair),
+        Es=overlaps[1],
         aligned=aligned,
         rotated=[(float(omega), branches(float(omega))) for omega in omegas],
     )

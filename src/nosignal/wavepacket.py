@@ -19,42 +19,44 @@ Model (natural units, hbar = 1, 1-D along the field axis z):
                   exp(-(z - c)^2 / (4 sigma0^2 a) + i p (z - c) + i phi(t)),
 
   p = +-dp,  c(t) = p t / m,  phi(t) = +-phi_L + p^2 t / (2 m), and width
-  sigma(t) = sigma0 sqrt(1 + (t / (2 m sigma0^2))^2).  A pair stores the
-  device, the input spin and t only; the channels' weights (the spin's
-  amplitudes), p, c and sigma are derived from them.  phi(t) is never
-  formed: the closed forms below use the exit phases +-phi_L.
+  sigma(t) = sigma0 sqrt(1 + (t / (2 m sigma0^2))^2).  A WavePacketPair
+  stores the device, the input spin and t only; the channels' weights (the
+  spin's amplitudes), p, c and sigma are derived from them.  Only the grid
+  oracle uses a pair: its wrap check reads the centers, and its reference
+  densities come from component_density.
 
-The device's non-idealness measure is the upper-half-plane weight of the
-spin-down channel,
+Post-selection on z >= 0 needs three numbers of the device, the same for
+every input spin (upper_overlaps): the upper-half weights of the
+normalized channels, I+ and I-, and their upper-half coherence
+C = int_0^inf psi_plus psi_minus^* dz.  With a = 2 dp sigma0
+(SGConfig.drift_ratio), tau = t / (2 m sigma0^2) and
+r = a tau / sqrt(1 + tau^2), the weights are Gaussian CDFs,
 
-    E(t) = integral_0^inf |psi_minus(z, t)|^2 dz,
+    I+-(t) = Phi(+-r),
 
-evaluated in closed form through the Gaussian CDF: with a = 2 dp sigma0
-(SGConfig.drift_ratio) and tau = t / (2 m sigma0^2),
-
-    E(t) = Phi(-a tau / sqrt(1 + tau^2)).
-
-E(t) and the coherence below take only a, tau and the Larmor phase, and
-math.hypot(1, tau) stands for sqrt(1 + tau^2), whose tau^2 can overflow.
+and the device's non-idealness measure is E(t) = I-(t), the upper-half
+weight of the spin-down channel.  The three take only a, tau and the Larmor
+phase, and math.hypot(1, tau) stands for sqrt(1 + tau^2), whose tau^2 can
+overflow.
 
 E(t) decreases monotonically after the magnet for dp > 0 and saturates at
 the Gaussian tail value Phi(-a) (asymptotic_error_fraction), set by the
 ratio of drift to spreading velocity, so no search for a saturation time is
 needed.  Post-selection happens at phase_settle_time, after saturation.
 
-The upper-half coherence integral int_0^inf psi_plus psi_minus^* dz of the
-symmetric, co-located channels the magnet produces is also a closed form,
-through exp(-x^2) (1 + i erfi x) = exp(-x^2) + i (2/sqrt(pi)) F(x) with F
-Dawson's integral.  It is assembled from exit-time quantities: multiplying
-independently evaluated wave functions would lose the relative phase to
-rounding once the accumulated single-channel phases exceed ~1e9 rad.
+C of the symmetric, co-located channels the magnet produces is a closed
+form too, through exp(-x^2) (1 + i erfi x) = exp(-x^2) + i (2/sqrt(pi)) F(x)
+with F Dawson's integral.  It is assembled from the exit phases +-phi_L:
+multiplying independently evaluated wave functions would lose the relative
+phase to rounding once the accumulated single-channel phases exceed ~1e9
+rad, so phi(t) is never formed.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .spin import SpinState
 
@@ -64,12 +66,8 @@ if TYPE_CHECKING:
 __all__ = [
     "SGConfig",
     "WavePacketPair",
-    "evolve_through_magnet",
-    "free_propagate",
     "component_density",
-    "upper_fraction",
-    "error_fraction",
-    "closed_form_upper_coherence",
+    "upper_overlaps",
     "asymptotic_error_fraction",
     "phase_settle_time",
 ]
@@ -147,9 +145,7 @@ class WavePacketPair(NamedTuple):
     The magnet leaves the spin-up ("plus") and spin-down ("minus") channels
     at the common origin z = 0 with momenta +-momentum_kick, Larmor phases
     +-larmor_phase and the spin's amplitudes as weights.  Center and width
-    at `time` are derived from these exit values; the overlap formulas use
-    the exit phases directly, because the accumulated phase is large at late
-    times and its double rounding would be fatal to coherence phases.
+    at `time` are derived from these exit values.
     """
 
     device: SGConfig
@@ -185,24 +181,6 @@ class WavePacketPair(NamedTuple):
         return p * (self.time / m) if math.isinf(c) else c
 
 
-def evolve_through_magnet(config: SGConfig, input_spin: SpinState) -> WavePacketPair:
-    """Impulsive magnet transit.
-
-    Positions stay frozen; the up/down channels receive momentum kicks
-    +-momentum_kick and Larmor phases +-larmor_phase.  Channel weights are
-    the input spin amplitudes.  The returned pair sits at time 0 (magnet
-    exit).
-    """
-    return WavePacketPair(config, input_spin, 0.0)
-
-
-def free_propagate(pair: WavePacketPair, t: float) -> WavePacketPair:
-    """Advance the pair by a free-flight interval t >= 0."""
-    if t < 0:
-        raise ValueError("free propagation time must be non-negative")
-    return pair._replace(time=pair.time + t)
-
-
 def component_density(
     pair: WavePacketPair,
     z: np.ndarray,
@@ -229,22 +207,6 @@ def component_density(
     density *= abs(pair.weight(which)) ** 2
     density /= _SQRT_2PI * width
     return density
-
-
-def upper_fraction(pair: WavePacketPair, which: str) -> float:
-    """Weight of one normalized channel on the upper half line z >= 0:
-    Phi(+-a tau / sqrt(1 + tau^2)), + for "plus"; a tail below 1e-17 is kept."""
-    tau = pair.tau
-    r = pair.device.drift_ratio * tau / math.hypot(1.0, tau)
-    return _norm_cdf(_sign(which) * r)
-
-
-def error_fraction(pair: WavePacketPair) -> float:
-    """Upper-half weight of the normalized spin-down channel, E(t).
-
-    Closed form through the Gaussian CDF of the minus channel.
-    """
-    return upper_fraction(pair, "minus")
 
 
 def _dawson(x: float) -> float:
@@ -284,26 +246,35 @@ def _dawson(x: float) -> float:
     return math.copysign(value, x)
 
 
-def closed_form_upper_coherence(pair: WavePacketPair) -> complex:
-    """Upper-half coherence int_0^inf psi_plus psi_minus^* dz of the pair.
+def upper_overlaps(config: SGConfig, t: float) -> Tuple[float, float, complex]:
+    """(I+, I-, C) of the device after a free flight t: the upper-half
+    weights of the normalized plus and minus channels and their upper-half
+    coherence int_0^inf psi_plus psi_minus^* dz.
 
     Both channels leave the magnet from z = 0 with opposite momenta +-dp
     and exit phases +-phi_L (the Larmor phase).  With a = 2 dp sigma0,
     r = a tau / sqrt(1 + tau^2) the plus channel's center in widths and
     x = a / (sqrt(2) sqrt(1 + tau^2)),
 
-        C(t) = (1/2) exp(-r^2 / 2) exp(-x^2) (1 + i erfi x) exp(2 i phi_L),
+        I+- = Phi(+-r),  a tail below 1e-17 kept,
+        C = (1/2) exp(-r^2 / 2) exp(-x^2) (1 + i erfi x) exp(2 i phi_L),
 
     where exp(-x^2) erfi x = (2/sqrt(pi)) F(x) stays finite for any x.
+    Where phi_L + phi_L overflows, exp(2 i phi_L) is exp(i phi_L) squared.
     """
-    sg = pair.device
-    a, tau = sg.drift_ratio, pair.tau
+    a, tau = config.drift_ratio, t / config.spreading_time
     spread = math.hypot(1.0, tau)
     r = a * tau / spread
     x = a / (_SQRT2 * spread)
     envelope = 0.5 * math.exp(-(r * r) / 2.0)
     erfi_part = complex(math.exp(-(x * x)), 2.0 / math.sqrt(math.pi) * _dawson(x))
-    return envelope * erfi_part * cmath.exp(1j * (sg.larmor_phase + sg.larmor_phase))
+    phi = config.larmor_phase
+    if math.isinf(phi + phi):
+        larmor = cmath.exp(1j * phi) ** 2
+    else:
+        larmor = cmath.exp(1j * (phi + phi))
+    coherence = envelope * erfi_part * larmor
+    return _norm_cdf(r), _norm_cdf(-r), coherence
 
 
 def asymptotic_error_fraction(config: SGConfig) -> float:

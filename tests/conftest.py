@@ -19,8 +19,6 @@ from nosignal import (
     WavePacketPair,
     branch_table,
     cell_records,
-    evolve_through_magnet,
-    free_propagate,
     grid_solve,
     make_spin_state,
 )
@@ -63,29 +61,29 @@ class SaturationResult(NamedTuple):
     time: float
 
 
-def saturated_error_fraction(config, input_spin, tol: float = 1e-6) -> SaturationResult:
+def saturated_error_fraction(config, tol: float = 1e-6) -> SaturationResult:
     """Time-saturated error fraction by doubling-window sampling.
 
     The test-side reference for the closed-form tail Phi(-2 dp sigma0):
     doubles the probe time until |E(2t) - E(t)| < tol, then reports E at
     the doubled time (one window deeper than the detection point).  Fails
-    with the last sample past a horizon of 1e9 spreading times.  E is looked
-    up on its module at each call, so a test can replace it.
+    with the last sample past a horizon of 1e9 spreading times.  E is
+    upper_overlaps' I-, looked up on its module at each call, so a test can
+    replace it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     base = config.spreading_time
     horizon = 1e9 * base
-    exit_pair = evolve_through_magnet(config, input_spin)
     t = base / 8.0
-    last = nosignal.wavepacket.error_fraction(free_propagate(exit_pair, t))
+    last = nosignal.wavepacket.upper_overlaps(config, t)[1]
     while True:
         if 2.0 * t > horizon:
             raise AssertionError(
                 f"error fraction not saturated to {tol:g} before t = {horizon:g}; "
                 f"last sample {last!r}"
             )
-        nxt = nosignal.wavepacket.error_fraction(free_propagate(exit_pair, 2.0 * t))
+        nxt = nosignal.wavepacket.upper_overlaps(config, 2.0 * t)[1]
         if abs(nxt - last) < tol:
             return SaturationResult(value=nxt, time=2.0 * t)
         t *= 2.0
@@ -99,10 +97,8 @@ def grid_results(config, input_spin, grid, times) -> list:
     check raises, so the earliest failing time is the one reported.  Each
     density is compared with component_amplitude's, the tests' reference.
     """
-    exit_pair = evolve_through_magnet(config, input_spin)
-
     def reference(t, which, z, out):
-        pair = free_propagate(exit_pair, t)
+        pair = WavePacketPair(config, input_spin, t)
         out[...] = np.abs(component_amplitude(pair, z, which)) ** 2
 
     return grid_solve(config, input_spin, grid, times, reference)
@@ -184,8 +180,8 @@ def component_amplitude(pair: WavePacketPair, z: np.ndarray, which: str) -> np.n
     """One channel's wave function, its spin weight included, at positions z.
 
     The tests' reference for component_density and the grid solver at
-    moderate times; coherence integrals go through closed_form_upper_coherence
-    or quad_coherence.
+    moderate times; coherence integrals go through upper_overlaps or
+    quad_coherence.
     """
     center = pair.center(which)
     s0 = pair.device.sigma0

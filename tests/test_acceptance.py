@@ -16,17 +16,14 @@ from nosignal import (
     asymptotic_error_fraction,
     born_probability,
     closed_form_rows,
-    closed_form_upper_coherence,
     derive_seed,
-    error_fraction,
     estimate_error_fraction,
     estimate_phase,
-    evolve_through_magnet,
-    free_propagate,
     postselected_pure_state,
     project_upper,
     sample,
     sigma_eigenstate,
+    upper_overlaps,
     violation_bound,
 )
 from nosignal.cli import main
@@ -129,20 +126,16 @@ def test_criterion_4_oracle_equivalence(device, x_state):
     times = [1.0, 3.0, 7.0, 12.0, 20.0, 30.0, 45.0, 70.0, 95.0, 120.0]
     grid = GridSpec(extent=1024.0, points=2**14, dt=2e-4)
     results = grid_results(device, x_state, grid, times)
-    exit_pair = evolve_through_magnet(device, x_state)
-    sat = saturated_error_fraction(device, x_state, tol=1e-4)
+    sat = saturated_error_fraction(device, tol=1e-4)
     assert times[-1] > 0.5 * sat.time  # sampling reaches the saturated regime
 
     worst_e = 0.0
     worst_mod = 0.0
     worst_phase = 0.0
     for idx, t in enumerate(times):
-        pair = free_propagate(exit_pair, t)
-        worst_e = max(
-            worst_e, abs(results[idx].error_fraction - error_fraction(pair))
-        )
+        _, e_analytic, c_analytic = upper_overlaps(device, t)
+        worst_e = max(worst_e, abs(results[idx].error_fraction - e_analytic))
         c_grid = results[idx].coherence
-        c_analytic = closed_form_upper_coherence(pair)
         worst_mod = max(worst_mod, abs(abs(c_grid) - abs(c_analytic)))
         worst_phase = max(
             worst_phase,
@@ -158,19 +151,16 @@ def test_criterion_4_oracle_equivalence(device, x_state):
     )
 
 
-def test_criterion_5_saturation(device, x_state):
+def test_criterion_5_saturation(device):
     """E(t) decreases monotonically and settles on the closed-form tail."""
     start = time.monotonic()
-    sat = saturated_error_fraction(device, x_state, tol=1e-6)
-    exit_pair = evolve_through_magnet(device, x_state)
+    sat = saturated_error_fraction(device, tol=1e-6)
     probe = [
-        error_fraction(free_propagate(exit_pair, t))
-        for t in np.geomspace(1e-3, 2 * sat.time, 200)
+        upper_overlaps(device, t)[1] for t in np.geomspace(1e-3, 2 * sat.time, 200)
     ]
     monotone = bool(np.all(np.diff(probe) <= 1e-15))
     stability = abs(
-        error_fraction(free_propagate(exit_pair, 2 * sat.time))
-        - error_fraction(free_propagate(exit_pair, sat.time))
+        upper_overlaps(device, 2 * sat.time)[1] - upper_overlaps(device, sat.time)[1]
     )
     tail_error = abs(sat.value - asymptotic_error_fraction(device))
     elapsed = time.monotonic() - start
@@ -185,15 +175,14 @@ def test_criterion_5_saturation(device, x_state):
 
 def _bench_truths(config, omega):
     """Post-selected pure-state parameters for the two beam polarizations."""
-    sat = saturated_error_fraction(config, postselected_pure_state(0.5, 0.0))
+    sat = saturated_error_fraction(config)
     from nosignal import phase_settle_time
 
-    t_run = max(sat.time, phase_settle_time(config))
+    overlaps = upper_overlaps(config, max(sat.time, phase_settle_time(config)))
     truths = {}
     for polarization in (+1, -1):
         beam = sigma_eigenstate(omega, polarization)
-        pair = free_propagate(evolve_through_magnet(config, beam), t_run)
-        post = project_upper(pair)
+        post = project_upper(beam, overlaps)
         truths[polarization] = (post.error_fraction, post.phase)
     return truths
 
@@ -275,15 +264,14 @@ def test_criterion_7_sample_level_no_signalling(device):
     theta_grid = [i * math.pi / 12 for i in range(13)]
     from nosignal import phase_settle_time, singlet_conditional
 
-    sat = saturated_error_fraction(device, postselected_pure_state(0.5, 0.0))
-    t_run = max(sat.time, phase_settle_time(device))
+    sat = saturated_error_fraction(device)
+    overlaps = upper_overlaps(device, max(sat.time, phase_settle_time(device)))
 
     posts = {}
     for setting_idx, alice_axis in enumerate((math.pi / 2, 0.0)):
         for outcome in (+1, -1):
             _, bob = singlet_conditional(alice_axis, outcome)
-            pair = free_propagate(evolve_through_magnet(device, bob), t_run)
-            posts[(setting_idx, outcome)] = project_upper(pair)
+            posts[(setting_idx, outcome)] = project_upper(bob, overlaps)
 
     worst_z = 0.0
     for theta_idx, theta in enumerate(theta_grid):

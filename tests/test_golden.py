@@ -1,5 +1,5 @@
-"""Golden cases: the workflows on a few overrides of configs/default.json,
-checked in two tiers.
+"""Golden cases: the workflows on a few overrides of configs/default.json
+and on a few malformed config files, checked in two tiers.
 
 Facts gate on every toolchain: the exit code, no traceback, a substring each
 of stdout, stderr and the data file, one short stderr line and no output
@@ -7,8 +7,8 @@ directory after a failure, the same bytes from a second run of each oracle
 and scaled case, and the format of every file written (check_format).
 
 Hashes gate only on the Python, numpy and glibc recorded in golden.json:
-the exit code and the sha256 of the data file, stderr and stdout (its output
-path masked).  A speed-up or a refactor must leave them unchanged.
+the exit code and the sha256 of the data file, stderr and stdout (the output
+and config paths masked).  A speed-up or a refactor must leave them unchanged.
 Regenerating the manifest is a deliberate step, recorded in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
@@ -33,7 +33,7 @@ from functools import lru_cache, partial
 from hashlib import sha256
 from io import StringIO
 from pathlib import Path
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import pytest
 
@@ -58,7 +58,9 @@ class Facts(NamedTuple):  # the exit code, and a substring of each output
 
 
 class Case(NamedTuple):
-    config: dict  # over configs/default.json; "sg" and "oracle" update theirs
+    # over configs/default.json ("sg" and "oracle" update theirs), or the
+    # bytes of the config file itself
+    config: Union[dict, bytes]
     commands: Dict[str, Facts]
     flags: Tuple[str, ...] = ()  # after --config and --out
 
@@ -74,6 +76,13 @@ LEAK = "exceeds 1e-10; increase the grid extent"
 INJECT = ("--inject-violation", "0.1")
 NOT_APPLIED = "--inject-violation 0.1 not applied: no omega carries a phase"
 FAIL = Facts(code=1, stdout="FAIL")
+
+
+def refused(message: str) -> Dict[str, Facts]:
+    """Every command exits 2 on a config file that load_config refuses."""
+    return dict.fromkeys(DATA_FILES, Facts(code=2, stderr=message))
+
+
 # perfbench's scaled workload at seed 1: its seeded omegas, written out
 SCALED = {
     "omega_list": [0.4586812977974252, 0.825816074847331, 1.4171687205156798,
@@ -178,6 +187,20 @@ CASES = {
         "omega_list": [0.0, -0.0, 1, 2, math.pi / 2, 3],
         "theta_list": [0.0, -0.0, 1, 2, 0.5, -0.5, 3, 0, 1.0],
     }, {"verify": Facts(stdout="phase-checked cells: 36/54"), "sweep": Facts(stdout="wrote 54 rows"), "estimate": OK}),
+    # phi_L + phi_L overflows: exp(1j * inf) once made C NaN, and every
+    # command a traceback
+    "larmor-overflow": Case({"sg": {"moment": 1.0, "gradient": 0.0004208,
+                                    "bias": 1e308, "transit": 1.0}},
+                            {**ANALYTIC, "oracle": OK}),
+    # config files that json.loads or load_config refuses: one short line each
+    "sg-not-object": Case(b'{"schema_version": 1, "sg": [1, 2]}',
+                          refused("sg must be a JSON object")),
+    "not-utf8": Case(b'{"schema_version": 1, "model": "pur\xe9"}',
+                     refused("<config>: 'utf-8' codec can't decode byte 0xe9")),
+    "nested-too-deep": Case(b"[" * 100_000 + b"]" * 100_000,
+                            refused("<config>: JSON nested too deeply")),
+    "digits-5000": Case(b'{"schema_version": 1, "samples": ' + b"9" * 5000 + b"}",
+                        refused("<config>: Exceeds the limit (4300 digits)")),
 }
 PINNED = [(name, command) for name, case in CASES.items() for command in case.commands]
 IDS = [f"{name}-{command}" for name, command in PINNED]
@@ -215,13 +238,17 @@ def case_config(name: str) -> dict:
 
 def write_case_config(name: str, directory: Path) -> Path:
     path = directory / f"{name}.json"
-    path.write_text(json.dumps(case_config(name)), encoding="utf-8")
+    config = CASES[name].config
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(json.dumps(case_config(name)), encoding="utf-8")
     return path
 
 
 class Run(NamedTuple):
     code: int
-    stdout: str  # the output path masked
+    stdout: str  # the output and config paths masked
     stderr: str
     files: Optional[Dict[str, bytes]]  # every file written; None if no directory
 
@@ -231,15 +258,18 @@ def run_case(name: str, command: str, directory: Path) -> Run:
     as an error; --out is below a directory that the run must create."""
     top = directory / f"{name}-{command}"
     out = top / "out"
-    argv = [command, "--config", str(write_case_config(name, directory)),
-            "--out", str(out), *CASES[name].flags]
+    config = write_case_config(name, directory)
+    argv = [command, "--config", str(config), "--out", str(out), *CASES[name].flags]
     stdout, stderr = StringIO(), StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr), warnings.catch_warnings():
         if command == "oracle":
             warnings.simplefilter("error", RuntimeWarning)
         code = main(argv)
     files = {p.name: p.read_bytes() for p in out.iterdir()} if top.exists() else None
-    stdout, stderr = (s.getvalue().replace(str(out), "<out>") for s in (stdout, stderr))
+    stdout, stderr = (
+        s.getvalue().replace(str(out), "<out>").replace(str(config), "<config>")
+        for s in (stdout, stderr)
+    )
     return Run(code, stdout, stderr, files)
 
 
@@ -428,7 +458,9 @@ def diff(case_id: str, base_src: str) -> None:
         base = subprocess.run(argv, env=dict(fresh_env(), PYTHONPATH=base_src),
                               capture_output=True, text=True)
         data = DATA_FILES[command]
-        old = (out / data).read_text(encoding="utf-8") if out.exists() else None
+        # a base that fails may leave its directory without the data file
+        path = out / data
+        old = path.read_text(encoding="utf-8") if path.exists() else None
     new = (run.files or {}).get(data)
     print(f"{case_id}: exit code {base.returncode} in the base, {run.code} here")
     if old is None or new is None:

@@ -17,15 +17,13 @@ from nosignal import (
     NormDriftError,
     SGConfig,
     SpinState,
+    WavePacketPair,
     component_density,
-    error_fraction,
-    evolve_through_magnet,
-    free_propagate,
     grid_solve,
     make_spin_state,
+    upper_overlaps,
 )
 from nosignal.gridsolver import _exit_spectra, _free_phase, _Worker
-from nosignal.wavepacket import closed_form_upper_coherence
 from conftest import grid_results
 
 SMALL_GRID = GridSpec(extent=384.0, points=4096, dt=2e-4)
@@ -211,8 +209,7 @@ class TestAgainstAnalyticModel:
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_error_fraction_agreement(self, device, x_state, t):
         result = grid_result_at(device, x_state, SMALL_GRID, t)
-        pair = free_propagate(evolve_through_magnet(device, x_state), t)
-        assert abs(result.error_fraction - error_fraction(pair)) < 1e-3
+        assert abs(result.error_fraction - upper_overlaps(device, t)[1]) < 1e-3
 
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_position_density_agreement(self, device, x_state, t):
@@ -221,8 +218,7 @@ class TestAgainstAnalyticModel:
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_coherence_agreement(self, device, x_state, t):
         result = grid_result_at(device, x_state, SMALL_GRID, t)
-        pair = free_propagate(evolve_through_magnet(device, x_state), t)
-        analytic = closed_form_upper_coherence(pair)
+        analytic = upper_overlaps(device, t)[2]
         assert abs(abs(result.coherence) - abs(analytic)) < 1e-3
         assert abs(np.angle(result.coherence) - np.angle(analytic)) < 1e-2
 
@@ -230,8 +226,7 @@ class TestAgainstAnalyticModel:
         # relative phase of the input spin must survive the weight division
         state = make_spin_state(1.0, 1.0j)
         result = grid_result_at(device, state, SMALL_GRID, 10.0)
-        pair = free_propagate(evolve_through_magnet(device, state), 10.0)
-        assert abs(result.coherence - closed_form_upper_coherence(pair)) < 1e-3
+        assert abs(result.coherence - upper_overlaps(device, 10.0)[2]) < 1e-3
 
 
 def nested_step(psi, half_v, kinetic):
@@ -468,10 +463,9 @@ class TestInPlacePhases:
         # arrays added 3.5)
         n = 2**16
         grid = GridSpec(extent=4096.0, points=n, dt=1e-3)  # 2 magnet steps
-        exit_pair = evolve_through_magnet(device, x_state)
 
         def reference(t, which, z, out):
-            component_density(free_propagate(exit_pair, t), z, which, out=out)
+            component_density(WavePacketPair(device, x_state, t), z, which, out=out)
 
         grid_solve(device, x_state, grid, [1.0], reference)  # numpy's one-time set-up
         caller = threading.get_ident()

@@ -10,22 +10,21 @@ from nosignal import (
     asymptotic_error_fraction,
     born_probability,
     constraint_residual,
-    error_fraction,
-    evolve_through_magnet,
     extract_phase,
-    free_propagate,
     make_spin_state,
     postselected_pure_state,
     project_upper,
     shift_cosine,
     sigma_eigenstate,
+    upper_overlaps,
 )
 from nosignal.spin import smaller_eigenvalue, wrap_to_pi
 from conftest import device_for_error_fraction, pure_density
 
 
-def settled_pair(config, state, t=400.0):
-    return free_propagate(evolve_through_magnet(config, state), t)
+def settled(config, t=400.0):
+    """The device's upper-half overlaps after a late free flight."""
+    return upper_overlaps(config, t)
 
 
 class TestPureStateForm:
@@ -85,7 +84,7 @@ class TestConstraintResidual:
 class TestProjectUpper:
     def test_up_input_case(self, device, up_state):
         # survival probability 1 - E_s, pure up state afterwards
-        post = project_upper(settled_pair(device, up_state))
+        post = project_upper(up_state, settled(device))
         es = asymptotic_error_fraction(device)
         assert abs(post.select_prob - (1 - es)) < 1e-4
         assert np.allclose(post.rho.matrix, [[1, 0], [0, 0]], atol=1e-12)
@@ -94,18 +93,18 @@ class TestProjectUpper:
 
     def test_x_input_ideal_limit(self, x_state):
         ideal = SGConfig(mass=1, sigma0=1, moment=1, gradient=2500, bias=0, transit=0.002)
-        post = project_upper(settled_pair(ideal, x_state))
+        post = project_upper(x_state, settled(ideal))
         assert abs(post.select_prob - 0.5) < 1e-6
         assert np.allclose(post.rho.matrix, [[1, 0], [0, 0]], atol=1e-6)
 
     def test_x_input_generic(self, device, x_state):
-        pair = settled_pair(device, x_state)
-        post = project_upper(pair)
+        overlaps = settled(device)
+        post = project_upper(x_state, overlaps)
         assert abs(post.select_prob - 0.5) < 1e-9
-        assert abs(post.error_fraction - error_fraction(pair)) < 1e-12
+        assert abs(post.error_fraction - overlaps[1]) < 1e-12
 
     def test_consistency_with_z_measurement(self, device, x_state):
-        post = project_upper(settled_pair(device, x_state))
+        post = project_upper(x_state, settled(device))
         p_up = born_probability(post.rho, 0.0, +1)
         assert abs(p_up - post.rho.up_up.real) < 1e-12
         assert abs(post.error_fraction - (1 - p_up)) < 1e-12
@@ -114,9 +113,8 @@ class TestProjectUpper:
         # a spin-down input under a large kick (2 dp sigma0 = 10) at a late
         # time: its one channel sits below z = 0
         ideal = SGConfig(mass=1, sigma0=1, moment=1, gradient=2500, bias=0, transit=0.002)
-        pair = settled_pair(ideal, make_spin_state(0.0, 1.0))
         with pytest.raises(PostSelectionError):
-            project_upper(pair)
+            project_upper(make_spin_state(0.0, 1.0), settled(ideal))
 
 
 class TestShiftCosine:
@@ -127,7 +125,7 @@ class TestShiftCosine:
         biased = SGConfig(
             mass=1.0, sigma0=1.0, moment=1.0, gradient=210.4, bias=500.0, transit=0.002
         )
-        return project_upper(settled_pair(biased, make_spin_state(1.0, 1.0)))
+        return project_upper(make_spin_state(1.0, 1.0), settled(biased))
 
     @pytest.mark.parametrize("x", [0.1, -0.25, 0.6])
     def test_moves_only_the_phase(self, post, x):
@@ -155,8 +153,8 @@ class TestPhaseFlipBetweenOppositeInputs:
     def test_x_inputs_differ_by_pi(self, device):
         plus_x = make_spin_state(1.0, 1.0)
         minus_x = make_spin_state(1.0, -1.0)
-        post_a = project_upper(settled_pair(device, plus_x))
-        post_b = project_upper(settled_pair(device, minus_x))
+        post_a = project_upper(plus_x, settled(device))
+        post_b = project_upper(minus_x, settled(device))
         delta = wrap_to_pi(post_a.phase - post_b.phase + math.pi)
         assert abs(delta) < 1e-9
 
@@ -167,7 +165,7 @@ class TestPhaseFlipBetweenOppositeInputs:
         post = {}
         for outcome in (+1, -1):
             beam = sigma_eigenstate(omega, outcome)
-            post[outcome] = project_upper(settled_pair(config, beam))
+            post[outcome] = project_upper(beam, settled(config))
         delta = wrap_to_pi(post[+1].phase - post[-1].phase + math.pi)
         assert abs(delta) < 1e-9
         # and the cosine-sum form of the constraint holds

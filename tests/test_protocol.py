@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +14,16 @@ from nosignal import (
     branch_table,
     cell_records,
     closed_form_rows,
+    phase_settle_time,
     postselected_pure_state,
+    upper_overlaps,
 )
-from nosignal.cli import EXIT_OK, main
+from nosignal.cli import EXIT_OK, load_config, main
 from nosignal.protocol import MODELS, ProtocolResult, branch_totals
 from nosignal.spin import sigma_eigenstate, wrap_to_pi
 from conftest import device_for_error_fraction, run_pipeline
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 def closed_form(es, omega, theta, phi_plus, phi_minus):
@@ -253,6 +258,22 @@ class TestPipeline:
 
 
 class TestBranchTable:
+    def test_one_overlap_triple_serves_every_branch(self, monkeypatch):
+        # the device's (I+, I-, C) is taken once per table, at
+        # phase_settle_time, and Es is its I-: no beam of its own
+        calls = []
+
+        def counted(config, t):
+            calls.append((config, t))
+            return upper_overlaps(config, t)
+
+        monkeypatch.setattr(nosignal.protocol, "upper_overlaps", counted)
+        cfg = load_config(str(DEFAULT_CONFIG))
+        table = branch_table(cfg.sg, cfg.omega_list)
+        assert calls == [(cfg.sg, phase_settle_time(cfg.sg))]
+        es = upper_overlaps(cfg.sg, phase_settle_time(cfg.sg))[1]
+        assert table.Es.hex() == es.hex()
+
     @pytest.mark.parametrize("n_theta", [1, 9])
     def test_verify_builds_each_branch_once(self, tmp_path, monkeypatch, n_theta):
         # one projection per Alice outcome for the aligned setting and for

@@ -12,12 +12,13 @@ from nosignal import (
     SpinState,
     branch_table,
     closed_form_rows,
+    WavePacketPair,
     estimate_phase,
-    evolve_through_magnet,
     grid_solve,
     make_spin_state,
     project_upper,
     sample,
+    upper_overlaps,
 )
 from nosignal.cli import load_config
 from conftest import pure_density
@@ -66,7 +67,7 @@ def _values() -> dict:
     """One value of each value type, by type name."""
     sg = SGConfig(**DEVICE)
     spin = make_spin_state(1.0, 1.0)
-    pair = evolve_through_magnet(sg, spin)
+    pair = WavePacketPair(sg, spin, 0.0)
     record = sample(spin, math.pi / 2, 1000, seed=1)
     values = [
         spin,
@@ -74,7 +75,7 @@ def _values() -> dict:
         sg,
         GridSpec(**GRID),
         pair,
-        project_upper(pair),
+        project_upper(spin, upper_overlaps(sg, 0.0)),
         closed_form_rows(0.1, 0.5, (0.5,), 0.0, math.pi, "pure")[0],
         branch_table(sg, [math.pi / 2]),
         record,

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 from pathlib import Path
@@ -13,15 +14,13 @@ import nosignal.wavepacket
 from nosignal import (
     SGConfig,
     SpinState,
+    WavePacketPair,
     asymptotic_error_fraction,
     component_density,
-    error_fraction,
-    evolve_through_magnet,
-    free_propagate,
     phase_settle_time,
-    upper_fraction,
+    upper_overlaps,
 )
-from nosignal.wavepacket import _dawson, _norm_cdf, closed_form_upper_coherence
+from nosignal.wavepacket import _dawson, _norm_cdf
 from conftest import (
     channel_phase,
     component_amplitude,
@@ -87,67 +86,48 @@ def mpmath_upper_coherence(pair, dps: int = 40):
 class TestMagnet:
     def test_zero_field_leaves_identical_components(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
-        pair = evolve_through_magnet(cfg, x_state)
+        pair = WavePacketPair(cfg, x_state, 0.0)
         assert pair.momentum("plus") == pair.momentum("minus") == 0.0
         assert pair.center("plus") == pair.center("minus") == 0.0
         assert channel_phase(pair, "plus") == channel_phase(pair, "minus") == 0.0
 
     def test_up_eigenstate_passes_unsplit(self, device, up_state):
-        pair = evolve_through_magnet(device, up_state)
+        pair = WavePacketPair(device, up_state, 0.0)
         assert pair.weight("minus") == 0.0
         assert pair.momentum("plus") == device.momentum_kick > 0
 
     def test_x_input_splits_symmetrically(self, device, x_state):
-        pair = evolve_through_magnet(device, x_state)
+        pair = WavePacketPair(device, x_state, 0.0)
         assert abs(pair.weight("plus") - 1 / math.sqrt(2)) < 1e-12
         assert abs(pair.weight("minus") - 1 / math.sqrt(2)) < 1e-12
         assert pair.momentum("plus") == -pair.momentum("minus") == device.momentum_kick
 
     def test_larmor_phases(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=2, gradient=10, bias=3, transit=0.01)
-        pair = evolve_through_magnet(cfg, x_state)
+        pair = WavePacketPair(cfg, x_state, 0.0)
         assert abs(channel_phase(pair, "plus") - 0.06) < 1e-15
         assert abs(channel_phase(pair, "minus") + 0.06) < 1e-15
 
 
 class TestFreePropagation:
-    def test_zero_time_is_identity(self, device, x_state):
-        pair = evolve_through_magnet(device, x_state)
-        moved = free_propagate(pair, 0.0)
-        assert moved == pair
-
-    def test_rejects_negative_time(self, device, x_state):
-        pair = evolve_through_magnet(device, x_state)
-        with pytest.raises(ValueError):
-            free_propagate(pair, -1.0)
-
     def test_width_spreading_law(self, x_state):
         cfg = SGConfig(mass=2, sigma0=0.5, moment=1, gradient=0, bias=0, transit=0)
-        pair = evolve_through_magnet(cfg, x_state)
         t = 1e6
-        moved = free_propagate(pair, t)
+        moved = WavePacketPair(cfg, x_state, t)
         assert moved.center("plus") == 0.0
         # asymptotically sigma(t) -> t / (2 m sigma0)
         assert abs(moved.width / (t / (2 * 2 * 0.5)) - 1.0) < 1e-9
 
     def test_centers_drift_with_momentum(self, device, x_state):
-        pair = free_propagate(evolve_through_magnet(device, x_state), 10.0)
+        pair = WavePacketPair(device, x_state, 10.0)
         assert abs(pair.center("plus") - device.momentum_kick * 10.0) < 1e-12
         assert abs(pair.center("minus") + device.momentum_kick * 10.0) < 1e-12
 
     def test_components_stay_normalized(self, device, x_state):
-        pair = free_propagate(evolve_through_magnet(device, x_state), 7.3)
+        pair = WavePacketPair(device, x_state, 7.3)
         for which in ("plus", "minus"):
             norm = quad_density(pair, which, -np.inf, np.inf)
             assert abs(norm - 1.0) < 1e-12
-
-    def test_composition_of_flights(self, device, x_state):
-        pair = evolve_through_magnet(device, x_state)
-        once = free_propagate(pair, 11.0)
-        twice = free_propagate(free_propagate(pair, 4.0), 7.0)
-        assert abs(once.center("plus") - twice.center("plus")) < 1e-12
-        assert abs(channel_phase(once, "plus") - channel_phase(twice, "plus")) < 1e-12
-        assert abs(once.width - twice.width) < 1e-12
 
 
 class TestComponentDensity:
@@ -178,7 +158,7 @@ class TestComponentDensity:
         cfg = SGConfig(
             mass=1.0, sigma0=sigma0, moment=1.0, gradient=gradient, bias=0.5, transit=0.002
         )
-        pair = free_propagate(evolve_through_magnet(cfg, spin), t)
+        pair = WavePacketPair(cfg, spin, t)
         z = pair.center(which) + pair.width * np.array(k)
         expected = np.abs(component_amplitude(pair, z, which)) ** 2
         density = component_density(pair, z, which)
@@ -188,7 +168,7 @@ class TestComponentDensity:
     @pytest.mark.parametrize("which", ["plus", "minus"])
     def test_integrates_to_squared_weight(self, device, t, which):
         spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
-        pair = free_propagate(evolve_through_magnet(device, spin), t)
+        pair = WavePacketPair(device, spin, t)
         # 8 points per sigma(t) out to 40 sigma(t): the sum is the integral
         dz = pair.width / 8
         z = pair.center(which) + dz * np.arange(-320, 321)
@@ -201,7 +181,7 @@ class TestComponentDensity:
         # by 1.2e-5 relative here; the closed form takes only sigma(t)
         cfg = self.CHIRP
         assert 0.0 < cfg.sigma0 * cfg.sigma0 < sys.float_info.min
-        pair = free_propagate(evolve_through_magnet(cfg, x_state), t)
+        pair = WavePacketPair(cfg, x_state, t)
         grid_z = (np.arange(256) - 128) * 0.25  # the oracle grid of CI's chirp run
         for which in ("plus", "minus"):
             z = np.concatenate(
@@ -222,38 +202,31 @@ class TestComponentDensity:
 
 
 class TestErrorFraction:
-    def test_fully_separated_vanishes(self, x_state):
+    def test_fully_separated_vanishes(self):
         # a large kick (2 dp sigma0 = 10) at a late time
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=2500, bias=0, transit=0.002)
-        pair = free_propagate(evolve_through_magnet(cfg, x_state), 400.0)
-        assert error_fraction(pair) < 1e-12
+        assert upper_overlaps(cfg, 400.0)[1] < 1e-12
 
-    def test_zero_kick_gives_half(self, x_state):
+    def test_zero_kick_gives_half(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
-        pair = evolve_through_magnet(cfg, x_state)
-        assert error_fraction(pair) == 0.5
-        assert error_fraction(free_propagate(pair, 25.0)) == 0.5
+        assert upper_overlaps(cfg, 0.0)[1] == 0.5
+        assert upper_overlaps(cfg, 25.0)[1] == 0.5
 
     @pytest.mark.parametrize("t", [0.5, 3.0, 40.0])
     def test_matches_quadrature_oracle(self, device, x_state, t):
-        pair = free_propagate(evolve_through_magnet(device, x_state), t)
+        pair = WavePacketPair(device, x_state, t)
         oracle = quad_density(pair, "minus", 0.0, np.inf)
-        assert abs(error_fraction(pair) - oracle) < 1e-9
+        assert abs(upper_overlaps(device, t)[1] - oracle) < 1e-9
 
     @pytest.mark.parametrize("t", [1.0, 10.0, 80.0])
-    def test_two_definitions_agree_for_symmetric_input(self, device, x_state, t):
+    def test_two_definitions_agree_for_symmetric_input(self, device, t):
         # upper weight of the down channel == lower weight of the up channel
-        pair = free_propagate(evolve_through_magnet(device, x_state), t)
-        upper_minus = error_fraction(pair)
-        lower_plus = 1.0 - upper_fraction(pair, "plus")
+        upper_plus, upper_minus, _ = upper_overlaps(device, t)
+        lower_plus = 1.0 - upper_plus
         assert abs(upper_minus - lower_plus) < 1e-12
 
-    def test_monotone_decreasing_after_exit(self, device, x_state):
-        pair = evolve_through_magnet(device, x_state)
-        values = [
-            error_fraction(free_propagate(pair, t))
-            for t in np.linspace(0.0, 400.0, 120)
-        ]
+    def test_monotone_decreasing_after_exit(self, device):
+        values = [upper_overlaps(device, t)[1] for t in np.linspace(0.0, 400.0, 120)]
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-15)
         assert values[-1] == pytest.approx(asymptotic_error_fraction(device), abs=1e-4)
@@ -308,17 +281,15 @@ def test_closed_forms_over_accepted_a_and_tau(tmp_path_factory, a, times):
     ))
     cfg = load_config(str(path))
     assert cfg.sg.drift_ratio == a and cfg.sg.spreading_time == 1.0
-    exit_pair = evolve_through_magnet(cfg.sg, SpinState(math.sqrt(0.5), math.sqrt(0.5)))
-    pairs = [free_propagate(exit_pair, t) for t in sorted(cfg.oracle_times)]
-    e_early, e_late = (error_fraction(pair) for pair in pairs)
+    overlaps = [upper_overlaps(cfg.sg, t) for t in sorted(cfg.oracle_times)]
+    e_early, e_late = (i_minus for _, i_minus, _ in overlaps)
     if a >= 0:
         assert 0.0 <= e_late <= e_early <= 0.5
     else:
         assert 0.5 <= e_early <= e_late <= 1.0
-    for pair in pairs:
-        total = upper_fraction(pair, "plus") + upper_fraction(pair, "minus")
+    for i_plus, i_minus, coherence in overlaps:
+        total = i_plus + i_minus
         assert abs(total - 1.0) <= 4e-16
-        coherence = closed_form_upper_coherence(pair)
         assert math.isfinite(coherence.real) and math.isfinite(coherence.imag)
         assert abs(coherence) <= 0.5
 
@@ -327,72 +298,54 @@ class TestSaturation:
     """The closed-form tail against the test-side doubling search."""
 
     @pytest.mark.parametrize("gradient", [0.0, 210.4, 1250.0, 2500.0])
-    def test_error_fraction_is_the_closed_form_in_tau(self, x_state, gradient):
+    def test_error_fraction_is_the_closed_form_in_tau(self, gradient):
         # E(t) = Phi(-a tau / sqrt(1 + tau^2)) with a = 2 dp sigma0
         cfg = SGConfig(
             mass=1, sigma0=1, moment=1, gradient=gradient, bias=0, transit=0.002
         )
         a = 2.0 * cfg.momentum_kick * cfg.sigma0
-        exit_pair = evolve_through_magnet(cfg, x_state)
         for t in [0.0, 0.01, 1.0, 37.0, 120.0, 1e4]:
             tau = t / cfg.spreading_time
             expected = _norm_cdf(-a * tau / math.sqrt(1.0 + tau * tau))
-            assert error_fraction(free_propagate(exit_pair, t)) == pytest.approx(
+            assert upper_overlaps(cfg, t)[1] == pytest.approx(
                 expected, rel=1e-14, abs=0.0
             )
 
-    def test_zero_kick_saturates_at_half(self, x_state):
+    def test_zero_kick_saturates_at_half(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
-        result = saturated_error_fraction(cfg, x_state)
+        result = saturated_error_fraction(cfg)
         assert result.value == asymptotic_error_fraction(cfg) == 0.5
 
-    def test_ideal_limit(self, x_state):
+    def test_ideal_limit(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=2500, bias=0, transit=0.002)
-        result = saturated_error_fraction(cfg, x_state)
+        result = saturated_error_fraction(cfg)
         assert result.value < 1e-6
 
-    def test_matches_closed_form_tail(self, device, x_state):
-        result = saturated_error_fraction(device, x_state, tol=1e-8)
+    def test_matches_closed_form_tail(self, device):
+        result = saturated_error_fraction(device, tol=1e-8)
         assert abs(result.value - asymptotic_error_fraction(device)) < 1e-8
 
-    def test_detection_window_is_stable(self, device, x_state):
-        result = saturated_error_fraction(device, x_state, tol=1e-6)
-        exit_pair = evolve_through_magnet(device, x_state)
-        e1 = error_fraction(free_propagate(exit_pair, result.time))
-        e2 = error_fraction(free_propagate(exit_pair, 2 * result.time))
+    def test_detection_window_is_stable(self, device):
+        result = saturated_error_fraction(device, tol=1e-6)
+        e1 = upper_overlaps(device, result.time)[1]
+        e2 = upper_overlaps(device, 2 * result.time)[1]
         assert abs(e2 - e1) < 1e-6
 
-    def test_horizon_violation_raises_with_last_value(
-        self, device, x_state, monkeypatch
-    ):
+    def test_horizon_violation_raises_with_last_value(self, device, monkeypatch):
         # an E(t) that never settles runs the doubling search past its
         # horizon of 1e9 spreading times
-        def unsettled(pair):
-            return 0.25 if round(math.log2(pair.tau)) % 2 else 0.125
+        def unsettled(config, t):
+            e = 0.25 if round(math.log2(t / config.spreading_time)) % 2 else 0.125
+            return 1.0 - e, e, 0j
 
-        monkeypatch.setattr(nosignal.wavepacket, "error_fraction", unsettled)
+        monkeypatch.setattr(nosignal.wavepacket, "upper_overlaps", unsettled)
         message = r"before t = 2e\+09; last sample 0\.25$"
         with pytest.raises(AssertionError, match=message):
-            saturated_error_fraction(device, x_state, tol=1e-13)
+            saturated_error_fraction(device, tol=1e-13)
 
-    def test_rejects_bad_tolerance(self, device, x_state):
+    def test_rejects_bad_tolerance(self, device):
         with pytest.raises(ValueError):
-            saturated_error_fraction(device, x_state, tol=0.0)
-
-    def test_saturated_value_is_input_independent(self, device):
-        # the error fraction is a device property: x- and z-polarized
-        # inputs see the same saturated value (symmetric kicks)
-        from nosignal import make_spin_state
-
-        values = {
-            name: saturated_error_fraction(device, state).value
-            for name, state in (
-                ("x", make_spin_state(1, 1)),
-                ("z", make_spin_state(1, 0)),
-                ("tilted", make_spin_state(0.9, 0.3 + 0.2j)),
-            )
-        }
-        assert values["x"] == values["z"] == values["tilted"]
+            saturated_error_fraction(device, tol=0.0)
 
 
 class TestDawson:
@@ -414,8 +367,8 @@ class TestDawson:
 class TestHalfPlaneCoherence:
     def test_identical_components_give_half_total(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
-        pair = free_propagate(evolve_through_magnet(cfg, x_state), 3.0)
-        upper = closed_form_upper_coherence(pair)
+        pair = WavePacketPair(cfg, x_state, 3.0)
+        upper = upper_overlaps(cfg, 3.0)[2]
         total = full_overlap(pair)
         assert abs(total - 1.0) < 1e-12
         assert abs(upper - 0.5 * total) < 1e-12
@@ -423,9 +376,8 @@ class TestHalfPlaneCoherence:
 
     @pytest.mark.parametrize("t", [0.7, 6.0, 55.0])
     def test_matches_closed_form(self, device, x_state, t):
-        pair = free_propagate(evolve_through_magnet(device, x_state), t)
-        by_quad = quad_coherence(pair)
-        closed = closed_form_upper_coherence(pair)
+        by_quad = quad_coherence(WavePacketPair(device, x_state, t))
+        closed = upper_overlaps(device, t)[2]
         assert abs(by_quad - closed) < 1e-12
 
     @pytest.mark.parametrize("when", [0.5, 5.0, 60.0, "settle"])
@@ -436,8 +388,8 @@ class TestHalfPlaneCoherence:
             mass=1, sigma0=1, moment=1, gradient=gradient, bias=bias, transit=0.002
         )
         t = phase_settle_time(cfg) if when == "settle" else when
-        pair = free_propagate(evolve_through_magnet(cfg, x_state), t)
-        closed = closed_form_upper_coherence(pair)
+        pair = WavePacketPair(cfg, x_state, t)
+        closed = upper_overlaps(cfg, t)[2]
         assert abs(quad_coherence(pair) - closed) <= 1e-11 * abs(closed)
 
     @pytest.mark.parametrize("bias", [0.0, 37.0])
@@ -445,37 +397,33 @@ class TestHalfPlaneCoherence:
         cfg = SGConfig(
             mass=1, sigma0=1, moment=1, gradient=210.4, bias=bias, transit=0.002
         )
-        exit_pair = evolve_through_magnet(cfg, x_state)
         for t in ORACLE_TIMES + [phase_settle_time(cfg, 1e-9)]:
-            pair = free_propagate(exit_pair, t)
-            closed = closed_form_upper_coherence(pair)
-            exact = mpmath_upper_coherence(pair)
+            closed = upper_overlaps(cfg, t)[2]
+            exact = mpmath_upper_coherence(WavePacketPair(cfg, x_state, t))
             for got, want in ((closed.real, exact.real), (closed.imag, exact.imag)):
                 assert abs(got - float(want)) <= 4 * math.ulp(float(want)), t
 
     def test_large_kick_stays_finite(self, x_state):
         # erfi(x) overflows past x ~ 26.6; its product with exp(-x^2) must not
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=12000, bias=0, transit=0.002)
-        pair = free_propagate(evolve_through_magnet(cfg, x_state), 0.05)
-        closed = closed_form_upper_coherence(pair)
+        pair = WavePacketPair(cfg, x_state, 0.05)
+        closed = upper_overlaps(cfg, 0.05)[2]
         assert math.isfinite(closed.real) and math.isfinite(closed.imag)
         assert abs(quad_coherence(pair) - closed) <= 1e-10 * abs(closed)
 
     def test_halves_sum_to_full_overlap(self, device, x_state):
-        pair = free_propagate(evolve_through_magnet(device, x_state), 9.0)
-        upper = closed_form_upper_coherence(pair)
+        pair = WavePacketPair(device, x_state, 9.0)
+        upper = upper_overlaps(device, 9.0)[2]
         lower = quad_coherence(pair, "lower")
         assert abs(upper + lower - full_overlap(pair)) < 1e-9
 
-    def test_cauchy_schwarz_bound(self, device, x_state):
+    def test_cauchy_schwarz_bound(self, device):
         for t in (0.5, 8.0, 120.0):
-            pair = free_propagate(evolve_through_magnet(device, x_state), t)
-            bound = math.sqrt(
-                upper_fraction(pair, "plus") * upper_fraction(pair, "minus")
-            )
-            assert abs(closed_form_upper_coherence(pair)) <= bound * (1 + 1e-15)
+            i_plus, i_minus, coherence = upper_overlaps(device, t)
+            bound = math.sqrt(i_plus * i_minus)
+            assert abs(coherence) <= bound * (1 + 1e-15)
 
-    def test_larmor_bias_rotates_phase(self, x_state):
+    def test_larmor_bias_rotates_phase(self):
         biased = SGConfig(
             mass=1, sigma0=1, moment=1, gradient=210.4, bias=400.0, transit=0.002
         )
@@ -483,30 +431,49 @@ class TestHalfPlaneCoherence:
             mass=1, sigma0=1, moment=1, gradient=210.4, bias=0.0, transit=0.002
         )
         t = 30.0
-        c_biased = closed_form_upper_coherence(
-            free_propagate(evolve_through_magnet(biased, x_state), t)
-        )
-        c_flat = closed_form_upper_coherence(
-            free_propagate(evolve_through_magnet(flat, x_state), t)
-        )
+        c_biased = upper_overlaps(biased, t)[2]
+        c_flat = upper_overlaps(flat, t)[2]
         # bias adds 2 * moment * bias * transit to the coherence argument
         expected = 2.0 * 400.0 * 0.002
         delta = (np.angle(c_biased) - np.angle(c_flat)) % (2 * math.pi)
         assert abs(delta - expected % (2 * math.pi)) < 1e-9
 
+    def test_doubled_larmor_phase_past_overflow(self):
+        # the larmor-overflow golden case's device: from phi_L ~ 8.99e307 on,
+        # phi_L + phi_L overflows and exp(1j * inf) is NaN
+        flat = SGConfig(
+            mass=1.0, sigma0=1.0, moment=1.0, gradient=0.0004208, bias=0.0, transit=1.0
+        )
+        t = phase_settle_time(flat)
+        i_plus, i_minus, base = upper_overlaps(flat, t)
+        for phi in (0.06, -400.0, 1e15, 1e300, 8.98e307, 8.99e307, 1e308, -1e308,
+                    sys.float_info.max):
+            biased = flat._replace(bias=phi)
+            assert biased.larmor_phase == phi
+            got = upper_overlaps(biased, t)
+            assert got[:2] == (i_plus, i_minus)
+            c = got[2]
+            assert math.isfinite(c.real) and math.isfinite(c.imag), phi
+            if math.isfinite(phi + phi):
+                assert c == base * cmath.exp(1j * (phi + phi)), phi
+                continue
+            with mp.workdps(400):  # reduces 2 phi_L mod 2 pi exactly
+                exact = mp.mpc(base) * mp.expj(2 * mp.mpf(phi))
+            for part, want in ((c.real, exact.real), (c.imag, exact.imag)):
+                assert abs(part - float(want)) <= 4 * math.ulp(abs(base)), phi
+
 
 class TestPhaseSettleTime:
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
-    def test_coherence_phase_below_tolerance(self, device, x_state, tol):
+    def test_coherence_phase_below_tolerance(self, device, tol):
         t = phase_settle_time(device, tol)
-        pair = free_propagate(evolve_through_magnet(device, x_state), t)
-        assert abs(np.angle(closed_form_upper_coherence(pair))) < 0.5 * tol
+        assert abs(np.angle(upper_overlaps(device, t)[2])) < 0.5 * tol
 
-    def test_zero_kick_needs_no_settling(self, x_state):
+    def test_zero_kick_needs_no_settling(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
         assert phase_settle_time(cfg, 1e-10) == cfg.spreading_time
 
-    def test_saturation_precedes_settle_time(self, tmp_path, x_state):
+    def test_saturation_precedes_settle_time(self, tmp_path):
         # the analytic path post-selects at phase_settle_time alone; over
         # seeded log-uniform devices that load_config accepts, the doubling
         # search it replaced never asked for a later time
@@ -529,7 +496,7 @@ class TestPhaseSettleTime:
                 cfg = load_config(str(path))
             except ConfigError:
                 continue
-            sat = saturated_error_fraction(cfg.sg, x_state)
+            sat = saturated_error_fraction(cfg.sg)
             assert sat.time <= phase_settle_time(cfg.sg), cfg.sg
             checked += 1
         assert checked >= 500
