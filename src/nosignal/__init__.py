@@ -27,7 +27,7 @@ _EXPORTS = {
     "spin": """SpinDensityMatrix SpinState born_probabilities born_probability
         make_spin_state sigma_eigenstate singlet_conditional""",
     "wavepacket": """SGConfig WavePacketPair asymptotic_error_fraction
-        component_density phase_settle_time upper_overlaps""",
+        component_density phase_settle_tau upper_overlaps""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -9,11 +9,11 @@ over the retained region leaves a 2x2 spin density matrix
 
 where w_up/w_down are the input spin's amplitudes, I_up/I_down the
 upper-half weights of the normalized channels and C their upper-half
-coherence integral.  (I_up, I_down, C) belong to the device and the flight
-time alone (wavepacket.upper_overlaps), so one triple serves every input
-spin.  Its diagonal gives the effective error fraction, the off-diagonal
-argument defines the relative phase; the model "pure" replaces rho by the
-pure superposition with them,
+coherence integral.  (I_up, I_down, C) belong to the device and the
+dimensionless time tau alone (wavepacket.upper_overlaps), so one triple
+serves every input spin.  Its diagonal gives the effective error fraction,
+the off-diagonal argument defines the relative phase; the model "pure"
+replaces rho by the pure superposition with them,
 
     sqrt(1 - E) |up>  +  e^{i phi} sqrt(E) |down>.
 """
@@ -119,7 +119,7 @@ def project_upper(
     spin: SpinState, overlaps: Tuple[float, float, complex]
 ) -> PostSelectedSpin:
     """Send spin through the device, project onto z >= 0 and trace out z;
-    overlaps is the device's (I_up, I_down, C) at the flight time."""
+    overlaps is the device's (I_up, I_down, C) at one tau."""
     i_up, i_down, upper_coherence = overlaps
     w_up = spin.amp_up
     w_down = spin.amp_down

@@ -25,7 +25,7 @@ The residual P_A - P_B is the signalling figure of merit.  The pipeline
 reproduces it end to end from the post-selected spins instead of the
 closed form.  Only four post-selected spins enter it per omega, none of
 them theta dependent: branch_table takes the device's upper-half overlaps
-(I+, I-, C) once, at the one closed-form time phase_settle_time, then
+(I+, I-, C) once, at the one dimensionless time phase_settle_tau, then
 conditions the singlet and post-selects each branch's spin with that
 triple, and cell_records turns a table entry and the thetas into Born
 probabilities: branch_totals makes one born_probabilities call per
@@ -51,7 +51,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import PostSelectionError
 from .postselect import PostSelectedSpin, model_state, project_upper
 from .spin import born_probabilities, singlet_conditional
-from .wavepacket import SGConfig, phase_settle_time, upper_overlaps
+from .wavepacket import SGConfig, phase_settle_tau, upper_overlaps
 
 __all__ = [
     "ProtocolResult",
@@ -156,14 +156,14 @@ class BranchTable(NamedTuple):
 def branch_table(sg: SGConfig, omegas: Iterable[float]) -> BranchTable:
     """Condition the singlet, traverse the device and post-select, per branch.
 
-    Every beam flies for phase_settle_time(sg), the closed-form time when the
-    chirp-induced coherence phase has fallen below a quarter of 1e-10 rad;
-    the error fraction has saturated well before.  The device's overlaps
-    (I+, I-, C) at that time serve every branch, and Es is their I-.  A
-    branch that selects nothing (exactly ideal device, wrong-polarized
-    input) carries None.
+    Every beam flies for tau = phase_settle_tau(sg), the dimensionless time
+    when the chirp-induced coherence phase has fallen below a quarter of
+    1e-10 rad; the error fraction has saturated well before.  The device's
+    overlaps (I+, I-, C) at that tau serve every branch, and Es is their
+    I-.  A branch that selects nothing (exactly ideal device,
+    wrong-polarized input) carries None.
     """
-    overlaps = upper_overlaps(sg, phase_settle_time(sg))
+    overlaps = upper_overlaps(sg, phase_settle_tau(sg))
 
     def branches(alice_axis: float) -> Dict[int, Branch]:
         out = {}

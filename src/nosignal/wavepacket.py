@@ -42,7 +42,9 @@ overflow.
 E(t) decreases monotonically after the magnet for dp > 0 and saturates at
 the Gaussian tail value Phi(-a) (asymptotic_error_fraction), set by the
 ratio of drift to spreading velocity, so no search for a saturation time is
-needed.  Post-selection happens at phase_settle_time, after saturation.
+needed.  Post-selection happens at tau = phase_settle_tau, after
+saturation, so the analytic commands see the device only through a and
+phi_L; only the grid oracle forms a flight time t.
 
 C of the symmetric, co-located channels the magnet produces is a closed
 form too, through exp(-x^2) (1 + i erfi x) = exp(-x^2) + i (2/sqrt(pi)) F(x)
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .spin import SpinState
@@ -69,7 +72,7 @@ __all__ = [
     "component_density",
     "upper_overlaps",
     "asymptotic_error_fraction",
-    "phase_settle_time",
+    "phase_settle_tau",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -246,10 +249,11 @@ def _dawson(x: float) -> float:
     return math.copysign(value, x)
 
 
-def upper_overlaps(config: SGConfig, t: float) -> Tuple[float, float, complex]:
-    """(I+, I-, C) of the device after a free flight t: the upper-half
-    weights of the normalized plus and minus channels and their upper-half
-    coherence int_0^inf psi_plus psi_minus^* dz.
+def upper_overlaps(config: SGConfig, tau: float) -> Tuple[float, float, complex]:
+    """(I+, I-, C) of the device at the dimensionless time
+    tau = t / (2 m sigma0^2) after the magnet: the upper-half weights of
+    the normalized plus and minus channels and their upper-half coherence
+    int_0^inf psi_plus psi_minus^* dz.
 
     Both channels leave the magnet from z = 0 with opposite momenta +-dp
     and exit phases +-phi_L (the Larmor phase).  With a = 2 dp sigma0,
@@ -262,7 +266,7 @@ def upper_overlaps(config: SGConfig, t: float) -> Tuple[float, float, complex]:
     where exp(-x^2) erfi x = (2/sqrt(pi)) F(x) stays finite for any x.
     Where phi_L + phi_L overflows, exp(2 i phi_L) is exp(i phi_L) squared.
     """
-    a, tau = config.drift_ratio, t / config.spreading_time
+    a = config.drift_ratio
     spread = math.hypot(1.0, tau)
     r = a * tau / spread
     x = a / (_SQRT2 * spread)
@@ -286,21 +290,19 @@ def asymptotic_error_fraction(config: SGConfig) -> float:
     return _norm_cdf(-config.drift_ratio)
 
 
-def phase_settle_time(config: SGConfig, phase_sum_tol: float = 1e-10) -> float:
-    """Time after which the chirp-induced coherence phase is negligible.
+def phase_settle_tau(config: SGConfig, phase_sum_tol: float = 1e-10) -> float:
+    """Dimensionless time tau after which the chirp-induced coherence phase
+    is negligible.
 
     The half-plane coherence of a symmetric pair carries a residual
     argument ~ (2/sqrt(pi)) sqrt(2) dp sigma0 / tau that decays only like
-    1/t.  This returns the flight time making that argument at most a
-    quarter of phase_sum_tol, so phase-sum checks at phase_sum_tol hold
-    with a factor-2 margin.
+    1/tau.  This returns the tau, at least 1, making that argument at most
+    a quarter of phase_sum_tol, so phase-sum checks at phase_sum_tol hold
+    with a factor-2 margin.  It is capped at the largest float, where
+    upper_overlaps gives the ideal-device limit (beyond a ~ 5.6e297).
     """
     if phase_sum_tol <= 0:
         raise ValueError("phase_sum_tol must be positive")
-    dp = abs(config.momentum_kick)
-    base = config.spreading_time
-    if dp == 0.0:
-        return base
     kappa = 2.0 * _SQRT2 / math.sqrt(math.pi)
-    tau = kappa * dp * config.sigma0 / (0.25 * phase_sum_tol)
-    return max(tau, 1.0) * base
+    tau = kappa * abs(config.momentum_kick) * config.sigma0 / (0.25 * phase_sum_tol)
+    return min(max(tau, 1.0), sys.float_info.max)

@@ -68,22 +68,22 @@ def saturated_error_fraction(config, tol: float = 1e-6) -> SaturationResult:
     doubles the probe time until |E(2t) - E(t)| < tol, then reports E at
     the doubled time (one window deeper than the detection point).  Fails
     with the last sample past a horizon of 1e9 spreading times.  E is
-    upper_overlaps' I-, looked up on its module at each call, so a test can
-    replace it.
+    upper_overlaps' I- at tau = t / spreading_time, looked up on its module
+    at each call, so a test can replace it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     base = config.spreading_time
     horizon = 1e9 * base
     t = base / 8.0
-    last = nosignal.wavepacket.upper_overlaps(config, t)[1]
+    last = nosignal.wavepacket.upper_overlaps(config, t / base)[1]
     while True:
         if 2.0 * t > horizon:
             raise AssertionError(
                 f"error fraction not saturated to {tol:g} before t = {horizon:g}; "
                 f"last sample {last!r}"
             )
-        nxt = nosignal.wavepacket.upper_overlaps(config, 2.0 * t)[1]
+        nxt = nosignal.wavepacket.upper_overlaps(config, 2.0 * t / base)[1]
         if abs(nxt - last) < tol:
             return SaturationResult(value=nxt, time=2.0 * t)
         t *= 2.0

@@ -133,7 +133,7 @@ def test_criterion_4_oracle_equivalence(device, x_state):
     worst_mod = 0.0
     worst_phase = 0.0
     for idx, t in enumerate(times):
-        _, e_analytic, c_analytic = upper_overlaps(device, t)
+        _, e_analytic, c_analytic = upper_overlaps(device, t / device.spreading_time)
         worst_e = max(worst_e, abs(results[idx].error_fraction - e_analytic))
         c_grid = results[idx].coherence
         worst_mod = max(worst_mod, abs(abs(c_grid) - abs(c_analytic)))
@@ -155,12 +155,14 @@ def test_criterion_5_saturation(device):
     """E(t) decreases monotonically and settles on the closed-form tail."""
     start = time.monotonic()
     sat = saturated_error_fraction(device, tol=1e-6)
+    tau_sat = sat.time / device.spreading_time
     probe = [
-        upper_overlaps(device, t)[1] for t in np.geomspace(1e-3, 2 * sat.time, 200)
+        upper_overlaps(device, t / device.spreading_time)[1]
+        for t in np.geomspace(1e-3, 2 * sat.time, 200)
     ]
     monotone = bool(np.all(np.diff(probe) <= 1e-15))
     stability = abs(
-        upper_overlaps(device, 2 * sat.time)[1] - upper_overlaps(device, sat.time)[1]
+        upper_overlaps(device, 2 * tau_sat)[1] - upper_overlaps(device, tau_sat)[1]
     )
     tail_error = abs(sat.value - asymptotic_error_fraction(device))
     elapsed = time.monotonic() - start
@@ -176,9 +178,10 @@ def test_criterion_5_saturation(device):
 def _bench_truths(config, omega):
     """Post-selected pure-state parameters for the two beam polarizations."""
     sat = saturated_error_fraction(config)
-    from nosignal import phase_settle_time
+    from nosignal import phase_settle_tau
 
-    overlaps = upper_overlaps(config, max(sat.time, phase_settle_time(config)))
+    tau_sat = sat.time / config.spreading_time
+    overlaps = upper_overlaps(config, max(tau_sat, phase_settle_tau(config)))
     truths = {}
     for polarization in (+1, -1):
         beam = sigma_eigenstate(omega, polarization)
@@ -262,10 +265,11 @@ def test_criterion_7_sample_level_no_signalling(device):
     start = time.monotonic()
     n = 1_000_000
     theta_grid = [i * math.pi / 12 for i in range(13)]
-    from nosignal import phase_settle_time, singlet_conditional
+    from nosignal import phase_settle_tau, singlet_conditional
 
     sat = saturated_error_fraction(device)
-    overlaps = upper_overlaps(device, max(sat.time, phase_settle_time(device)))
+    tau_sat = sat.time / device.spreading_time
+    overlaps = upper_overlaps(device, max(tau_sat, phase_settle_tau(device)))
 
     posts = {}
     for setting_idx, alice_axis in enumerate((math.pi / 2, 0.0)):

@@ -239,38 +239,44 @@ class TestConfigHandling:
         assert main(["verify", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command", ["verify", "oracle", "sweep", "estimate"])
-    @pytest.mark.parametrize(
-        "sg, times, where",
-        [
-            ({"moment": 1e200, "gradient": 1e200}, None, "momentum_kick ="),
-            ({"gradient": 1e305, "transit": 1.0}, [1e-6], "phase_settle_time is"),
-            ({"sigma0": 1e-200}, None, "spreading_time ="),
-            ({"sigma0": 1e200}, None, "spreading_time ="),
-            ({"sigma0": 1e100}, None, "phase_settle_time is"),
-            ({"mass": 1e300}, None, "phase_settle_time is"),
-        ],
-        ids=[
-            "kick-overflows",
-            "settle-time-overflows-gradient-1e305",
-            "spreading-time-underflows",
-            "spreading-time-overflows",
-            "settle-time-overflows-sigma0-1e100",
-            "settle-time-overflows-mass-1e300",
-        ],
-    )
-    def test_overflowing_derived_quantity_rejected(
-        self, tmp_path, capsys, command, sg, times, where
-    ):
-        # every sg value is finite and positive, but a product of them
-        # overflows or underflows to 0; unchecked, these runs ended in an
-        # AssertionError, a NaN ValueError ("density matrix not Hermitian"
-        # too), an OverflowError, a ZeroDivisionError or a "horizon must be
-        # positive" traceback
-        cfg = write_default_config(tmp_path, times, **sg)
+    def test_overflowing_derived_quantity_rejected(self, tmp_path, capsys, command):
+        # every sg value is finite, but the kick moment * gradient * transit
+        # overflows, and with it a; unchecked, such runs ended in an
+        # AssertionError or a NaN ValueError ("density matrix not Hermitian")
+        cfg = write_default_config(tmp_path, moment=1e200, gradient=1e200)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: sg: drift_ratio = 2 * moment * gradient * transit * "
+            "sigma0 is not finite\n"
+        )
+
+    @pytest.mark.parametrize(
+        "sg, times, code, message",
+        [
+            ({"sigma0": 1e200}, None, EXIT_CONFIG, "config error: sg: spreading_time "
+             "= 2 mass sigma0**2 = inf is not finite and positive"),
+            # spreading_time = 2e-320 is subnormal: tau = 120 / 2e-320 overflows
+            ({"sigma0": 1e-160}, None, EXIT_CONFIG, "config error: sg: tau = t / "
+             "spreading_time at oracle time 120 is not finite"),
+            ({"gradient": 1e305, "transit": 1.0}, [1e-6], EXIT_NUMERICAL,
+             "numerical failure: packet center 1e+299 at t = 1e-06 is beyond the "
+             "grid's half-extent 512"),
+        ],
+        ids=["spreading-time-overflows", "tau-overflows", "kick-1e305"],
+    )
+    def test_oracle_alone_needs_a_flight_time(
+        self, tmp_path, capsys, sg, times, code, message
+    ):
+        # oracle alone forms flight times, so it alone refuses a
+        # spreading_time or a tau that is not finite.  load_config refused
+        # the first and the last device for every command; verify, sweep and
+        # estimate now run them (test_huge_width_runs_as_ideal_device)
+        cfg = write_default_config(tmp_path, times, **sg)
+        argv = ["oracle", "--config", cfg, "--out", str(tmp_path / "out")]
+        assert main(argv) == code
         err = capsys.readouterr().err
-        assert err.startswith("config error") and where in err
+        assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["verify", "estimate"])
     def test_samples_beyond_int64_rejected(self, tmp_path, capsys, command):
@@ -313,15 +319,19 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", ["verify", "sweep", "estimate"])
     @pytest.mark.parametrize(
         "sg",
-        [{"sigma0": 1e50}, {"sigma0": 1e80}, {"moment": 1e150}, {"transit": 1e150}],
-        ids=["sigma0-1e50", "sigma0-1e80", "moment-1e150", "transit-1e150"],
+        [{"sigma0": 1e50}, {"sigma0": 1e80}, {"moment": 1e150}, {"transit": 1e150},
+         {"sigma0": 1e100}, {"sigma0": 1e200}, {"gradient": 1e305, "transit": 1.0}],
+        ids=["sigma0-1e50", "sigma0-1e80", "moment-1e150", "transit-1e150",
+             "sigma0-1e100", "sigma0-1e200", "kick-1e305"],
     )
     def test_huge_width_runs_as_ideal_device(self, tmp_path, capsys, command, sg):
-        # at phase_settle_time r = a tau / sqrt(1 + tau^2) is about
+        # at phase_settle_tau r = a tau / sqrt(1 + tau^2) is about
         # a = 2 kick sigma0 >= 8e49, so the coherence envelope exp(-r^2 / 2)
         # and E = Phi(-r) are 0: an ideal device.  From sigma0 1e80 on, the
         # packet variance sigma0**2 (1 + tau**2) there overflows, which the
-        # (a, tau) forms never compute
+        # (a, tau) forms never compute.  load_config refused the last three,
+        # whose settle time t or spreading_time overflows; from a ~ 5.6e297
+        # on (kick-1e305) tau itself is capped at the largest float
         cfg = write_default_config(tmp_path, **sg)
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -367,7 +377,7 @@ class TestVerify:
         assert expected in line and "None" not in line
 
     def test_heavy_particle_drift_does_not_overflow(self, tmp_path, capsys):
-        # at mass 1.5e302 the drift dp t / m at phase_settle_time is finite
+        # at mass 1.5e302 the drift dp t / m at the settle time is finite
         # but dp t overflows; computed in that order it gave Es = 0 and no
         # phase, a PASS with no phase checked.  Es depends on 2 dp sigma0 only,
         # so mass 1e300 (no overflow) must give the same Es.

@@ -9,9 +9,11 @@ and scaled case, and the format of every file written (check_format).
 Hashes gate only on the Python, numpy and glibc recorded in golden.json:
 the exit code and the sha256 of the data file, stderr and stdout (the output
 and config paths masked).  A speed-up or a refactor must leave them unchanged.
-Regenerating the manifest is a deliberate step, recorded in CHANGES.md:
+Regenerating the manifest is a deliberate step, recorded in CHANGES.md.
+With case names it re-pins only those cases and keeps every other entry's
+text, so that `git diff tests/golden.json` shows just the cases meant to move:
 
-    PYTHONPATH=src python tests/test_golden.py --regenerate
+    PYTHONPATH=src python tests/test_golden.py --regenerate [CASE ...]
 
 To see what moved in one case's data file against another tree's src/
 (for example one extracted by `git archive HEAD src`), per field the largest
@@ -33,7 +35,7 @@ from functools import lru_cache, partial
 from hashlib import sha256
 from io import StringIO
 from pathlib import Path
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import pytest
 
@@ -76,6 +78,13 @@ LEAK = "exceeds 1e-10; increase the grid extent"
 INJECT = ("--inject-violation", "0.1")
 NOT_APPLIED = "--inject-violation 0.1 not applied: no omega carries a phase"
 FAIL = Facts(code=1, stdout="FAIL")
+# an ideal device whose packet is wider than the oracle's grid
+IDEAL_WIDE = {
+    "verify": Facts(stdout="phase-checked cells: 0/52"),
+    "sweep": ANALYTIC["sweep"],
+    "estimate": Facts(stdout="0/0 bounds consistent with zero"),
+    "oracle": Facts(code=3, stderr=f"at t = -0.002 {LEAK}"),
+}
 
 
 def refused(message: str) -> Dict[str, Facts]:
@@ -157,16 +166,19 @@ CASES = {
     # m = 1.5e302: the packet's drift does not overflow
     "heavy": Case({"sg": {"mass": 1.5e302, "sigma0": 1e-5, "gradient": 5e7}},
                   ANALYTIC),
-    # the packet variance at phase_settle_time overflows: the device runs as
+    # the packet variance at the settle time overflows: the device runs as
     # ideal, and the oracle's packet is wider than its grid
-    "vast": Case({"sg": {"sigma0": 1e80}}, {
-        "verify": Facts(stdout="phase-checked cells: 0/52"),
-        "sweep": ANALYTIC["sweep"],
-        "estimate": Facts(stdout="0/0 bounds consistent with zero"),
-        "oracle": Facts(code=3, stderr=f"at t = -0.002 {LEAK}"),
+    "vast": Case({"sg": {"sigma0": 1e80}}, IDEAL_WIDE),
+    # the settle time overflows too, which the analytic commands never form
+    "huge": Case({"sg": {"sigma0": 1e100}}, IDEAL_WIDE),
+    # spreading_time overflows; a and tau_settle are default's, and so are
+    # report.json's cells (test_cells_depend_on_a_alone)
+    "mass-1e300": Case({"sg": {"mass": 1e300}}, {**ANALYTIC, "oracle": OK}),
+    # spreading_time underflows to 0: only the oracle needs it
+    "sigma0-1e-200": Case({"sg": {"sigma0": 1e-200}}, {
+        **ANALYTIC,
+        "oracle": Facts(code=2, stderr="sg: spreading_time = 2 mass sigma0**2 = 0.0"),
     }),
-    "huge": Case({"sg": {"sigma0": 1e100}},
-                 {"verify": Facts(code=2, stderr="phase_settle_time is not finite")}),
     # no magnet step still counts: (1 + 10 times) x 2^40 points is refused
     # by the work bound before any allocation
     "flat": Case({"sg": {"transit": 0.0}, "oracle": {"points": 2**40}},
@@ -364,6 +376,33 @@ def test_manifest_pins_every_case():
     }
 
 
+def test_regenerate_repins_only_the_named_cases(tmp_path, monkeypatch):
+    module = sys.modules[__name__]
+    text = MANIFEST.read_text(encoding="utf-8")
+    recorded = json.loads(text)
+    assert text == json.dumps(recorded, indent=2) + "\n"
+    monkeypatch.setattr(module, "MANIFEST", tmp_path / "golden.json")
+    module.MANIFEST.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(module, "versions", lambda: recorded["versions"])
+    monkeypatch.setattr(module, "run_case", lambda *args: Run(9, "", "", None))
+    with pytest.raises(SystemExit, match="^no golden case 'nope'$"):
+        regenerate(["huge", "nope"])
+    regenerate(["huge"])
+    empty = sha256(b"").hexdigest()
+    pinned = [9, None, empty, empty]
+    recorded["cases"]["huge"] = dict.fromkeys(CASES["huge"].commands, pinned)
+    text = module.MANIFEST.read_text(encoding="utf-8")
+    assert text == json.dumps(recorded, indent=2) + "\n"
+
+
+def test_cells_depend_on_a_alone(runs):
+    # mass 1e300 leaves a and tau_settle at configs/default.json's: each of
+    # report.json's cells is default's, bit for bit
+    default, heavy = (json.loads(runs(name, "verify").files["report.json"])["cells"]
+                      for name in ("default", "mass-1e300"))
+    assert json.dumps(heavy) == json.dumps(default)
+
+
 def test_oracle_resident_memory(tmp_path):
     # a fresh oracle on perfbench's scaled grid, with the bytecode cache on
     # as perfbench runs it.  The order of _exit_spectra's temporaries decides
@@ -512,12 +551,27 @@ class TestFieldDifferences:
         }
 
 
-def regenerate() -> None:
+def regenerate(names: Sequence[str] = ()) -> None:
+    """Pin every case, or only the named ones: every other case keeps its
+    entry, and so its text, in CASES order."""
     import tempfile
 
+    kept = {}
+    if names:
+        recorded = manifest()
+        kept = {n: entry for n, entry in recorded["cases"].items() if n not in names}
+        problems = [f"no golden case {n!r}" for n in names if n not in CASES]
+        problems += [f"case {n!r} has no pins: name it"
+                     for n in CASES if n not in names and n not in kept]
+        if recorded["versions"] != versions():
+            problems.append(f"golden.json was taken on {recorded['versions']}: "
+                            "regenerate every case")
+        if problems:
+            sys.exit("; ".join(problems))
     with tempfile.TemporaryDirectory() as work:
         cases = {
-            name: {c: pins(run_case(name, c, Path(work)), c) for c in case.commands}
+            name: kept.get(name)
+            or {c: pins(run_case(name, c, Path(work)), c) for c in case.commands}
             for name, case in CASES.items()
         }
     payload = {"versions": versions(), "cases": cases}
@@ -525,8 +579,8 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--regenerate"]:
-        regenerate()
+    if sys.argv[1:2] == ["--regenerate"]:
+        regenerate(sys.argv[2:])
     elif len(sys.argv) == 4 and sys.argv[1] == "--diff":
         diff(*sys.argv[2:])
     else:

@@ -209,7 +209,8 @@ class TestAgainstAnalyticModel:
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_error_fraction_agreement(self, device, x_state, t):
         result = grid_result_at(device, x_state, SMALL_GRID, t)
-        assert abs(result.error_fraction - upper_overlaps(device, t)[1]) < 1e-3
+        tau = t / device.spreading_time
+        assert abs(result.error_fraction - upper_overlaps(device, tau)[1]) < 1e-3
 
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_position_density_agreement(self, device, x_state, t):
@@ -218,7 +219,7 @@ class TestAgainstAnalyticModel:
     @pytest.mark.parametrize("t", [2.0, 15.0, 40.0])
     def test_coherence_agreement(self, device, x_state, t):
         result = grid_result_at(device, x_state, SMALL_GRID, t)
-        analytic = upper_overlaps(device, t)[2]
+        analytic = upper_overlaps(device, t / device.spreading_time)[2]
         assert abs(abs(result.coherence) - abs(analytic)) < 1e-3
         assert abs(np.angle(result.coherence) - np.angle(analytic)) < 1e-2
 
@@ -226,7 +227,8 @@ class TestAgainstAnalyticModel:
         # relative phase of the input spin must survive the weight division
         state = make_spin_state(1.0, 1.0j)
         result = grid_result_at(device, state, SMALL_GRID, 10.0)
-        assert abs(result.coherence - upper_overlaps(device, 10.0)[2]) < 1e-3
+        analytic = upper_overlaps(device, 10.0 / device.spreading_time)[2]
+        assert abs(result.coherence - analytic) < 1e-3
 
 
 def nested_step(psi, half_v, kinetic):

@@ -24,7 +24,7 @@ from conftest import device_for_error_fraction, pure_density
 
 def settled(config, t=400.0):
     """The device's upper-half overlaps after a late free flight."""
-    return upper_overlaps(config, t)
+    return upper_overlaps(config, t / config.spreading_time)
 
 
 class TestPureStateForm:

@@ -14,7 +14,7 @@ from nosignal import (
     branch_table,
     cell_records,
     closed_form_rows,
-    phase_settle_time,
+    phase_settle_tau,
     postselected_pure_state,
     upper_overlaps,
 )
@@ -260,18 +260,18 @@ class TestPipeline:
 class TestBranchTable:
     def test_one_overlap_triple_serves_every_branch(self, monkeypatch):
         # the device's (I+, I-, C) is taken once per table, at
-        # phase_settle_time, and Es is its I-: no beam of its own
+        # phase_settle_tau, and Es is its I-: no beam of its own
         calls = []
 
-        def counted(config, t):
-            calls.append((config, t))
-            return upper_overlaps(config, t)
+        def counted(config, tau):
+            calls.append((config, tau))
+            return upper_overlaps(config, tau)
 
         monkeypatch.setattr(nosignal.protocol, "upper_overlaps", counted)
         cfg = load_config(str(DEFAULT_CONFIG))
         table = branch_table(cfg.sg, cfg.omega_list)
-        assert calls == [(cfg.sg, phase_settle_time(cfg.sg))]
-        es = upper_overlaps(cfg.sg, phase_settle_time(cfg.sg))[1]
+        assert calls == [(cfg.sg, phase_settle_tau(cfg.sg))]
+        es = upper_overlaps(cfg.sg, phase_settle_tau(cfg.sg))[1]
         assert table.Es.hex() == es.hex()
 
     @pytest.mark.parametrize("n_theta", [1, 9])

@@ -6,7 +6,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -17,7 +17,7 @@ from nosignal import (
     WavePacketPair,
     asymptotic_error_fraction,
     component_density,
-    phase_settle_time,
+    phase_settle_tau,
     upper_overlaps,
 )
 from nosignal.wavepacket import _dawson, _norm_cdf
@@ -205,28 +205,29 @@ class TestErrorFraction:
     def test_fully_separated_vanishes(self):
         # a large kick (2 dp sigma0 = 10) at a late time
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=2500, bias=0, transit=0.002)
-        assert upper_overlaps(cfg, 400.0)[1] < 1e-12
+        assert upper_overlaps(cfg, 400.0 / cfg.spreading_time)[1] < 1e-12
 
     def test_zero_kick_gives_half(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
         assert upper_overlaps(cfg, 0.0)[1] == 0.5
-        assert upper_overlaps(cfg, 25.0)[1] == 0.5
+        assert upper_overlaps(cfg, 25.0 / cfg.spreading_time)[1] == 0.5
 
     @pytest.mark.parametrize("t", [0.5, 3.0, 40.0])
     def test_matches_quadrature_oracle(self, device, x_state, t):
         pair = WavePacketPair(device, x_state, t)
         oracle = quad_density(pair, "minus", 0.0, np.inf)
-        assert abs(upper_overlaps(device, t)[1] - oracle) < 1e-9
+        assert abs(upper_overlaps(device, t / device.spreading_time)[1] - oracle) < 1e-9
 
     @pytest.mark.parametrize("t", [1.0, 10.0, 80.0])
     def test_two_definitions_agree_for_symmetric_input(self, device, t):
         # upper weight of the down channel == lower weight of the up channel
-        upper_plus, upper_minus, _ = upper_overlaps(device, t)
+        upper_plus, upper_minus, _ = upper_overlaps(device, t / device.spreading_time)
         lower_plus = 1.0 - upper_plus
         assert abs(upper_minus - lower_plus) < 1e-12
 
     def test_monotone_decreasing_after_exit(self, device):
-        values = [upper_overlaps(device, t)[1] for t in np.linspace(0.0, 400.0, 120)]
+        times = np.linspace(0.0, 400.0, 120)
+        values = [upper_overlaps(device, t / device.spreading_time)[1] for t in times]
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-15)
         assert values[-1] == pytest.approx(asymptotic_error_fraction(device), abs=1e-4)
@@ -242,7 +243,7 @@ class TestErrorFraction:
         cfg = load_config(str(DEFAULT_CONFIG))
         sg = cfg.sg._replace(gradient=gradient)
         es = branch_table(sg, cfg.omega_list).Es
-        tau = phase_settle_time(sg) / sg.spreading_time  # the code's own tau
+        tau = phase_settle_tau(sg)  # the code's own tau
         with mp.workdps(40):
             a = 2 * mp.mpf(sg.momentum_kick) * mp.mpf(sg.sigma0)
             exact = mp.ncdf(-a * tau / mp.sqrt(1 + mp.mpf(tau) ** 2))
@@ -251,8 +252,8 @@ class TestErrorFraction:
 
 def _accepted_a():
     """a = 2 momentum_kick sigma0: 0, or 10**e of either sign for e in
-    [-300, 297]; beyond ~5.6e297 phase_settle_time overflows."""
-    magnitude = st.floats(-300.0, 297.0).map(lambda e: 10.0**e)
+    [-300, 308], every finite a that load_config accepts."""
+    magnitude = st.floats(-300.0, 308.0).map(lambda e: 10.0**e)
     signed = st.tuples(st.sampled_from((1.0, -1.0)), magnitude)
     return st.one_of(st.just(0.0), signed.map(lambda pair: pair[0] * pair[1]))
 
@@ -266,6 +267,8 @@ def _accepted_a():
         max_size=2,
     ),
 )
+@example(a=1e308, times=[0.0, 1.0])  # tau_settle capped
+@example(a=-6e297, times=[1e-300, 1e308])
 def test_closed_forms_over_accepted_a_and_tau(tmp_path_factory, a, times):
     # m = 1/2 and sigma0 = 1 make spreading_time 1, so tau is the oracle time
     # and a is 2 gradient exactly; load_config accepts every such device
@@ -281,17 +284,25 @@ def test_closed_forms_over_accepted_a_and_tau(tmp_path_factory, a, times):
     ))
     cfg = load_config(str(path))
     assert cfg.sg.drift_ratio == a and cfg.sg.spreading_time == 1.0
-    overlaps = [upper_overlaps(cfg.sg, t) for t in sorted(cfg.oracle_times)]
+    taus = [t / cfg.sg.spreading_time for t in sorted(cfg.oracle_times)]
+    overlaps = [upper_overlaps(cfg.sg, tau) for tau in taus]
     e_early, e_late = (i_minus for _, i_minus, _ in overlaps)
     if a >= 0:
         assert 0.0 <= e_late <= e_early <= 0.5
     else:
         assert 0.5 <= e_early <= e_late <= 1.0
-    for i_plus, i_minus, coherence in overlaps:
+    settle = phase_settle_tau(cfg.sg)
+    for i_plus, i_minus, coherence in overlaps + [upper_overlaps(cfg.sg, settle)]:
+        assert 0.0 <= i_plus <= 1.0 and 0.0 <= i_minus <= 1.0
         total = i_plus + i_minus
         assert abs(total - 1.0) <= 4e-16
         assert math.isfinite(coherence.real) and math.isfinite(coherence.imag)
         assert abs(coherence) <= 0.5
+    # beyond a ~ 5.6e297 tau_settle caps at the largest float: the ideal
+    # device (its mirror for a < 0), where an uncapped inf gave r = NaN
+    if settle == sys.float_info.max:
+        ideal = (1.0, 0.0, 0j) if a > 0 else (0.0, 1.0, 0j)
+        assert upper_overlaps(cfg.sg, settle) == ideal
 
 
 class TestSaturation:
@@ -307,7 +318,7 @@ class TestSaturation:
         for t in [0.0, 0.01, 1.0, 37.0, 120.0, 1e4]:
             tau = t / cfg.spreading_time
             expected = _norm_cdf(-a * tau / math.sqrt(1.0 + tau * tau))
-            assert upper_overlaps(cfg, t)[1] == pytest.approx(
+            assert upper_overlaps(cfg, tau)[1] == pytest.approx(
                 expected, rel=1e-14, abs=0.0
             )
 
@@ -327,15 +338,16 @@ class TestSaturation:
 
     def test_detection_window_is_stable(self, device):
         result = saturated_error_fraction(device, tol=1e-6)
-        e1 = upper_overlaps(device, result.time)[1]
-        e2 = upper_overlaps(device, 2 * result.time)[1]
+        tau = result.time / device.spreading_time
+        e1 = upper_overlaps(device, tau)[1]
+        e2 = upper_overlaps(device, 2 * tau)[1]
         assert abs(e2 - e1) < 1e-6
 
     def test_horizon_violation_raises_with_last_value(self, device, monkeypatch):
         # an E(t) that never settles runs the doubling search past its
         # horizon of 1e9 spreading times
-        def unsettled(config, t):
-            e = 0.25 if round(math.log2(t / config.spreading_time)) % 2 else 0.125
+        def unsettled(config, tau):
+            e = 0.25 if round(math.log2(tau)) % 2 else 0.125
             return 1.0 - e, e, 0j
 
         monkeypatch.setattr(nosignal.wavepacket, "upper_overlaps", unsettled)
@@ -368,7 +380,7 @@ class TestHalfPlaneCoherence:
     def test_identical_components_give_half_total(self, x_state):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
         pair = WavePacketPair(cfg, x_state, 3.0)
-        upper = upper_overlaps(cfg, 3.0)[2]
+        upper = upper_overlaps(cfg, 3.0 / cfg.spreading_time)[2]
         total = full_overlap(pair)
         assert abs(total - 1.0) < 1e-12
         assert abs(upper - 0.5 * total) < 1e-12
@@ -377,7 +389,7 @@ class TestHalfPlaneCoherence:
     @pytest.mark.parametrize("t", [0.7, 6.0, 55.0])
     def test_matches_closed_form(self, device, x_state, t):
         by_quad = quad_coherence(WavePacketPair(device, x_state, t))
-        closed = upper_overlaps(device, t)[2]
+        closed = upper_overlaps(device, t / device.spreading_time)[2]
         assert abs(by_quad - closed) < 1e-12
 
     @pytest.mark.parametrize("when", [0.5, 5.0, 60.0, "settle"])
@@ -387,9 +399,9 @@ class TestHalfPlaneCoherence:
         cfg = SGConfig(
             mass=1, sigma0=1, moment=1, gradient=gradient, bias=bias, transit=0.002
         )
-        t = phase_settle_time(cfg) if when == "settle" else when
-        pair = WavePacketPair(cfg, x_state, t)
-        closed = upper_overlaps(cfg, t)[2]
+        tau = when / cfg.spreading_time if when != "settle" else phase_settle_tau(cfg)
+        pair = WavePacketPair(cfg, x_state, tau * cfg.spreading_time)
+        closed = upper_overlaps(cfg, tau)[2]
         assert abs(quad_coherence(pair) - closed) <= 1e-11 * abs(closed)
 
     @pytest.mark.parametrize("bias", [0.0, 37.0])
@@ -397,8 +409,8 @@ class TestHalfPlaneCoherence:
         cfg = SGConfig(
             mass=1, sigma0=1, moment=1, gradient=210.4, bias=bias, transit=0.002
         )
-        for t in ORACLE_TIMES + [phase_settle_time(cfg, 1e-9)]:
-            closed = upper_overlaps(cfg, t)[2]
+        for t in ORACLE_TIMES + [phase_settle_tau(cfg, 1e-9) * cfg.spreading_time]:
+            closed = upper_overlaps(cfg, t / cfg.spreading_time)[2]
             exact = mpmath_upper_coherence(WavePacketPair(cfg, x_state, t))
             for got, want in ((closed.real, exact.real), (closed.imag, exact.imag)):
                 assert abs(got - float(want)) <= 4 * math.ulp(float(want)), t
@@ -407,19 +419,20 @@ class TestHalfPlaneCoherence:
         # erfi(x) overflows past x ~ 26.6; its product with exp(-x^2) must not
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=12000, bias=0, transit=0.002)
         pair = WavePacketPair(cfg, x_state, 0.05)
-        closed = upper_overlaps(cfg, 0.05)[2]
+        closed = upper_overlaps(cfg, 0.05 / cfg.spreading_time)[2]
         assert math.isfinite(closed.real) and math.isfinite(closed.imag)
         assert abs(quad_coherence(pair) - closed) <= 1e-10 * abs(closed)
 
     def test_halves_sum_to_full_overlap(self, device, x_state):
         pair = WavePacketPair(device, x_state, 9.0)
-        upper = upper_overlaps(device, 9.0)[2]
+        upper = upper_overlaps(device, 9.0 / device.spreading_time)[2]
         lower = quad_coherence(pair, "lower")
         assert abs(upper + lower - full_overlap(pair)) < 1e-9
 
     def test_cauchy_schwarz_bound(self, device):
         for t in (0.5, 8.0, 120.0):
-            i_plus, i_minus, coherence = upper_overlaps(device, t)
+            tau = t / device.spreading_time
+            i_plus, i_minus, coherence = upper_overlaps(device, tau)
             bound = math.sqrt(i_plus * i_minus)
             assert abs(coherence) <= bound * (1 + 1e-15)
 
@@ -430,9 +443,9 @@ class TestHalfPlaneCoherence:
         flat = SGConfig(
             mass=1, sigma0=1, moment=1, gradient=210.4, bias=0.0, transit=0.002
         )
-        t = 30.0
-        c_biased = upper_overlaps(biased, t)[2]
-        c_flat = upper_overlaps(flat, t)[2]
+        tau = 30.0 / flat.spreading_time
+        c_biased = upper_overlaps(biased, tau)[2]
+        c_flat = upper_overlaps(flat, tau)[2]
         # bias adds 2 * moment * bias * transit to the coherence argument
         expected = 2.0 * 400.0 * 0.002
         delta = (np.angle(c_biased) - np.angle(c_flat)) % (2 * math.pi)
@@ -444,13 +457,13 @@ class TestHalfPlaneCoherence:
         flat = SGConfig(
             mass=1.0, sigma0=1.0, moment=1.0, gradient=0.0004208, bias=0.0, transit=1.0
         )
-        t = phase_settle_time(flat)
-        i_plus, i_minus, base = upper_overlaps(flat, t)
+        tau = phase_settle_tau(flat)
+        i_plus, i_minus, base = upper_overlaps(flat, tau)
         for phi in (0.06, -400.0, 1e15, 1e300, 8.98e307, 8.99e307, 1e308, -1e308,
                     sys.float_info.max):
             biased = flat._replace(bias=phi)
             assert biased.larmor_phase == phi
-            got = upper_overlaps(biased, t)
+            got = upper_overlaps(biased, tau)
             assert got[:2] == (i_plus, i_minus)
             c = got[2]
             assert math.isfinite(c.real) and math.isfinite(c.imag), phi
@@ -463,20 +476,21 @@ class TestHalfPlaneCoherence:
                 assert abs(part - float(want)) <= 4 * math.ulp(abs(base)), phi
 
 
-class TestPhaseSettleTime:
+class TestPhaseSettleTau:
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
     def test_coherence_phase_below_tolerance(self, device, tol):
-        t = phase_settle_time(device, tol)
-        assert abs(np.angle(upper_overlaps(device, t)[2])) < 0.5 * tol
+        tau = phase_settle_tau(device, tol)
+        assert abs(np.angle(upper_overlaps(device, tau)[2])) < 0.5 * tol
 
     def test_zero_kick_needs_no_settling(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
-        assert phase_settle_time(cfg, 1e-10) == cfg.spreading_time
+        assert phase_settle_tau(cfg, 1e-10) == 1.0
 
-    def test_saturation_precedes_settle_time(self, tmp_path):
-        # the analytic path post-selects at phase_settle_time alone; over
+    def test_saturation_precedes_settle_tau(self, tmp_path):
+        # the analytic path post-selects at phase_settle_tau alone; over
         # seeded log-uniform devices that load_config accepts, the doubling
-        # search it replaced never asked for a later time
+        # search it replaced never asked for a later time.  The search steps
+        # in t, so it takes the devices with a finite spreading_time
         import json
         import random
 
@@ -496,7 +510,9 @@ class TestPhaseSettleTime:
                 cfg = load_config(str(path))
             except ConfigError:
                 continue
+            if not 0.0 < cfg.sg.spreading_time < math.inf:
+                continue
             sat = saturated_error_fraction(cfg.sg)
-            assert sat.time <= phase_settle_time(cfg.sg), cfg.sg
+            assert sat.time / cfg.sg.spreading_time <= phase_settle_tau(cfg.sg), cfg.sg
             checked += 1
         assert checked >= 500
