@@ -113,6 +113,9 @@ CASES = {
     }),
     "gradient-0": Case({"sg": {"gradient": 0.0}}, ANALYTIC),
     "bias-100": Case({"sg": {"bias": 100.0}}, {**ANALYTIC, "oracle": OK}),
+    # the Larmor phase is one exact factor per channel: a half-step that
+    # rounded bias + gradient z leaked at the edge here (exit 3)
+    "bias-1e16": Case({"sg": {"bias": 1e16}}, {"oracle": OK}),
     # the negative control: verify's gate fails, and every bound excludes 0
     "injected": Case({}, {
         "verify": FAIL._replace(data='"passed": false'),

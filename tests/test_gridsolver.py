@@ -1,3 +1,4 @@
+import cmath
 import contextvars
 import math
 import threading
@@ -231,6 +232,26 @@ class TestAgainstAnalyticModel:
         assert abs(result.coherence - analytic) < 1e-3
 
 
+class TestBias:
+    """The bias field only turns the two channels' relative phase: each
+    channel takes exp(i s moment bias transit) once, and no half-step
+    rounds the bias into the kick."""
+
+    @pytest.mark.parametrize("bias", [-3.5, 100.0, 1e12, 1e15, 1e16, 1e308])
+    def test_bias_is_one_exact_phase(self, device, x_state, bias):
+        # at 1e16 a half-step that rounded bias + gradient z leaked at the
+        # edge, and at 1e308 it lost the kick altogether
+        times = [2.0, 15.0, 40.0]
+        unbiased = grid_results(device, x_state, SMALL_GRID, times)
+        biased = grid_results(device._replace(bias=bias), x_state, SMALL_GRID, times)
+        larmor = cmath.exp(1j * (device.moment * bias * device.transit)) ** 2
+        eps = np.finfo(float).eps
+        for old, new in zip(unbiased, biased):
+            assert abs(new.error_fraction - old.error_fraction) <= 4 * eps * old.error_fraction
+            assert abs(new.density_l1 - old.density_l1) <= 1e-12
+            assert abs(new.coherence / old.coherence - larmor) <= 8 * eps
+
+
 def nested_step(psi, half_v, kinetic):
     """One magnet step as the solver once wrote it, with fresh temporaries."""
     return half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * psi))
@@ -259,14 +280,15 @@ def reference_exits(config, spin, grid, step):
     )
     psi0 = psi0 / math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
     amplitudes = {+1: spin.amp_up, -1: spin.amp_down}
+    larmor = config.moment * config.bias * config.transit
     n_steps = max(1, math.ceil(config.transit / grid.dt))
     dt = config.transit / n_steps
     kinetic = np.exp(-1j * k**2 * dt / (2.0 * config.mass))
     exits = {}
     for s in (+1, -1):
-        potential = -s * config.moment * (config.bias + config.gradient * z)
+        potential = -s * config.moment * (config.gradient * z)
         half_v = np.exp(-1j * potential * dt / 2.0)
-        psi = (amplitudes[s] * psi0).astype(complex)
+        psi = (amplitudes[s] * cmath.exp(1j * (s * larmor)) * psi0).astype(complex)
         for _ in range(n_steps):
             psi = step(psi, half_v, kinetic)
         exits[s] = np.fft.fft(psi)
@@ -516,15 +538,16 @@ class TestTwoThreads:
             -(z**2) / (4.0 * device.sigma0**2)
         )
         psi0 = psi0 / math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
+        larmor = device.moment * device.bias * device.transit
         channels = {
-            +1: (spin.amp_up * psi0).astype(complex),
-            -1: (spin.amp_down * psi0).astype(complex),
+            s: (amp * cmath.exp(1j * (s * larmor)) * psi0).astype(complex)
+            for s, amp in ((+1, spin.amp_up), (-1, spin.amp_down))
         }
         n_steps = max(1, math.ceil(device.transit / SMALL_GRID.dt))
         dt = device.transit / n_steps
         kinetic = np.exp(-1j * k2 * dt / (2.0 * device.mass))
         for s in (+1, -1):
-            potential = -s * device.moment * (device.bias + device.gradient * z)
+            potential = -s * device.moment * (device.gradient * z)
             half_v = np.exp(-1j * potential * dt / 2.0)
             psi = channels[s]
             for _ in range(n_steps):
