@@ -13,6 +13,17 @@ time is one exact momentum-space phase (no step error accumulates there).
 The bias term does not depend on z and commutes with the rest, so each
 channel takes it once, as the Larmor factor exp(i s moment bias transit)
 on its input amplitude, and the half-steps carry the gradient term alone.
+The spin-down potential at z is then the spin-up one at -z, so the
+spin-down half-step is the spin-up one's reversed view, on n + 1 points.
+
+Every transform is a four-step one (Bailey 1990): the n points as an
+(n1, n2) array, n2 transforms of n1 points, the twiddles W = exp(-2 pi i
+k1 j2 / n), then n1 transforms of n2 points, so that each batch of short
+transforms fits in cache.  A spectrum stays in that order, wavenumber
+k1 + n1 k2 at n2 k1 + k2, and is never transposed; the kinetic and flight
+phases are built in it (``_spectral_order``).  The inverse takes conj(W)
+as conj(conj(y) W), so W is the one twiddle array, which both threads
+read through the magnet and every time.
 
 ``grid_solve`` runs the spin-up channel on the calling thread and the
 spin-down channel on one worker thread (``_Worker``), so that their FFTs
@@ -23,7 +34,8 @@ Each array takes the operands of its plain expression, such as
 ``np.exp(-1j * k2 * t / (2 mass))``, in their order, so it has that
 expression's bits whichever thread builds it.  The magnet steps each
 channel in place.  The times share two wave-function buffers and two
-densities, and each time writes k2, the upper-half weights, z and the
+rows of n + 2 floats, and each time writes k2, its phase at the
+wavenumbers 0 .. n/2, the density, the upper-half weights, z and the
 reference densities into floats it has spent, so no time allocates an
 n-point array.
 
@@ -157,7 +169,8 @@ def _ramp(out: np.ndarray) -> np.ndarray:
 
 
 def _positions(n: int, dx: float, out: np.ndarray) -> np.ndarray:
-    """The grid positions (np.arange(n) - n // 2) * dx, in place in out."""
+    """The grid positions (np.arange(len(out)) - n // 2) * dx, in place in
+    out."""
     z = _ramp(out)
     z -= n // 2
     z *= dx
@@ -177,29 +190,79 @@ def _wavenumbers_squared(n: int, dx: float, out: np.ndarray) -> np.ndarray:
 
 
 def _free_phase(k2: np.ndarray, t: float, mass: float, out: np.ndarray) -> np.ndarray:
-    """np.exp(-1j * k2 * t / (2.0 * mass)) on n = len(out) points, in place
-    in out.
-
-    Computed on k2[0 : n/2 + 1] and mirrored onto the rest: k2[j] == k2[n - j]
-    exactly, and each element takes the plain expression's operands.  So k2
-    need hold only those n/2 + 1 wavenumbers.
-    """
+    """np.exp(-1j * k2 * t / (2.0 * mass)) in place in out, at the
+    len(out) == len(k2) wavenumbers 0 .. n/2 that _spectral_order mirrors."""
     import numpy as np
+    np.multiply(-1j, k2, out=out)
+    out *= t
+    out /= 2.0 * mass
+    return np.exp(out, out=out)
+
+
+def _shape(n: int) -> Tuple[int, int]:
+    """(n1, n2) of the four-step transforms on n points: n2 =
+    2**ceil(log2(n) / 2) >= 2, so 256 x 256 on 2^16 points."""
+    n2 = 1 << (n.bit_length() // 2)
+    return n // n2, n2
+
+
+def _spectral_order(head: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The n-point spectral array whose values at the wavenumbers 0 .. n/2
+    head holds, in place in out, in the four-step order: wavenumber k1 +
+    n1 k2 at out[n2 k1 + k2].  Wavenumber n - j takes head[j]; n2 is even,
+    so rows k2 < n2/2 of the transposed view hold 0 .. n/2 - 1 and the
+    others n/2 .. n - 1."""
     n = len(out)
-    head = out[: n // 2 + 1]
-    np.multiply(-1j, k2[: n // 2 + 1], out=head)
-    head *= t
-    head /= 2.0 * mass
-    np.exp(head, out=head)
-    out[n // 2 + 1 :] = out[n // 2 - 1 : 0 : -1]
+    n1, n2 = _shape(n)
+    by_wavenumber = out.reshape(n1, n2).T
+    by_wavenumber[: n2 // 2] = head[: n // 2].reshape(n2 // 2, n1)
+    by_wavenumber[n2 // 2 :] = head[n // 2 : 0 : -1].reshape(n2 // 2, n1)
     return out
+
+
+def _twiddles(n: int) -> np.ndarray:
+    """The four-step's np.exp(np.outer(k1, j2) * (-2j * pi / n)), k1 < n1
+    and j2 < n2, in place in one (n1, n2) array: the products k1 j2 < n are
+    exact."""
+    import numpy as np
+    n1, n2 = _shape(n)
+    twiddles = np.empty((n1, n2), dtype=complex)
+    np.multiply.outer(_ramp(np.empty(n1)), _ramp(np.empty(n2)), out=twiddles)
+    twiddles *= -2j * math.pi / n
+    return np.exp(twiddles, out=twiddles)
+
+
+def _fft(psi: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
+    """The DFT of psi in place, as n2 transforms of n1 points, the
+    twiddles, then n1 transforms of n2 points; wavenumber k1 + n1 k2 lands
+    at psi[n2 k1 + k2]."""
+    import numpy as np
+    grid = psi.reshape(twiddles.shape)
+    np.fft.fft(grid, axis=0, out=grid)
+    np.multiply(grid, twiddles, out=grid)
+    np.fft.fft(grid, axis=1, out=grid)
+    return psi
+
+
+def _ifft(psi: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
+    """_fft's inverse in place: psi in _fft's order back to positions."""
+    import numpy as np
+    grid = psi.reshape(twiddles.shape)
+    np.fft.ifft(grid, axis=1, out=grid)
+    # times conj(twiddles) as conj(conj(grid) * twiddles): no second array
+    np.conjugate(grid, out=grid)
+    np.multiply(grid, twiddles, out=grid)
+    np.conjugate(grid, out=grid)
+    np.fft.ifft(grid, axis=0, out=grid)
+    return psi
 
 
 def _exit_spectra(
     worker: _Worker, config: SGConfig, input_spin: SpinState, grid: GridSpec
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both channels through the magnet, spin down on the worker, in
-    momentum space at its exit.
+    momentum space at its exit, in _fft's order; and the twiddles, which
+    _ifft reads for every time after it.
 
     Raises BoundaryLeakError when the initial packet already reaches the
     grid edge.
@@ -207,12 +270,15 @@ def _exit_spectra(
     import numpy as np
     n = grid.points
     dx = grid.extent / n
-    # pocketfft allocates an array of scratch at each FFT, which glibc would
-    # unmap from the heap's top and fault in again each time: freeing an
-    # untouched two-array block raises glibc's trim bound past it (on 2^16
-    # points and 100 magnet steps, 6.6k minor faults against 108k)
+    # the n-point arrays lie above glibc's mmap threshold, so until a mapped
+    # block is freed glibc maps each afresh and faults it in; freeing an
+    # untouched two-array block first raises its mmap and trim thresholds
+    # past every array of the solve, whose pages the heap then keeps (on
+    # 2^16 points and 100 magnet steps, 5.9k minor faults against 6.9k, at
+    # the same peak resident set and time)
     np.empty(2 * n, dtype=complex)
-    z = _positions(n, dx, np.empty(n))
+    # z[n] = -z[0], where the spin-down half-step reads the spin-up one
+    z = _positions(n, dx, np.empty(n + 1))
 
     # 2 pi sigma0**2 overflows for a packet far wider than any grid, and its
     # -1/4 power would be 0 (then psi0 / 0); the factored form is finite
@@ -224,7 +290,7 @@ def _exit_spectra(
     # prefactor * np.exp(-(z**2) / (4 sigma0**2)); for a packet far narrower
     # than dx, z**2 / (4 sigma0**2) overflows off z = 0, and exp(-inf) = 0 is
     # the exact limit there
-    psi0 = np.square(z)
+    psi0 = np.square(z[:n])
     with np.errstate(over="ignore"):
         np.negative(psi0, out=psi0)
         psi0 /= 4.0 * config.sigma0**2
@@ -250,25 +316,30 @@ def _exit_spectra(
     if config.transit > 0:
         n_steps = max(1, math.ceil(config.transit / grid.dt))
         dt = config.transit / n_steps
-        # each temporary comes after the array it fills, so that it is freed
-        # at the heap's top, where later arrays reuse its pages (made first,
-        # 0.9 MiB more on 2^16 points)
-        for s in (+1, -1):
-            # np.exp(-1j * potential * dt / 2.0) for the potential
-            # -s * moment * gradient * z
-            half_v = half_steps[s] = np.empty(n, dtype=complex)
-            potential = np.multiply(config.gradient, z)
-            potential *= -s * config.moment
-            np.multiply(-1j, potential, out=half_v)
-            del potential
-            half_v *= dt
-            half_v /= 2.0
-            np.exp(half_v, out=half_v)
-        del z
+        # np.exp(-1j * potential * dt / 2.0) for the spin-up potential
+        # -moment * gradient * z on n + 1 points.  The spin-down potential at
+        # z[j] is the spin-up one at z[n - j] = -z[j], bit for bit, so the
+        # spin-down half-step is the reversed view.  Each temporary comes
+        # after the array it fills, so that it is freed at the heap's top,
+        # where later arrays reuse its pages
+        half_v = np.empty(n + 1, dtype=complex)
+        potential = np.multiply(config.gradient, z)
+        potential *= -config.moment
+        np.multiply(-1j, potential, out=half_v)
+        del potential
+        half_v *= dt
+        half_v /= 2.0
+        np.exp(half_v, out=half_v)
+        half_steps = {+1: half_v[:n], -1: half_v[:0:-1]}
+        # np.exp(-1j * k2 * dt / (2 mass)) in _fft's order, k2 in its floats
         kinetic = np.empty(n, dtype=complex)
-        _free_phase(
-            _wavenumbers_squared(n, dx, np.empty(n // 2 + 1)), dt, config.mass, kinetic
+        k2 = _wavenumbers_squared(n, dx, kinetic.view(float)[: n // 2 + 1])
+        _spectral_order(
+            _free_phase(k2, dt, config.mass, np.empty(n // 2 + 1, dtype=complex)),
+            kinetic,
         )
+    del z
+    twiddles = _twiddles(n)
 
     def exit_spectrum(s: int) -> np.ndarray:
         """Channel s through the magnet, in momentum space at its exit.
@@ -279,17 +350,17 @@ def _exit_spectra(
         if half_steps:
             half_v = half_steps[s]
             # this operand order is what numpy's temporary elision made of
-            # half_v * ifft(kinetic * fft(half_v * psi)) from 2^14 points on,
-            # and complex products round differently in the other order
+            # half_v * _ifft(kinetic * _fft(half_v * psi)) from 2^14 points
+            # on, and complex products round differently in the other order
             for _ in range(n_steps):
                 np.multiply(half_v, psi, out=psi)
-                np.fft.fft(psi, out=psi)
+                _fft(psi, twiddles)
                 np.multiply(psi, kinetic, out=psi)
-                np.fft.ifft(psi, out=psi)
+                _ifft(psi, twiddles)
                 np.multiply(psi, half_v, out=psi)
-        return np.fft.fft(psi, out=psi)
+        return _fft(psi, twiddles)
 
-    return worker.pair(exit_spectrum, +1, -1)
+    return (*worker.pair(exit_spectrum, +1, -1), twiddles)
 
 
 def grid_solve(
@@ -324,27 +395,29 @@ def grid_solve(
     dx = grid.extent / n
 
     def flown(channel: tuple) -> tuple:
-        """A channel at t, psi in its buffer and |psi|^2 in its density:
-        the density's sum and its edge density."""
-        t, spectrum, psi, density = channel
-        # np.fft.ifft(np.exp(-1j * k2 * t / (2 mass)) * spectrum), in place,
-        # with k2 in the density's floats until |psi|^2 takes them
-        k2 = _wavenumbers_squared(n, dx, density[: n // 2 + 1])
-        _free_phase(k2, t, config.mass, out=psi)
+        """A channel at t, psi in its buffer and |psi|^2 in the first n
+        floats of its row: the density's sum and its edge density."""
+        t, spectrum, psi, row = channel
+        # _ifft(np.exp(-1j * k2 * t / (2 mass)) * spectrum), in place, with
+        # k2 in psi's floats and the phase at wavenumbers 0 .. n/2 in the
+        # row's n + 2 floats until _spectral_order and |psi|^2 take them
+        k2 = _wavenumbers_squared(n, dx, psi.view(float)[: n // 2 + 1])
+        _spectral_order(_free_phase(k2, t, config.mass, row.view(complex)), psi)
         np.multiply(psi, spectrum, out=psi)
-        np.fft.ifft(psi, out=psi)
+        _ifft(psi, twiddles)
+        density = row[:n]
         np.abs(psi, out=density)
         np.square(density, out=density)
         return float(np.sum(density)), float(np.max(density[_EDGE]))
 
     # snapshot reads the worker and the buffers, bound below
     def snapshot(t: float) -> GridResult:
-        density, density_minus = densities
         (sum_plus, edge_plus), (sum_minus, edge_minus) = worker.pair(
             flown,
-            (t, spectrum_plus, psi_plus, density),
-            (t, spectrum_minus, psi_minus, density_minus),
+            (t, spectrum_plus, psi_plus, rows[0]),
+            (t, spectrum_minus, psi_minus, rows[1]),
         )
+        density, density_minus = rows[:, :n]
         norm = (sum_plus + sum_minus) * dx
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise NormDriftError(f"norm drifted to {norm} at t = {t:g}")
@@ -387,7 +460,11 @@ def grid_solve(
     # one worker for the whole solve, whose arrays then stay in one malloc
     # arena: a second thread can get a fresh one (43 MiB against 40 on 2^16)
     with _Worker() as worker:
-        spectrum_plus, spectrum_minus = _exit_spectra(worker, config, input_spin, grid)
+        spectrum_plus, spectrum_minus, twiddles = _exit_spectra(
+            worker, config, input_spin, grid
+        )
         psi_plus, psi_minus = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-        densities = np.empty((2, n))
+        # per channel a density's n floats, or as complex the n/2 + 1 values
+        # of a flight phase before _spectral_order spreads them
+        rows = np.empty((2, n + 2))
         return [snapshot(t) for t in times]

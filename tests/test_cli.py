@@ -1098,13 +1098,14 @@ class TestOracleThreads:
 
     def test_earliest_norm_check_decides(self, monkeypatch):
         # every time would fail the norm check; the first time's failure
-        # decides, and no later time is flown
+        # decides, and no later time is flown: each channel's inverse
+        # four-step transform makes its two np.fft.ifft calls at t = 1 only
         caller = threading.get_ident()
         inverse = []
 
-        def drifted(psi, out=None):
+        def drifted(psi, *args, out=None, **kwargs):
             inverse.append(threading.get_ident() == caller)
-            out[:] = math.nan
+            out[...] = math.nan
             return out
 
         cfg = load_config(str(DEFAULT_CONFIG))
@@ -1122,7 +1123,7 @@ class TestOracleThreads:
         monkeypatch.setattr(nosignal.gridsolver, "_exit_spectra", magnet_then_drift)
         with pytest.raises(NormDriftError, match=r"^norm drifted to nan at t = 1$"):
             workflow_oracle(cfg)
-        assert sorted(inverse) == [False, True]
+        assert sorted(inverse) == [False, False, True, True]
 
     def test_memory_does_not_grow_with_the_times(self):
         # each time is reduced before the next: at 16384 points the two

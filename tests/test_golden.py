@@ -17,7 +17,8 @@ text, so that `git diff tests/golden.json` shows just the cases meant to move:
 
 To see what moved in one case's data file against another tree's src/
 (for example one extracted by `git archive HEAD src`), per field the largest
-distance in ulp and the largest absolute difference:
+distance in ulp of each value, in ulp of the field's largest |value|, and
+absolute:
 
     PYTHONPATH=src python tests/test_golden.py --diff default-verify BASE/src
 """
@@ -462,11 +463,26 @@ def float_step(x: float) -> int:
     return bits if bits >= 0 else -(2**63) - bits - 1
 
 
-def field_differences(file_name: str, old: str, new: str) -> Dict[str, Tuple[float, float]]:
-    """(largest ulp distance, largest absolute difference) per field whose
-    values differ between two texts of one data file, its list indices
-    written []; inf for a value that is missing or not a number on one side."""
+def field_name(path: tuple) -> str:
+    return "".join("[]" if type(k) is int else f".{k}" for k in path).lstrip(".")
+
+
+def field_differences(
+    file_name: str, old: str, new: str
+) -> Dict[str, Tuple[float, float, float]]:
+    """Per field whose values differ between two texts of one data file,
+    its list indices written []: the largest distance in ulp of each value's
+    own magnitude, the largest in ulp of the field's largest finite |value|
+    in either text, and the largest absolute difference; inf for a value
+    that is missing or not a number on one side.  A value at or near zero
+    moves by many of its own ulp; the field's ulp reads it on the scale of
+    the field's other values."""
     old_leaves, new_leaves = leaves(parse(file_name, old)), leaves(parse(file_name, new))
+    largest: Dict[str, float] = {}
+    for path, v in [*old_leaves.items(), *new_leaves.items()]:
+        if type(v) in (int, float) and math.isfinite(v):
+            name = field_name(path)
+            largest[name] = max(largest.get(name, 0.0), abs(float(v)))
     worst: Dict[str, Tuple[float, float]] = {}
     for path in old_leaves.keys() | new_leaves.keys():
         a, b = old_leaves.get(path, ...), new_leaves.get(path, ...)  # ... if missing
@@ -477,10 +493,13 @@ def field_differences(file_name: str, old: str, new: str) -> Dict[str, Tuple[flo
             ulps, absolute = abs(float_step(a) - float_step(b)), abs(a - b)
         else:
             ulps = absolute = math.inf
-        name = "".join("[]" if type(k) is int else f".{k}" for k in path).lstrip(".")
+        name = field_name(path)
         was = worst.get(name, (0, 0.0))
         worst[name] = (max(was[0], ulps), max(was[1], absolute))
-    return worst
+    return {
+        name: (ulps, absolute / math.ulp(largest.get(name, 0.0)), absolute)
+        for name, (ulps, absolute) in worst.items()
+    }
 
 
 def diff(case_id: str, base_src: str) -> None:
@@ -510,8 +529,9 @@ def diff(case_id: str, base_src: str) -> None:
         print(f"the base's stderr: {base.stderr.strip()[-300:]}")
         return
     moved = field_differences(data, old, new.decode("utf-8"))
-    for field, (ulps, absolute) in sorted(moved.items()):
-        print(f"{data} {field}: {ulps:.0f} ulp, {absolute:.3g} absolute")
+    for field, (ulps, field_ulps, absolute) in sorted(moved.items()):
+        print(f"{data} {field}: {ulps:.0f} ulp, {field_ulps:.3g} ulp of the field's "
+              f"largest |value|, {absolute:.3g} absolute")
     if not moved:
         print(f"{data}: no field moved")
 
@@ -527,30 +547,47 @@ class TestFieldDifferences:
         x, y = 0.1, math.nextafter(0.1, 1.0)
         old = self.report([{"a": 1.0, "b": x}, {"a": 2.0, "b": 0.5}], n=3, s="x")
         new = self.report([{"a": 1.0, "b": y}, {"a": 2.0, "b": 0.5}], n=3, s="x")
-        assert field_differences("report.json", old, new) == {"cells[].b": (1, y - x)}
+        # b's largest value is 0.5, whose ulp is eight times 0.1's
+        assert field_differences("report.json", old, new) == {
+            "cells[].b": (1, 0.125, y - x)
+        }
         assert field_differences("report.json", old, old) == {}
 
     def test_a_residual_near_zero_moves_by_many_ulp(self):
         old, new = self.report([], residual=0.0), self.report([], residual=5e-17)
-        ulps, absolute = field_differences("report.json", old, new)["residual"]
+        ulps, field_ulps, absolute = field_differences("report.json", old, new)["residual"]
         assert 4e18 < ulps < 5e18 and absolute == 5e-17
+        assert field_ulps == 5e-17 / math.ulp(5e-17)
         signed = self.report([], residual=-0.0)
-        assert field_differences("report.json", old, signed) == {"residual": (1, 0.0)}
+        assert field_differences("report.json", old, signed) == {"residual": (1, 0.0, 0.0)}
+
+    def test_a_value_near_zero_reads_few_ulp_of_its_field(self):
+        # one cell's value moves off 0 by 1.1e-16, in a field whose largest
+        # value is 0.5: eighteen digits of its own ulp, one ulp of the field's
+        cells = [{"a": 0.0}, {"a": 0.5}]
+        moved = [{"a": 1.1102230246251565e-16}, {"a": 0.5}]
+        ulps, field_ulps, absolute = field_differences(
+            "report.json", self.report(cells), self.report(moved)
+        )["cells[].a"]
+        assert ulps > 4e18 and field_ulps == 1.0 and absolute == 1.1102230246251565e-16
 
     def test_sweep_and_estimates(self):
         x, y = 0.25, math.nextafter(0.25, 0.0)
         row = "0.5,{},,projected\n"
         old, new = ("omega,Es,phi_plus,model\n" + row.format(v) for v in (x, y))
-        assert field_differences("sweep.csv", old, new) == {"[].Es": (1, x - y)}
+        assert field_differences("sweep.csv", old, new) == {
+            "[].Es": (1, (x - y) / math.ulp(x), x - y)
+        }
         lines = [json.dumps({"kind": "bound", "ci": [v, 1.0]}) + "\n" for v in (x, y)]
+        # ci[]'s largest value is 1.0, whose ulp is twice 0.25's
         assert field_differences("estimates.jsonl", lines[0], lines[1]) == {
-            "[].ci[]": (1, x - y)
+            "[].ci[]": (1, (x - y) / math.ulp(1.0), x - y)
         }
 
     def test_a_missing_or_changed_text_field(self):
         old = self.report([{"a": 1.0}], s="x")
         assert field_differences("report.json", old, self.report([], s="y")) == {
-            "cells[].a": (math.inf, math.inf), "s": (math.inf, math.inf)
+            "cells[].a": (math.inf, math.inf, math.inf), "s": (math.inf, math.inf, math.inf)
         }
 
 

@@ -24,7 +24,7 @@ from nosignal import (
     make_spin_state,
     upper_overlaps,
 )
-from nosignal.gridsolver import _exit_spectra, _free_phase, _Worker
+from nosignal.gridsolver import _exit_spectra, _free_phase, _spectral_order, _Worker
 from conftest import grid_results
 
 SMALL_GRID = GridSpec(extent=384.0, points=4096, dt=2e-4)
@@ -42,8 +42,41 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def shape(n: int) -> tuple:
+    """(n1, n2) of the four-step transforms: n2 = 2**ceil(log2 n / 2)."""
+    n2 = 2 ** math.ceil(math.log2(n) / 2)
+    return n // n2, n2
+
+
+def twiddles(n: int) -> np.ndarray:
+    n1, n2 = shape(n)
+    return np.exp(np.outer(np.arange(n1), np.arange(n2)) * (-2j * math.pi / n))
+
+
+def fft4(psi):
+    """np.fft.fft(psi) as the solver's four-step transform: n2 transforms of
+    n1 points, the twiddles, n1 transforms of n2 points; wavenumber k1 + n1
+    k2 comes out at n2 k1 + k2."""
+    n = len(psi)
+    spectrum = np.fft.fft(psi.reshape(shape(n)), axis=0) * twiddles(n)
+    return np.fft.fft(spectrum, axis=1).reshape(n)
+
+
+def ifft4(spectrum):
+    """fft4's inverse, times conj(twiddles) as conj(conj(.) * twiddles)."""
+    n = len(spectrum)
+    psi = np.fft.ifft(spectrum.reshape(shape(n)), axis=1)
+    return np.fft.ifft(np.conj(np.conj(psi) * twiddles(n)), axis=0).reshape(n)
+
+
+def spectral_order(values):
+    """An array over np.fft's wavenumbers, in fft4's order."""
+    return values.reshape(shape(len(values))[::-1]).T.reshape(-1)
+
+
 class Exit(NamedTuple):
-    """The solver's state at the magnet exit, as its snapshots read it."""
+    """The solver's state at the magnet exit, as its snapshots read it;
+    the spectra and k2 in fft4's order."""
 
     z: np.ndarray
     dx: float
@@ -56,10 +89,11 @@ class Exit(NamedTuple):
 
 def exit_spectra(config, spin, grid) -> Exit:
     """_exit_spectra's two exit spectra, on a worker of its own, with the
-    grid positions, spacing, squared wavenumbers, upper-half weights and
-    mass that the snapshots must use, from their plain expressions."""
+    grid positions, spacing, squared wavenumbers (in fft4's order),
+    upper-half weights and mass that the snapshots must use, from their
+    plain expressions."""
     with _Worker() as worker:
-        plus, minus = _exit_spectra(worker, config, spin, grid)
+        plus, minus, _ = _exit_spectra(worker, config, spin, grid)
     n = grid.points
     dx = grid.extent / n
     upper = np.ones(n)
@@ -68,7 +102,7 @@ def exit_spectra(config, spin, grid) -> Exit:
     return Exit(
         (np.arange(n) - n // 2) * dx,
         dx,
-        (2 * math.pi * np.fft.fftfreq(n, dx)) ** 2,
+        spectral_order((2 * math.pi * np.fft.fftfreq(n, dx)) ** 2),
         upper,
         plus,
         minus,
@@ -90,10 +124,10 @@ def after_the_magnet(monkeypatch, action):
 
 def flown(source, t):
     """Both channels at time t, by the plain flight expression the snapshots
-    must reproduce: ifft(exp(-1j k2 t / 2m) * exit spectrum)."""
+    must reproduce: ifft4(exp(-1j k2 t / 2m) * exit spectrum)."""
     flight = np.exp(-1j * source.k2 * t / (2.0 * source.mass))
     return [
-        np.fft.ifft(flight * spectrum)
+        ifft4(flight * spectrum)
         for spectrum in (source.spectrum_plus, source.spectrum_minus)
     ]
 
@@ -105,7 +139,7 @@ def flown_norm(source, t) -> float:
 def exit_mean_momentum(source, which: str) -> float:
     spectrum = source.spectrum_plus if which == "plus" else source.spectrum_minus
     weight = np.abs(spectrum) ** 2
-    k = 2.0 * math.pi * np.fft.fftfreq(len(spectrum), source.dx)
+    k = spectral_order(2.0 * math.pi * np.fft.fftfreq(len(spectrum), source.dx))
     return float(np.sum(k * weight)) / float(np.sum(weight))
 
 
@@ -254,7 +288,7 @@ class TestBias:
 
 def nested_step(psi, half_v, kinetic):
     """One magnet step as the solver once wrote it, with fresh temporaries."""
-    return half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * psi))
+    return half_v * ifft4(kinetic * fft4(half_v * psi))
 
 
 def elided_step(psi, half_v, kinetic):
@@ -266,7 +300,7 @@ def elided_step(psi, half_v, kinetic):
     as ``ifft(...) * half_v``; this spells that order out, so it holds on
     every build.
     """
-    return np.fft.ifft(np.fft.fft(half_v * psi) * kinetic) * half_v
+    return ifft4(fft4(half_v * psi) * kinetic) * half_v
 
 
 def reference_exits(config, spin, grid, step):
@@ -283,7 +317,7 @@ def reference_exits(config, spin, grid, step):
     larmor = config.moment * config.bias * config.transit
     n_steps = max(1, math.ceil(config.transit / grid.dt))
     dt = config.transit / n_steps
-    kinetic = np.exp(-1j * k**2 * dt / (2.0 * config.mass))
+    kinetic = spectral_order(np.exp(-1j * k**2 * dt / (2.0 * config.mass)))
     exits = {}
     for s in (+1, -1):
         potential = -s * config.moment * (config.gradient * z)
@@ -291,7 +325,7 @@ def reference_exits(config, spin, grid, step):
         psi = (amplitudes[s] * cmath.exp(1j * (s * larmor)) * psi0).astype(complex)
         for _ in range(n_steps):
             psi = step(psi, half_v, kinetic)
-        exits[s] = np.fft.fft(psi)
+        exits[s] = fft4(psi)
     return exits
 
 
@@ -345,12 +379,16 @@ class TestInPlacePhases:
     )
     def test_mirrored_phase_equals_plain_expression(self, n, t, mass):
         # k2[j] == k2[n - j] exactly, so phases built on j <= n/2 and mirrored
-        # have every bit of the plain expression, NaN from an overflow too
+        # into fft4's order have every bit of the plain expression, NaN from
+        # an overflow too; n = 2 and 4 have n1 = 1 and n2 = 2
         k2 = (2.0 * math.pi * np.fft.fftfreq(n, 1024.0 / n)) ** 2
         with np.errstate(all="ignore"):
             plain = np.exp(-1j * k2 * t / (2.0 * mass))
-            phase = _free_phase(k2, t, mass, out=np.empty(n, dtype=complex))
-            assert same_bits(phase, plain)
+            head = _free_phase(
+                k2[: n // 2 + 1], t, mass, out=np.empty(n // 2 + 1, dtype=complex)
+            )
+            phase = _spectral_order(head, np.empty(n, dtype=complex))
+            assert same_bits(phase, spectral_order(plain))
 
     @pytest.mark.parametrize("n", [2**k for k in range(3, 17)])
     @pytest.mark.parametrize("extent", [1024.0, 3.7])
@@ -391,9 +429,10 @@ class TestInPlacePhases:
     )
     def test_snapshot_equals_flight_expression(self, device, grid, monkeypatch):
         # 2^12 points is below numpy's temporary elision, 2^14 above it.  Each
-        # time's inverse FFTs (the spin-up channel on this thread, the
-        # spin-down one on the worker) give the plain expression's psi, and
-        # with |psi|^2 of those as the reference every density cancels
+        # time's inverse four-step transforms (the spin-up channel on this
+        # thread, the spin-down one on the worker; two np.fft.ifft calls
+        # each) give the plain expression's psi, and with |psi|^2 of those
+        # as the reference every density cancels
         spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
         source = exit_spectra(device, spin, grid)
         times = [0.0, 2.0, 15.0, 40.0]
@@ -420,11 +459,12 @@ class TestInPlacePhases:
             ),
         )
         monkeypatch.undo()
-        assert len(inverse) == 2 * len(times)
+        assert len(inverse) == 4 * len(times)
         for i, t in enumerate(times):
-            channels = dict(inverse[2 * i : 2 * i + 2])  # by thread: worker?
-            assert same_bits(channels[False], expected[t][0])
-            assert same_bits(channels[True], expected[t][1])
+            # each channel's second call, by thread: worker?
+            channels = dict(inverse[4 * i : 4 * i + 4])
+            assert same_bits(channels[False].reshape(-1), expected[t][0])
+            assert same_bits(channels[True].reshape(-1), expected[t][1])
         for t, result in zip(times, results):
             psi_plus, psi_minus = expected[t]
             density_minus = np.abs(psi_minus) ** 2
@@ -456,15 +496,18 @@ class TestInPlacePhases:
             -(z**2) / (4.0 * device.sigma0**2)
         )
         psi0 = psi0 / math.sqrt(float(np.sum(np.abs(psi0) ** 2)) * dx)
-        for amp, spectrum in (
-            (spin.amp_up, source.spectrum_plus),
-            (spin.amp_down, source.spectrum_minus),
+        larmor = device.moment * device.bias * device.transit
+        for s, amp, spectrum in (
+            (+1, spin.amp_up, source.spectrum_plus),
+            (-1, spin.amp_down, source.spectrum_minus),
         ):
-            assert np.array_equal(spectrum, np.fft.fft((amp * psi0).astype(complex)))
+            psi = (amp * cmath.exp(1j * (s * larmor)) * psi0).astype(complex)
+            assert same_bits(spectrum, fft4(psi))
 
     def test_magnet_working_set(self, device, x_state):
-        # five complex arrays in the loop: the two channels, their half-steps
-        # and the kinetic phase, with z, psi0 and k2 freed before it; the
+        # five complex arrays in the loop: the two channels, the half-step
+        # (the spin-down one is its reversed view), the kinetic phase and the
+        # twiddles, with z, psi0 and the phase's head freed before it; the
         # out-of-place builds peaked at 8.5 to 9.5, and separate z, k2 and
         # psi0 arrays beside the loop at 6
         n = 2**16
@@ -520,6 +563,109 @@ class TestInPlacePhases:
             assert peak - left < 0.5 * 16 * n
 
 
+def plain_solve(config, spin, grid, times, real=np.float64) -> list:
+    """(error fraction, coherence) at each time, by the plain magnet and
+    flight expressions out of place, with np.fft's one-dimensional
+    transforms, in the precision of the float type real."""
+    n = grid.points
+    dx = real(grid.extent) / n
+    z = (np.arange(n, dtype=real) - n // 2) * dx
+    k2 = (2 * np.arccos(real(-1)) * np.fft.fftfreq(n, dx).astype(real)) ** 2
+    mass, sigma0, moment, gradient, bias, transit = map(real, config)
+    psi0 = np.exp(-(z**2) / (4 * sigma0**2))
+    psi0 = psi0 / np.sqrt(np.sum(psi0**2) * dx)
+    larmor = moment * bias * transit
+    n_steps = max(1, math.ceil(config.transit / grid.dt))
+    dt = transit / n_steps
+    kinetic = np.exp(-1j * k2 * dt / (2 * mass))
+    spectra = []
+    for s, amp in ((+1, spin.amp_up), (-1, spin.amp_down)):
+        half_v = np.exp(-1j * (-s * moment * gradient * z) * dt / 2)
+        psi = amp * np.exp(1j * (s * larmor)) * psi0
+        for _ in range(n_steps):
+            psi = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * psi))
+        spectra.append(np.fft.fft(psi))
+    upper = np.ones(n, dtype=real)
+    upper[: n // 2] = 0
+    upper[n // 2] = real(0.5)
+    results = []
+    for t in times:
+        flight = np.exp(-1j * k2 * real(t) / (2 * mass))
+        plus, minus = (np.fft.ifft(flight * spectrum) for spectrum in spectra)
+        weight = np.abs(minus) ** 2
+        coherence = np.sum(upper * plus * np.conj(minus)) * dx
+        results.append((
+            np.sum(upper * weight) / np.sum(weight),
+            coherence / (spin.amp_up * np.conj(spin.amp_down)),
+        ))
+    return results
+
+
+class TestFourStep:
+    """Every transform of a solve is one of the four-step's short ones, and
+    the solve computes what the one-dimensional transforms do."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 64, 2**11])
+    def test_no_transform_longer_than_the_four_step(self, n, monkeypatch):
+        # n = 2 and 4 have n1 = 1 and n2 = 2, where a mirror that splits the
+        # wavenumbers by rows of n2 / 2 has no row to split; the edge checks
+        # are off, since a packet on so few points fills the edges
+        sg = SGConfig(
+            mass=1.0, sigma0=1.0, moment=1.0, gradient=21.04, bias=0.5, transit=2e-3
+        )
+        grid = GridSpec(extent=1.5 * n, points=n, dt=2e-4)
+        spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
+        times = [0.0, 0.7, 3.0]
+        lengths = []
+
+        def recorded(transform):
+            def call(a, *args, **kwargs):
+                lengths.append(np.shape(a)[kwargs.get("axis", -1)])
+                return transform(a, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(nosignal.gridsolver, "_check_boundary", lambda *args: None)
+        monkeypatch.setattr(np.fft, "fft", recorded(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", recorded(np.fft.ifft))
+        results = grid_solve(sg, spin, grid, times, lambda t, which, z, out: out.fill(0.0))
+        monkeypatch.undo()
+        # 10 magnet steps of four transforms and the exit's two, per channel;
+        # then two per channel and time
+        assert len(lengths) == 2 * (10 * 4 + 2) + 2 * 2 * len(times)
+        assert max(lengths) <= max(shape(n))
+        for result, (error_fraction, coherence) in zip(
+            results, plain_solve(sg, spin, grid, times)
+        ):
+            assert abs(result.error_fraction - error_fraction) <= 1e-13
+            assert abs(result.coherence - coherence) <= 1e-13
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double here",
+)
+class TestExtendedPrecision:
+    """The solver's rounding, against the same discretization in long
+    double: a change of transform that moves the data files' bits must stay
+    within this bound of it."""
+
+    @pytest.mark.parametrize("points", [2**10, 2**12])
+    def test_within_rounding_of_long_double(self, device, points):
+        # a Larmor phase and a complex spin; 4 magnet steps, 3 times.  The
+        # four-step solver reads up to 2.3e-16, a one-dimensional np.fft
+        # solver up to 3.4e-16
+        sg = device._replace(bias=0.5)
+        spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
+        grid = GridSpec(extent=384.0 * points / 4096, points=points, dt=5e-4)
+        times = [2.0, 4.0, 9.0]
+        results = grid_results(sg, spin, grid, times)
+        exact = plain_solve(sg, spin, grid, times, real=np.longdouble)
+        for result, (error_fraction, coherence) in zip(results, exact):
+            assert abs(result.error_fraction - error_fraction) <= 1e-15
+            assert abs(result.coherence - coherence) <= 1e-15
+
+
 class TestTwoThreads:
     """The magnet and each time run the spin-down channel on a worker thread
     and the spin-up channel on the calling thread."""
@@ -533,7 +679,7 @@ class TestTwoThreads:
         n = SMALL_GRID.points
         dx = SMALL_GRID.extent / n
         z = (np.arange(n) - n // 2) * dx
-        k2 = (2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2
+        k2 = spectral_order((2.0 * math.pi * np.fft.fftfreq(n, dx)) ** 2)
         psi0 = (2.0 * math.pi * device.sigma0**2) ** (-0.25) * np.exp(
             -(z**2) / (4.0 * device.sigma0**2)
         )
@@ -552,14 +698,15 @@ class TestTwoThreads:
             psi = channels[s]
             for _ in range(n_steps):
                 np.multiply(half_v, psi, out=psi)
-                np.fft.fft(psi, out=psi)
+                psi = fft4(psi)
                 np.multiply(psi, kinetic, out=psi)
-                np.fft.ifft(psi, out=psi)
+                psi = ifft4(psi)
                 np.multiply(psi, half_v, out=psi)
+            channels[s] = psi
 
         assert n_steps == 10
-        assert same_bits(source.spectrum_plus, np.fft.fft(channels[+1]))
-        assert same_bits(source.spectrum_minus, np.fft.fft(channels[-1]))
+        assert same_bits(source.spectrum_plus, fft4(channels[+1]))
+        assert same_bits(source.spectrum_minus, fft4(channels[-1]))
 
     def test_worker_follows_the_callers_errstate(self, x_state):
         # the overflowing potential of both channels is ignored under the
@@ -596,8 +743,9 @@ class TestTwoThreads:
     def test_snapshot_worker_error_is_raised_to_the_caller(
         self, device, x_state, monkeypatch
     ):
-        # the spin-down channel's inverse FFT fails on the worker at t = 2:
-        # the failure is raised here, and no grid work follows it
+        # the spin-down channel's inverse transform fails on the worker at
+        # t = 2, in its first of two np.fft.ifft calls: the failure is raised
+        # here, and no grid work follows it
         class WorkerFailure(Exception):
             pass
 
@@ -607,7 +755,7 @@ class TestTwoThreads:
 
         def ifft_failing_off_the_caller(*args, **kwargs):
             flights.append(threading.get_ident() == caller)
-            if threading.get_ident() != caller and len(flights) > 2:
+            if flights.count(False) > 2:
                 raise WorkerFailure
             return ifft(*args, **kwargs)
 
@@ -624,7 +772,7 @@ class TestTwoThreads:
         threads = threading.active_count()
         with pytest.raises(WorkerFailure):
             grid_solve(device, x_state, SMALL_GRID, [1.0, 2.0, 3.0], reference)
-        assert sorted(flights) == [False, False, True, True]
+        assert sorted(flights) == [False] * 3 + [True] * 4
         assert asked == [1.0, 1.0]
         assert threading.active_count() == threads
 
