@@ -26,7 +26,7 @@ _EXPORTS = {
         branch_totals cell_records closed_form_rows""",
     "spin": """SpinDensityMatrix SpinState born_probabilities born_probability
         make_spin_state sigma_eigenstate singlet_conditional""",
-    "wavepacket": """SGConfig WavePacketPair asymptotic_error_fraction
+    "wavepacket": """SGConfig asymptotic_error_fraction channel_center
         component_density phase_settle_tau upper_overlaps""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -71,8 +71,8 @@ from .rng import INT64_MAX
 from .spin import SpinDensityMatrix, wrap_to_pi
 from .wavepacket import (
     SGConfig,
-    WavePacketPair,
     asymptotic_error_fraction,
+    channel_center,
     component_density,
     upper_overlaps,
 )
@@ -718,7 +718,7 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
     # with the center inside at the last time its edge check sees any reach
     half = grid.extent / 2
     for t in times:
-        center = WavePacketPair(cfg.sg, beam, t).center("plus")
+        center = channel_center(cfg.sg, t)
         if abs(center) >= half:
             raise BoundaryLeakError(
                 f"packet center {center:.4g} at t = {t:g} is beyond the grid's "
@@ -751,8 +751,8 @@ def workflow_oracle(cfg: RunConfig) -> RunRecord:
             beam,
             grid,
             times,
-            lambda t, which, z, out: component_density(
-                WavePacketPair(cfg.sg, beam, t), z, which, out=out
+            lambda t, s, z, out: component_density(
+                cfg.sg, t, s, beam.amp_up if s > 0 else beam.amp_down, z, out=out
             ),
         )
     except BoundaryLeakError as exc:

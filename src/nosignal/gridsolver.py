@@ -35,13 +35,15 @@ Each array takes the operands of its plain expression, such as
 expression's bits whichever thread builds it.  The magnet steps each
 channel in place.  The times share two wave-function buffers and two
 rows of n + 2 floats, and each time writes k2, its phase at the
-wavenumbers 0 .. n/2, the density, the upper-half weights, z and the
-reference densities into floats it has spent, so no time allocates an
-n-point array.
+wavenumbers 0 .. n/2, the density, z and the reference densities into
+floats it has spent and takes the upper-half weights in place, so no time
+allocates an n-point array.
 
 This solver knows nothing of the impulsive Gaussian model in
 ``wavepacket``; it discretizes the Hamiltonian directly and serves as the
-independent cross-check for it.
+independent cross-check for it.  It takes only ``SGConfig`` from there,
+and a channel's reference density, named by its sign s = +1 (spin up) or
+-1 (spin down), comes from the caller.
 """
 
 from __future__ import annotations
@@ -368,14 +370,14 @@ def grid_solve(
     input_spin: SpinState,
     grid: GridSpec,
     times: Sequence[float],
-    reference: Callable[[float, str, np.ndarray, np.ndarray], object],
+    reference: Callable[[float, int, np.ndarray, np.ndarray], object],
 ) -> List[GridResult]:
     """Both channels through the magnet, then at each time t after its exit
     by exact free flight, reduced: the error fraction, the half-plane
     coherence and the L1 distance of the density from the sum of the two
-    reference densities.  reference(t, which, z, out) writes channel
-    which's ("plus" or "minus") density at the grid positions z into out;
-    reference(t, "minus", z, out) is called on the worker thread.
+    reference densities.  reference(t, s, z, out) writes the density of
+    channel s (+1 spin up, -1 spin down) at the grid positions z into out;
+    reference(t, -1, z, out) is called on the worker thread.
 
     The times run one after another.  Raises ValueError for a negative time
     or a one-channel input, before any grid work; BoundaryLeakError when the
@@ -428,27 +430,21 @@ def grid_solve(
         density += density_minus  # the spin-up density, now both channels'
         # the upper-half weights: 0 below z = 0 and 1 above, and at z = 0
         # (z[n//2] == 0 exactly) the trapezoidal 0.5, which keeps upper +
-        # lower == total.  sum(upper * density_minus) in place, since
-        # upper * density_minus would be an array more per time
+        # lower == total.  Each weighted sum applies them in place, since
+        # an upper array would be an array more per time
         density_minus[: n // 2] *= 0.0
         density_minus[n // 2] *= 0.5
         upper_minus = float(np.sum(density_minus))
-        # sum(upper * psi_plus * conj(psi_minus)), in place in psi_plus, with
-        # the weights in density_minus
-        upper = density_minus
-        upper[: n // 2] = 0.0
-        upper[n // 2] = 0.5
-        upper[n // 2 + 1 :] = 1.0
-        np.multiply(upper, psi_plus, out=psi_plus)
+        # sum(upper * psi_plus * conj(psi_minus)), in place in psi_plus
+        psi_plus[: n // 2] = 0.0
+        psi_plus[n // 2] *= 0.5
         np.multiply(psi_plus, np.conjugate(psi_minus, out=psi_minus), out=psi_plus)
         coherence = complex(np.sum(psi_plus)) * dx / (wp * np.conj(wm))
         # the reference densities, in the spent psi_plus's floats
         z = _positions(n, dx, density_minus)
         expected, expected_minus = psi_plus.view(float).reshape(2, n)
         worker.pair(
-            lambda args: reference(t, *args),
-            ("plus", z, expected),
-            ("minus", z, expected_minus),
+            lambda args: reference(t, *args), (+1, z, expected), (-1, z, expected_minus)
         )
         expected += expected_minus
         density -= expected

@@ -19,11 +19,12 @@ Model (natural units, hbar = 1, 1-D along the field axis z):
                   exp(-(z - c)^2 / (4 sigma0^2 a) + i p (z - c) + i phi(t)),
 
   p = +-dp,  c(t) = p t / m,  phi(t) = +-phi_L + p^2 t / (2 m), and width
-  sigma(t) = sigma0 sqrt(1 + (t / (2 m sigma0^2))^2).  A WavePacketPair
-  stores the device, the input spin and t only; the channels' weights (the
-  spin's amplitudes), p, c and sigma are derived from them.  Only the grid
-  oracle uses a pair: its wrap check reads the centers, and its reference
-  densities come from component_density.
+  sigma(t) = sigma0 sqrt(1 + (t / (2 m sigma0^2))^2).  The spin-up
+  channel is s = +1 and the spin-down one s = -1, so p = s dp and its
+  center is s channel_center(t).  Only the grid oracle forms a channel at
+  a time t: its wrap check reads channel_center, and its reference
+  densities come from component_density, weighted by the spin's
+  amplitudes.
 
 Post-selection on z >= 0 needs three numbers of the device, the same for
 every input spin (upper_overlaps): the upper-half weights of the
@@ -61,14 +62,12 @@ import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
-from .spin import SpinState
-
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
     "SGConfig",
-    "WavePacketPair",
+    "channel_center",
     "component_density",
     "upper_overlaps",
     "asymptotic_error_fraction",
@@ -77,6 +76,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_PHASE_SUM_TOL = 1e-10  # the phase-sum tolerance phase_settle_tau settles to
 
 
 def _norm_cdf(x: float) -> float:
@@ -135,79 +135,45 @@ class SGConfig(_SGConfigFields):
         return 2.0 * self.mass * (self.sigma0 * self.sigma0)
 
 
-def _sign(which: str) -> float:
-    """+1 for the spin-up channel "plus", -1 for the spin-down channel "minus"."""
-    if which not in ("plus", "minus"):
-        raise ValueError("channel must be 'plus' or 'minus'")
-    return 1.0 if which == "plus" else -1.0
+def channel_center(config: SGConfig, t: float) -> float:
+    """The spin-up channel's center c(t) = p t / m, p = momentum_kick, at
+    time t after the magnet; the spin-down channel's is its negative.
 
-
-class WavePacketPair(NamedTuple):
-    """A spin state sent through the device, then flown freely for `time`.
-
-    The magnet leaves the spin-up ("plus") and spin-down ("minus") channels
-    at the common origin z = 0 with momenta +-momentum_kick, Larmor phases
-    +-larmor_phase and the spin's amplitudes as weights.  Center and width
-    at `time` are derived from these exit values.
+    p t can overflow where c does not (a heavy particle); the division
+    then comes first.
     """
-
-    device: SGConfig
-    spin: SpinState
-    time: float
-
-    @property
-    def tau(self) -> float:
-        """Dimensionless time t / (2 m sigma0^2)."""
-        return self.time / self.device.spreading_time
-
-    @property
-    def width(self) -> float:
-        """Position standard deviation sigma(t), shared by both channels."""
-        return self.device.sigma0 * math.hypot(1.0, self.tau)
-
-    def weight(self, which: str) -> complex:
-        """Channel amplitude: the spin's up or down amplitude."""
-        return self.spin.amp_up if _sign(which) > 0 else self.spin.amp_down
-
-    def momentum(self, which: str) -> float:
-        """Channel momentum +-momentum_kick."""
-        return _sign(which) * self.device.momentum_kick
-
-    def center(self, which: str) -> float:
-        """Channel center c(t) = p t / m.
-
-        p t can overflow where c does not (a heavy particle); the division
-        then comes first.
-        """
-        p, m = self.momentum(which), self.device.mass
-        c = p * self.time / m
-        return p * (self.time / m) if math.isinf(c) else c
+    p, m = config.momentum_kick, config.mass
+    c = p * t / m
+    return p * (t / m) if math.isinf(c) else c
 
 
 def component_density(
-    pair: WavePacketPair,
+    config: SGConfig,
+    t: float,
+    s: int,
+    weight: complex,
     z: np.ndarray,
-    which: str,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One channel's position density |weight psi(z, t)|^2 at positions z,
-    psi as in the module docstring, in place in out (a new array if out is
-    None); the tests check it against the complex wave function of
-    tests/conftest.py's component_amplitude.
+    """The density |weight psi(z, t)|^2 of channel s (+1 spin up, -1 spin
+    down) at positions z, time t after the magnet, psi as in the module
+    docstring, in place in out (a new array if out is None); the tests
+    check it against the complex wave function of tests/conftest.py's
+    component_amplitude.
 
     The closed-form Gaussian |weight|^2 exp(-u^2 / 2) / (sqrt(2 pi) sigma(t))
-    with u = (z - c(t)) / sigma(t).  It never forms sigma0^2, which is
+    with u = (z - s c(t)) / sigma(t).  It never forms sigma0^2, which is
     subnormal for sigma0 below ~1e-154 and then carries few significant
     bits into the complex form's exponent.
     """
     import numpy as np
-    u = np.subtract(z, pair.center(which), out=out, dtype=float)
-    width = pair.width
+    u = np.subtract(z, s * channel_center(config, t), out=out, dtype=float)
+    width = config.sigma0 * math.hypot(1.0, t / config.spreading_time)
     u /= width
     np.square(u, out=u)
     u *= -0.5
     density = np.exp(u, out=u)
-    density *= abs(pair.weight(which)) ** 2
+    density *= abs(weight) ** 2
     density /= _SQRT_2PI * width
     return density
 
@@ -290,19 +256,17 @@ def asymptotic_error_fraction(config: SGConfig) -> float:
     return _norm_cdf(-config.drift_ratio)
 
 
-def phase_settle_tau(config: SGConfig, phase_sum_tol: float = 1e-10) -> float:
+def phase_settle_tau(config: SGConfig) -> float:
     """Dimensionless time tau after which the chirp-induced coherence phase
     is negligible.
 
     The half-plane coherence of a symmetric pair carries a residual
     argument ~ (2/sqrt(pi)) sqrt(2) dp sigma0 / tau that decays only like
     1/tau.  This returns the tau, at least 1, making that argument at most
-    a quarter of phase_sum_tol, so phase-sum checks at phase_sum_tol hold
+    a quarter of _PHASE_SUM_TOL, so phase-sum checks at _PHASE_SUM_TOL hold
     with a factor-2 margin.  It is capped at the largest float, where
     upper_overlaps gives the ideal-device limit (beyond a ~ 5.6e297).
     """
-    if phase_sum_tol <= 0:
-        raise ValueError("phase_sum_tol must be positive")
     kappa = 2.0 * _SQRT2 / math.sqrt(math.pi)
-    tau = kappa * abs(config.momentum_kick) * config.sigma0 / (0.25 * phase_sum_tol)
+    tau = kappa * abs(config.momentum_kick) * config.sigma0 / (0.25 * _PHASE_SUM_TOL)
     return min(max(tau, 1.0), sys.float_info.max)

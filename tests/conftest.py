@@ -16,15 +16,14 @@ from nosignal import (
     SGConfig,
     SpinDensityMatrix,
     SpinState,
-    WavePacketPair,
     branch_table,
+    channel_center,
     cell_records,
     grid_solve,
     make_spin_state,
 )
 from nosignal.protocol import branch_totals
 from nosignal.spin import ATOL
-from nosignal.wavepacket import _sign
 
 
 def fresh_env() -> dict:
@@ -97,9 +96,8 @@ def grid_results(config, input_spin, grid, times) -> list:
     check raises, so the earliest failing time is the one reported.  Each
     density is compared with component_amplitude's, the tests' reference.
     """
-    def reference(t, which, z, out):
-        pair = WavePacketPair(config, input_spin, t)
-        out[...] = np.abs(component_amplitude(pair, z, which)) ** 2
+    def reference(t, s, z, out):
+        out[...] = np.abs(component_amplitude(config, input_spin, t, s, z)) ** 2
 
     return grid_solve(config, input_spin, grid, times, reference)
 
@@ -165,62 +163,77 @@ def up_state():
     return make_spin_state(1.0, 0.0)
 
 
-def channel_phase(pair: WavePacketPair, which: str) -> float:
-    """Channel phase phi(t) = +-larmor_phase + p^2 t / (2 m).
+def channel_weight(spin: SpinState, s: int) -> complex:
+    """Channel s's amplitude: the spin's up (s = +1) or down (s = -1) one."""
+    return spin.amp_up if s > 0 else spin.amp_down
 
-    Where p^2 t overflows, the division comes first, as in the pair's center.
+
+def channel_width(config: SGConfig, t: float) -> float:
+    """Position standard deviation sigma(t) at time t after the magnet,
+    shared by both channels."""
+    return config.sigma0 * math.hypot(1.0, t / config.spreading_time)
+
+
+def channel_phase(config: SGConfig, t: float, s: int) -> float:
+    """Channel s's phase phi(t) = s larmor_phase + p^2 t / (2 m), with
+    p = s momentum_kick.
+
+    Where p^2 t overflows, the division comes first, as in channel_center.
     """
-    p, two_m = pair.momentum(which), 2.0 * pair.device.mass
-    chirp = p * p * pair.time / two_m
-    chirp = p * (p * (pair.time / two_m)) if math.isinf(chirp) else chirp
-    return _sign(which) * pair.device.larmor_phase + chirp
+    p, two_m = s * config.momentum_kick, 2.0 * config.mass
+    chirp = p * p * t / two_m
+    chirp = p * (p * (t / two_m)) if math.isinf(chirp) else chirp
+    return s * config.larmor_phase + chirp
 
 
-def component_amplitude(pair: WavePacketPair, z: np.ndarray, which: str) -> np.ndarray:
-    """One channel's wave function, its spin weight included, at positions z.
+def component_amplitude(
+    config: SGConfig, spin: SpinState, t: float, s: int, z: np.ndarray
+) -> np.ndarray:
+    """Channel s's wave function at time t, its spin weight included, at
+    positions z.
 
     The tests' reference for component_density and the grid solver at
     moderate times; coherence integrals go through upper_overlaps or
     quad_coherence.
     """
-    center = pair.center(which)
-    s0 = pair.device.sigma0
-    alpha = 1.0 + 1j * pair.tau
+    center = s * channel_center(config, t)
+    s0 = config.sigma0
+    alpha = 1.0 + 1j * (t / config.spreading_time)
     norm = (2.0 * math.pi * s0**2) ** (-0.25) * alpha ** (-0.5)
     zz = np.asarray(z, dtype=float)
     val = norm * np.exp(
         -((zz - center) ** 2) / (4.0 * s0**2 * alpha)
-        + 1j * pair.momentum(which) * (zz - center)
-        + 1j * channel_phase(pair, which)
+        + 1j * (s * config.momentum_kick) * (zz - center)
+        + 1j * channel_phase(config, t, s)
     )
-    return pair.weight(which) * val
+    return channel_weight(spin, s) * val
 
 
-def exit_channels(pair):
+def exit_channels(config: SGConfig):
     """(momentum, origin, exit phase) of the plus and minus channels.
 
-    The pair's derived momentum and its phase at the magnet exit, with
-    origin 0, as inputs for the general Gaussian-pair references below.
+    Each channel's momentum and its phase at the magnet exit, with origin
+    0, as inputs for the general Gaussian-pair references below.
     """
-    at_exit = pair._replace(time=0.0)
     return [
-        (pair.momentum(w), 0.0, channel_phase(at_exit, w)) for w in ("plus", "minus")
+        (s * config.momentum_kick, 0.0, channel_phase(config, 0.0, s)) for s in (+1, -1)
     ]
 
 
-def reduced_overlap_exponent(pair):
-    """psi_plus(z) psi_minus(z)^* = pref * exp(-a z^2 + b z + d) for any pair.
+def reduced_overlap_exponent(config: SGConfig, t: float):
+    """psi_plus(z) psi_minus(z)^* = pref * exp(-a z^2 + b z + d) at time t,
+    for any Gaussian pair.
 
     Returns (a, b, d, pref) with complex b and d.  The coefficients are built
     from origins, momenta and exit phases, free of the large-time
     cancellations that subtracting accumulated per-channel phases would
     suffer, and d's imaginary part is reduced mod 2 pi.
     """
-    (p_p, o_p, f_p), (p_m, o_m, f_m) = exit_channels(pair)
-    sigma0, mass = pair.device.sigma0, pair.device.mass
-    tau = pair.tau
+    (p_p, o_p, f_p), (p_m, o_m, f_m) = exit_channels(config)
+    sigma0, mass = config.sigma0, config.mass
+    tau = t / config.spreading_time
     sig2 = sigma0**2 * (1.0 + tau**2)
-    t_over_m = pair.time / mass
+    t_over_m = t / mass
     cp = o_p + p_p * t_over_m
     cm = o_m + p_m * t_over_m
     dp_rel = p_p - p_m
@@ -228,7 +241,7 @@ def reduced_overlap_exponent(pair):
     im_d = (
         tau * (cp + cm) * (cp - cm) / (4.0 * sig2)
         - (p_p * o_p - p_m * o_m)
-        - dp_rel * (p_p + p_m) * pair.time / (2.0 * mass)
+        - dp_rel * (p_p + p_m) * t / (2.0 * mass)
         + (f_p - f_m)
     )
     b = complex((cp + cm) / (2.0 * sig2), im_b)
@@ -237,22 +250,24 @@ def reduced_overlap_exponent(pair):
     return 1.0 / (2.0 * sig2), b, d, pref
 
 
-def full_overlap(pair) -> complex:
-    """Full-line overlap of the normalized channels, by the Gaussian integral."""
-    a, b, d, pref = reduced_overlap_exponent(pair)
+def full_overlap(config: SGConfig, t: float) -> complex:
+    """Full-line overlap of the normalized channels at time t, by the
+    Gaussian integral."""
+    a, b, d, pref = reduced_overlap_exponent(config, t)
     return pref * math.sqrt(math.pi / a) * complex(np.exp(b * b / (4.0 * a) + d))
 
 
-def quad_coherence(pair, half: str = "upper") -> complex:
-    """Half-line coherence int psi_plus psi_minus^* dz by adaptive quadrature.
+def quad_coherence(config: SGConfig, t: float, half: str = "upper") -> complex:
+    """Half-line coherence int psi_plus psi_minus^* dz at time t by adaptive
+    quadrature.
 
     Integrates the reduced exponent in packet-width units u = z / sigma.
     Real and imaginary parts are integrated separately, each scaled by its
     own sampled magnitude so quad's tolerance is relative to that part.
     """
-    a, b, d, pref = reduced_overlap_exponent(pair)
-    sig = pair.width
-    centers = [pair.center("plus") / sig, pair.center("minus") / sig]
+    a, b, d, pref = reduced_overlap_exponent(config, t)
+    sig = channel_width(config, t)
+    centers = [s * channel_center(config, t) / sig for s in (+1, -1)]
     reach = max(abs(c) for c in centers) + 12.0
     lo, hi = (0.0, reach) if half == "upper" else (-reach, 0.0)
 

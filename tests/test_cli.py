@@ -1053,11 +1053,11 @@ class TestOracleThreads:
         component_density = nosignal.cli.component_density
         made = []
 
-        def component_density_failing_off_the_caller(pair, z, which, out=None):
-            made.append((pair.time, which, threading.get_ident() == caller))
+        def component_density_failing_off_the_caller(config, t, s, weight, z, out=None):
+            made.append((t, s, threading.get_ident() == caller))
             if threading.get_ident() != caller:
                 raise WorkerFailure
-            return component_density(pair, z, which, out=out)
+            return component_density(config, t, s, weight, z, out=out)
 
         monkeypatch.setattr(
             nosignal.cli, "component_density", component_density_failing_off_the_caller
@@ -1067,7 +1067,7 @@ class TestOracleThreads:
             workflow_oracle(load_config(str(DEFAULT_CONFIG)))
         assert threading.active_count() == threads
         # the first time's two channels, and no later time
-        assert sorted(made) == [(1.0, "minus", False), (1.0, "plus", True)]
+        assert sorted(made) == [(1.0, -1, False), (1.0, 1, True)]
 
     def test_earliest_leak_is_reported(self, monkeypatch):
         # a free packet (gradient 0) stays centred and spreads to the edge of

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import contextvars
 import math
@@ -6,6 +7,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -18,14 +20,13 @@ from nosignal import (
     NormDriftError,
     SGConfig,
     SpinState,
-    WavePacketPair,
     component_density,
     grid_solve,
     make_spin_state,
     upper_overlaps,
 )
 from nosignal.gridsolver import _exit_spectra, _free_phase, _spectral_order, _Worker
-from conftest import grid_results
+from conftest import channel_weight, grid_results
 
 SMALL_GRID = GridSpec(extent=384.0, points=4096, dt=2e-4)
 
@@ -136,19 +137,52 @@ def flown_norm(source, t) -> float:
     return sum(float(np.sum(np.abs(psi) ** 2)) for psi in flown(source, t)) * source.dx
 
 
-def exit_mean_momentum(source, which: str) -> float:
-    spectrum = source.spectrum_plus if which == "plus" else source.spectrum_minus
+def exit_mean_momentum(source, s: int) -> float:
+    spectrum = source.spectrum_plus if s > 0 else source.spectrum_minus
     weight = np.abs(spectrum) ** 2
     k = spectral_order(2.0 * math.pi * np.fft.fftfreq(len(spectrum), source.dx))
     return float(np.sum(k * weight)) / float(np.sum(weight))
 
 
-def no_reference(t, which, z, out):
+def no_reference(t, s, z, out):
     raise AssertionError(f"reference density asked for at t = {t:g}")
 
 
 def no_grid_work(*args):
     raise AssertionError("grid work started")
+
+
+def package_imports(source: str) -> set:
+    """(module, name) of every import of the package in source, module
+    relative to the package; "*" names a whole module."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "nosignal":
+                    continue
+                module = module.removeprefix("nosignal").lstrip(".")
+            for alias in node.names:
+                imported.add((module, alias.name) if module else (alias.name, "*"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "nosignal":
+                    imported.add((alias.name.removeprefix("nosignal").lstrip("."), "*"))
+    return imported
+
+
+def test_solver_reads_nothing_of_the_analytic_model():
+    # acceptance criterion 2 rests on the oracle's independence: of the
+    # package it takes its errors, SpinState and SGConfig, and the
+    # reference densities only through its caller
+    source = Path(nosignal.gridsolver.__file__).read_text(encoding="utf-8")
+    imported = package_imports(source)
+    assert {(m, name) for m, name in imported if m != "errors"} == {
+        ("spin", "SpinState"),
+        ("wavepacket", "SGConfig"),
+    }
+    assert all(name != "*" for m, name in imported if m == "errors")
 
 
 class TestValidation:
@@ -236,8 +270,8 @@ class TestChannels:
     def test_impulsive_momentum_kicks(self, device, x_state):
         source = exit_spectra(device, x_state, SMALL_GRID)
         kick = device.momentum_kick
-        assert abs(exit_mean_momentum(source, "plus") - kick) / kick < 0.01
-        assert abs(exit_mean_momentum(source, "minus") + kick) / kick < 0.01
+        assert abs(exit_mean_momentum(source, +1) - kick) / kick < 0.01
+        assert abs(exit_mean_momentum(source, -1) + kick) / kick < 0.01
 
 
 class TestAgainstAnalyticModel:
@@ -414,7 +448,7 @@ class TestInPlacePhases:
             make_spin_state(1.0, 1.0),
             GridSpec(extent, n, 1e-3),
             [0.0],
-            lambda t, which, z, out: out.fill(0.0),
+            lambda t, s, z, out: out.fill(0.0),
         )
         assert len(read) == 2
         for k2 in read:
@@ -454,9 +488,7 @@ class TestInPlacePhases:
             spin,
             grid,
             times,
-            lambda t, which, z, out: np.copyto(
-                out, np.abs(expected[t][which == "minus"]) ** 2
-            ),
+            lambda t, s, z, out: np.copyto(out, np.abs(expected[t][s < 0]) ** 2),
         )
         monkeypatch.undo()
         assert len(inverse) == 4 * len(times)
@@ -531,8 +563,8 @@ class TestInPlacePhases:
         n = 2**16
         grid = GridSpec(extent=4096.0, points=n, dt=1e-3)  # 2 magnet steps
 
-        def reference(t, which, z, out):
-            component_density(WavePacketPair(device, x_state, t), z, which, out=out)
+        def reference(t, s, z, out):
+            component_density(device, t, s, channel_weight(x_state, s), z, out=out)
 
         grid_solve(device, x_state, grid, [1.0], reference)  # numpy's one-time set-up
         caller = threading.get_ident()
@@ -628,7 +660,7 @@ class TestFourStep:
         monkeypatch.setattr(nosignal.gridsolver, "_check_boundary", lambda *args: None)
         monkeypatch.setattr(np.fft, "fft", recorded(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", recorded(np.fft.ifft))
-        results = grid_solve(sg, spin, grid, times, lambda t, which, z, out: out.fill(0.0))
+        results = grid_solve(sg, spin, grid, times, lambda t, s, z, out: out.fill(0.0))
         monkeypatch.undo()
         # 10 magnet steps of four transforms and the exit's two, per channel;
         # then two per channel and time
@@ -754,14 +786,16 @@ class TestTwoThreads:
         flights = []
 
         def ifft_failing_off_the_caller(*args, **kwargs):
-            flights.append(threading.get_ident() == caller)
-            if flights.count(False) > 2:
+            here = threading.get_ident() == caller
+            flights.append(here)
+            # the caller's own calls never fail, whenever they see the worker's
+            if not here and flights.count(False) > 2:
                 raise WorkerFailure
             return ifft(*args, **kwargs)
 
         asked = []
 
-        def reference(t, which, z, out):
+        def reference(t, s, z, out):
             asked.append(t)
             out.fill(0.0)
 
@@ -826,7 +860,7 @@ class TestOneSolve:
             x_state,
             SMALL_GRID,
             [1.0, 2.0, 3.0],
-            lambda t, which, z, out: out.fill(0.0),
+            lambda t, s, z, out: out.fill(0.0),
         )
         assert [result.t for result in results] == [1.0, 2.0, 3.0]
         assert len(started) == 1

@@ -12,7 +12,6 @@ from nosignal import (
     SpinState,
     branch_table,
     closed_form_rows,
-    WavePacketPair,
     estimate_phase,
     grid_solve,
     make_spin_state,
@@ -60,21 +59,19 @@ def test_density_matrix_stores_rows_of_complex():
 
 def _grid_result(sg, spin):
     """The reduced snapshot at t = 1, against a zero reference density."""
-    return grid_solve(sg, spin, GridSpec(**GRID), [1.0], lambda t, which, z, out: out.fill(0.0))[0]
+    return grid_solve(sg, spin, GridSpec(**GRID), [1.0], lambda t, s, z, out: out.fill(0.0))[0]
 
 
 def _values() -> dict:
     """One value of each value type, by type name."""
     sg = SGConfig(**DEVICE)
     spin = make_spin_state(1.0, 1.0)
-    pair = WavePacketPair(sg, spin, 0.0)
     record = sample(spin, math.pi / 2, 1000, seed=1)
     values = [
         spin,
         pure_density(spin),
         sg,
         GridSpec(**GRID),
-        pair,
         project_upper(spin, upper_overlaps(sg, 0.0)),
         closed_form_rows(0.1, 0.5, (0.5,), 0.0, math.pi, "pure")[0],
         branch_table(sg, [math.pi / 2]),
@@ -93,7 +90,6 @@ def _values() -> dict:
         ("SpinDensityMatrix", "matrix"),
         ("SGConfig", "mass"),
         ("GridSpec", "points"),
-        ("WavePacketPair", "time"),
         ("PostSelectedSpin", "phase"),
         ("ProtocolResult", "residual"),
         ("BranchTable", "Es"),

@@ -14,15 +14,17 @@ import nosignal.wavepacket
 from nosignal import (
     SGConfig,
     SpinState,
-    WavePacketPair,
     asymptotic_error_fraction,
+    channel_center,
     component_density,
     phase_settle_tau,
     upper_overlaps,
 )
-from nosignal.wavepacket import _dawson, _norm_cdf
+from nosignal.wavepacket import _PHASE_SUM_TOL, _dawson, _norm_cdf
 from conftest import (
     channel_phase,
+    channel_weight,
+    channel_width,
     component_amplitude,
     exit_channels,
     full_overlap,
@@ -34,35 +36,36 @@ ORACLE_TIMES = [1, 3, 7, 12, 20, 30, 45, 70, 95, 120]
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
-def quad_density(pair, which, lo, hi):
+def quad_density(config, spin, t, s, lo, hi):
     """Independent oracle: integrate the sampled |psi|^2 of the normalized
-    channel by quadrature."""
+    channel s at time t by quadrature."""
     val, _ = quad(
-        lambda z: abs(component_amplitude(pair, z, which)) ** 2,
+        lambda z: abs(component_amplitude(config, spin, t, s, z)) ** 2,
         lo,
         hi,
         limit=200,
     )
-    return val / abs(pair.weight(which)) ** 2
+    return val / abs(channel_weight(spin, s)) ** 2
 
 
-def mpmath_upper_coherence(pair, dps: int = 40):
-    """int_0^inf psi_plus psi_minus^* dz at dps digits, for any Gaussian pair.
+def mpmath_upper_coherence(config, t, dps: int = 40):
+    """int_0^inf psi_plus psi_minus^* dz at time t at dps digits, for any
+    Gaussian pair.
 
     Expands the product of the two channels into exp(-A z^2 + B z + D) from
-    their exact parameters at the pair's time (the accumulated phases
-    cancel in the working precision, not in double) and uses
+    their exact parameters at time t (the accumulated phases cancel in the
+    working precision, not in double) and uses
     int_0^inf exp(-A z^2 + B z) dz = sqrt(pi / A) / 2 exp(B^2 / 4A)
     erfc(-B / (2 sqrt A)).
     """
     with mp.workdps(dps):
-        s0, m = mp.mpf(pair.device.sigma0), mp.mpf(pair.device.mass)
-        t = mp.mpf(pair.time)
+        s0, m = mp.mpf(config.sigma0), mp.mpf(config.mass)
+        t = mp.mpf(t)
         alpha = 1 + 1j * t / (2 * m * s0**2)
         a_z = 4 * s0**2 * alpha
         a_c = mp.conj(a_z)
         (p_p, o_p, f_p), (p_m, o_m, f_m) = [
-            [mp.mpf(v) for v in channel] for channel in exit_channels(pair)
+            [mp.mpf(v) for v in channel] for channel in exit_channels(config)
         ]
         c_p = o_p + p_p * t / m
         c_m = o_m + p_m * t / m
@@ -84,49 +87,52 @@ def mpmath_upper_coherence(pair, dps: int = 40):
 
 
 class TestMagnet:
-    def test_zero_field_leaves_identical_components(self, x_state):
+    def test_zero_field_leaves_identical_components(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
-        pair = WavePacketPair(cfg, x_state, 0.0)
-        assert pair.momentum("plus") == pair.momentum("minus") == 0.0
-        assert pair.center("plus") == pair.center("minus") == 0.0
-        assert channel_phase(pair, "plus") == channel_phase(pair, "minus") == 0.0
+        (p_plus, _, _), (p_minus, _, _) = exit_channels(cfg)
+        assert p_plus == p_minus == 0.0
+        assert channel_center(cfg, 0.0) == 0.0
+        assert channel_phase(cfg, 0.0, +1) == channel_phase(cfg, 0.0, -1) == 0.0
 
     def test_up_eigenstate_passes_unsplit(self, device, up_state):
-        pair = WavePacketPair(device, up_state, 0.0)
-        assert pair.weight("minus") == 0.0
-        assert pair.momentum("plus") == device.momentum_kick > 0
+        assert channel_weight(up_state, -1) == 0.0
+        assert exit_channels(device)[0][0] == device.momentum_kick > 0
 
     def test_x_input_splits_symmetrically(self, device, x_state):
-        pair = WavePacketPair(device, x_state, 0.0)
-        assert abs(pair.weight("plus") - 1 / math.sqrt(2)) < 1e-12
-        assert abs(pair.weight("minus") - 1 / math.sqrt(2)) < 1e-12
-        assert pair.momentum("plus") == -pair.momentum("minus") == device.momentum_kick
+        assert abs(channel_weight(x_state, +1) - 1 / math.sqrt(2)) < 1e-12
+        assert abs(channel_weight(x_state, -1) - 1 / math.sqrt(2)) < 1e-12
+        (p_plus, _, _), (p_minus, _, _) = exit_channels(device)
+        assert p_plus == -p_minus == device.momentum_kick
 
-    def test_larmor_phases(self, x_state):
+    def test_larmor_phases(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=2, gradient=10, bias=3, transit=0.01)
-        pair = WavePacketPair(cfg, x_state, 0.0)
-        assert abs(channel_phase(pair, "plus") - 0.06) < 1e-15
-        assert abs(channel_phase(pair, "minus") + 0.06) < 1e-15
+        assert abs(channel_phase(cfg, 0.0, +1) - 0.06) < 1e-15
+        assert abs(channel_phase(cfg, 0.0, -1) + 0.06) < 1e-15
 
 
 class TestFreePropagation:
-    def test_width_spreading_law(self, x_state):
+    def test_width_spreading_law(self):
         cfg = SGConfig(mass=2, sigma0=0.5, moment=1, gradient=0, bias=0, transit=0)
         t = 1e6
-        moved = WavePacketPair(cfg, x_state, t)
-        assert moved.center("plus") == 0.0
-        # asymptotically sigma(t) -> t / (2 m sigma0)
-        assert abs(moved.width / (t / (2 * 2 * 0.5)) - 1.0) < 1e-9
+        assert channel_center(cfg, t) == 0.0
+        # the peak density 1 / (sqrt(2 pi) sigma(t)) of a unit weight at its
+        # center; asymptotically sigma(t) -> t / (2 m sigma0)
+        peak = component_density(cfg, t, +1, 1.0, np.zeros(1))[0]
+        width = 1.0 / (math.sqrt(2.0 * math.pi) * peak)
+        assert abs(width / (t / (2 * 2 * 0.5)) - 1.0) < 1e-9
 
-    def test_centers_drift_with_momentum(self, device, x_state):
-        pair = WavePacketPair(device, x_state, 10.0)
-        assert abs(pair.center("plus") - device.momentum_kick * 10.0) < 1e-12
-        assert abs(pair.center("minus") + device.momentum_kick * 10.0) < 1e-12
+    def test_centers_drift_with_momentum(self, device):
+        center = channel_center(device, 10.0)
+        assert abs(center - device.momentum_kick * 10.0) < 1e-12
+        # the spin-down channel, centered at -center, is the spin-up one
+        # mirrored about z = 0
+        z = center + np.linspace(-4.0, 4.0, 17)
+        minus = component_density(device, 10.0, -1, 1.0, -z)
+        assert np.array_equal(minus, component_density(device, 10.0, +1, 1.0, z))
 
     def test_components_stay_normalized(self, device, x_state):
-        pair = WavePacketPair(device, x_state, 7.3)
-        for which in ("plus", "minus"):
-            norm = quad_density(pair, which, -np.inf, np.inf)
+        for s in (+1, -1):
+            norm = quad_density(device, x_state, 7.3, s, -np.inf, np.inf)
             assert abs(norm - 1.0) < 1e-12
 
 
@@ -144,12 +150,12 @@ class TestComponentDensity:
         t=st.floats(0.0, 1e4),
         sigma0=st.floats(1e-3, 1e3),
         gradient=st.floats(-1e3, 1e3),
-        which=st.sampled_from(["plus", "minus"]),
+        s=st.sampled_from([+1, -1]),
         up=st.floats(0.0, 1.0),
         phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
         k=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=8),
     )
-    def test_matches_squared_amplitude(self, t, sigma0, gradient, which, up, phases, k):
+    def test_matches_squared_amplitude(self, t, sigma0, gradient, s, up, phases, k):
         # complex weights with |up|^2 + |down|^2 = 1, at |z - c| <= 8 sigma(t)
         spin = SpinState(
             math.sqrt(up) * complex(math.cos(phases[0]), math.sin(phases[0])),
@@ -158,22 +164,21 @@ class TestComponentDensity:
         cfg = SGConfig(
             mass=1.0, sigma0=sigma0, moment=1.0, gradient=gradient, bias=0.5, transit=0.002
         )
-        pair = WavePacketPair(cfg, spin, t)
-        z = pair.center(which) + pair.width * np.array(k)
-        expected = np.abs(component_amplitude(pair, z, which)) ** 2
-        density = component_density(pair, z, which)
+        z = s * channel_center(cfg, t) + channel_width(cfg, t) * np.array(k)
+        expected = np.abs(component_amplitude(cfg, spin, t, s, z)) ** 2
+        density = component_density(cfg, t, s, channel_weight(spin, s), z)
         assert np.all(np.abs(density - expected) <= 1e-13 * expected)
 
     @pytest.mark.parametrize("t", [0.0, 7.3, 1e4])
-    @pytest.mark.parametrize("which", ["plus", "minus"])
-    def test_integrates_to_squared_weight(self, device, t, which):
+    @pytest.mark.parametrize("s", [+1, -1], ids=["plus", "minus"])
+    def test_integrates_to_squared_weight(self, device, t, s):
         spin = SpinState(0.48 + 0.64j, 0.36 - 0.48j)
-        pair = WavePacketPair(device, spin, t)
+        weight = channel_weight(spin, s)
         # 8 points per sigma(t) out to 40 sigma(t): the sum is the integral
-        dz = pair.width / 8
-        z = pair.center(which) + dz * np.arange(-320, 321)
-        total = float(np.sum(component_density(pair, z, which))) * dz
-        assert abs(total - abs(pair.weight(which)) ** 2) <= 1e-12
+        dz = channel_width(device, t) / 8
+        z = s * channel_center(device, t) + dz * np.arange(-320, 321)
+        total = float(np.sum(component_density(device, t, s, weight, z))) * dz
+        assert abs(total - abs(weight) ** 2) <= 1e-12
 
     @pytest.mark.parametrize("t", ORACLE_TIMES)
     def test_subnormal_sigma0_squared_against_mpmath(self, x_state, t):
@@ -181,18 +186,21 @@ class TestComponentDensity:
         # by 1.2e-5 relative here; the closed form takes only sigma(t)
         cfg = self.CHIRP
         assert 0.0 < cfg.sigma0 * cfg.sigma0 < sys.float_info.min
-        pair = WavePacketPair(cfg, x_state, t)
         grid_z = (np.arange(256) - 128) * 0.25  # the oracle grid of CI's chirp run
-        for which in ("plus", "minus"):
-            z = np.concatenate(
-                [grid_z, pair.center(which) + pair.width * np.linspace(-8.0, 8.0, 33)]
-            )
-            density = component_density(pair, z, which)
+        for s in (+1, -1):
+            weight = channel_weight(x_state, s)
+            z = np.concatenate([
+                grid_z,
+                s * channel_center(cfg, t)
+                + channel_width(cfg, t) * np.linspace(-8.0, 8.0, 33),
+            ])
+            density = component_density(cfg, t, s, weight, z)
             with mp.workdps(40):
                 # at the code's own tau: sigma(t) = sigma0 sqrt(1 + tau^2)
-                sigma = mp.mpf(cfg.sigma0) * mp.sqrt(1 + mp.mpf(pair.tau) ** 2)
-                c = mp.mpf(pair.momentum(which)) * mp.mpf(t) / mp.mpf(cfg.mass)
-                scale = abs(mp.mpc(pair.weight(which))) ** 2 / (mp.sqrt(2 * mp.pi) * sigma)
+                tau = mp.mpf(t / cfg.spreading_time)
+                sigma = mp.mpf(cfg.sigma0) * mp.sqrt(1 + tau**2)
+                c = mp.mpf(s * cfg.momentum_kick) * mp.mpf(t) / mp.mpf(cfg.mass)
+                scale = abs(mp.mpc(weight)) ** 2 / (mp.sqrt(2 * mp.pi) * sigma)
                 for zi, value in zip(z, density):
                     exact = scale * mp.exp(-((mp.mpf(zi) - c) / sigma) ** 2 / 2)
                     if exact < sys.float_info.min:
@@ -214,8 +222,7 @@ class TestErrorFraction:
 
     @pytest.mark.parametrize("t", [0.5, 3.0, 40.0])
     def test_matches_quadrature_oracle(self, device, x_state, t):
-        pair = WavePacketPair(device, x_state, t)
-        oracle = quad_density(pair, "minus", 0.0, np.inf)
+        oracle = quad_density(device, x_state, t, -1, 0.0, np.inf)
         assert abs(upper_overlaps(device, t / device.spreading_time)[1] - oracle) < 1e-9
 
     @pytest.mark.parametrize("t", [1.0, 10.0, 80.0])
@@ -377,57 +384,54 @@ class TestDawson:
 
 
 class TestHalfPlaneCoherence:
-    def test_identical_components_give_half_total(self, x_state):
+    def test_identical_components_give_half_total(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
-        pair = WavePacketPair(cfg, x_state, 3.0)
         upper = upper_overlaps(cfg, 3.0 / cfg.spreading_time)[2]
-        total = full_overlap(pair)
+        total = full_overlap(cfg, 3.0)
         assert abs(total - 1.0) < 1e-12
         assert abs(upper - 0.5 * total) < 1e-12
         assert abs(upper.imag) < 1e-12
 
     @pytest.mark.parametrize("t", [0.7, 6.0, 55.0])
-    def test_matches_closed_form(self, device, x_state, t):
-        by_quad = quad_coherence(WavePacketPair(device, x_state, t))
+    def test_matches_closed_form(self, device, t):
+        by_quad = quad_coherence(device, t)
         closed = upper_overlaps(device, t / device.spreading_time)[2]
         assert abs(by_quad - closed) < 1e-12
 
     @pytest.mark.parametrize("when", [0.5, 5.0, 60.0, "settle"])
     @pytest.mark.parametrize("bias", [0.0, 100.0])
     @pytest.mark.parametrize("gradient", [5.0, 50.0, 210.4, 400.0])
-    def test_matches_quadrature_across_devices(self, x_state, gradient, bias, when):
+    def test_matches_quadrature_across_devices(self, gradient, bias, when):
         cfg = SGConfig(
             mass=1, sigma0=1, moment=1, gradient=gradient, bias=bias, transit=0.002
         )
         tau = when / cfg.spreading_time if when != "settle" else phase_settle_tau(cfg)
-        pair = WavePacketPair(cfg, x_state, tau * cfg.spreading_time)
         closed = upper_overlaps(cfg, tau)[2]
-        assert abs(quad_coherence(pair) - closed) <= 1e-11 * abs(closed)
+        by_quad = quad_coherence(cfg, tau * cfg.spreading_time)
+        assert abs(by_quad - closed) <= 1e-11 * abs(closed)
 
     @pytest.mark.parametrize("bias", [0.0, 37.0])
-    def test_matches_mpmath(self, x_state, bias):
+    def test_matches_mpmath(self, bias):
         cfg = SGConfig(
             mass=1, sigma0=1, moment=1, gradient=210.4, bias=bias, transit=0.002
         )
-        for t in ORACLE_TIMES + [phase_settle_tau(cfg, 1e-9) * cfg.spreading_time]:
+        for t in ORACLE_TIMES + [phase_settle_tau(cfg) * cfg.spreading_time]:
             closed = upper_overlaps(cfg, t / cfg.spreading_time)[2]
-            exact = mpmath_upper_coherence(WavePacketPair(cfg, x_state, t))
+            exact = mpmath_upper_coherence(cfg, t)
             for got, want in ((closed.real, exact.real), (closed.imag, exact.imag)):
                 assert abs(got - float(want)) <= 4 * math.ulp(float(want)), t
 
-    def test_large_kick_stays_finite(self, x_state):
+    def test_large_kick_stays_finite(self):
         # erfi(x) overflows past x ~ 26.6; its product with exp(-x^2) must not
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=12000, bias=0, transit=0.002)
-        pair = WavePacketPair(cfg, x_state, 0.05)
         closed = upper_overlaps(cfg, 0.05 / cfg.spreading_time)[2]
         assert math.isfinite(closed.real) and math.isfinite(closed.imag)
-        assert abs(quad_coherence(pair) - closed) <= 1e-10 * abs(closed)
+        assert abs(quad_coherence(cfg, 0.05) - closed) <= 1e-10 * abs(closed)
 
-    def test_halves_sum_to_full_overlap(self, device, x_state):
-        pair = WavePacketPair(device, x_state, 9.0)
+    def test_halves_sum_to_full_overlap(self, device):
         upper = upper_overlaps(device, 9.0 / device.spreading_time)[2]
-        lower = quad_coherence(pair, "lower")
-        assert abs(upper + lower - full_overlap(pair)) < 1e-9
+        lower = quad_coherence(device, 9.0, "lower")
+        assert abs(upper + lower - full_overlap(device, 9.0)) < 1e-9
 
     def test_cauchy_schwarz_bound(self, device):
         for t in (0.5, 8.0, 120.0):
@@ -477,14 +481,13 @@ class TestHalfPlaneCoherence:
 
 
 class TestPhaseSettleTau:
-    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
-    def test_coherence_phase_below_tolerance(self, device, tol):
-        tau = phase_settle_tau(device, tol)
-        assert abs(np.angle(upper_overlaps(device, tau)[2])) < 0.5 * tol
+    def test_coherence_phase_below_tolerance(self, device):
+        tau = phase_settle_tau(device)
+        assert abs(np.angle(upper_overlaps(device, tau)[2])) < 0.5 * _PHASE_SUM_TOL
 
     def test_zero_kick_needs_no_settling(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
-        assert phase_settle_tau(cfg, 1e-10) == 1.0
+        assert phase_settle_tau(cfg) == 1.0
 
     def test_saturation_precedes_settle_tau(self, tmp_path):
         # the analytic path post-selects at phase_settle_tau alone; over
