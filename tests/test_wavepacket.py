@@ -481,9 +481,12 @@ class TestHalfPlaneCoherence:
 
 
 class TestPhaseSettleTau:
-    def test_coherence_phase_below_tolerance(self, device):
-        tau = phase_settle_tau(device)
-        assert abs(np.angle(upper_overlaps(device, tau)[2])) < 0.5 * _PHASE_SUM_TOL
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, _PHASE_SUM_TOL])
+    def test_coherence_phase_below_tolerance(self, device, tol):
+        # the settle law tau ~ 1 / tol, scaled from the module's tolerance to
+        # looser ones, still settles the phase: it decays at least like 1/tau
+        tau = max(phase_settle_tau(device) * (_PHASE_SUM_TOL / tol), 1.0)
+        assert abs(np.angle(upper_overlaps(device, tau)[2])) < 0.5 * tol
 
     def test_zero_kick_needs_no_settling(self):
         cfg = SGConfig(mass=1, sigma0=1, moment=1, gradient=0, bias=0, transit=0.01)
